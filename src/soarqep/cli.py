@@ -7,7 +7,6 @@ exits 0 on full convergence, 2 on partial results, 1 on any error.
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass, field
 
@@ -137,9 +136,6 @@ def format_json(record):
 def run_cli(argv=None):
     try:
         args = build_parser().parse_args(argv)
-        # accepted for interface stability; the implementation is sequential
-        os.environ.get("SOARQEP_THREADS")
-
         sigma = parse_sigma(args.sigma) if args.sigma is not None else None
         config = SolverConfig(m=args.m, k=args.k, p=args.p,
                               mode="shift-invert" if sigma is not None else "direct",

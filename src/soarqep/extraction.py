@@ -140,7 +140,7 @@ def residual_bound(state, theta, s, norm_M, t_sub=None):
             t_sub = state.breakdown_t
     P_k = state.P[:, :k]
     ps = float(np.linalg.norm(P_k @ s))
-    p_last = float(np.linalg.norm(state.p_cols[k]))
+    p_last = float(np.linalg.norm(state.P[:, k]))
     c_k = (np.sqrt(abs(theta) ** 2 + 1.0)
            * np.sqrt(norm_M ** 2 + p_last ** 2)
            / np.sqrt(1.0 + ps ** 2))

@@ -38,23 +38,20 @@ def orthogonalize_with_refinement(v, basis):
     basis = np.asarray(basis, dtype=complex)
     if basis.ndim == 1:
         basis = basis.reshape(-1, 1)
-    j = basis.shape[1] if basis.size else 0
-    if j == 0:
-        r = v.copy()
-        return np.zeros(0, dtype=complex), r, float(np.linalg.norm(r))
 
-    coeffs = np.zeros(j, dtype=complex)
+    coeffs = np.zeros(basis.shape[1], dtype=complex)
     r = v.copy()
     prev_norm = float(np.linalg.norm(r))
     for _ in range(3):
-        c = basis.conj().T @ r
+        # conjugating the vector, not the basis, avoids an n-by-j copy
+        c = (r.conj() @ basis).conj()
         r = r - basis @ c
         coeffs += c
         rn = float(np.linalg.norm(r))
         if rn >= prev_norm / np.sqrt(2.0) or rn == 0.0:
             break
         prev_norm = rn
-    return coeffs, r, float(np.linalg.norm(r))
+    return coeffs, r, rn
 
 
 def _givens(a, b):

@@ -9,9 +9,14 @@ P and a (k+1)-by-k Hessenberg T_hat.  A step whose new direction falls below
 the drop tolerance is classified as numerical deflation (the auxiliary chain
 still grows) or numerical breakdown (the subspace is invariant and the run
 stops).
+
+The decomposition lives in preallocated arrays filled in place: columns
+0..k of the n-by-(capacity+1) Q and P buffers and rows 0..k, columns
+0..k-1 of the (capacity+1)-by-capacity T_hat buffer are live; the rest is
+zero.  The deflation directions are the P columns at ``deflation_steps``.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,49 +40,80 @@ class StepOutcome:
     p_residual_norm: float = None  # residual of the deflation membership test
 
 
-@dataclass
+def _grown(buf, shape):
+    # column-major, so each basis column handed to the operator is contiguous
+    out = np.zeros(shape, dtype=complex, order="F")
+    out[: buf.shape[0], : buf.shape[1]] = buf
+    return out
+
+
 class SoarState:
-    n: int
-    q_cols: list = field(default_factory=list)   # columns q_1 .. q_{k+1}
-    p_cols: list = field(default_factory=list)   # columns p_1 .. p_{k+1}
-    t_cols: list = field(default_factory=list)   # column j holds t_{1..j+1, j}
-    k: int = 0
-    deflation_steps: list = field(default_factory=list)  # steps j with q_{j+1} = 0
-    deflation_dirs: list = field(default_factory=list)   # unit f_1 .. f_l
-    breakdown: bool = False
-    breakdown_step: int = None
-    breakdown_t: float = None    # measured t_{k+1,k} at breakdown, before reset
+    """A k-step MSOAR decomposition; ``Q``, ``P``, ``T_hat`` and ``T`` are
+    views of its live part."""
+
+    def __init__(self, n):
+        self._Q = np.zeros((n, 1), dtype=complex, order="F")
+        self._P = np.zeros((n, 1), dtype=complex, order="F")
+        self._T = np.zeros((1, 0), dtype=complex, order="F")
+        self.k = 0
+        self.deflation_steps = []    # steps j with q_{j+1} = 0
+        self.breakdown = False
+        self.breakdown_step = None
+        self.breakdown_t = None      # measured t_{k+1,k} at breakdown, before reset
+
+    @property
+    def n(self):
+        return self._Q.shape[0]
+
+    @property
+    def capacity(self):
+        """Number of steps the buffers hold without growing."""
+        return self._T.shape[1]
+
+    def reserve(self, k):
+        """Grow the buffers to hold a k-step decomposition."""
+        if k > self.capacity:
+            self._Q = _grown(self._Q, (self.n, k + 1))
+            self._P = _grown(self._P, (self.n, k + 1))
+            self._T = _grown(self._T, (k + 1, k))
 
     @property
     def Q(self):
         """n x (k+1) matrix of basis columns (zero at deflation steps)."""
-        return np.column_stack(self.q_cols)
+        return self._Q[:, : self.k + 1]
 
     @property
     def P(self):
-        return np.column_stack(self.p_cols)
+        return self._P[:, : self.k + 1]
 
     @property
     def T_hat(self):
         """(k+1) x k Hessenberg matrix of recurrence coefficients."""
-        T = np.zeros((self.k + 1, self.k), dtype=complex)
-        for j, col in enumerate(self.t_cols):
-            T[: j + 2, j] = col
-        return T
+        return self._T[: self.k + 1, : self.k]
 
     @property
     def T(self):
         """Square k x k leading part of T_hat."""
-        return self.T_hat[: self.k, :]
+        return self._T[: self.k, : self.k]
+
+    @property
+    def q_cols(self):
+        """Read-only list of the columns of Q."""
+        return list(self.Q.T)
+
+    @property
+    def p_cols(self):
+        """Read-only list of the columns of P."""
+        return list(self.P.T)
 
     @property
     def p_norms(self):
-        return [float(np.linalg.norm(p)) for p in self.p_cols]
+        return np.linalg.norm(self.P, axis=0)
 
     def nonzero_q(self):
         """Matrix of the nonzero columns of Q_{k+1}."""
-        cols = [q for q in self.q_cols if np.linalg.norm(q) > 0.0]
-        return np.column_stack(cols)
+        Q = self.Q
+        return Q[:, np.linalg.norm(Q, axis=0) > 0.0]
 
 
 def init_state(op, u1, u2):
@@ -87,9 +123,9 @@ def init_state(op, u1, u2):
     nrm = np.linalg.norm(u1)
     if nrm == 0.0:
         raise ZeroStartError("u1 must be nonzero")
-    state = SoarState(n=op.n)
-    state.q_cols.append(u1 / nrm)
-    state.p_cols.append(u2 / nrm)
+    state = SoarState(op.n)
+    state.Q[:, 0] = u1 / nrm
+    state.P[:, 0] = u2 / nrm
     return state
 
 
@@ -99,16 +135,17 @@ def _membership_residual(vec, state):
     A premature stop is breakdown exactly when the stacked vector [r; s]
     (with r numerically zero) depends on the previous stacked columns, which
     reduces to s lying in the span of the p's stored at earlier zero-q steps,
-    i.e. the recorded deflation directions.  At the first stop that span is
-    empty and the test degenerates to ||s||, so a first stop with nonzero s
-    is always deflation; a genuinely invariant subspace drives s itself to
-    zero and classifies as breakdown.
+    i.e. the deflation directions.  At the first stop that span is empty and
+    the test degenerates to ||s||, so a first stop with nonzero s is always
+    deflation; a genuinely invariant subspace drives s itself to zero and
+    classifies as breakdown.
     """
-    if not state.deflation_dirs:
+    if not state.deflation_steps:
         return float(np.linalg.norm(vec)), vec
-    F = np.column_stack(state.deflation_dirs)
-    # the f's are unit but not mutually orthogonal; orthonormalize first
-    basis, _ = np.linalg.qr(F)
+    F = state.P[:, state.deflation_steps]
+    norms = np.linalg.norm(F, axis=0)
+    # the directions are not mutually orthogonal; orthonormalize first
+    basis, _ = np.linalg.qr(F / np.where(norms > 0.0, norms, 1.0))
     _, p, pn = orthogonalize_with_refinement(vec, basis)
     return pn, p
 
@@ -118,60 +155,37 @@ def msoar_step(state, op, tol):
     if state.breakdown:
         raise RuntimeError("cannot step past breakdown")
     j = state.k + 1
-    q_j = state.q_cols[j - 1]
-    p_j = state.p_cols[j - 1]
-    r = apply_ab(op, q_j, p_j)
-    s = q_j.copy()
-
-    Q = state.Q
-    P = state.P
-    t_col = np.zeros(j, dtype=complex)
-    prev_norm = float(np.linalg.norm(r))
-    for _ in range(3):
-        c = Q.conj().T @ r
-        r = r - Q @ c
-        s = s - P @ c
-        t_col += c
-        rn = float(np.linalg.norm(r))
-        if rn >= prev_norm / np.sqrt(2.0) or rn == 0.0:
-            break
-        prev_norm = rn
-    t_next = float(np.linalg.norm(r))
+    state.reserve(j)
+    Q, P = state.Q, state.P
+    t_col, r, t_next = orthogonalize_with_refinement(
+        apply_ab(op, Q[:, j - 1], P[:, j - 1]), Q)
+    s = Q[:, j - 1] - P @ t_col
 
     scale = op.work_norm_sum
     if scale == 0.0:
         scale = 1.0
-    full = np.zeros(j + 1, dtype=complex)
-    full[:j] = t_col
+    state.k = j
+    state.T_hat[:j, j - 1] = t_col
 
     if t_next / scale > tol:
-        full[j] = t_next
-        state.t_cols.append(full)
-        state.q_cols.append(r / t_next)
-        state.p_cols.append(s / t_next)
-        state.k += 1
+        state.T_hat[j, j - 1] = t_next
+        state.Q[:, j] = r / t_next
+        state.P[:, j] = s / t_next
         return StepOutcome(kind=CONTINUE, t_next=t_next)
 
     # premature stop: numerical deflation or breakdown, decided by whether s
-    # depends on the earlier stored deflation directions
+    # depends on the earlier deflation directions
     pn, _ = _membership_residual(s, state)
-    sn = np.linalg.norm(s)
-    state.deflation_dirs.append((s / sn) if sn > 0.0 else s.copy())
-
-    full[j] = 1.0
-    state.t_cols.append(full)
-    state.q_cols.append(np.zeros(state.n, dtype=complex))
-    state.p_cols.append(s)
-    state.k += 1
-    state.deflation_steps.append(j)
+    state.T_hat[j, j - 1] = 1.0
+    state.Q[:, j] = 0.0
+    state.P[:, j] = s
 
     if pn > tol:
+        state.deflation_steps.append(j)
         return StepOutcome(kind=DEFLATION, t_next=t_next, p_residual_norm=pn)
 
     # breakdown: the final column keeps the deflation shape but is not a
     # deflation event of the run
-    state.deflation_steps.pop()
-    state.deflation_dirs.pop()
     state.breakdown = True
     state.breakdown_step = j
     state.breakdown_t = t_next
@@ -180,6 +194,7 @@ def msoar_step(state, op, tol):
 
 def run_msoar(state, op, k_target, tol):
     """Iterate msoar_step to k_target steps or breakdown."""
+    state.reserve(k_target)
     while state.k < k_target and not state.breakdown:
         msoar_step(state, op, tol)
     return state
@@ -191,7 +206,7 @@ def extraction_basis(state, include_tail=True, tail_tol=1e-8):
     span (the finalization column of the recurrence)."""
     Qt = state.nonzero_q()
     if include_tail:
-        p1 = state.p_cols[0]
+        p1 = state.P[:, 0]
         p1n = np.linalg.norm(p1)
         if p1n > 0.0:
             _, r, rn = orthogonalize_with_refinement(p1, Qt)

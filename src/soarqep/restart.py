@@ -14,7 +14,7 @@ import numpy as np
 import scipy.linalg
 
 from .kernels import hessenberg_shifted_qr, qr_unit_diagonal, solve_projected_qep
-from .msoar import SoarState, run_msoar
+from .msoar import SoarState
 
 
 class RepairError(RuntimeError):
@@ -33,7 +33,6 @@ class RestartReport:
     m_retained: int
     deflations_repaired: int
     new_residual_subdiag: float
-    filter_check: float = None
 
 
 def _conjugate_pair_columns(Z, thetas):
@@ -118,9 +117,10 @@ def _right_tri_solve(X, R):
 def contract(state, shifts, m, tol=1e-10):
     """Shrink a k-step decomposition to m steps with the given shifts.
 
-    Without deflation this is the plain shifted-QR update; with zero columns
-    in Q the row-pruned rotation is refactored (QR with forced unit diagonal
-    at dependent columns) so the retained basis is orthonormal again.
+    The row-pruned rotation of the shifted-QR sweeps is refactored (QR with
+    forced unit diagonal at dependent columns) so the retained basis is
+    orthonormal again even with zero columns in Q; without them R is the
+    identity up to rounding and this is the plain shifted-QR update.
     Returns (new_state, RestartReport).
     """
     if state.breakdown:
@@ -130,101 +130,53 @@ def contract(state, shifts, m, tol=1e-10):
     k = state.k
     if k != m + p:
         raise ValueError("need k = m + p (k=%d, m=%d, p=%d)" % (k, m, p))
+    Q, P = state.Q, state.P
     if p == 0:
         new = copy.deepcopy(state)
-        beta = float(np.linalg.norm(np.concatenate([state.q_cols[k], state.p_cols[k]])))
+        beta = float(np.linalg.norm(np.concatenate([Q[:, k], P[:, k]])))
         return new, RestartReport(m_retained=m, deflations_repaired=0,
                                   new_residual_subdiag=beta)
 
-    T_k = state.T
-    V, T_plus = hessenberg_shifted_qr(T_k, mu)
-    t_k1k = state.T_hat[k, k - 1]
-    q_tail = state.q_cols[k]
-    p_tail = state.p_cols[k]
-    Qmat = state.Q[:, :k]
-    Pmat = state.P[:, :k]
-
+    V, T_plus = hessenberg_shifted_qr(state.T, mu)
     zero_cols = [j for j in state.deflation_steps if j <= k - 1]
-    repaired = 0
-    carried = []
+    keep = [i for i in range(k) if i not in zero_cols]
+    U, R = qr_unit_diagonal(V[keep, :])
+    S = _right_tri_solve(R @ T_plus, R)
+    beta_t = state.T_hat[k, k - 1] * V[k - 1, m - 1] / R[m - 1, m - 1]
 
-    if not zero_cols:
-        QV = Qmat @ V
-        PV = Pmat @ V
-        newQ = QV[:, :m]
-        newP = PV[:, :m]
-        Tm = T_plus[:m, :m]
-        tcoef = T_plus[m, m - 1]
-        scale_tail = t_k1k * V[k - 1, m - 1]
-        f_q = tcoef * QV[:, m] + scale_tail * q_tail
-        f_p = tcoef * PV[:, m] + scale_tail * p_tail
-    else:
-        keep = [i for i in range(k) if i not in zero_cols]
-        Qhat = Qmat[:, keep]
-        Vhat = V[keep, :]
-        U, R = qr_unit_diagonal(Vhat)
-        QU = Qhat @ U
-        VRinv = _right_tri_solve(V, R)
-        PVR = Pmat @ VRinv
-        S = _right_tri_solve(R @ T_plus, R)
-        newQ = QU[:, :m]
-        newP = PVR[:, :m]
-        Tm = S[:m, :m]
-        tcoef = S[m, m - 1]
-        beta_t = t_k1k * V[k - 1, m - 1] / R[m - 1, m - 1]
-        f_q = tcoef * QU[:, m] + beta_t * q_tail
-        f_p = tcoef * PVR[:, m] + beta_t * p_tail
-        carried = [i for i in range(m) if np.linalg.norm(U[:, i]) == 0.0]
-        repaired = len(zero_cols) - len(carried)
+    # the retained columns and the raw residual direction go straight into
+    # the buffers of the new state
+    new = SoarState(state.n)
+    new.reserve(state.capacity)
+    new.k = m
+    np.matmul(Q[:, keep], U[:, : m + 1], out=new.Q)
+    np.matmul(P[:, :k], _right_tri_solve(V, R)[:, : m + 1], out=new.P)
+    f_q = S[m, m - 1] * new.Q[:, m] + beta_t * Q[:, k]
+    f_p = S[m, m - 1] * new.P[:, m] + beta_t * P[:, k]
+    carried = [i for i in range(m) if np.linalg.norm(U[:, i]) == 0.0]
 
     beta = float(np.sqrt(np.linalg.norm(f_q) ** 2 + np.linalg.norm(f_p) ** 2))
     t_new = float(np.linalg.norm(f_q))
-
-    new = SoarState(n=state.n)
-    new.q_cols = [np.ascontiguousarray(newQ[:, i]) for i in range(m)]
-    new.p_cols = [np.ascontiguousarray(newP[:, i]) for i in range(m)]
-    boundary_deflation = False
+    new.deflation_steps = [i for i in carried if i >= 1]
+    new.T_hat[:m, :m] = np.triu(S[:m, :m], -1)
     if t_new > 1e-14 * max(beta, 1.0):
-        new.q_cols.append(f_q / t_new)
-        new.p_cols.append(f_p / t_new)
-        t_sub = t_new
+        new.Q[:, m] = f_q / t_new
+        new.P[:, m] = f_p / t_new
+        new.T_hat[m, m - 1] = t_new
+        check = np.linalg.norm(new.Q[:, m].conj() @ new.Q[:, :m])
+        if check > 1e-8:
+            raise RepairError("retained basis not orthogonal to the residual "
+                              "direction (%.2e)" % check)
     else:
         # the retained residual has no new basis direction: boundary deflation
-        boundary_deflation = True
-        new.q_cols.append(np.zeros(state.n, dtype=complex))
-        new.p_cols.append(f_p)
-        t_sub = 1.0
-    for j in range(m):
-        col = np.zeros(j + 2, dtype=complex)
-        col[: min(j + 2, m)] = Tm[: min(j + 2, m), j]
-        if j == m - 1:
-            col[m] = t_sub
-        new.t_cols.append(col)
-    new.k = m
-    new.deflation_steps = [i for i in carried if i >= 1]
-    new.deflation_dirs = []
-    for i in new.deflation_steps:
-        d = newP[:, i]
-        dn = np.linalg.norm(d)
-        new.deflation_dirs.append(d / dn if dn > 0 else d)
-    if boundary_deflation:
+        new.Q[:, m] = 0.0
+        new.P[:, m] = f_p
+        new.T_hat[m, m - 1] = 1.0
         new.deflation_steps.append(m)
-        fp_n = np.linalg.norm(f_p)
-        new.deflation_dirs.append(f_p / fp_n if fp_n > 0 else f_p.copy())
 
-    Qnz = new.nonzero_q()[:, : m]
-    check = np.linalg.norm(Qnz.conj().T @ new.q_cols[m]) if not boundary_deflation else 0.0
-    if check > 1e-8:
-        raise RepairError("retained basis not orthogonal to the residual "
-                          "direction (%.2e)" % check)
-
-    return new, RestartReport(m_retained=m, deflations_repaired=repaired,
+    return new, RestartReport(m_retained=m,
+                              deflations_repaired=len(zero_cols) - len(carried),
                               new_residual_subdiag=beta)
-
-
-def expand(state, op, k_target, tol):
-    """Continue the recurrence on a contracted state up to k_target steps."""
-    return run_msoar(state, op, k_target, tol)
 
 
 def verify_filter(state_before, state_after, shifts, op):
@@ -236,8 +188,8 @@ def verify_filter(state_before, state_after, shifts, op):
     from .oracles import build_h
 
     H = build_h(op).H
-    v_old = np.concatenate([state_before.q_cols[0], state_before.p_cols[0]])
-    v_new = np.concatenate([state_after.q_cols[0], state_after.p_cols[0]])
+    v_old = np.concatenate([state_before.Q[:, 0], state_before.P[:, 0]])
+    v_new = np.concatenate([state_after.Q[:, 0], state_after.P[:, 0]])
     w = v_old.copy()
     mu = shifts.shifts if isinstance(shifts, ShiftSet) else shifts
     for m_j in mu:

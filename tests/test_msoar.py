@@ -84,7 +84,7 @@ class TestSteps:
         assert out.kind == DEFLATION
         assert st.deflation_steps == [1]
         assert np.all(st.q_cols[1] == 0.0)
-        assert st.t_cols[0][1] == 1.0
+        assert st.T_hat[1, 0] == 1.0
         # the run continues and keeps the decomposition identity
         run_msoar(st, op, 7, 1e-10)
         assert not st.breakdown
@@ -166,12 +166,13 @@ class TestAccounting:
 
     def test_estimate_ck_plugin(self):
         # theta = 1, ||M||_1 = 1, p_{k+1} = 0, mean ||p_j||^2 = 1 -> exactly 1
-        from soarqep.msoar import SoarState
-        st = SoarState(n=3)
-        st.q_cols = [np.eye(3)[:, 0], np.eye(3)[:, 1]]
-        st.p_cols = [np.eye(3)[:, 2], np.zeros(3)]
-        st.t_cols = [np.array([0.0, 1.0])]
+        op = build_operator(QepProblem.from_matrices(np.eye(3), np.eye(3),
+                                                     np.eye(3)))
+        st = init_state(op, np.eye(3)[:, 0], np.eye(3)[:, 2])
+        st.reserve(1)
         st.k = 1
+        st.Q[:, 1] = np.eye(3)[:, 1]
+        st.T_hat[1, 0] = 1.0
         assert estimate_ck(st, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_extraction_basis_appends_p1_direction(self, rng):

@@ -6,8 +6,7 @@ from conftest import (decomposition_tolerance, deflation_at_step1, random_qep,
 from soarqep.extraction import extract_ritz, project
 from soarqep.msoar import init_state, run_msoar
 from soarqep.operator import build_operator
-from soarqep.restart import (ShiftSet, contract, expand, select_shifts,
-                             verify_filter)
+from soarqep.restart import ShiftSet, contract, select_shifts, verify_filter
 
 
 def _state(rng, prob, k, tol=1e-12, u1=None, u2=None):
@@ -109,7 +108,7 @@ class TestRepair:
         st = run_msoar(init_state(op, u1, u2), op, 9, 1e-10)
         new, _ = contract(st, ShiftSet(shifts=[0.3, -0.2, 0.5, 1.1],
                                        provenance="exact"), 5)
-        expand(new, op, 9, 1e-10)
+        run_msoar(new, op, 9, 1e-10)
         assert new.k == 9 or new.breakdown
         if not new.breakdown:
             assert stacked_residual(op, new) <= decomposition_tolerance(new, 1e-9)
@@ -128,6 +127,22 @@ class TestRepair:
         new, rep = contract(st, ShiftSet(shifts=[0.5], provenance="exact"), 2)
         carried = len(new.deflation_steps)
         assert rep.deflations_repaired + carried >= len(in_window)
+
+    def test_carried_deflation_passes_orthogonality_check(self):
+        # deflations at steps 3..5 with k = 6; one survives the contraction
+        # to m = 5, so a zero column sits among the retained ones
+        rng = np.random.default_rng(0)
+        prob = rank_deficient_qep(rng, 12, rank=int(rng.integers(1, 3)))
+        op = build_operator(prob)
+        st = run_msoar(init_state(op, rng.standard_normal(12),
+                                  rng.standard_normal(12)), op, 6, 1e-10)
+        assert st.deflation_steps == [3, 4, 5]
+        new, rep = contract(st, ShiftSet(shifts=[0.0], provenance="exact"), 5)
+        assert new.deflation_steps == [3, 4]
+        assert rep.deflations_repaired == 1
+        assert np.all(new.Q[:, [3, 4]] == 0.0)
+        assert np.linalg.norm(new.Q[:, :5].conj().T @ new.Q[:, 5]) < 1e-10
+        assert stacked_residual(op, new) <= decomposition_tolerance(new, 1e-9)
 
 
 class TestSelectShifts:
@@ -206,6 +221,6 @@ class TestExpandDeterminism:
         full = run_msoar(init_state(op, u1, u2), op, 8, 1e-12)
         part = run_msoar(init_state(op, u1, u2), op, 5, 1e-12)
         part, _ = contract(part, ShiftSet(shifts=[], provenance="exact"), 5)
-        expand(part, op, 8, 1e-12)
+        run_msoar(part, op, 8, 1e-12)
         assert np.allclose(part.Q, full.Q, atol=1e-13)
         assert np.allclose(part.T_hat, full.T_hat, atol=1e-13)
