@@ -2,7 +2,9 @@
 
 Projection works on the QEP the recurrence iterated on (the shift-inverted
 triple in shift-invert mode); relative residuals are always reported for the
-original problem, recovered through the operator when needed.
+original problem, recovered through the operator when needed.  Every
+residual norm and refined vector of a cycle goes through the R factor of one
+thin QR of [W1 W2 W3], so none of them costs n-length work.
 """
 
 from dataclasses import dataclass, field
@@ -25,7 +27,7 @@ class ProjectedQep:
     M_k: np.ndarray
     C_k: np.ndarray
     K_k: np.ndarray
-    _blocks: list = field(default=None, repr=False)
+    _blocks: tuple = field(default=None, repr=False)
 
     @property
     def ktilde(self):
@@ -33,7 +35,7 @@ class ProjectedQep:
 
     @property
     def blocks(self):
-        """The nine Gram blocks W_i^* W_j, computed once and cached."""
+        """(R1, R2, R3) of the thin QR [W1 W2 W3] = Z R, computed once and cached."""
         if self._blocks is None:
             self._blocks = kernels.gram_blocks(self.W1, self.W2, self.W3)
         return self._blocks
@@ -81,8 +83,10 @@ def project(state, op):
                         K_k=Qt.conj().T @ W3)
 
 
-def _residual_through_w(proj, theta, vec):
-    r = theta ** 2 * (proj.W1 @ vec) + theta * (proj.W2 @ vec) + proj.W3 @ vec
+def _residual_norm(proj, theta, vec):
+    """||(theta^2 W1 + theta W2 + W3) vec||, through the R blocks."""
+    R1, R2, R3 = proj.blocks
+    r = theta ** 2 * (R1 @ vec) + theta * (R2 @ vec) + R3 @ vec
     return float(np.linalg.norm(r))
 
 
@@ -106,7 +110,7 @@ def extract_ritz(proj, op, m):
             pairs.append(RitzEntry(theta=rp.theta, g=rp.g, lam=complex(np.inf),
                                    rel_residual=float(np.inf), finite=False))
             continue
-        nr = _residual_through_w(proj, rp.theta, rp.g)
+        nr = _residual_norm(proj, rp.theta, rp.g)
         lam, rel = _relative(op, rp.theta, nr)
         pairs.append(RitzEntry(theta=rp.theta, g=rp.g, lam=lam,
                                rel_residual=rel, finite=True))
@@ -117,13 +121,12 @@ def extract_ritz(proj, op, m):
 
 
 def extract_refined(proj, op, ritz):
-    """Fill refined vectors for the selected Ritz values (shared Gram blocks)."""
+    """Fill refined vectors for the selected Ritz values; sigma_min is the
+    residual norm of each."""
     for i in ritz.selection:
         entry = ritz.pairs[i]
-        z, smin = kernels.refined_vector(entry.theta, proj.W1, proj.W2, proj.W3,
-                                         blocks=proj.blocks)
-        nr = _residual_through_w(proj, entry.theta, z)
-        lam, rel = _relative(op, entry.theta, nr)
+        z, smin = kernels.refined_vector(entry.theta, *proj.blocks)
+        lam, rel = _relative(op, entry.theta, smin)
         ritz.refined[i] = RefinedEntry(theta=entry.theta, z=z, lam=lam,
                                        sigma_min=smin, rel_residual=rel)
     return ritz

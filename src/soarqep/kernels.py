@@ -1,7 +1,10 @@
 """Small dense complex linear-algebra kernels shared by the solver layers.
 
-All routines work on plain ndarrays at orders <= ~200 and do not care where
-the data came from.  Everything is complex; real inputs are promoted.
+All routines work on plain ndarrays and do not care where the data came
+from.  Only ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
+n-length data; the rest works at orders <= ~200 (shifted QR and QZ through
+LAPACK, refined vectors by QR then SVD).  Everything is complex; real inputs
+are promoted.
 """
 
 import warnings
@@ -54,17 +57,10 @@ def orthogonalize_with_refinement(v, basis):
     return coeffs, r, rn
 
 
-def _givens(a, b):
-    """Unitary 2x2 G with G^* [a, b]^T = [r, 0]^T; returns (c, s, r)."""
-    if b == 0:
-        return 1.0 + 0.0j, 0.0 + 0.0j, a
-    r = np.hypot(abs(a), abs(b))
-    return a / r, b / r, r + 0.0j
-
-
 def hessenberg_shifted_qr(T, shifts):
     """Run one explicit shifted-QR sweep per shift on a Hessenberg matrix.
 
+    Each sweep is a LAPACK QR of T_plus - mu I followed by T_plus = R Q + mu I.
     Returns (V, T_plus) with T_plus = V^* T V Hessenberg and
     psi(T) = V @ R for upper-triangular R, psi(mu) = prod(mu - mu_j).
     V is unitary with at most len(shifts) nonzero subdiagonals.
@@ -76,30 +72,17 @@ def hessenberg_shifted_qr(T, shifts):
     if len(shifts) >= k and len(shifts) > 0:
         raise ValueError("number of shifts must be below the order of T")
 
+    eye = np.eye(k)
+    below_subdiag = np.tril_indices(k, -2)
     V = np.eye(k, dtype=complex)
     Tp = T.copy()
     for mu in shifts:
-        R = Tp - mu * np.eye(k)
-        Q = np.eye(k, dtype=complex)
-        for i in range(k - 1):
-            c, s, r = _givens(R[i, i], R[i + 1, i])
-            # rows i, i+1 of R <- G^* rows
-            row_i = np.conj(c) * R[i, i:] + np.conj(s) * R[i + 1, i:]
-            row_n = -s * R[i, i:] + c * R[i + 1, i:]
-            R[i, i:] = row_i
-            R[i + 1, i:] = row_n
-            R[i + 1, i] = 0.0
-            # columns i, i+1 of Q <- columns times G
-            col_i = Q[:, i] * c + Q[:, i + 1] * s
-            col_n = -Q[:, i] * np.conj(s) + Q[:, i + 1] * np.conj(c)
-            Q[:, i] = col_i
-            Q[:, i + 1] = col_n
-        Tp = R @ Q + mu * np.eye(k)
+        Q, R = scipy.linalg.qr(Tp - mu * eye, check_finite=False)
+        Tp = R @ Q + mu * eye
         if not np.all(np.isfinite(Tp)):
             raise QRSweepError("non-finite entries after QR sweep")
         # RQ + mu*I is Hessenberg by structure; enforce the exact zeros
-        for i in range(2, k):
-            Tp[i, : i - 1] = 0.0
+        Tp[below_subdiag] = 0.0
         V = V @ Q
     return V, Tp
 
@@ -167,45 +150,35 @@ def solve_projected_qep(M_k, C_k, K_k):
 
 
 def gram_blocks(W1, W2, W3):
-    """The nine k-by-k Gram blocks W_i^* W_j, computed once per subspace."""
-    Ws = (W1, W2, W3)
-    return [[Ws[i].conj().T @ Ws[j] for j in range(3)] for i in range(3)]
+    """The Gram blocks W_i^* W_j in factored form, one QR per subspace.
+
+    A Householder QR [W1 W2 W3] = Z [R1 R2 R3], factored in place in one
+    n-by-3k work array, returns the column blocks (R1, R2, R3) of the
+    min(n, 3k)-by-3k triangle R, so R_i^* R_j = W_i^* W_j and
+    ||(a W1 + b W2 + c W3) x|| = ||(a R1 + b R2 + c R3) x|| for any a, b, c, x.
+    """
+    k = W1.shape[1]
+    A = np.empty((W1.shape[0], 3 * k), dtype=complex, order="F")
+    np.concatenate((W1, W2, W3), axis=1, out=A)
+    # the wrapper's default workspace is too small for the blocked algorithm
+    lwork, _ = scipy.linalg.lapack.zgeqrf_lwork(*A.shape)
+    qr, _, _, _ = scipy.linalg.lapack.zgeqrf(A, lwork=int(lwork.real), overwrite_a=1)
+    R = np.triu(qr[:min(A.shape)])
+    return R[:, :k], R[:, k:2 * k], R[:, 2 * k:]
 
 
-def refined_vector(theta, W1, W2, W3, blocks=None):
-    """Minimizer of ||(theta^2 W1 + theta W2 + W3) z|| over unit z.
+def refined_vector(theta, R1, R2, R3):
+    """Minimizer z of ||(theta^2 R1 + theta R2 + R3) z|| over unit z.
 
-    Works through the Hermitian cross-product matrix
-
-        B = |t|^4 G11 + |t|^2 G22 + G33 + t tbar^2 G12 + tbar t^2 G21
-            + tbar^2 G13 + t^2 G31 + tbar G23 + t G32,   G_ij = W_i^* W_j,
-
-    whose smallest eigenpair gives (sigma_min^2, z).  Warns when the two
-    smallest eigenvalues nearly coincide, where the cross-product route
-    loses accuracy.
+    Returns (z, sigma_min): the smallest right singular vector of
+    S = theta^2 R1 + theta R2 + R3 and its singular value, from an SVD of
+    the k-by-k triangle of a QR of S.  With the blocks of ``gram_blocks``
+    this is the refined vector of the tall W_i at no n-length cost.
     """
     t = complex(theta)
-    tb = np.conj(t)
-    if blocks is None:
-        blocks = gram_blocks(W1, W2, W3)
-    G = blocks
-    B = (abs(t) ** 4 * G[0][0] + abs(t) ** 2 * G[1][1] + G[2][2]
-         + t * tb ** 2 * G[0][1] + tb * t ** 2 * G[1][0]
-         + tb ** 2 * G[0][2] + t ** 2 * G[2][0]
-         + tb * G[1][2] + t * G[2][1])
-    B = 0.5 * (B + B.conj().T)
-    evals, evecs = np.linalg.eigh(B)
-    z = evecs[:, 0]
-    sigma_min = float(np.sqrt(max(evals[0], 0.0)))
-    if len(evals) > 1:
-        scale = max(abs(evals[1]), np.finfo(float).tiny)
-        if (evals[1] - evals[0]) <= 1e-6 * scale:
-            warnings.warn(
-                "two smallest eigenvalues of the cross-product matrix nearly "
-                "coincide; the refined vector may be inaccurate",
-                RuntimeWarning,
-            )
-    return z, sigma_min
+    S = t ** 2 * R1 + t * R2 + R3
+    _, svals, Vh = np.linalg.svd(np.linalg.qr(S, mode="r"))
+    return Vh[-1].conj(), float(svals[-1])
 
 
 def qr_unit_diagonal(V_hat, rank_tol=1e-12):

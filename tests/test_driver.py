@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import breakdown_starts, random_qep
+from soarqep import driver
 from soarqep.driver import SolverConfig, solve
 from soarqep.operator import QepProblem
+from soarqep.problems import gen_mass_spring
 from soarqep.oracles import dense_qep_spectrum
 
 
@@ -101,6 +103,30 @@ class TestVariants:
         for ca, cb in zip(a.converged, b.converged):
             assert ca.lam == cb.lam
             assert np.array_equal(ca.x, cb.x)
+
+    def test_irsoar_at_rounding_floor_refined_not_worse(self, monkeypatch):
+        # ctol = 1e-15 is at the rounding floor of this problem, so the run
+        # spends its whole budget there; refined data must stay honest and
+        # never worse than the Ritz data of the same subspace in any cycle
+        original = driver.extract_refined
+        cycles = []
+
+        def recording(proj, op, ritz):
+            out = original(proj, op, ritz)
+            cycles.append([(out.refined[i], out.pairs[i]) for i in out.selection])
+            return out
+
+        monkeypatch.setattr(driver, "extract_refined", recording)
+        cfg = SolverConfig(m=6, k=40, p=15, mode="shift-invert",
+                           sigma=-13 + 0.4j, variant="irsoar", ctol=1e-15,
+                           max_restarts=15)
+        rep = solve(gen_mass_spring(500), cfg)
+        assert len(cycles) == rep.restarts_used + 1
+        assert max(rep.residual_history[1:]) < 5e-15
+        for wanted in cycles:
+            for refined, ritz in wanted:
+                assert refined.sigma_min > 0.0
+                assert refined.rel_residual <= ritz.rel_residual + 1e-16
 
 
 class TestBreakdown:

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -145,22 +147,31 @@ class TestRefinedVector:
         assert smin == pytest.approx(svals[-1], rel=1e-8, abs=1e-10)
         assert np.linalg.norm(S @ z) == pytest.approx(smin, rel=1e-6, abs=1e-10)
 
-    def test_shared_blocks_path(self, rng):
-        n, k = 20, 5
-        W = [rng.standard_normal((n, k)) for _ in range(3)]
-        blocks = gram_blocks(*W)
-        z1, s1 = refined_vector(0.3 + 0.1j, *W)
-        z2, s2 = refined_vector(0.3 + 0.1j, *W, blocks=blocks)
-        assert s1 == pytest.approx(s2, rel=1e-13)
-        assert abs(abs(np.vdot(z1, z2)) - 1.0) < 1e-12
+    @pytest.mark.parametrize("n, k", [(30, 4), (10, 6)])   # n > 3k, n < 3k
+    def test_gram_blocks_factor_the_gram_matrix(self, rng, n, k):
+        W = [rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+             for _ in range(3)]
+        R = gram_blocks(*W)
+        for Ri in R:
+            assert Ri.shape == (min(n, 3 * k), k)
+        for i in range(3):
+            for j in range(3):
+                G = W[i].conj().T @ W[j]
+                assert (np.linalg.norm(R[i].conj().T @ R[j] - G)
+                        <= 1e-12 * np.linalg.norm(G))
 
-    def test_degenerate_gap_warns(self):
-        # W's chosen so the two smallest singular values coincide
+    def test_degenerate_gap_matches_svd(self):
+        # the two smallest singular values of S = W3 coincide
         W1 = np.zeros((4, 2))
         W2 = np.zeros((4, 2))
         W3 = np.vstack([np.eye(2), np.zeros((2, 2))])
-        with pytest.warns(RuntimeWarning):
-            refined_vector(0.0, W1, W2, W3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, smin = refined_vector(0.0, *gram_blocks(W1, W2, W3))
+        assert smin == pytest.approx(np.linalg.svd(W3, compute_uv=False)[-1],
+                                     rel=1e-14)
+        assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(W3 @ z) == pytest.approx(smin, rel=1e-14)
 
 
 class TestQrUnitDiagonal:
