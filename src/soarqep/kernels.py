@@ -2,9 +2,9 @@
 
 All routines work on plain ndarrays and do not care where the data came
 from.  Only ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
-n-length data; the rest works at orders <= ~200 (shifted QR and QZ through
-LAPACK, refined vectors by QR then SVD).  Everything is complex; real inputs
-are promoted.
+n-length data; the rest works at orders <= ~200 (shifted QR by Givens
+rotations, QZ through LAPACK, refined vectors by QR then SVD).  Everything
+is complex; real inputs are promoted.
 """
 
 import warnings
@@ -57,10 +57,17 @@ def orthogonalize_with_refinement(v, basis):
     return coeffs, r, rn
 
 
+def _givens(a, b):
+    """Unitary 2x2 G with G^* [a, b]^T = [r, 0]^T; returns (c, s, r)."""
+    if b == 0:
+        return 1.0 + 0.0j, 0.0 + 0.0j, a
+    r = np.hypot(abs(a), abs(b))
+    return a / r, b / r, r + 0.0j
+
+
 def hessenberg_shifted_qr(T, shifts):
     """Run one explicit shifted-QR sweep per shift on a Hessenberg matrix.
 
-    Each sweep is a LAPACK QR of T_plus - mu I followed by T_plus = R Q + mu I.
     Returns (V, T_plus) with T_plus = V^* T V Hessenberg and
     psi(T) = V @ R for upper-triangular R, psi(mu) = prod(mu - mu_j).
     V is unitary with at most len(shifts) nonzero subdiagonals.
@@ -72,17 +79,30 @@ def hessenberg_shifted_qr(T, shifts):
     if len(shifts) >= k and len(shifts) > 0:
         raise ValueError("number of shifts must be below the order of T")
 
-    eye = np.eye(k)
-    below_subdiag = np.tril_indices(k, -2)
     V = np.eye(k, dtype=complex)
     Tp = T.copy()
     for mu in shifts:
-        Q, R = scipy.linalg.qr(Tp - mu * eye, check_finite=False)
-        Tp = R @ Q + mu * eye
+        R = Tp - mu * np.eye(k)
+        Q = np.eye(k, dtype=complex)
+        for i in range(k - 1):
+            c, s, r = _givens(R[i, i], R[i + 1, i])
+            # rows i, i+1 of R <- G^* rows
+            row_i = np.conj(c) * R[i, i:] + np.conj(s) * R[i + 1, i:]
+            row_n = -s * R[i, i:] + c * R[i + 1, i:]
+            R[i, i:] = row_i
+            R[i + 1, i:] = row_n
+            R[i + 1, i] = 0.0
+            # columns i, i+1 of Q <- columns times G
+            col_i = Q[:, i] * c + Q[:, i + 1] * s
+            col_n = -Q[:, i] * np.conj(s) + Q[:, i + 1] * np.conj(c)
+            Q[:, i] = col_i
+            Q[:, i + 1] = col_n
+        Tp = R @ Q + mu * np.eye(k)
         if not np.all(np.isfinite(Tp)):
             raise QRSweepError("non-finite entries after QR sweep")
         # RQ + mu*I is Hessenberg by structure; enforce the exact zeros
-        Tp[below_subdiag] = 0.0
+        for i in range(2, k):
+            Tp[i, : i - 1] = 0.0
         V = V @ Q
     return V, Tp
 
@@ -160,10 +180,7 @@ def gram_blocks(W1, W2, W3):
     k = W1.shape[1]
     A = np.empty((W1.shape[0], 3 * k), dtype=complex, order="F")
     np.concatenate((W1, W2, W3), axis=1, out=A)
-    # the wrapper's default workspace is too small for the blocked algorithm
-    lwork, _ = scipy.linalg.lapack.zgeqrf_lwork(*A.shape)
-    qr, _, _, _ = scipy.linalg.lapack.zgeqrf(A, lwork=int(lwork.real), overwrite_a=1)
-    R = np.triu(qr[:min(A.shape)])
+    _, R = scipy.linalg.qr(A, overwrite_a=True, mode="raw", check_finite=False)
     return R[:, :k], R[:, k:2 * k], R[:, 2 * k:]
 
 
