@@ -1,17 +1,17 @@
 """Command-line front end: configure, solve, report.
 
-Writes the per-restart convergence history as CSV (fixed three-column
-schema) or the full run record as JSON, prints a one-paragraph summary and
-exits 0 on full convergence, 2 on partial results, 1 on any error.
+Writes the per-restart convergence history of the SolverReport as CSV
+(fixed three-column schema) or the report and its configuration as JSON,
+prints a one-paragraph summary and exits 0 on full convergence, 2 on partial
+results, 1 on any error.
 """
 
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 
 from .driver import SolverConfig, solve
-from .problems import ProblemSource
+from .problems import gen_mass_spring, gen_string_damping, load_matrix_market
 
 
 class UsageError(ValueError):
@@ -30,17 +30,6 @@ def parse_sigma(text):
         return complex(s)
     except ValueError:
         raise UsageError("cannot parse sigma %r (expected re+imi)" % text)
-
-
-@dataclass
-class RunRecord:
-    config: dict
-    rows: list                       # (restart, max_rel_residual, deflations)
-    pairs: list                      # (lam, rel_residual)
-    restarts_used: int
-    converged_count: int
-    all_converged: bool
-    breakdown: tuple = None
 
 
 def build_parser():
@@ -71,40 +60,27 @@ def build_parser():
     return p
 
 
-def _source_from_args(args):
+def _problem_from_args(args):
     if args.problem == "matrix-market":
         if not args.matrices:
             raise UsageError("matrix-market needs --matrices M C K")
-        return ProblemSource(kind="matrix-market", paths=list(args.matrices))
+        return load_matrix_market(args.matrices)
     if args.size is None:
         raise UsageError("%s needs -n/--size" % args.problem)
     if args.problem == "mass-spring":
-        return ProblemSource(kind="mass-spring", n=args.size,
-                             kappa=args.kappa, tau=args.tau)
-    return ProblemSource(kind="string-damping", n=args.size,
-                         epsilon=args.epsilon)
+        return gen_mass_spring(args.size, args.kappa, args.tau)
+    return gen_string_damping(args.size, args.epsilon)
 
 
-def _record(args, config, report):
-    rows = [(i, report.residual_history[i], report.deflation_history[i])
-            for i in range(len(report.residual_history))]
-    pairs = [(c.lam, c.rel_residual) for c in report.converged]
-    cfg = {"problem": args.problem, "n": args.size, "m": config.m,
-           "k": config.k, "p": config.num_shifts, "variant": config.variant,
-           "mode": config.mode,
-           "sigma": config.sigma, "ctol": config.ctol,
-           "dtol": config.tol if config.tol is not None else config.ctol,
-           "max_restarts": config.max_restarts, "seed": config.seed}
-    return RunRecord(config=cfg, rows=rows, pairs=pairs,
-                     restarts_used=report.restarts_used,
-                     converged_count=len(report.converged),
-                     all_converged=report.all_converged,
-                     breakdown=report.breakdown)
+def _history(report):
+    """(restart, max_rel_residual, deflations) for every cycle."""
+    return zip(range(len(report.residual_history)),
+               report.residual_history, report.deflation_history)
 
 
-def format_csv(record):
+def format_csv(report):
     lines = ["restart,max_rel_residual,deflations"]
-    for r, res, d in record.rows:
+    for r, res, d in _history(report):
         lines.append("%d,%.17g,%d" % (r, res, d))
     return "\n".join(lines) + "\n"
 
@@ -116,19 +92,23 @@ def _jsonable_complex(z):
     return {"re": z.real, "im": z.imag}
 
 
-def format_json(record):
-    cfg = dict(record.config)
-    cfg["sigma"] = _jsonable_complex(cfg["sigma"])
+def format_json(args, config, report):
+    cfg = {"problem": args.problem, "n": args.size, "m": config.m,
+           "k": config.k, "p": config.num_shifts, "variant": config.variant,
+           "mode": config.mode,
+           "sigma": _jsonable_complex(config.sigma), "ctol": config.ctol,
+           "dtol": config.tol if config.tol is not None else config.ctol,
+           "max_restarts": config.max_restarts, "seed": config.seed}
     doc = {
         "config": cfg,
         "history": [{"restart": r, "max_rel_residual": res, "deflations": d}
-                    for r, res, d in record.rows],
-        "pairs": [{"lam": _jsonable_complex(lam), "rel_residual": res}
-                  for lam, res in record.pairs],
-        "restarts_used": record.restarts_used,
-        "converged_count": record.converged_count,
-        "all_converged": record.all_converged,
-        "breakdown": list(record.breakdown) if record.breakdown else None,
+                    for r, res, d in _history(report)],
+        "pairs": [{"lam": _jsonable_complex(c.lam), "rel_residual": c.rel_residual}
+                  for c in report.converged],
+        "restarts_used": report.restarts_used,
+        "converged_count": len(report.converged),
+        "all_converged": report.all_converged,
+        "breakdown": list(report.breakdown) if report.breakdown else None,
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
@@ -147,25 +127,25 @@ def run_cli(argv=None):
         except ValueError as exc:
             raise UsageError(str(exc))
 
-        problem = _source_from_args(args).build()
-        report = solve(problem, config)
-        record = _record(args, config, report)
+        report = solve(_problem_from_args(args), config)
 
-        text = format_csv(record) if args.format == "csv" else format_json(record)
+        if args.format == "csv":
+            text = format_csv(report)
+        else:
+            text = format_json(args, config, report)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)
         else:
             sys.stdout.write(text)
 
-        final = record.rows[-1][1] if record.rows else float("nan")
         print("converged %d of %d pairs in %d restart(s); final max residual %.3e"
-              % (record.converged_count, config.m, record.restarts_used, final),
-              file=sys.stderr)
-        if record.breakdown:
-            print("breakdown at restart %d, step %d" % record.breakdown,
+              % (len(report.converged), config.m, report.restarts_used,
+                 report.residual_history[-1]), file=sys.stderr)
+        if report.breakdown:
+            print("breakdown at restart %d, step %d" % report.breakdown,
                   file=sys.stderr)
-        return 0 if record.all_converged else 2
+        return 0 if report.all_converged else 2
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1

@@ -1,10 +1,13 @@
 """Top-level restarted solver loop.
 
-One cycle: run the recurrence out to k steps (or breakdown), project, extract
-Ritz (and refined) pairs, test the m wanted residuals against ctol; if not
-done, pick p shifts from the complement QEP and contract back to m steps.
-The imsoar variant converges on Ritz data and selects exact shifts; irsoar
-converges on refined data and selects refined shifts.
+One cycle: run the recurrence out to k steps (or breakdown), project, and
+extract the Ritz pairs, plus (irsoar) the refined pairs of the m wanted Ritz
+values.  ``RitzSet.wanted`` hands back the refined entry where there is one
+and the Ritz pair otherwise, so a single list feeds the convergence test,
+the delivered pairs and the shift selection: imsoar converges on Ritz data
+with exact shifts, irsoar on refined data with refined shifts.  If not done,
+pick up to p shifts from the complement QEP and contract by as many steps
+as there are shifts; a short shift set keeps a larger subspace, as in ARPACK.
 """
 
 from dataclasses import dataclass, field
@@ -14,7 +17,7 @@ import numpy as np
 from .extraction import extract_refined, extract_ritz, project, residual_bound
 from .msoar import init_state, run_msoar
 from .operator import build_operator
-from .restart import ShiftSet, contract, select_shifts
+from .restart import contract, select_shifts
 
 
 @dataclass
@@ -80,42 +83,16 @@ class SolverReport:
     all_converged: bool = False
 
 
-def check_convergence(ritz, variant, ctol):
-    """Max of the m wanted relative residuals and whether all pass ctol."""
-    res = ritz.wanted_residuals(variant)
-    if not res:
-        return False, float("inf")
-    mx = max(res)
-    return bool(np.isfinite(mx) and mx <= ctol), float(mx)
-
-
-def _wanted_pairs(proj, ritz, variant, ctol, breakdown=False):
-    """Materialize ConvergedPair objects for the wanted entries passing ctol."""
+def _deliver(proj, entries, ctol, from_breakdown=False):
+    """ConvergedPair objects for the entries whose residuals pass ctol
+    (infinite Ritz values carry an infinite residual and never do)."""
     out = []
-    for i in ritz.selection:
-        if variant == "irsoar" and i in ritz.refined:
-            e = ritz.refined[i]
-            vec, lam, rel = e.z, e.lam, e.rel_residual
-        else:
-            e = ritz.pairs[i]
-            vec, lam, rel = e.g, e.lam, e.rel_residual
-        if rel <= ctol:
-            x = proj.Q_tilde @ vec
-            x = x / np.linalg.norm(x)
-            out.append(ConvergedPair(lam=lam, x=x, rel_residual=rel,
-                                     from_breakdown=breakdown))
-    return out
-
-
-def _breakdown_pairs(proj, ritz, ctol):
-    """All pairs delivered at breakdown whose residuals pass ctol."""
-    out = []
-    for e in ritz.pairs:
-        if e.finite and e.rel_residual <= ctol:
+    for e in entries:
+        if e.rel_residual <= ctol:
             x = proj.Q_tilde @ e.g
             x = x / np.linalg.norm(x)
             out.append(ConvergedPair(lam=e.lam, x=x, rel_residual=e.rel_residual,
-                                     from_breakdown=True))
+                                     from_breakdown=from_breakdown))
     return out
 
 
@@ -133,41 +110,6 @@ def _breakdown_diagnostics(state, op):
                       "bound": float(b),
                       "rel_bound": float(b / op.work_norm_sum)})
     return diags
-
-
-def _shift_vectors(ritz, variant, ktilde):
-    cols = []
-    thetas = []
-    for i in ritz.selection:
-        if variant == "irsoar" and i in ritz.refined:
-            cols.append(ritz.refined[i].z)
-        else:
-            cols.append(ritz.pairs[i].g)
-        thetas.append(ritz.pairs[i].theta)
-    if not cols:
-        return np.zeros((ktilde, 0), dtype=complex), thetas
-    return np.column_stack(cols), thetas
-
-
-def _supplement_shifts(shift_set, ritz, p):
-    """Pad a short shift set with unwanted finite Ritz values."""
-    if len(shift_set.shifts) >= p:
-        return shift_set
-    have = list(shift_set.shifts)
-    wanted = set(ritz.selection)
-    spares = sorted((e.theta for i, e in enumerate(ritz.pairs)
-                     if e.finite and i not in wanted),
-                    key=lambda t: (abs(t), t.real, t.imag))
-    for t in spares:
-        if len(have) >= p:
-            break
-        if all(abs(t - h) > 0 for h in have):
-            have.append(t)
-    if len(have) < p:
-        raise RuntimeError("could not assemble %d shifts" % p)
-    return ShiftSet(shifts=sorted(have, key=lambda t: (abs(t), t.real, t.imag)),
-                    provenance=shift_set.provenance,
-                    candidates=shift_set.candidates)
 
 
 def solve(problem, config):
@@ -194,33 +136,32 @@ def solve(problem, config):
         if config.variant == "irsoar":
             extract_refined(proj, op, ritz)
 
-        done, max_res = check_convergence(ritz, config.variant, config.ctol)
+        wanted = ritz.wanted()
+        max_res = max((float(e.rel_residual) for e in wanted), default=float("inf"))
+        done = max_res <= config.ctol
         report.residual_history.append(max_res)
         report.deflation_history.append(len(state.deflation_steps))
 
         if state.breakdown:
+            # every pair of an invariant subspace is delivered, wanted or not
             report.breakdown = (cycle, state.breakdown_step)
-            report.converged = _breakdown_pairs(proj, ritz, config.ctol)
+            report.converged = _deliver(proj, ritz.pairs, config.ctol,
+                                        from_breakdown=True)
             report.bound_diagnostics = _breakdown_diagnostics(state, op)
             report.all_converged = done
             return report
 
-        if done:
-            report.converged = _wanted_pairs(proj, ritz, config.variant, config.ctol)
-            report.all_converged = True
+        if done or cycle == config.max_restarts:
+            report.converged = _deliver(proj, wanted, config.ctol)
+            report.all_converged = done
             return report
 
-        if cycle == config.max_restarts:
-            report.converged = _wanted_pairs(proj, ritz, config.variant, config.ctol)
-            return report
-
-        vectors, thetas = _shift_vectors(ritz, config.variant, proj.ktilde)
-        shift_set = select_shifts(proj, vectors, config.num_shifts,
-                                  mode=config.mode, wanted_thetas=thetas,
-                                  provenance="refined" if config.variant == "irsoar" else "exact",
-                                  is_real=shifts_real)
-        shift_set = _supplement_shifts(shift_set, ritz, config.num_shifts)
-        state, _ = contract(state, shift_set, config.retained, tol=tol)
+        shift_set = select_shifts(
+            proj, np.column_stack([e.g for e in wanted]) if wanted else None,
+            config.num_shifts, mode=config.mode,
+            wanted_thetas=[e.theta for e in wanted],
+            provenance="refined" if config.variant == "irsoar" else "exact",
+            is_real=shifts_real)
+        state, _ = contract(state, shift_set, config.k - len(shift_set.shifts),
+                            tol=tol)
         report.restarts_used += 1
-
-    return report

@@ -53,7 +53,7 @@ class RitzEntry:
 @dataclass
 class RefinedEntry:
     theta: complex
-    z: np.ndarray
+    g: np.ndarray         # unit refined vector, length ktilde
     lam: complex
     sigma_min: float
     rel_residual: float
@@ -65,10 +65,10 @@ class RitzSet:
     selection: list                # indices of the m wanted pairs
     refined: dict = field(default_factory=dict)  # index -> RefinedEntry
 
-    def wanted_residuals(self, variant="imsoar"):
-        if variant == "irsoar" and self.refined:
-            return [self.refined[i].rel_residual for i in self.selection]
-        return [self.pairs[i].rel_residual for i in self.selection]
+    def wanted(self):
+        """The m wanted entries: refined where extract_refined made one,
+        the Ritz pair otherwise."""
+        return [self.refined.get(i, self.pairs[i]) for i in self.selection]
 
 
 def project(state, op):
@@ -101,12 +101,14 @@ def extract_ritz(proj, op, m):
 
     Wanted means largest |theta| in working coordinates: largest magnitude in
     direct mode, nearest the target in shift-invert mode.  Huge or infinite
-    Ritz values are excluded from selection and carry an infinite residual.
+    Ritz values, and in shift-invert mode zero ones (lam = infinity), are
+    excluded from selection and carry an infinite residual.
     """
     raw = kernels.solve_projected_qep(proj.M_k, proj.C_k, proj.K_k)
     pairs = []
     for rp in raw:
-        if not rp.finite or abs(rp.theta) > HUGE_RITZ:
+        if (not rp.finite or abs(rp.theta) > HUGE_RITZ
+                or (op.mode == "shift-invert" and abs(rp.theta) < 1e-300)):
             pairs.append(RitzEntry(theta=rp.theta, g=rp.g, lam=complex(np.inf),
                                    rel_residual=float(np.inf), finite=False))
             continue
@@ -125,9 +127,9 @@ def extract_refined(proj, op, ritz):
     residual norm of each."""
     for i in ritz.selection:
         entry = ritz.pairs[i]
-        z, smin = kernels.refined_vector(entry.theta, *proj.blocks)
+        g, smin = kernels.refined_vector(entry.theta, *proj.blocks)
         lam, rel = _relative(op, entry.theta, smin)
-        ritz.refined[i] = RefinedEntry(theta=entry.theta, z=z, lam=lam,
+        ritz.refined[i] = RefinedEntry(theta=entry.theta, g=g, lam=lam,
                                        sigma_min=smin, rel_residual=rel)
     return ritz
 

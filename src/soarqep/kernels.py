@@ -39,8 +39,6 @@ def orthogonalize_with_refinement(v, basis):
     """
     v = np.asarray(v, dtype=complex)
     basis = np.asarray(basis, dtype=complex)
-    if basis.ndim == 1:
-        basis = basis.reshape(-1, 1)
 
     coeffs = np.zeros(basis.shape[1], dtype=complex)
     r = v.copy()
@@ -198,12 +196,13 @@ def refined_vector(theta, R1, R2, R3):
     return Vh[-1].conj(), float(svals[-1])
 
 
-def qr_unit_diagonal(V_hat, rank_tol=1e-12):
+def qr_unit_diagonal(V_hat):
     """QR-like factorization V_hat = U R tolerating dependent columns.
 
     V_hat is (k-j)-by-k with independent rows.  Columns that fall inside the
-    span of the previous ones yield a zero column of U and a forced unit
-    diagonal in R; the remaining columns of U are orthonormal.
+    span of the previous ones (relative residual at most 1e-12) yield a zero
+    column of U and a forced unit diagonal in R; the remaining columns of U
+    are orthonormal.
     """
     V_hat = np.asarray(V_hat, dtype=complex)
     m, k = V_hat.shape
@@ -215,7 +214,7 @@ def qr_unit_diagonal(V_hat, rank_tol=1e-12):
         vn = np.linalg.norm(v)
         coeffs, r, rn = orthogonalize_with_refinement(v, U[:, nonzero])
         R[nonzero, col] = coeffs
-        if rn <= rank_tol * vn or vn == 0.0:
+        if rn <= 1e-12 * vn or vn == 0.0:
             R[col, col] = 1.0
         else:
             U[:, col] = r / rn

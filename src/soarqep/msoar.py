@@ -141,13 +141,12 @@ def _membership_residual(vec, state):
     classifies as breakdown.
     """
     if not state.deflation_steps:
-        return float(np.linalg.norm(vec)), vec
+        return float(np.linalg.norm(vec))
     F = state.P[:, state.deflation_steps]
     norms = np.linalg.norm(F, axis=0)
     # the directions are not mutually orthogonal; orthonormalize first
     basis, _ = np.linalg.qr(F / np.where(norms > 0.0, norms, 1.0))
-    _, p, pn = orthogonalize_with_refinement(vec, basis)
-    return pn, p
+    return orthogonalize_with_refinement(vec, basis)[2]
 
 
 def msoar_step(state, op, tol):
@@ -175,7 +174,7 @@ def msoar_step(state, op, tol):
 
     # premature stop: numerical deflation or breakdown, decided by whether s
     # depends on the earlier deflation directions
-    pn, _ = _membership_residual(s, state)
+    pn = _membership_residual(s, state)
     state.T_hat[j, j - 1] = 1.0
     state.Q[:, j] = 0.0
     state.P[:, j] = s
@@ -200,18 +199,17 @@ def run_msoar(state, op, k_target, tol):
     return state
 
 
-def extraction_basis(state, include_tail=True, tail_tol=1e-8):
+def extraction_basis(state):
     """Orthonormal basis handed to the projection: the nonzero columns of
-    Q_{k+1} plus the orthogonalized p_1 direction when it sticks out of their
-    span (the finalization column of the recurrence)."""
+    Q_{k+1} plus the orthogonalized p_1 direction when more than 1e-8 of it
+    sticks out of their span (the finalization column of the recurrence)."""
     Qt = state.nonzero_q()
-    if include_tail:
-        p1 = state.P[:, 0]
-        p1n = np.linalg.norm(p1)
-        if p1n > 0.0:
-            _, r, rn = orthogonalize_with_refinement(p1, Qt)
-            if rn > tail_tol * p1n:
-                Qt = np.column_stack([Qt, r / rn])
+    p1 = state.P[:, 0]
+    p1n = np.linalg.norm(p1)
+    if p1n > 0.0:
+        _, r, rn = orthogonalize_with_refinement(p1, Qt)
+        if rn > 1e-8 * p1n:
+            Qt = np.column_stack([Qt, r / rn])
     return Qt
 
 

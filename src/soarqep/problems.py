@@ -6,8 +6,6 @@ adaptive-quadrature integrals.  The Matrix Market code is a small hand-rolled
 reader/writer for the coordinate format so parse errors carry line numbers.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 import scipy.integrate
 import scipy.sparse as sp
@@ -185,24 +183,3 @@ def load_matrix_market(paths):
             raise ValueError("%s has shape %s, expected (%d, %d)"
                              % (p, A.shape, n, n))
     return QepProblem.from_matrices(*mats)
-
-
-@dataclass
-class ProblemSource:
-    """Declarative description of where the QEP triple comes from."""
-
-    kind: str                 # "matrix-market" | "string-damping" | "mass-spring"
-    paths: list = None
-    n: int = None
-    epsilon: float = 0.6
-    kappa: float = 5.0
-    tau: float = 10.0
-
-    def build(self):
-        if self.kind == "matrix-market":
-            return load_matrix_market(self.paths)
-        if self.kind == "string-damping":
-            return gen_string_damping(self.n, self.epsilon)
-        if self.kind == "mass-spring":
-            return gen_mass_spring(self.n, self.kappa, self.tau)
-        raise ValueError("unknown problem source %r" % self.kind)

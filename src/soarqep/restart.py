@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
+from .extraction import HUGE_RITZ
 from .kernels import hessenberg_shifted_qr, qr_unit_diagonal, solve_projected_qep
 from .msoar import SoarState
 
@@ -93,7 +94,7 @@ def select_shifts(proj, vectors, p, mode="direct", wanted_thetas=None,
     Cp = U_perp.conj().T @ proj.C_k @ U_perp
     Kp = U_perp.conj().T @ proj.K_k @ U_perp
     cands = [c.theta for c in solve_projected_qep(Mp, Cp, Kp)
-             if c.finite and abs(c.theta) <= 1e12]
+             if c.finite and abs(c.theta) <= HUGE_RITZ]
 
     if mode == "shift-invert":
         ranked = sorted(cands, key=lambda t: (abs(t), t.real, t.imag))

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from soarqep.cli import UsageError, format_csv, parse_sigma, run_cli
+from soarqep.driver import SolverReport
 from soarqep.problems import write_matrix_market
 
 
@@ -37,6 +41,22 @@ class TestParsing:
         code, _, err = _run(capsys, ["mass-spring"])
         assert code == 1
         assert "size" in err
+
+    def test_matrix_market_needs_matrices(self, capsys):
+        code, _, err = _run(capsys, ["matrix-market"])
+        assert code == 1
+        assert "usage error" in err
+
+
+class TestFormat:
+    def test_csv_rows(self):
+        report = SolverReport(converged=[], restarts_used=2,
+                              residual_history=[0.5, 1e-3, 1 / 3],
+                              deflation_history=[0, 2, 1])
+        assert format_csv(report) == ("restart,max_rel_residual,deflations\n"
+                                      "0,0.5,0\n"
+                                      "1,0.001,2\n"
+                                      "2,0.33333333333333331,1\n")
 
 
 class TestRuns:
@@ -84,6 +104,14 @@ class TestRuns:
         assert out == ""
         assert dest.read_text().startswith("restart,max_rel_residual")
 
+    def test_string_damping(self, capsys):
+        code, out, err = _run(capsys, ["string-damping", "-n", "60",
+                                       "--sigma=0.6+0.8i", "--num-eigs", "4",
+                                       "--dim", "14", "--ctol", "1e-9"])
+        assert code == 0
+        assert out.startswith("restart,max_rel_residual,deflations")
+        assert "converged 4 of 4" in err
+
     def test_threads_env_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("SOARQEP_THREADS", "4")
         code, _, _ = _run(capsys, self.ARGS)
@@ -112,3 +140,16 @@ class TestMatrixMarketPath:
                                      "/no/m.mtx", "/no/c.mtx", "/no/k.mtx"])
         assert code == 1
         assert "error" in err
+
+
+def test_library_does_not_load_oracles():
+    # the dense oracles are test-only code; a fresh interpreter shows what
+    # the package itself imports
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        sys.modules["soarqep"].__file__)))
+    code = ("import sys, soarqep, soarqep.cli; "
+            "print('soarqep.oracles' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"

@@ -1,5 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import breakdown_starts, random_qep
 from soarqep import driver
@@ -72,6 +75,45 @@ class TestShiftInvert:
             direct = np.linalg.norm(
                 (c.lam ** 2 * M + c.lam * C + K) @ c.x) / prob.norm_sum
             assert direct <= 2.0 * cfg.ctol
+
+    @pytest.mark.parametrize("variant", ["imsoar", "irsoar"])
+    def test_zero_working_ritz_value_is_infinite(self, rng, variant):
+        # M = 0 poses a linear pencil as a QEP: the shift-inverted problem
+        # then has theta = 0 (lam = infinity) among its Ritz values
+        n = 30
+        C, K = rng.standard_normal((n, n)), rng.standard_normal((n, n))
+        prob = QepProblem.from_matrices(np.zeros((n, n)), C, K)
+        sigma = 0.3 + 0.1j
+        rep = solve(prob, SolverConfig(m=3, k=12, mode="shift-invert",
+                                       sigma=sigma, variant=variant,
+                                       max_restarts=30))
+        assert rep.all_converged
+        nearest = sorted(scipy.linalg.eigvals(-K, C),
+                         key=lambda t: abs(t - sigma))[:3]
+        got = sorted((c.lam for c in rep.converged), key=lambda t: abs(t - sigma))
+        for lam, want in zip(got, nearest):
+            assert abs(lam - want) < 1e-8 * abs(want)
+
+    def test_short_shift_set_keeps_larger_subspace(self, rng, monkeypatch):
+        # two shifts fewer than p: the contraction keeps two more steps
+        select_shifts, contract = driver.select_shifts, driver.contract
+        retained = []
+
+        def short_set(*args, **kwargs):
+            out = select_shifts(*args, **kwargs)
+            return dataclasses.replace(out, shifts=out.shifts[:-2])
+
+        def recording(state, shifts, m, tol):
+            retained.append(m)
+            return contract(state, shifts, m, tol=tol)
+
+        monkeypatch.setattr(driver, "select_shifts", short_set)
+        monkeypatch.setattr(driver, "contract", recording)
+        cfg = SolverConfig(m=4, k=16, mode="shift-invert", sigma=0.3 + 0.2j,
+                           ctol=1e-10, max_restarts=30, seed=7)
+        rep = solve(random_qep(rng, 40), cfg)
+        assert rep.all_converged
+        assert retained and all(m == cfg.retained + 2 for m in retained)
 
     def test_m_equals_k_minus_one(self, rng):
         prob = random_qep(rng, 20)

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from soarqep.problems import (MatrixMarketError, ProblemSource,
-                              gen_mass_spring, gen_string_damping,
-                              load_matrix_market, read_matrix_market,
-                              write_matrix_market)
+from soarqep.problems import (MatrixMarketError, gen_mass_spring,
+                              gen_string_damping, load_matrix_market,
+                              read_matrix_market, write_matrix_market)
 
 
 class TestMassSpring:
@@ -137,10 +136,3 @@ class TestMatrixMarket:
         write_matrix_market(bad, sp.identity(3))
         with pytest.raises(ValueError, match="k3.mtx"):
             load_matrix_market(names[:2] + [str(bad)])
-
-
-class TestProblemSource:
-    def test_dispatch(self):
-        assert ProblemSource(kind="mass-spring", n=4).build().n == 4
-        with pytest.raises(ValueError):
-            ProblemSource(kind="laplace", n=4).build()
