@@ -162,6 +162,5 @@ def solve(problem, config):
             wanted_thetas=[e.theta for e in wanted],
             provenance="refined" if config.variant == "irsoar" else "exact",
             is_real=shifts_real)
-        state, _ = contract(state, shift_set, config.k - len(shift_set.shifts),
-                            tol=tol)
+        state, _ = contract(state, shift_set, config.k - len(shift_set.shifts))
         report.restarts_used += 1

@@ -2,9 +2,9 @@
 
 All routines work on plain ndarrays and do not care where the data came
 from.  Only ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
-n-length data; the rest works at orders <= ~200 (shifted QR by Givens
-rotations, QZ through LAPACK, refined vectors by QR then SVD).  Everything
-is complex; real inputs are promoted.
+n-length data; the rest works at orders <= ~200 (shifted QR by LAPACK
+rotations, each applied once; QZ through LAPACK; refined vectors by QR, then
+SVD).  Everything is complex; real inputs are promoted.
 """
 
 import warnings
@@ -12,10 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+from scipy.linalg.lapack import zlartg, zrot
 
 
 class QRSweepError(RuntimeError):
-    """A shifted-QR sweep failed to restore Hessenberg form (internal bug)."""
+    """A shifted-QR sweep produced non-finite entries."""
 
 
 class RankDeficiencyError(ValueError):
@@ -55,53 +56,43 @@ def orthogonalize_with_refinement(v, basis):
     return coeffs, r, rn
 
 
-def _givens(a, b):
-    """Unitary 2x2 G with G^* [a, b]^T = [r, 0]^T; returns (c, s, r)."""
-    if b == 0:
-        return 1.0 + 0.0j, 0.0 + 0.0j, a
-    r = np.hypot(abs(a), abs(b))
-    return a / r, b / r, r + 0.0j
-
-
 def hessenberg_shifted_qr(T, shifts):
     """Run one explicit shifted-QR sweep per shift on a Hessenberg matrix.
 
     Returns (V, T_plus) with T_plus = V^* T V Hessenberg and
     psi(T) = V @ R for upper-triangular R, psi(mu) = prod(mu - mu_j).
-    V is unitary with at most len(shifts) nonzero subdiagonals.
+    V is unitary with at most len(shifts) nonzero subdiagonals.  Each sweep
+    reduces T - mu I to R with LAPACK rotations and applies them to R from
+    the right; right rotation i meets columns that are zero below row i+1,
+    so it stops there and T_plus is exactly Hessenberg.
     """
-    T = np.asarray(T, dtype=complex)
-    k = T.shape[0]
-    if T.shape != (k, k):
+    Tp = np.array(T, dtype=complex, order="F")
+    k = Tp.shape[0]
+    if Tp.shape != (k, k):
         raise ValueError("T must be square")
     if len(shifts) >= k and len(shifts) > 0:
         raise ValueError("number of shifts must be below the order of T")
 
-    V = np.eye(k, dtype=complex)
-    Tp = T.copy()
+    V = np.eye(k, dtype=complex, order="F")
+    # zrot works in place on these flat column-major views, (r, c) at r + c*k;
+    # positional arguments, as keywords cost more than the rotation itself
+    t, v = Tp.reshape(-1, order="F"), V.reshape(-1, order="F")
     for mu in shifts:
-        R = Tp - mu * np.eye(k)
-        Q = np.eye(k, dtype=complex)
+        t[:: k + 1] -= mu
+        rotations = []
         for i in range(k - 1):
-            c, s, r = _givens(R[i, i], R[i + 1, i])
-            # rows i, i+1 of R <- G^* rows
-            row_i = np.conj(c) * R[i, i:] + np.conj(s) * R[i + 1, i:]
-            row_n = -s * R[i, i:] + c * R[i + 1, i:]
-            R[i, i:] = row_i
-            R[i + 1, i:] = row_n
-            R[i + 1, i] = 0.0
-            # columns i, i+1 of Q <- columns times G
-            col_i = Q[:, i] * c + Q[:, i + 1] * s
-            col_n = -Q[:, i] * np.conj(s) + Q[:, i + 1] * np.conj(c)
-            Q[:, i] = col_i
-            Q[:, i + 1] = col_n
-        Tp = R @ Q + mu * np.eye(k)
+            c, s, Tp[i, i] = zlartg(Tp[i, i], Tp[i + 1, i])
+            Tp[i + 1, i] = 0.0
+            o = i + (i + 1) * k     # rows i, i+1 from column i+1 on
+            zrot(t, t, c, s, k - i - 1, o, k, o + 1, k, 1, 1)
+            rotations.append((c, s.conjugate()))
+        for i, (c, s) in enumerate(rotations):
+            # columns i, i+1: rows up to i+1 of T_plus, all rows of V
+            zrot(t, t, c, s, i + 2, i * k, 1, i * k + k, 1, 1, 1)
+            zrot(v, v, c, s, k, i * k, 1, i * k + k, 1, 1, 1)
+        t[:: k + 1] += mu
         if not np.all(np.isfinite(Tp)):
             raise QRSweepError("non-finite entries after QR sweep")
-        # RQ + mu*I is Hessenberg by structure; enforce the exact zeros
-        for i in range(2, k):
-            Tp[i, : i - 1] = 0.0
-        V = V @ Q
     return V, Tp
 
 

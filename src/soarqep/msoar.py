@@ -36,8 +36,6 @@ BREAKDOWN = "breakdown"
 @dataclass
 class StepOutcome:
     kind: str
-    t_next: float           # ||r|| before any reset
-    p_residual_norm: float = None  # residual of the deflation membership test
 
 
 def _grown(buf, shape):
@@ -170,7 +168,7 @@ def msoar_step(state, op, tol):
         state.T_hat[j, j - 1] = t_next
         state.Q[:, j] = r / t_next
         state.P[:, j] = s / t_next
-        return StepOutcome(kind=CONTINUE, t_next=t_next)
+        return StepOutcome(kind=CONTINUE)
 
     # premature stop: numerical deflation or breakdown, decided by whether s
     # depends on the earlier deflation directions
@@ -181,14 +179,14 @@ def msoar_step(state, op, tol):
 
     if pn > tol:
         state.deflation_steps.append(j)
-        return StepOutcome(kind=DEFLATION, t_next=t_next, p_residual_norm=pn)
+        return StepOutcome(kind=DEFLATION)
 
     # breakdown: the final column keeps the deflation shape but is not a
     # deflation event of the run
     state.breakdown = True
     state.breakdown_step = j
     state.breakdown_t = t_next
-    return StepOutcome(kind=BREAKDOWN, t_next=t_next, p_residual_norm=pn)
+    return StepOutcome(kind=BREAKDOWN)
 
 
 def run_msoar(state, op, k_target, tol):

@@ -31,7 +31,6 @@ class ShiftSet:
 
 @dataclass
 class RestartReport:
-    m_retained: int
     deflations_repaired: int
     new_residual_subdiag: float
 
@@ -115,7 +114,7 @@ def _right_tri_solve(X, R):
     return scipy.linalg.solve_triangular(R.T, X.T, lower=True).T
 
 
-def contract(state, shifts, m, tol=1e-10):
+def contract(state, shifts, m):
     """Shrink a k-step decomposition to m steps with the given shifts.
 
     The row-pruned rotation of the shifted-QR sweeps is refactored (QR with
@@ -135,8 +134,7 @@ def contract(state, shifts, m, tol=1e-10):
     if p == 0:
         new = copy.deepcopy(state)
         beta = float(np.linalg.norm(np.concatenate([Q[:, k], P[:, k]])))
-        return new, RestartReport(m_retained=m, deflations_repaired=0,
-                                  new_residual_subdiag=beta)
+        return new, RestartReport(deflations_repaired=0, new_residual_subdiag=beta)
 
     V, T_plus = hessenberg_shifted_qr(state.T, mu)
     zero_cols = [j for j in state.deflation_steps if j <= k - 1]
@@ -175,8 +173,7 @@ def contract(state, shifts, m, tol=1e-10):
         new.T_hat[m, m - 1] = 1.0
         new.deflation_steps.append(m)
 
-    return new, RestartReport(m_retained=m,
-                              deflations_repaired=len(zero_cols) - len(carried),
+    return new, RestartReport(deflations_repaired=len(zero_cols) - len(carried),
                               new_residual_subdiag=beta)
 
 

@@ -4,13 +4,26 @@ The engineered problems target specific recurrence events: a guaranteed
 deflation at step 1, repeated deflations from a rank-deficient second
 operator, and a guaranteed breakdown from starting vectors spanned by a few
 exact eigenvectors.
+
+Hypothesis profiles: ``default`` (30 derandomized examples) runs with the
+suite; ``thorough`` draws 500 random examples per test, e.g.
+``pytest --hypothesis-profile=thorough --hypothesis-seed=N tests/test_properties.py``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from soarqep.operator import QepProblem, build_operator
 from soarqep.oracles import dense_qep_spectrum
+
+# "default" is the profile hypothesis loads unless told otherwise, so
+# registering it here replaces the active settings; a profile inherits from
+# the active one, hence the explicit derandomize=False
+settings.register_profile("default", max_examples=30, derandomize=True,
+                          deadline=None, database=None)
+settings.register_profile("thorough", max_examples=500, derandomize=False,
+                          deadline=None, database=None)
 
 
 def random_qep(rng, n, complex_data=False):

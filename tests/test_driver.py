@@ -103,9 +103,9 @@ class TestShiftInvert:
             out = select_shifts(*args, **kwargs)
             return dataclasses.replace(out, shifts=out.shifts[:-2])
 
-        def recording(state, shifts, m, tol):
+        def recording(state, shifts, m):
             retained.append(m)
-            return contract(state, shifts, m, tol=tol)
+            return contract(state, shifts, m)
 
         monkeypatch.setattr(driver, "select_shifts", short_set)
         monkeypatch.setattr(driver, "contract", recording)

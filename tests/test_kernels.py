@@ -60,15 +60,34 @@ class TestShiftedQr:
 
     def test_filter_identity(self, rng):
         # psi(T) = V R for upper-triangular R: columns of psi(T) and V agree
-        # on the leading one after QR
-        k = 7
-        T = np.triu(rng.standard_normal((k, k)), -1) + 0j
-        shifts = [0.5, -0.4 + 0.3j]
-        V, _ = hessenberg_shifted_qr(T, shifts)
-        psi = (T - shifts[0] * np.eye(k)) @ (T - shifts[1] * np.eye(k))
-        Qpsi, _ = np.linalg.qr(psi)
-        cos = abs(np.vdot(Qpsi[:, 0], V[:, 0]))
-        assert 1.0 - cos < 1e-10
+        # on the leading one after QR, and V^* psi(T) is upper triangular
+        T7 = np.triu(rng.standard_normal((7, 7)), -1) + 0j
+        T40 = np.triu(rng.standard_normal((40, 40))
+                      + 1j * rng.standard_normal((40, 40)), -1)
+        mu40 = list(rng.standard_normal(15) + 1j * rng.standard_normal(15))
+        for T, shifts in [(T7, [0.5, -0.4 + 0.3j]), (T40, mu40)]:
+            k = T.shape[0]
+            V, _ = hessenberg_shifted_qr(T, shifts)
+            psi = np.eye(k, dtype=complex)
+            for mu in shifts:
+                psi = psi @ (T - mu * np.eye(k))
+            Qpsi, _ = np.linalg.qr(psi)
+            cos = abs(np.vdot(Qpsi[:, 0], V[:, 0]))
+            assert 1.0 - cos < 1e-10
+            lower = np.tril(V.conj().T @ psi, -1)
+            assert np.linalg.norm(lower) <= 1e-12 * np.linalg.norm(psi)
+
+    def test_decoupled_hessenberg_stays_split(self, rng):
+        # a zero subdiagonal (after a deflation or an exact shift) gives an
+        # identity rotation, so both blocks stay exactly decoupled
+        k = 10
+        T = np.triu(rng.standard_normal((k, k))
+                    + 1j * rng.standard_normal((k, k)), -1)
+        T[4, 3] = 0.0
+        V, Tp = hessenberg_shifted_qr(T, [0.3 - 0.1j, -0.8, 1.2j])
+        assert Tp[4, 3] == 0.0
+        assert np.all(V[4:, :4] == 0.0)
+        assert np.linalg.norm(Tp - V.conj().T @ T @ V) < 1e-12 * np.linalg.norm(T)
 
     def test_exact_shifts_decouple(self, rng):
         k = 8

@@ -9,7 +9,7 @@ recorded deflation steps are exactly zero.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import (decomposition_tolerance, deflation_at_step1, random_qep,
@@ -44,7 +44,6 @@ def _check(op, state, tol):
         assert np.all(state.Q[:, j] == 0.0)
 
 
-@settings(max_examples=30, deadline=None, database=None, derandomize=True)
 @given(kind=st.sampled_from(["random", "deflation", "rank_deficient"]),
        n=st.integers(10, 40), seed=st.integers(0, 2 ** 32 - 1),
        data=st.data())
