@@ -123,9 +123,6 @@ def solve(problem, config):
     u2 = config.u2 if config.u2 is not None else u1
     state = init_state(op, u1, u2)
 
-    shifts_real = problem.is_real and (
-        config.mode == "direct" or complex(config.sigma).imag == 0.0)
-
     report = SolverReport(converged=[], restarts_used=0,
                           residual_history=[], deflation_history=[])
 
@@ -157,10 +154,7 @@ def solve(problem, config):
             return report
 
         shift_set = select_shifts(
-            proj, np.column_stack([e.g for e in wanted]) if wanted else None,
-            config.num_shifts, mode=config.mode,
-            wanted_thetas=[e.theta for e in wanted],
-            provenance="refined" if config.variant == "irsoar" else "exact",
-            is_real=shifts_real)
+            proj, wanted, config.num_shifts, mode=config.mode,
+            provenance="refined" if config.variant == "irsoar" else "exact")
         state, _ = contract(state, shift_set, config.k - len(shift_set.shifts))
         report.restarts_used += 1

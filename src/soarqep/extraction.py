@@ -134,15 +134,14 @@ def extract_refined(proj, op, ritz):
     return ritz
 
 
-def residual_bound(state, theta, s, norm_M, t_sub=None):
+def residual_bound(state, theta, s, norm_M):
     """A-posteriori residual bound c_k t_{k+1,k} |e_k^* s| for a Petrov
     eigenvector s of T_k, with the exact ||P_k s|| in the coefficient."""
     k = state.k
     s = np.asarray(s, dtype=complex)
-    if t_sub is None:
-        t_sub = abs(state.T_hat[k, k - 1])
-        if state.breakdown and state.breakdown_t is not None:
-            t_sub = state.breakdown_t
+    t_sub = abs(state.T_hat[k, k - 1])
+    if state.breakdown and state.breakdown_t is not None:
+        t_sub = state.breakdown_t
     P_k = state.P[:, :k]
     ps = float(np.linalg.norm(P_k @ s))
     p_last = float(np.linalg.norm(state.P[:, k]))

@@ -35,47 +35,21 @@ class RestartReport:
     new_residual_subdiag: float
 
 
-def _conjugate_pair_columns(Z, thetas):
-    """Replace conjugate-pair columns by their normalized real/imag parts."""
-    Z = Z.copy()
-    m = Z.shape[1]
-    i = 0
-    while i + 1 < m:
-        ti, tj = thetas[i], thetas[i + 1]
-        if abs(ti.imag) > 1e-10 and abs(ti - np.conj(tj)) <= 1e-10 * max(1.0, abs(ti)):
-            re = Z[:, i].real + 0j
-            im = Z[:, i].imag + 0j
-            rn, imn = np.linalg.norm(re), np.linalg.norm(im)
-            if rn > 0 and imn > 0:
-                Z[:, i] = re / rn
-                Z[:, i + 1] = im / imn
-                i += 2
-                continue
-        i += 1
-    return Z
-
-
-def select_shifts(proj, vectors, p, mode="direct", wanted_thetas=None,
-                  provenance="exact", is_real=False):
+def select_shifts(proj, wanted, p, mode="direct", provenance="exact"):
     """Shifts from the complement of the wanted directions inside the subspace.
 
-    QR of the matrix of wanted primitive vectors gives an orthonormal basis
-    U_perp of the complement; the p-dimensional projected QEP over it yields
-    2p candidates, all approximations to unwanted eigenvalues.  Direct mode
-    keeps the p candidates farthest (max-min distance) from the wanted Ritz
-    values; shift-invert mode keeps the p with smallest magnitude, i.e. the
-    original eigenvalues farthest from the target.
+    ``wanted`` is ``RitzSet.wanted()``.  The complement of its vectors ``g``
+    comes from a complete QR in complex arithmetic: Q is complex after the
+    first restart, so Re/Im parts of a conjugate pair do not span the pair.
+    U_perp is the first p columns of this (ktilde - m)-dimensional complement
+    (70 of 121 on string300, 8 of 15 on string1000).  The QEP projected onto
+    U_perp yields 2p candidates for unwanted eigenvalues.  Direct mode keeps
+    the p farthest (max-min distance) from the wanted Ritz values;
+    shift-invert mode the p of smallest magnitude, farthest from the target.
     """
-    ktilde = proj.M_k.shape[0]
-    wanted_thetas = list(wanted_thetas or [])
-
-    if vectors is None or (hasattr(vectors, "shape") and vectors.shape[1] == 0):
-        m_eff = 0
-        U_perp = np.eye(ktilde, dtype=complex)[:, :p]
-    else:
-        Z = np.asarray(vectors, dtype=complex)
-        if is_real and wanted_thetas:
-            Z = _conjugate_pair_columns(Z, wanted_thetas)
+    Z = np.zeros((proj.M_k.shape[0], 0), dtype=complex)
+    if wanted:
+        Z = np.asarray(np.column_stack([e.g for e in wanted]), dtype=complex)
         # drop numerically dependent columns before the complement QR
         _, Rp, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
         diag = np.abs(np.diag(Rp))
@@ -85,9 +59,9 @@ def select_shifts(proj, vectors, p, mode="direct", wanted_thetas=None,
                           "dropping %d column(s)" % (Z.shape[1] - keep),
                           RuntimeWarning)
             Z = Z[:, sorted(piv[:keep])]
-        m_eff = Z.shape[1]
-        Qc, _ = np.linalg.qr(Z, mode="complete")
-        U_perp = Qc[:, m_eff: m_eff + p]
+    m_eff = Z.shape[1]
+    Qc, _ = np.linalg.qr(Z, mode="complete")
+    U_perp = Qc[:, m_eff: m_eff + p]
 
     Mp = U_perp.conj().T @ proj.M_k @ U_perp
     Cp = U_perp.conj().T @ proj.C_k @ U_perp
@@ -97,15 +71,14 @@ def select_shifts(proj, vectors, p, mode="direct", wanted_thetas=None,
 
     if mode == "shift-invert":
         ranked = sorted(cands, key=lambda t: (abs(t), t.real, t.imag))
-    elif wanted_thetas:
+    elif wanted:
         def score(t):
-            return min(abs(t - w) for w in wanted_thetas)
+            return min(abs(t - e.theta) for e in wanted)
         ranked = sorted(cands, key=lambda t: (-score(t), t.real, t.imag))
     else:
         ranked = sorted(cands, key=lambda t: (-abs(t), t.real, t.imag))
-    shifts = ranked[:p]
     # applied in order of increasing magnitude for reproducibility
-    shifts = sorted(shifts, key=lambda t: (abs(t), t.real, t.imag))
+    shifts = sorted(ranked[:p], key=lambda t: (abs(t), t.real, t.imag))
     return ShiftSet(shifts=shifts, provenance=provenance, candidates=cands)
 
 
@@ -125,7 +98,7 @@ def contract(state, shifts, m):
     """
     if state.breakdown:
         raise RuntimeError("cannot restart past breakdown")
-    mu = list(shifts.shifts) if isinstance(shifts, ShiftSet) else list(shifts)
+    mu = list(shifts.shifts)
     p = len(mu)
     k = state.k
     if k != m + p:
@@ -189,8 +162,7 @@ def verify_filter(state_before, state_after, shifts, op):
     v_old = np.concatenate([state_before.Q[:, 0], state_before.P[:, 0]])
     v_new = np.concatenate([state_after.Q[:, 0], state_after.P[:, 0]])
     w = v_old.copy()
-    mu = shifts.shifts if isinstance(shifts, ShiftSet) else shifts
-    for m_j in mu:
+    for m_j in shifts:
         w = H @ w - m_j * w
     denom = np.linalg.norm(w) * np.linalg.norm(v_new)
     if denom == 0.0:

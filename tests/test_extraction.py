@@ -144,8 +144,6 @@ class TestBound:
         s = np.zeros(5, dtype=complex)
         s[0] = 1.0    # e_1: last component zero, bound vanishes
         assert residual_bound(st, 1.0 + 0j, s, prob.norms1[0]) == 0.0
-        assert residual_bound(st, 1.0 + 0j, np.ones(5) / np.sqrt(5),
-                              prob.norms1[0], t_sub=0.0) == 0.0
 
     def test_bound_vs_true_residual_when_assumption_holds(self, rng):
         # when the Ritz pair beats the Petrov pair targeting the same value

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import (decomposition_tolerance, deflation_at_step1, random_qep,
                       rank_deficient_qep, stacked_residual)
 from soarqep.extraction import extract_ritz, project
 from soarqep.msoar import init_state, run_msoar
 from soarqep.operator import build_operator
+from soarqep.oracles import dense_qep_spectrum
+from soarqep.problems import gen_string_damping
 from soarqep.restart import ShiftSet, contract, select_shifts, verify_filter
 
 
@@ -152,10 +155,8 @@ class TestSelectShifts:
             op, st = _state(rng, prob, 8)
             proj = project(st, op)
             ritz = extract_ritz(proj, op, 3)
-            Z = np.column_stack([ritz.pairs[i].g for i in ritz.selection])
             wanted = [ritz.pairs[i].theta for i in ritz.selection]
-            ss = select_shifts(proj, Z, 5, mode="direct",
-                               wanted_thetas=wanted)
+            ss = select_shifts(proj, ritz.wanted(), 5, mode="direct")
             for muj in ss.shifts:
                 assert min(abs(muj - w) for w in wanted) > 1e-12
 
@@ -163,7 +164,7 @@ class TestSelectShifts:
         prob = random_qep(rng, 20)
         op, st = _state(rng, prob, 6)
         proj = project(st, op)
-        ss = select_shifts(proj, None, 3, mode="direct")
+        ss = select_shifts(proj, [], 3, mode="direct")
         assert len(ss.shifts) == 3
         cutoff = sorted((abs(c) for c in ss.candidates), reverse=True)[2]
         assert all(abs(muj) >= cutoff - 1e-10 for muj in ss.shifts)
@@ -171,15 +172,16 @@ class TestSelectShifts:
     def test_one_dim_complement_quadratic_formula(self, rng):
         # ktilde = 2, m = 1, p = 1 with a diagonal projected QEP: the
         # complement QEP is scalar and solvable by the quadratic formula
-        from soarqep.extraction import ProjectedQep
+        from soarqep.extraction import ProjectedQep, RitzEntry
         M_k = np.diag([1.0, 2.0]).astype(complex)
         C_k = np.diag([3.0, 5.0]).astype(complex)
         K_k = np.diag([2.0, 2.0]).astype(complex)
         proj = ProjectedQep(Q_tilde=np.eye(2, dtype=complex),
                             W1=M_k, W2=C_k, W3=K_k,
                             M_k=M_k, C_k=C_k, K_k=K_k)
-        Z = np.array([[1.0], [0.0]], dtype=complex)
-        ss = select_shifts(proj, Z, 1, mode="direct", wanted_thetas=[0.0])
+        e = RitzEntry(theta=0.0, g=np.array([1.0, 0.0], dtype=complex),
+                      lam=0.0, rel_residual=0.0, finite=True)
+        ss = select_shifts(proj, [e], 1, mode="direct")
         # complement direction e2: 2 t^2 + 5 t + 2 = 0 -> t = -1/2 or -2;
         # direct mode keeps the candidate farthest from the wanted value 0
         assert len(ss.shifts) == 1
@@ -190,11 +192,9 @@ class TestSelectShifts:
         op, st = _state(rng, prob, 6)
         proj = project(st, op)
         ritz = extract_ritz(proj, op, 2)
-        g = ritz.pairs[ritz.selection[0]].g
-        Z = np.column_stack([g, g])   # duplicated wanted vector
-        with pytest.warns(RuntimeWarning):
-            select_shifts(proj, Z, 2, mode="direct",
-                          wanted_thetas=[1.0, 1.0])
+        e = ritz.pairs[ritz.selection[0]]
+        with pytest.warns(RuntimeWarning):   # duplicated wanted vector
+            select_shifts(proj, [e, e], 2, mode="direct")
 
     def test_shift_invert_prefers_small_rho(self, rng):
         prob = random_qep(rng, 20)
@@ -203,13 +203,42 @@ class TestSelectShifts:
                                   rng.standard_normal(20)), op, 6, 1e-12)
         proj = project(st, op)
         ritz = extract_ritz(proj, op, 2)
-        Z = np.column_stack([ritz.pairs[i].g for i in ritz.selection])
-        ss = select_shifts(proj, Z, 3, mode="shift-invert",
-                           wanted_thetas=[ritz.pairs[i].theta
-                                          for i in ritz.selection])
+        ss = select_shifts(proj, [ritz.pairs[i] for i in ritz.selection], 3,
+                           mode="shift-invert")
         chosen = sorted(abs(muj) for muj in ss.shifts)
         others = sorted(abs(c) for c in ss.candidates)[:3]
         assert chosen == pytest.approx(others, rel=1e-12)
+
+    @pytest.mark.parametrize("mode, sigma", [("direct", None),
+                                             ("shift-invert", 0.6 + 0.8j)])
+    def test_complement_after_restart(self, mode, sigma):
+        # one restart makes Q complex even on a real problem with real
+        # shifts; the candidates must still be the eigenvalues of the QEP
+        # projected onto the exact complement of the wanted vectors
+        prob = gen_string_damping(150)
+        op = build_operator(prob, mode=mode, sigma=sigma)
+        u = np.random.default_rng(0).random(150)
+        k, m = 40, 10
+        st = run_msoar(init_state(op, u, u), op, k, 1e-10)
+        proj = project(st, op)
+        ss = select_shifts(proj, extract_ritz(proj, op, m).wanted(), k - m,
+                           mode=mode)
+        st, _ = contract(st, ss, k - len(ss.shifts))
+        run_msoar(st, op, k, 1e-10)
+        proj = project(st, op)
+        wanted = extract_ritz(proj, op, m).wanted()
+        ss = select_shifts(proj, wanted, proj.ktilde - m, mode=mode)
+
+        Z = np.column_stack([e.g for e in wanted])
+        N = scipy.linalg.null_space(Z.conj().T)
+        lams, _ = dense_qep_spectrum(*(N.conj().T @ X @ N
+                                       for X in (proj.M_k, proj.C_k, proj.K_k)))
+        expected = [lam for lam in lams if np.isfinite(lam)]
+        assert len(ss.candidates) == len(expected)
+        for c in ss.candidates:
+            j = min(range(len(expected)), key=lambda i: abs(expected[i] - c))
+            assert abs(expected[j] - c) <= 1e-10 * abs(expected[j])
+            expected.pop(j)
 
 
 class TestExpandDeterminism:
