@@ -83,13 +83,6 @@ def project(state, op):
                         K_k=Qt.conj().T @ W3)
 
 
-def _residual_norm(proj, theta, vec):
-    """||(theta^2 W1 + theta W2 + W3) vec||, through the R blocks."""
-    R1, R2, R3 = proj.blocks
-    r = theta ** 2 * (R1 @ vec) + theta * (R2 @ vec) + R3 @ vec
-    return float(np.linalg.norm(r))
-
-
 def _relative(op, theta, abs_residual):
     """(lam, rel_residual) of the original problem for a working-QEP pair."""
     lam, res = recover_eigen(op, theta, abs_residual)
@@ -105,17 +98,28 @@ def extract_ritz(proj, op, m):
     excluded from selection and carry an infinite residual.
     """
     raw = kernels.solve_projected_qep(proj.M_k, proj.C_k, proj.K_k)
-    pairs = []
-    for rp in raw:
-        if (not rp.finite or abs(rp.theta) > HUGE_RITZ
-                or (op.mode == "shift-invert" and abs(rp.theta) < 1e-300)):
-            pairs.append(RitzEntry(theta=rp.theta, g=rp.g, lam=complex(np.inf),
-                                   rel_residual=float(np.inf), finite=False))
-            continue
-        nr = _residual_norm(proj, rp.theta, rp.g)
-        lam, rel = _relative(op, rp.theta, nr)
-        pairs.append(RitzEntry(theta=rp.theta, g=rp.g, lam=lam,
-                               rel_residual=rel, finite=True))
+    live = [i for i, rp in enumerate(raw)
+            if rp.finite and abs(rp.theta) <= HUGE_RITZ
+            and not (op.mode == "shift-invert" and abs(rp.theta) < 1e-300)]
+    # ||(theta^2 W1 + theta W2 + W3) g|| of every live pair at once, through
+    # the R blocks; Horner's rule in place keeps one temporary of S's size
+    theta = np.array([raw[i].theta for i in live], dtype=complex)
+    G = np.empty((proj.ktilde, len(live)), dtype=complex)
+    for j, i in enumerate(live):
+        G[:, j] = raw[i].g
+    R1, R2, R3 = proj.blocks
+    S = R1 @ G
+    S *= theta
+    S += R2 @ G
+    S *= theta
+    S += R3 @ G
+    norms = np.linalg.norm(S, axis=0)
+    pairs = [RitzEntry(theta=rp.theta, g=rp.g, lam=complex(np.inf),
+                       rel_residual=float(np.inf), finite=False) for rp in raw]
+    for i, nr in zip(live, norms):
+        lam, rel = _relative(op, raw[i].theta, float(nr))
+        pairs[i] = RitzEntry(theta=raw[i].theta, g=raw[i].g, lam=lam,
+                             rel_residual=rel, finite=True)
     order = sorted((i for i, p in enumerate(pairs) if p.finite),
                    key=lambda i: (-abs(pairs[i].theta), pairs[i].theta.real,
                                   pairs[i].theta.imag))

@@ -3,7 +3,8 @@
 Dense O(n^3) reference paths: explicit linearization H = [A B; I 0],
 standard Arnoldi on H, and the full QEP spectrum via the companion pencil.
 They call nothing from the solver layers except apply_ab, so agreement is
-meaningful.
+meaningful.  For n past the dense guards, the mass-spring chain has a
+closed-form spectrum.
 """
 
 from dataclasses import dataclass
@@ -113,3 +114,16 @@ def dense_qep_spectrum(M, C, K, max_n=500):
             xn = np.linalg.norm(x)
         X[:, i] = x / xn
     return lams, X
+
+
+def mass_spring_spectrum(n, kappa=5.0, tau=10.0):
+    """All 2n eigenvalues of ``gen_mass_spring(n, kappa, tau)`` in closed form.
+
+    M = I and C, K are tau and kappa times tridiag(-1, 3, -1), whose
+    eigenvalues mu_j = 3 - 2 cos(j pi / (n + 1)) share one eigenvector
+    basis, so the eigenvalues are the roots of
+    lam^2 + tau mu_j lam + kappa mu_j = 0, j = 1..n.
+    """
+    mu = 3.0 - 2.0 * np.cos(np.arange(1, n + 1) * np.pi / (n + 1))
+    disc = np.sqrt((tau * mu) ** 2 - 4.0 * kappa * mu + 0j)
+    return np.concatenate([(-tau * mu + disc) / 2.0, (-tau * mu - disc) / 2.0])

@@ -43,7 +43,8 @@ def select_shifts(proj, wanted, p, mode="direct", provenance="exact"):
     first restart, so Re/Im parts of a conjugate pair do not span the pair.
     U_perp is the first p columns of this (ktilde - m)-dimensional complement
     (70 of 121 on string300, 8 of 15 on string1000).  The QEP projected onto
-    U_perp yields 2p candidates for unwanted eigenvalues.  Direct mode keeps
+    U_perp yields 2p candidates for unwanted eigenvalues; only its
+    eigenvalues are computed, no eigenvectors.  Direct mode keeps
     the p farthest (max-min distance) from the wanted Ritz values;
     shift-invert mode the p of smallest magnitude, farthest from the target.
     """
@@ -66,7 +67,7 @@ def select_shifts(proj, wanted, p, mode="direct", provenance="exact"):
     Mp = U_perp.conj().T @ proj.M_k @ U_perp
     Cp = U_perp.conj().T @ proj.C_k @ U_perp
     Kp = U_perp.conj().T @ proj.K_k @ U_perp
-    cands = [c.theta for c in solve_projected_qep(Mp, Cp, Kp)
+    cands = [c.theta for c in solve_projected_qep(Mp, Cp, Kp, vectors=False)
              if c.finite and abs(c.theta) <= HUGE_RITZ]
 
     if mode == "shift-invert":

@@ -8,8 +8,8 @@ from conftest import breakdown_starts, random_qep
 from soarqep import driver
 from soarqep.driver import SolverConfig, solve
 from soarqep.operator import QepProblem
-from soarqep.problems import gen_mass_spring
-from soarqep.oracles import dense_qep_spectrum
+from soarqep.problems import gen_mass_spring, gen_string_damping
+from soarqep.oracles import dense_qep_spectrum, mass_spring_spectrum
 
 
 class TestConfig:
@@ -146,6 +146,30 @@ class TestVariants:
             assert ca.lam == cb.lam
             assert np.array_equal(ca.x, cb.x)
 
+    def test_monic_path_runs_bitwise_identical(self, monkeypatch):
+        # M = (pi/2) I keeps every projected M_k perfectly conditioned, so
+        # each projected QEP goes to standard eig on the monic companion
+        eig = scipy.linalg.eig
+        pencils = []
+
+        def recording(a, b=None, **kwargs):
+            pencils.append(b)
+            return eig(a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig", recording)
+        prob = gen_string_damping(150)
+        cfg = dict(m=10, k=40, mode="direct", variant="irsoar", ctol=1e-10,
+                   max_restarts=30, seed=3)
+        a = solve(prob, SolverConfig(**cfg))
+        b = solve(prob, SolverConfig(**cfg))
+        assert a.all_converged and a.restarts_used >= 1
+        assert pencils and all(B is None for B in pencils)
+        assert a.residual_history == b.residual_history
+        assert len(a.converged) == len(b.converged) == 10
+        for ca, cb in zip(a.converged, b.converged):
+            assert ca.lam == cb.lam
+            assert np.array_equal(ca.x, cb.x)
+
     def test_irsoar_converges_at_tight_ctol(self, monkeypatch):
         # the cross-product refined route stalled here near 1e-13
         original = driver.extract_refined
@@ -172,6 +196,22 @@ class TestVariants:
                            sigma=-13 + 0.4j, variant="imsoar", ctol=1e-15,
                            max_restarts=15)
         assert solve(gen_mass_spring(500), cfg).all_converged
+
+
+class TestLargeN:
+    @pytest.mark.parametrize("variant", ["imsoar", "irsoar"])
+    def test_mass_spring_20000_matches_analytic_roots(self, variant):
+        # past the dense guards: the closed-form spectrum is the oracle
+        n, sigma = 20000, -13 + 0.05j
+        cfg = SolverConfig(m=6, k=40, p=15, mode="shift-invert", sigma=sigma,
+                           variant=variant)
+        rep = solve(gen_mass_spring(n), cfg)
+        assert rep.all_converged and len(rep.converged) == 6
+        want = sorted(mass_spring_spectrum(n, 5.0, 10.0),
+                      key=lambda t: abs(t - sigma))[:6]
+        got = sorted((c.lam for c in rep.converged), key=lambda t: abs(t - sigma))
+        for lam, ref in zip(got, want):
+            assert abs(lam - ref) <= 1e-8 * abs(ref)
 
 
 class TestBreakdown:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from soarqep import kernels
 from soarqep.kernels import (QepEigenpair, RankDeficiencyError, gram_blocks,
                              hessenberg_shifted_qr,
                              orthogonalize_with_refinement, qr_unit_diagonal,
@@ -110,6 +111,19 @@ class TestShiftedQr:
         assert np.max(np.abs(sub)) < 1e-12
 
 
+def _triple_with_mass_condition(rng, k, cond):
+    """Random complex k-by-k (M, C, K), M with singular values 1 to ``cond``."""
+    def mat():
+        return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    U, _ = np.linalg.qr(mat())
+    V, _ = np.linalg.qr(mat())
+    return U @ np.diag(np.geomspace(1.0, cond, k)) @ V.conj().T, mat(), mat()
+
+
+# one condition number on each side of the monic-companion threshold
+CONDITIONS = [kernels.MONIC_COND_MAX / 5, kernels.MONIC_COND_MAX * 100]
+
+
 class TestProjectedQep:
     def test_scalar_roots(self):
         pairs = solve_projected_qep([[1.0]], [[3.0]], [[2.0]])
@@ -151,6 +165,50 @@ class TestProjectedQep:
         for v in got:
             j = int(np.argmin([abs(v - w) for w in rest]))
             assert abs(v - rest.pop(j)) < 1e-9
+
+    @pytest.fixture
+    def pencils(self, monkeypatch):
+        """The B argument of every scipy.linalg.eig call (None: monic)."""
+        eig = scipy.linalg.eig
+        seen = []
+
+        def recording(a, b=None, **kwargs):
+            seen.append(b)
+            return eig(a, b, **kwargs)
+
+        monkeypatch.setattr(scipy.linalg, "eig", recording)
+        return seen
+
+    @pytest.mark.parametrize("cond", CONDITIONS)
+    def test_matches_dense_oracle_and_backward_stable(self, rng, pencils, cond):
+        from soarqep.oracles import dense_qep_spectrum
+        M, C, K = _triple_with_mass_condition(rng, 8, cond)
+        pairs = solve_projected_qep(M, C, K)
+        assert [B is None for B in pencils] == [cond <= kernels.MONIC_COND_MAX]
+        want, _ = dense_qep_spectrum(M, C, K)
+        rest = list(want)
+        for p in pairs:
+            j = int(np.argmin([abs(p.theta - w) for w in rest]))
+            assert abs(p.theta - rest.pop(j)) < 1e-9
+        norms = [np.linalg.norm(X, 2) for X in (M, C, K)]
+        for p in pairs:
+            t = p.theta
+            r = np.linalg.norm((t ** 2 * M + t * C + K) @ p.g)
+            scale = abs(t) ** 2 * norms[0] + abs(t) * norms[1] + norms[2]
+            assert r <= 1e-12 * scale
+
+    @pytest.mark.parametrize("cond", CONDITIONS)
+    def test_values_only_same_spectrum(self, rng, cond):
+        M, C, K = _triple_with_mass_condition(rng, 8, cond)
+        full = [p.theta for p in solve_projected_qep(M, C, K)]
+        bare = solve_projected_qep(M, C, K, vectors=False)
+        assert len(bare) == len(full) == 16
+        assert all(p.g is None and p.finite for p in bare)
+        rest = list(full)
+        for p in bare:
+            j = int(np.argmin([abs(p.theta - w) for w in rest]))
+            ref = rest.pop(j)
+            assert abs(p.theta - ref) <= 1e-12 * abs(ref)
 
 
 class TestRefinedVector:

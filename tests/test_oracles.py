@@ -4,7 +4,8 @@ import pytest
 from conftest import random_qep
 from soarqep.operator import QepProblem, build_operator
 from soarqep.oracles import (SizeGuardError, arnoldi_on_h, build_h,
-                             dense_qep_spectrum)
+                             dense_qep_spectrum, mass_spring_spectrum)
+from soarqep.problems import gen_mass_spring
 
 
 class TestBuildH:
@@ -100,3 +101,17 @@ class TestDenseSpectrum:
     def test_size_guard(self):
         with pytest.raises(SizeGuardError):
             dense_qep_spectrum(np.eye(8), np.eye(8), np.eye(8), max_n=5)
+
+
+class TestMassSpringSpectrum:
+    @pytest.mark.parametrize("kappa, tau", [(5.0, 10.0), (1.0, 0.3)])
+    def test_matches_dense_spectrum(self, kappa, tau):
+        # (1, 0.3) has complex roots, (5, 10) only real ones
+        prob = gen_mass_spring(40, kappa=kappa, tau=tau)
+        want, _ = dense_qep_spectrum(prob.M, prob.C, prob.K)
+        got = mass_spring_spectrum(40, kappa, tau)
+        assert len(got) == len(want) == 80
+        rest = list(want)
+        for v in got:
+            j = int(np.argmin(np.abs(np.array(rest) - v)))
+            assert abs(v - rest.pop(j)) <= 1e-10 * max(1.0, abs(v))
