@@ -115,12 +115,15 @@ def _breakdown_diagnostics(state, op):
 def solve(problem, config):
     """Run the restarted solver on a QepProblem; never raises on stagnation."""
     config.validate()
-    op = build_operator(problem, mode=config.mode, sigma=config.sigma)
-    tol = config.tol if config.tol is not None else config.ctol
-
     rng = np.random.default_rng(config.seed)
     u1 = config.u1 if config.u1 is not None else rng.random(problem.n)
     u2 = config.u2 if config.u2 is not None else u1
+    for name, u in (("u1", u1), ("u2", u2)):
+        if np.shape(u) != (problem.n,):
+            raise ValueError("start vector %s has shape %s, need length n=%d"
+                             % (name, np.shape(u), problem.n))
+    op = build_operator(problem, mode=config.mode, sigma=config.sigma)
+    tol = config.tol if config.tol is not None else config.ctol
     state = init_state(op, u1, u2)
 
     report = SolverReport(converged=[], restarts_used=0,

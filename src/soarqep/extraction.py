@@ -77,10 +77,9 @@ def project(state, op):
     W1 = op.work_M @ Qt
     W2 = op.work_C @ Qt
     W3 = op.work_K @ Qt
+    Qh = Qt.conj().T
     return ProjectedQep(Q_tilde=Qt, W1=W1, W2=W2, W3=W3,
-                        M_k=Qt.conj().T @ W1,
-                        C_k=Qt.conj().T @ W2,
-                        K_k=Qt.conj().T @ W3)
+                        M_k=Qh @ W1, C_k=Qh @ W2, K_k=Qh @ W3)
 
 
 def _relative(op, theta, abs_residual):
@@ -97,32 +96,30 @@ def extract_ritz(proj, op, m):
     Ritz values, and in shift-invert mode zero ones (lam = infinity), are
     excluded from selection and carry an infinite residual.
     """
-    raw = kernels.solve_projected_qep(proj.M_k, proj.C_k, proj.K_k)
-    live = [i for i, rp in enumerate(raw)
-            if rp.finite and abs(rp.theta) <= HUGE_RITZ
-            and not (op.mode == "shift-invert" and abs(rp.theta) < 1e-300)]
+    theta, G = kernels.solve_projected_qep(proj.M_k, proj.C_k, proj.K_k)
+    mag = np.abs(theta)
+    ok = mag <= HUGE_RITZ
+    if op.mode == "shift-invert":
+        ok &= mag >= 1e-300
+    live = np.flatnonzero(ok)
     # ||(theta^2 W1 + theta W2 + W3) g|| of every live pair at once, through
     # the R blocks; Horner's rule in place keeps one temporary of S's size
-    theta = np.array([raw[i].theta for i in live], dtype=complex)
-    G = np.empty((proj.ktilde, len(live)), dtype=complex)
-    for j, i in enumerate(live):
-        G[:, j] = raw[i].g
+    t, G_live = theta[live], G[:, live]
     R1, R2, R3 = proj.blocks
-    S = R1 @ G
-    S *= theta
-    S += R2 @ G
-    S *= theta
-    S += R3 @ G
-    norms = np.linalg.norm(S, axis=0)
-    pairs = [RitzEntry(theta=rp.theta, g=rp.g, lam=complex(np.inf),
-                       rel_residual=float(np.inf), finite=False) for rp in raw]
-    for i, nr in zip(live, norms):
-        lam, rel = _relative(op, raw[i].theta, float(nr))
-        pairs[i] = RitzEntry(theta=raw[i].theta, g=raw[i].g, lam=lam,
-                             rel_residual=rel, finite=True)
-    order = sorted((i for i, p in enumerate(pairs) if p.finite),
-                   key=lambda i: (-abs(pairs[i].theta), pairs[i].theta.real,
-                                  pairs[i].theta.imag))
+    S = R1 @ G_live
+    S *= t
+    S += R2 @ G_live
+    S *= t
+    S += R3 @ G_live
+    norms = dict(zip(live.tolist(), np.linalg.norm(S, axis=0).tolist()))
+    pairs = []
+    for i, th in enumerate(theta.tolist()):
+        lam, rel = (_relative(op, th, norms[i]) if i in norms
+                    else (complex(np.inf), float(np.inf)))
+        pairs.append(RitzEntry(theta=th, g=G[:, i], lam=lam, rel_residual=rel,
+                               finite=i in norms))
+    order = sorted(norms, key=lambda i: (-abs(pairs[i].theta),
+                                         pairs[i].theta.real, pairs[i].theta.imag))
     return RitzSet(pairs=pairs, selection=order[:m])
 
 

@@ -4,12 +4,12 @@ All routines work on plain ndarrays and do not care where the data came
 from.  Only ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
 n-length data; the rest works at orders <= ~200 (shifted QR by LAPACK
 rotations, each applied once; the projected QEP by standard eig on the monic
-companion when M_k is well conditioned and by QZ otherwise; refined vectors
-by QR, then SVD).  Everything is complex; real inputs are promoted.
+companion when M_k is well conditioned and by QZ otherwise, returned as an
+eigenvalue array and one matrix of unit eigenvectors; refined vectors by QR,
+then SVD).  Everything is complex; real inputs are promoted.
 """
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -98,17 +98,6 @@ def hessenberg_shifted_qr(T, shifts):
     return V, Tp
 
 
-@dataclass
-class QepEigenpair:
-    """One eigenpair of a projected QEP; ``finite`` is False at infinity.
-
-    ``g`` is None when only eigenvalues were asked for."""
-
-    theta: complex
-    g: np.ndarray
-    finite: bool = True
-
-
 # cond(M_k) up to which solve_projected_qep uses the monic companion
 MONIC_COND_MAX = 10.0
 
@@ -133,10 +122,13 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
     also delivers the infinite eigenvalues of a singular M_k.  The direct
     string-damping problems (M = pi/2 I) always have cond 1.
 
-    Eigenvectors are recovered from the first k components of z when
-    |theta| >= 1 and the last k otherwise.  Returns a list of 2k
-    QepEigenpair, infinite eigenvalues flagged; with ``vectors=False`` only
-    eigenvalues are computed and every ``g`` is None.
+    Returns (theta, G): theta holds the 2k eigenvalues, inf where infinite,
+    and column j of the k-by-2k matrix G is the unit eigenvector g of
+    theta[j], taken from the first k components of z when |theta[j]| >= 1
+    (or theta[j] is infinite) and from the last k otherwise.  Neither half
+    is ever zero: z_top = theta z_bot at finite theta, z_bot = 0 at
+    infinite.  With ``vectors=False`` only eigenvalues are computed and G
+    is None.
     """
     M_k = np.asarray(M_k, dtype=complex)
     C_k = np.asarray(C_k, dtype=complex)
@@ -165,21 +157,15 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
         raise SingularPencilError("eigensolver failed on the companion "
                                   "linearization") from exc
     w, vr = out if vectors else (out, None)
-
-    pairs = []
-    for i in range(2 * k):
-        theta = w[i]
-        finite = bool(np.isfinite(theta))
-        g = None
-        if vectors:
-            first, other = vr[:k, i], vr[k:, i]
-            if finite and abs(theta) < 1.0:
-                first, other = other, first
-            g = first if np.linalg.norm(first) > 0.0 else other
-            g = g / np.linalg.norm(g)
-        pairs.append(QepEigenpair(theta=complex(theta) if finite else complex(np.inf),
-                                  g=g, finite=finite))
-    return pairs
+    theta = np.where(np.isfinite(w), w, np.inf)
+    if not vectors:
+        return theta, None
+    G = np.asfortranarray(vr[:k])
+    np.copyto(G, vr[k:], where=np.abs(theta) < 1.0)
+    for j in range(2 * k):
+        # one 1-D norm per column: norm(G, axis=0) rounds differently
+        G[:, j] /= np.linalg.norm(G[:, j])
+    return theta, G
 
 
 def gram_blocks(W1, W2, W3):

@@ -67,8 +67,8 @@ def select_shifts(proj, wanted, p, mode="direct", provenance="exact"):
     Mp = U_perp.conj().T @ proj.M_k @ U_perp
     Cp = U_perp.conj().T @ proj.C_k @ U_perp
     Kp = U_perp.conj().T @ proj.K_k @ U_perp
-    cands = [c.theta for c in solve_projected_qep(Mp, Cp, Kp, vectors=False)
-             if c.finite and abs(c.theta) <= HUGE_RITZ]
+    theta, _ = solve_projected_qep(Mp, Cp, Kp, vectors=False)
+    cands = [t for t in theta.tolist() if abs(t) <= HUGE_RITZ]
 
     if mode == "shift-invert":
         ranked = sorted(cands, key=lambda t: (abs(t), t.real, t.imag))

@@ -45,6 +45,13 @@ class TestConfig:
         with pytest.raises(ValueError, match="k - p"):
             SolverConfig(m=6, k=10, p=5).validate()
 
+    @pytest.mark.parametrize("name", ["u1", "u2"])
+    def test_start_vector_length_checked(self, name):
+        prob = gen_mass_spring(10)
+        cfg = SolverConfig(m=2, k=6, **{name: np.ones(7)})
+        with pytest.raises(ValueError, match=r"%s .*n=10" % name):
+            solve(prob, cfg)
+
 
 class TestShiftInvert:
     def test_converges_to_nearest_eigenvalues(self, rng):

@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from soarqep import kernels
-from soarqep.kernels import (QepEigenpair, RankDeficiencyError, gram_blocks,
+from soarqep.kernels import (RankDeficiencyError, gram_blocks,
                              hessenberg_shifted_qr,
                              orthogonalize_with_refinement, qr_unit_diagonal,
                              refined_vector, solve_projected_qep)
@@ -126,22 +126,22 @@ CONDITIONS = [kernels.MONIC_COND_MAX / 5, kernels.MONIC_COND_MAX * 100]
 
 class TestProjectedQep:
     def test_scalar_roots(self):
-        pairs = solve_projected_qep([[1.0]], [[3.0]], [[2.0]])
-        thetas = sorted(p.theta.real for p in pairs)
-        assert thetas == pytest.approx([-2.0, -1.0], abs=1e-12)
+        theta, G = solve_projected_qep([[1.0]], [[3.0]], [[2.0]])
+        assert sorted(theta.real) == pytest.approx([-2.0, -1.0], abs=1e-12)
+        assert G.shape == (1, 2)
 
     def test_residuals_random(self, rng):
         k = 5
         M = np.eye(k) + 0.1 * rng.standard_normal((k, k))
         C = rng.standard_normal((k, k))
         K = rng.standard_normal((k, k))
-        pairs = solve_projected_qep(M, C, K)
-        assert len(pairs) == 2 * k
-        for p in pairs:
-            assert p.finite
-            r = (p.theta ** 2 * M + p.theta * C + K) @ p.g
-            assert np.linalg.norm(r) < 1e-8 * (1 + abs(p.theta)) ** 2
-            assert np.linalg.norm(p.g) == pytest.approx(1.0, abs=1e-12)
+        theta, G = solve_projected_qep(M, C, K)
+        assert theta.shape == (2 * k,) and G.shape == (k, 2 * k)
+        assert np.all(np.isfinite(theta))
+        for t, g in zip(theta, G.T):
+            r = (t ** 2 * M + t * C + K) @ g
+            assert np.linalg.norm(r) < 1e-8 * (1 + abs(t)) ** 2
+            assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
 
     def test_singular_mass_warns_and_flags_infinite(self, rng):
         k = 3
@@ -150,8 +150,11 @@ class TestProjectedQep:
         C = np.eye(k)
         K = rng.standard_normal((k, k))
         with pytest.warns(RuntimeWarning):
-            pairs = solve_projected_qep(M, C, K)
-        assert any(not p.finite for p in pairs)
+            theta, G = solve_projected_qep(M, C, K)
+        assert np.any(theta == np.inf)
+        assert np.all(np.isfinite(theta) | (theta == np.inf))
+        # unit columns, those of the infinite eigenvalues included
+        assert np.allclose(np.linalg.norm(G, axis=0), 1.0, atol=1e-12)
 
     def test_matches_dense_oracle(self, rng):
         from soarqep.oracles import dense_qep_spectrum
@@ -159,7 +162,7 @@ class TestProjectedQep:
         M = np.eye(k) + 0.05 * rng.standard_normal((k, k))
         C = rng.standard_normal((k, k))
         K = rng.standard_normal((k, k))
-        got = [p.theta for p in solve_projected_qep(M, C, K)]
+        got, _ = solve_projected_qep(M, C, K)
         want, _ = dense_qep_spectrum(M, C, K)
         rest = list(want)
         for v in got:
@@ -183,32 +186,32 @@ class TestProjectedQep:
     def test_matches_dense_oracle_and_backward_stable(self, rng, pencils, cond):
         from soarqep.oracles import dense_qep_spectrum
         M, C, K = _triple_with_mass_condition(rng, 8, cond)
-        pairs = solve_projected_qep(M, C, K)
+        theta, G = solve_projected_qep(M, C, K)
         assert [B is None for B in pencils] == [cond <= kernels.MONIC_COND_MAX]
         want, _ = dense_qep_spectrum(M, C, K)
         rest = list(want)
-        for p in pairs:
-            j = int(np.argmin([abs(p.theta - w) for w in rest]))
-            assert abs(p.theta - rest.pop(j)) < 1e-9
+        for t in theta:
+            j = int(np.argmin([abs(t - w) for w in rest]))
+            assert abs(t - rest.pop(j)) < 1e-9
         norms = [np.linalg.norm(X, 2) for X in (M, C, K)]
-        for p in pairs:
-            t = p.theta
-            r = np.linalg.norm((t ** 2 * M + t * C + K) @ p.g)
+        for t, g in zip(theta, G.T):
+            r = np.linalg.norm((t ** 2 * M + t * C + K) @ g)
             scale = abs(t) ** 2 * norms[0] + abs(t) * norms[1] + norms[2]
             assert r <= 1e-12 * scale
 
     @pytest.mark.parametrize("cond", CONDITIONS)
     def test_values_only_same_spectrum(self, rng, cond):
         M, C, K = _triple_with_mass_condition(rng, 8, cond)
-        full = [p.theta for p in solve_projected_qep(M, C, K)]
-        bare = solve_projected_qep(M, C, K, vectors=False)
-        assert len(bare) == len(full) == 16
-        assert all(p.g is None and p.finite for p in bare)
+        full, _ = solve_projected_qep(M, C, K)
+        bare, G = solve_projected_qep(M, C, K, vectors=False)
+        assert G is None
+        assert bare.shape == full.shape == (16,)
+        assert np.all(np.isfinite(bare))
         rest = list(full)
-        for p in bare:
-            j = int(np.argmin([abs(p.theta - w) for w in rest]))
+        for t in bare:
+            j = int(np.argmin([abs(t - w) for w in rest]))
             ref = rest.pop(j)
-            assert abs(p.theta - ref) <= 1e-12 * abs(ref)
+            assert abs(t - ref) <= 1e-12 * abs(ref)
 
 
 class TestRefinedVector:
@@ -274,7 +277,3 @@ class TestQrUnitDiagonal:
         V = rng.standard_normal((4, 3))   # 4 rows cannot fit in 3 columns
         with pytest.raises(RankDeficiencyError):
             qr_unit_diagonal(V)
-
-    def test_eigenpair_dataclass(self):
-        p = QepEigenpair(theta=2.0 + 0j, g=np.array([1.0 + 0j]))
-        assert p.finite
