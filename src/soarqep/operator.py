@@ -36,16 +36,13 @@ class QepProblem:
     K: sp.csc_matrix
     n: int
     norms1: tuple
-    is_real: bool
 
     @classmethod
     def from_matrices(cls, M, C, K):
         mats = []
-        is_real = True
         for X in (M, C, K):
             if not sp.issparse(X):
                 X = sp.csc_matrix(np.asarray(X))
-            is_real = is_real and not np.iscomplexobj(X.data)
             mats.append(sp.csc_matrix(X, dtype=complex))
         M, C, K = mats
         n = M.shape[0]
@@ -53,8 +50,7 @@ class QepProblem:
             if X.shape != (n, n):
                 raise ValueError("%s has shape %s, expected (%d, %d)" % (name, X.shape, n, n))
         return cls(M=M, C=C, K=K, n=n,
-                   norms1=(_one_norm(M), _one_norm(C), _one_norm(K)),
-                   is_real=is_real)
+                   norms1=(_one_norm(M), _one_norm(C), _one_norm(K)))
 
     @property
     def norm_sum(self):

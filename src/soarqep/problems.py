@@ -1,13 +1,13 @@
 """Built-in problem generators and Matrix Market coordinate I/O.
 
 Generators: a damped mass-spring chain (identity mass, tridiagonal damping
-and stiffness) and a damped vibrating string whose damping entries are
-adaptive-quadrature integrals.  The Matrix Market code is a small hand-rolled
-reader/writer for the coordinate format so parse errors carry line numbers.
+and stiffness) and a damped vibrating string whose damping entries come
+from closed-form cosine moments.  The Matrix Market code is a small
+hand-rolled reader/writer for the coordinate format so parse errors carry
+line numbers.
 """
 
 import numpy as np
-import scipy.integrate
 import scipy.sparse as sp
 
 from .operator import QepProblem
@@ -22,10 +22,6 @@ class MatrixMarketError(ValueError):
         self.lineno = lineno
 
 
-class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance."""
-
-
 def gen_mass_spring(n, kappa=5.0, tau=10.0):
     """Damped mass-spring chain: M = I, C = tau*tridiag(-1,3,-1),
     K = kappa*tridiag(-1,3,-1)."""
@@ -37,32 +33,23 @@ def gen_mass_spring(n, kappa=5.0, tau=10.0):
                                     tau * T, kappa * T)
 
 
-def _cos_moment(m, epsabs=1e-10):
-    """integral over [0, pi] of (x^2 (pi-x)^2 - 201) cos(m x)."""
-    def a(x):
-        return x * x * (np.pi - x) ** 2 - 201.0
-
-    if m == 0:
-        val, err = scipy.integrate.quad(a, 0.0, np.pi, epsabs=epsabs, limit=200)
-    else:
-        val, err = scipy.integrate.quad(a, 0.0, np.pi, weight="cos", wvar=float(m),
-                                        epsabs=epsabs, limit=200)
-    if err > 1e-8:
-        raise QuadratureError("cosine moment m=%d did not converge (err=%.2e)"
-                              % (m, err))
-    return val
-
-
 def gen_string_damping(n, epsilon=0.6):
     """Damped vibrating string: M = (pi/2) I, K = (pi/2) diag(j^2) and
-    c_ij = |integral of epsilon a(x) sin(ix) sin(jx)| on [0, pi].
+    c_ij = |integral of epsilon a(x) sin(ix) sin(jx)| on [0, pi], with
+    a(x) = x^2 (pi-x)^2 - 201.
 
-    The product of sines is rewritten as half the difference of cosines, so
-    only the 2n+1 cosine moments are integrated adaptively.
+    The product of sines is half the difference of cosines, so C needs only
+    the 2n+1 moments h_m = integral of a(x) cos(mx) on [0, pi], in closed
+    form: h_0 = pi^5/30 - 201 pi, and for m >= 1 four integrations by parts
+    leave only the boundary term of a'''(x) = 24x - 12 pi, which is
+    -24 pi/m^4 for even m and 0 for odd m (a is symmetric about pi/2).
+    Entries with i+j odd are therefore exact zeros.
     """
     if n < 1:
         raise ValueError("need n >= 1")
-    h = np.array([_cos_moment(m) for m in range(2 * n + 1)])
+    m = np.arange(2 * n + 1)
+    h = np.where(m % 2 == 0, -24.0 * np.pi / np.maximum(m, 1) ** 4.0, 0.0)
+    h[0] = np.pi ** 5 / 30.0 - 201.0 * np.pi
     j = np.arange(1, n + 1)
     C = 0.5 * epsilon * np.abs(h[np.abs(j[:, None] - j[None, :])]
                                - h[j[:, None] + j[None, :]])

@@ -32,7 +32,6 @@ class ShiftSet:
 @dataclass
 class RestartReport:
     deflations_repaired: int
-    new_residual_subdiag: float
 
 
 def select_shifts(proj, wanted, p, mode="direct", provenance="exact"):
@@ -104,12 +103,10 @@ def contract(state, shifts, m):
     k = state.k
     if k != m + p:
         raise ValueError("need k = m + p (k=%d, m=%d, p=%d)" % (k, m, p))
-    Q, P = state.Q, state.P
     if p == 0:
-        new = copy.deepcopy(state)
-        beta = float(np.linalg.norm(np.concatenate([Q[:, k], P[:, k]])))
-        return new, RestartReport(deflations_repaired=0, new_residual_subdiag=beta)
+        return copy.deepcopy(state), RestartReport(deflations_repaired=0)
 
+    Q, P = state.Q, state.P
     V, T_plus = hessenberg_shifted_qr(state.T, mu)
     zero_cols = [j for j in state.deflation_steps if j <= k - 1]
     keep = [i for i in range(k) if i not in zero_cols]
@@ -147,8 +144,7 @@ def contract(state, shifts, m):
         new.T_hat[m, m - 1] = 1.0
         new.deflation_steps.append(m)
 
-    return new, RestartReport(deflations_repaired=len(zero_cols) - len(carried),
-                              new_residual_subdiag=beta)
+    return new, RestartReport(deflations_repaired=len(zero_cols) - len(carried))
 
 
 def verify_filter(state_before, state_after, shifts, op):

@@ -14,11 +14,6 @@ class TestProblem:
         prob = QepProblem.from_matrices(M, C, K)
         assert prob.norms1 == (2.0, 3.0, 1.0)
         assert prob.norm_sum == 6.0
-        assert prob.is_real
-
-    def test_complex_detection(self):
-        prob = QepProblem.from_matrices(np.eye(2), 1j * np.eye(2), np.eye(2))
-        assert not prob.is_real
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="C"):

@@ -43,16 +43,28 @@ class TestStringDamping:
         assert np.all(C.real >= 0.0)
         assert np.all(C.imag == 0.0)
 
-    def test_c11_against_fine_grid_quadrature(self):
+    @pytest.mark.parametrize("i, j", [(0, 0), (0, 2), (4, 8)])
+    def test_c11_against_fine_grid_quadrature(self, i, j):
         # independent check: composite Simpson on a fine grid for
-        # 0.6 * integral of (x^2 (pi-x)^2 - 201) sin(x)^2 over [0, pi]
+        # 0.6 * integral of (x^2 (pi-x)^2 - 201) sin((i+1)x) sin((j+1)x)
+        # over [0, pi]
         from scipy.integrate import simpson
         eps = 0.6
         x = np.linspace(0.0, np.pi, 200001)
-        f = (x ** 2 * (np.pi - x) ** 2 - 201.0) * np.sin(x) ** 2
+        f = ((x ** 2 * (np.pi - x) ** 2 - 201.0)
+             * np.sin((i + 1) * x) * np.sin((j + 1) * x))
         want = abs(eps * simpson(f, x=x))
-        C = gen_string_damping(3, epsilon=eps).C.toarray()
-        assert C[0, 0] == pytest.approx(want, rel=1e-10)
+        C = gen_string_damping(9, epsilon=eps).C.toarray()
+        assert C[i, j] == pytest.approx(want, rel=1e-10)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_odd_parity_entries_are_exact_zeros(self, n):
+        # the damping profile is symmetric about pi/2, so every odd cosine
+        # moment vanishes and c_ij = 0 exactly whenever i+j is odd
+        C = gen_string_damping(n).C
+        i, j = np.indices((n, n))
+        assert np.all(C.toarray()[(i + j) % 2 == 1] == 0.0)
+        assert C.nnz == (n * n + 1) // 2
 
     def test_epsilon_scales_linearly(self):
         C1 = gen_string_damping(4, epsilon=0.3).C.toarray()

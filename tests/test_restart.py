@@ -32,12 +32,11 @@ class TestContract:
         prob = random_qep(rng, 40)
         op, st = _state(rng, prob, 10)
         mu = list(rng.standard_normal(6) + 1j * rng.standard_normal(6))
-        new, rep = contract(st, ShiftSet(shifts=mu, provenance="exact"), 4)
+        new, _ = contract(st, ShiftSet(shifts=mu, provenance="exact"), 4)
         assert new.k == 4
         assert stacked_residual(op, new) <= decomposition_tolerance(new, 1e-9)
         Q = new.nonzero_q()
         assert np.linalg.norm(Q.conj().T @ Q - np.eye(Q.shape[1])) < 1e-10
-        assert rep.new_residual_subdiag >= 0
 
     def test_mixed_shift_filter(self, rng):
         prob = random_qep(rng, 30)
