@@ -124,11 +124,13 @@ def extract_ritz(proj, op, m):
 
 
 def extract_refined(proj, op, ritz):
-    """Fill refined vectors for the selected Ritz values; sigma_min is the
-    residual norm of each."""
+    """Fill refined vectors for the selected Ritz values, each by inverse
+    iteration started at its Ritz vector, so its residual is no larger than
+    the Ritz vector's up to rounding; sigma_min is the exact residual norm of
+    the delivered vector."""
     for i in ritz.selection:
         entry = ritz.pairs[i]
-        g, smin = kernels.refined_vector(entry.theta, *proj.blocks)
+        g, smin = kernels.refined_vector(entry.theta, *proj.blocks, entry.g)
         lam, rel = _relative(op, entry.theta, smin)
         ritz.refined[i] = RefinedEntry(theta=entry.theta, g=g, lam=lam,
                                        sigma_min=smin, rel_residual=rel)

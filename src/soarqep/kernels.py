@@ -6,7 +6,8 @@ n-length data; the rest works at orders <= ~200 (shifted QR by LAPACK
 rotations, each applied once; the projected QEP by standard eig on the monic
 companion when M_k is well conditioned and by QZ otherwise, returned as an
 eigenvalue array and one matrix of unit eigenvectors; refined vectors by QR,
-then SVD).  Everything is complex; real inputs are promoted.
+then inverse iteration from the Ritz vector on its triangle).  Everything is
+complex; real inputs are promoted.
 """
 
 import warnings
@@ -183,18 +184,54 @@ def gram_blocks(W1, W2, W3):
     return R[:, :k], R[:, k:2 * k], R[:, 2 * k:]
 
 
-def refined_vector(theta, R1, R2, R3):
+# inverse-iteration steps refined_vector takes before it falls back to the SVD
+REFINED_MAX_STEPS = 8
+# a step that lowers ||R_S z|| by at most this much, relative, ends the iteration
+REFINED_RTOL = 1e-12
+# a diagonal entry of R_S at most this much of the largest one makes R_S
+# singular to working precision, and sends it to the SVD
+REFINED_TINY_PIVOT = np.finfo(float).eps
+
+
+def refined_vector(theta, R1, R2, R3, start):
     """Minimizer z of ||(theta^2 R1 + theta R2 + R3) z|| over unit z.
 
-    Returns (z, sigma_min): the smallest right singular vector of
-    S = theta^2 R1 + theta R2 + R3 and its singular value, from an SVD of
-    the k-by-k triangle of a QR of S.  With the blocks of ``gram_blocks``
+    S = theta^2 R1 + theta R2 + R3 is reduced to the k-by-k triangle R_S of
+    its QR, and z is the smallest right singular vector of R_S, found by
+    inverse iteration on R_S^* R_S from ``start`` (the Ritz vector, in
+    practice): z <- normalize(R_S^{-1} R_S^{-*} z), two triangular solves
+    per step.  A step is kept only if ||R_S z|| does not increase, so the
+    result is never worse than ``start``; iteration stops once a step lowers
+    it by at most REFINED_RTOL relative.  If REFINED_MAX_STEPS steps do not
+    get there (a small gap between the two smallest singular values), or
+    R_S has a zero or relatively tiny diagonal entry, z comes from the SVD
+    of the same triangle instead.
+
+    Returns (z, sigma_min) with sigma_min = ||R_S z|| = ||S z||, the exact
+    residual of the delivered vector.  With the blocks of ``gram_blocks``
     this is the refined vector of the tall W_i at no n-length cost.
     """
     t = complex(theta)
     S = t ** 2 * R1 + t * R2 + R3
-    _, svals, Vh = np.linalg.svd(np.linalg.qr(S, mode="r"))
-    return Vh[-1].conj(), float(svals[-1])
+    k = S.shape[1]
+    R = scipy.linalg.qr(S, overwrite_a=True, mode="r", check_finite=False)[0][:k]
+    d = np.abs(np.diagonal(R))
+    if d.min() > REFINED_TINY_PIVOT * d.max():
+        z = start / np.linalg.norm(start)
+        res = float(np.linalg.norm(R @ z))
+        for _ in range(REFINED_MAX_STEPS):
+            y = scipy.linalg.solve_triangular(R, z, trans="C",
+                                              check_finite=False)
+            y = scipy.linalg.solve_triangular(R, y, check_finite=False)
+            y /= np.linalg.norm(y)
+            r = float(np.linalg.norm(R @ y))
+            if r > res:
+                return z, res
+            if res - r <= REFINED_RTOL * res:
+                return y, r
+            z, res = y, r
+    z = np.linalg.svd(R)[2][-1].conj()
+    return z, float(np.linalg.norm(R @ z))
 
 
 def qr_unit_diagonal(V_hat):

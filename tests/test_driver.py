@@ -1,4 +1,7 @@
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -203,6 +206,42 @@ class TestVariants:
                            sigma=-13 + 0.4j, variant="imsoar", ctol=1e-15,
                            max_restarts=15)
         assert solve(gen_mass_spring(500), cfg).all_converged
+
+    @pytest.mark.parametrize("ctol", [1e-10, 1e-13])
+    def test_irsoar_refined_not_worse_at_large_ktilde(self, monkeypatch, ctol):
+        # direct mode at ktilde = 121, where the refined triangles are large
+        original = driver.extract_refined
+        cycles = []
+
+        def recording(proj, op, ritz):
+            out = original(proj, op, ritz)
+            cycles.append([(out.refined[i], out.pairs[i]) for i in out.selection])
+            return out
+
+        monkeypatch.setattr(driver, "extract_refined", recording)
+        cfg = SolverConfig(m=10, k=120, p=60, mode="direct", variant="irsoar",
+                           ctol=ctol)
+        rep = solve(gen_string_damping(150), cfg)
+        assert len(cycles) == rep.restarts_used + 1
+        for wanted in cycles:
+            for refined, ritz in wanted:
+                assert refined.rel_residual <= ritz.rel_residual
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_tight_ctol_verdicts_at_blas_thread_count(self, threads):
+        # the tight-ctol margins are a few ulps and have flipped with the BLAS
+        # thread count, which is fixed once numpy loads: a fresh interpreter
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads),
+                   OMP_NUM_THREADS=str(threads))
+        tests = ["tests/test_driver.py::TestVariants::test_%s_converges_at_tight_ctol"
+                 % variant for variant in ("irsoar", "imsoar")]
+        out = subprocess.run([sys.executable, "-m", "pytest", "-q",
+                              "-p", "no:cacheprovider"] + tests,
+                             cwd=root, env=env, capture_output=True, text=True,
+                             timeout=600)
+        assert out.returncode == 0, out.stdout[-2000:]
+        assert "2 passed" in out.stdout
 
 
 class TestLargeN:

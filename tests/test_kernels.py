@@ -214,6 +214,45 @@ class TestProjectedQep:
             assert abs(t - ref) <= 1e-12 * abs(ref)
 
 
+def _unit(rng, k):
+    g = rng.standard_normal(k) + 1j * rng.standard_normal(k)
+    return g / np.linalg.norm(g)
+
+
+def _refined_problem(rng, n, theta, svals):
+    """Random tall W1, W2, W3 with theta^2 W1 + theta W2 + W3 = S, where S
+    has the singular values ``svals``; returns (W1, W2, W3, S)."""
+    k = len(svals)
+    U = np.linalg.qr(rng.standard_normal((n, k))
+                     + 1j * rng.standard_normal((n, k)))[0]
+    V = np.linalg.qr(rng.standard_normal((k, k))
+                     + 1j * rng.standard_normal((k, k)))[0]
+    S = U @ np.diag(svals) @ V.conj().T
+    W1, W2 = (rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+              for _ in range(2))
+    return W1, W2, S - theta ** 2 * W1 - theta * W2, S
+
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """Shapes of the matrices np.linalg.svd is called on."""
+    svd = np.linalg.svd
+    calls = []
+
+    def recording(a, *args, **kwargs):
+        calls.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording)
+    return calls
+
+
+GAPPED = [0.01, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0]
+# sigma_1 / sigma_2 = 1 - 1e-3: inverse iteration would need thousands of
+# steps, so the step cap hands over to the SVD
+CLOSE = [1.0, 1.001, 2.0, 3.0, 4.0, 5.0]
+
+
 class TestRefinedVector:
     def test_matches_direct_svd(self, rng):
         n, k = 25, 6
@@ -221,11 +260,54 @@ class TestRefinedVector:
         W2 = rng.standard_normal((n, k))
         W3 = rng.standard_normal((n, k))
         theta = 0.7 - 0.3j
-        z, smin = refined_vector(theta, W1, W2, W3)
+        z, smin = refined_vector(theta, W1, W2, W3, _unit(rng, k))
         S = theta ** 2 * W1 + theta * W2 + W3
         svals = np.linalg.svd(S, compute_uv=False)
         assert smin == pytest.approx(svals[-1], rel=1e-8, abs=1e-10)
         assert np.linalg.norm(S @ z) == pytest.approx(smin, rel=1e-6, abs=1e-10)
+
+    @pytest.mark.parametrize("start", ["random", "largest"])
+    def test_never_worse_than_start(self, rng, svd_calls, start):
+        theta = -0.4 + 1.1j
+        W1, W2, W3, S = _refined_problem(rng, 40, theta, GAPPED)
+        g = _unit(rng, len(GAPPED))
+        if start == "largest":
+            # the dominant right singular vector, nudged off it
+            g = scipy.linalg.svd(S)[2][0].conj() + 1e-3 * g
+        z, smin = refined_vector(theta, *gram_blocks(W1, W2, W3), g)
+        assert svd_calls == []      # inverse iteration alone got there
+        assert np.linalg.norm(S @ z) <= np.linalg.norm(S @ g) / np.linalg.norm(g)
+        assert smin == pytest.approx(GAPPED[0], rel=1e-8)
+
+    @pytest.mark.parametrize("svals", [GAPPED, CLOSE], ids=["gapped", "close"])
+    def test_sigma_min_is_residual_of_returned_vector(self, rng, svals):
+        theta = 2.0 + 0.5j
+        W1, W2, W3, _ = _refined_problem(rng, 60, theta, svals)
+        z, smin = refined_vector(theta, *gram_blocks(W1, W2, W3),
+                                 _unit(rng, len(svals)))
+        S = theta ** 2 * W1 + theta * W2 + W3
+        assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-14)
+        assert smin == pytest.approx(np.linalg.norm(S @ z), rel=1e-12)
+
+    def test_singular_triangle_falls_back_without_warnings(self, rng):
+        n, k = 20, 5
+        W1, W2, W3 = (rng.standard_normal((n, k)) for _ in range(3))
+        W3[:, 2] = 0.0          # S = W3 at theta = 0: R_S[2, 2] == 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            z, smin = refined_vector(0.0, *gram_blocks(W1, W2, W3), _unit(rng, k))
+        assert smin <= 1e-14 * np.linalg.norm(W3)
+        assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(W3 @ z) <= 1e-14 * np.linalg.norm(W3)
+
+    def test_close_smallest_pair_falls_back_to_svd(self, rng, svd_calls):
+        theta = 0.3 - 0.2j
+        W1, W2, W3, S = _refined_problem(rng, 20, theta, CLOSE)
+        z, smin = refined_vector(theta, *gram_blocks(W1, W2, W3),
+                                 _unit(rng, len(CLOSE)))
+        assert svd_calls == [(len(CLOSE), len(CLOSE))]
+        assert smin == pytest.approx(CLOSE[0], rel=1e-8)
+        assert np.linalg.norm(S @ z) == pytest.approx(smin, rel=1e-8)
 
     @pytest.mark.parametrize("n, k", [(30, 4), (10, 6)])   # n > 3k, n < 3k
     def test_gram_blocks_factor_the_gram_matrix(self, rng, n, k):
@@ -247,7 +329,8 @@ class TestRefinedVector:
         W3 = np.vstack([np.eye(2), np.zeros((2, 2))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, smin = refined_vector(0.0, *gram_blocks(W1, W2, W3))
+            z, smin = refined_vector(0.0, *gram_blocks(W1, W2, W3),
+                                     np.array([0.6, 0.8j]))
         assert smin == pytest.approx(np.linalg.svd(W3, compute_uv=False)[-1],
                                      rel=1e-14)
         assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-14)
