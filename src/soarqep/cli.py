@@ -92,8 +92,8 @@ def _jsonable_complex(z):
     return {"re": z.real, "im": z.imag}
 
 
-def format_json(args, config, report):
-    cfg = {"problem": args.problem, "n": args.size, "m": config.m,
+def format_json(args, config, report, n):
+    cfg = {"problem": args.problem, "n": n, "m": config.m,
            "k": config.k, "p": config.num_shifts, "variant": config.variant,
            "mode": config.mode,
            "sigma": _jsonable_complex(config.sigma), "ctol": config.ctol,
@@ -127,12 +127,13 @@ def run_cli(argv=None):
         except ValueError as exc:
             raise UsageError(str(exc))
 
-        report = solve(_problem_from_args(args), config)
+        problem = _problem_from_args(args)
+        report = solve(problem, config)
 
         if args.format == "csv":
             text = format_csv(report)
         else:
-            text = format_json(args, config, report)
+            text = format_json(args, config, report, problem.n)
         if args.out:
             with open(args.out, "w") as fh:
                 fh.write(text)

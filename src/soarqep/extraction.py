@@ -73,7 +73,8 @@ class RitzSet:
 
 def project(state, op):
     """Form the tall products and the projected triple over the finalized basis."""
-    Qt = extraction_basis(state)
+    # CSC-by-dense products run 2-5x faster on a row-major basis
+    Qt = np.ascontiguousarray(extraction_basis(state))
     W1 = op.work_M @ Qt
     W2 = op.work_C @ Qt
     W3 = op.work_K @ Qt

@@ -119,8 +119,11 @@ class TestRuns:
 
 
 class TestMatrixMarketPath:
-    def test_triple_from_files(self, capsys, tmp_path, rng):
-        n = 12
+    N = 12
+
+    @pytest.fixture
+    def argv(self, tmp_path, rng):
+        n = self.N
         M = np.eye(n) + 0.05 * rng.standard_normal((n, n))
         C = rng.standard_normal((n, n))
         K = rng.standard_normal((n, n))
@@ -129,11 +132,19 @@ class TestMatrixMarketPath:
             q = tmp_path / ("%s.mtx" % tag)
             write_matrix_market(q, sp.csc_matrix(A))
             paths.append(str(q))
-        code, out, err = _run(capsys, ["matrix-market", "--matrices"] + paths
-                              + ["--sigma", "0.2", "--num-eigs", "3",
-                                 "--dim", "10", "--ctol", "1e-8"])
+        return (["matrix-market", "--matrices"] + paths
+                + ["--sigma", "0.2", "--num-eigs", "3", "--dim", "10",
+                   "--ctol", "1e-8"])
+
+    def test_triple_from_files(self, capsys, argv):
+        code, out, err = _run(capsys, argv)
         assert code in (0, 2)
         assert out.startswith("restart,max_rel_residual,deflations")
+
+    def test_json_reports_size_of_loaded_problem(self, capsys, argv):
+        code, out, _ = _run(capsys, argv + ["--format", "json"])
+        assert code in (0, 2)
+        assert json.loads(out)["config"]["n"] == self.N
 
     def test_missing_file_exits_one(self, capsys):
         code, _, err = _run(capsys, ["matrix-market", "--matrices",

@@ -4,7 +4,7 @@ import pytest
 from conftest import breakdown_starts, random_qep
 from soarqep.extraction import (extract_refined, extract_ritz, project,
                                 residual_bound)
-from soarqep.msoar import init_state, run_msoar
+from soarqep.msoar import extraction_basis, init_state, run_msoar
 from soarqep.operator import QepProblem, build_operator
 
 
@@ -27,6 +27,26 @@ class TestProject:
                            atol=1e-12)
         assert np.allclose(proj.K_k, Qt.conj().T @ prob.K.toarray() @ Qt,
                            atol=1e-12)
+
+    def test_basis_layout_changes_projection_only_by_rounding(self, rng):
+        # project runs the sparse products on a row-major copy of the basis
+        prob = random_qep(rng, 40)
+        op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j)
+        proj = project(st, op)
+        Q = extraction_basis(st)
+        work = (op.work_M, op.work_C, op.work_K)
+        got = (proj.W1, proj.W2, proj.W3, proj.M_k, proj.C_k, proj.K_k)
+
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+
+        for Qx in (np.asfortranarray(Q), np.ascontiguousarray(Q)):
+            W = [A @ Qx for A in work]
+            want = W + [Qx.conj().T @ Wi for Wi in W]
+            assert all(close(g, w) for g, w in zip(got, want))
+        dense = [A.toarray() @ Q for A in work]
+        dense += [Q.conj().T @ Wi for Wi in dense]
+        assert all(close(g, w) for g, w in zip(got, dense))
 
     def test_hermitian_structure_preserved(self, rng):
         n = 18

@@ -309,13 +309,16 @@ class TestRefinedVector:
         assert smin == pytest.approx(CLOSE[0], rel=1e-8)
         assert np.linalg.norm(S @ z) == pytest.approx(smin, rel=1e-8)
 
-    @pytest.mark.parametrize("n, k", [(30, 4), (10, 6)])   # n > 3k, n < 3k
+    # n > 3k, n < 3k; k = 41 spans four QR blocks of 32 columns
+    @pytest.mark.parametrize("n, k", [(30, 4), (10, 6), (2000, 41), (100, 41)])
     def test_gram_blocks_factor_the_gram_matrix(self, rng, n, k):
         W = [rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
              for _ in range(3)]
         R = gram_blocks(*W)
         for Ri in R:
             assert Ri.shape == (min(n, 3 * k), k)
+        # the rows of R1 from k on and of R2 from 2k on are exact zeros
+        assert not np.any(R[0][k:]) and not np.any(R[1][2 * k:])
         for i in range(3):
             for j in range(3):
                 G = W[i].conj().T @ W[j]
