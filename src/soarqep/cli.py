@@ -97,7 +97,7 @@ def format_json(args, config, report, n):
            "k": config.k, "p": config.num_shifts, "variant": config.variant,
            "mode": config.mode,
            "sigma": _jsonable_complex(config.sigma), "ctol": config.ctol,
-           "dtol": config.tol if config.tol is not None else config.ctol,
+           "dtol": config.drop_tol,
            "max_restarts": config.max_restarts, "seed": config.seed}
     doc = {
         "config": cfg,

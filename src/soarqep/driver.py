@@ -40,6 +40,10 @@ class SolverConfig:
         return self.p if self.p is not None else self.k - self.m
 
     @property
+    def drop_tol(self):
+        return self.tol if self.tol is not None else self.ctol
+
+    @property
     def retained(self):
         # dimension kept after a contraction
         return self.k - self.num_shifts
@@ -58,10 +62,10 @@ class SolverConfig:
             raise ValueError("shift-invert mode requires sigma")
         if self.max_restarts < 1:
             raise ValueError("max_restarts must be at least 1")
-        if self.ctol <= 0:
-            raise ValueError("ctol must be positive")
-        if self.tol is not None and self.tol < self.ctol:
-            raise ValueError("tol must be at least ctol")
+        if not (np.isfinite(self.ctol) and self.ctol > 0):
+            raise ValueError("ctol must be finite and positive")
+        if not (np.isfinite(self.drop_tol) and self.drop_tol >= self.ctol):
+            raise ValueError("tol must be finite and at least ctol")
 
 
 @dataclass
@@ -98,18 +102,11 @@ def _deliver(proj, entries, ctol, from_breakdown=False):
 
 def _breakdown_diagnostics(state, op):
     """Residual-bound values for the Petrov pairs of T_k at breakdown."""
-    k = state.k
-    if k < 1:
-        return []
-    nus, S = np.linalg.eig(state.T)
-    diags = []
-    for i in range(k):
-        s = S[:, i] / np.linalg.norm(S[:, i])
-        b = residual_bound(state, nus[i], s, op.work_norms1[0])
-        diags.append({"theta": complex(nus[i]),
-                      "bound": float(b),
-                      "rel_bound": float(b / op.work_norm_sum)})
-    return diags
+    nus, S = np.linalg.eig(state.T)      # unit eigenvector columns
+    bounds = residual_bound(state, nus, S, op.work_norms1[0])
+    return [{"theta": complex(nu), "bound": float(b),
+             "rel_bound": float(b / op.work_norm_sum)}
+            for nu, b in zip(nus, bounds)]
 
 
 def solve(problem, config):
@@ -123,14 +120,13 @@ def solve(problem, config):
             raise ValueError("start vector %s has shape %s, need length n=%d"
                              % (name, np.shape(u), problem.n))
     op = build_operator(problem, mode=config.mode, sigma=config.sigma)
-    tol = config.tol if config.tol is not None else config.ctol
     state = init_state(op, u1, u2)
 
     report = SolverReport(converged=[], restarts_used=0,
                           residual_history=[], deflation_history=[])
 
     for cycle in range(config.max_restarts + 1):
-        run_msoar(state, op, config.k, tol)
+        run_msoar(state, op, config.k, config.drop_tol)
         proj = project(state, op)
         ritz = extract_ritz(proj, op, config.m)
         if config.variant == "irsoar":
@@ -144,7 +140,7 @@ def solve(problem, config):
 
         if state.breakdown:
             # every pair of an invariant subspace is delivered, wanted or not
-            report.breakdown = (cycle, state.breakdown_step)
+            report.breakdown = (cycle, state.k)
             report.converged = _deliver(proj, ritz.pairs, config.ctol,
                                         from_breakdown=True)
             report.bound_diagnostics = _breakdown_diagnostics(state, op)

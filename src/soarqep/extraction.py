@@ -7,7 +7,7 @@ residual norm and refined vector of a cycle goes through the R factor of one
 thin QR of [W1 W2 W3], so none of them costs n-length work.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -47,23 +47,15 @@ class RitzEntry:
     g: np.ndarray         # unit primitive vector, length ktilde
     lam: complex          # eigenvalue of the original problem
     rel_residual: float
-    finite: bool
-
-
-@dataclass
-class RefinedEntry:
-    theta: complex
-    g: np.ndarray         # unit refined vector, length ktilde
-    lam: complex
-    sigma_min: float
-    rel_residual: float
+    finite: bool = True
+    sigma_min: float = None   # residual norm of g, set on refined entries
 
 
 @dataclass
 class RitzSet:
     pairs: list                    # RitzEntry, all 2*ktilde of them
     selection: list                # indices of the m wanted pairs
-    refined: dict = field(default_factory=dict)  # index -> RefinedEntry
+    refined: dict = field(default_factory=dict)  # index -> refined RitzEntry
 
     def wanted(self):
         """The m wanted entries: refined where extract_refined made one,
@@ -127,29 +119,27 @@ def extract_ritz(proj, op, m):
 def extract_refined(proj, op, ritz):
     """Fill refined vectors for the selected Ritz values, each by inverse
     iteration started at its Ritz vector, so its residual is no larger than
-    the Ritz vector's up to rounding; sigma_min is the exact residual norm of
-    the delivered vector."""
+    the Ritz vector's up to rounding; a refined entry is the Ritz entry with
+    g, sigma_min (the exact residual norm of g) and rel_residual replaced."""
     for i in ritz.selection:
         entry = ritz.pairs[i]
         g, smin = kernels.refined_vector(entry.theta, *proj.blocks, entry.g)
-        lam, rel = _relative(op, entry.theta, smin)
-        ritz.refined[i] = RefinedEntry(theta=entry.theta, g=g, lam=lam,
-                                       sigma_min=smin, rel_residual=rel)
+        ritz.refined[i] = replace(entry, g=g, sigma_min=smin,
+                                  rel_residual=_relative(op, entry.theta, smin)[1])
     return ritz
 
 
 def residual_bound(state, theta, s, norm_M):
-    """A-posteriori residual bound c_k t_{k+1,k} |e_k^* s| for a Petrov
-    eigenvector s of T_k, with the exact ||P_k s|| in the coefficient."""
+    """A-posteriori residual bound c_k t_{k+1,k} |e_k^* s| for each Petrov
+    pair (theta, s) of T_k, with the exact ||P_k s|| in the coefficient: one
+    bound per column of ``s``, or a float for a 1-D ``s``."""
     k = state.k
     s = np.asarray(s, dtype=complex)
-    t_sub = abs(state.T_hat[k, k - 1])
-    if state.breakdown and state.breakdown_t is not None:
-        t_sub = state.breakdown_t
-    P_k = state.P[:, :k]
-    ps = float(np.linalg.norm(P_k @ s))
-    p_last = float(np.linalg.norm(state.P[:, k]))
-    c_k = (np.sqrt(abs(theta) ** 2 + 1.0)
+    t_sub = state.breakdown_t if state.breakdown else abs(state.T_hat[k, k - 1])
+    ps = np.linalg.norm(state.P[:, :k] @ s, axis=0)
+    p_last = np.linalg.norm(state.P[:, k])
+    c_k = (np.sqrt(np.abs(theta) ** 2 + 1.0)
            * np.sqrt(norm_M ** 2 + p_last ** 2)
            / np.sqrt(1.0 + ps ** 2))
-    return float(c_k * t_sub * abs(s[k - 1]))
+    bound = c_k * t_sub * np.abs(s[k - 1])
+    return float(bound) if s.ndim == 1 else bound

@@ -56,7 +56,6 @@ class SoarState:
         self.k = 0
         self.deflation_steps = []    # steps j with q_{j+1} = 0
         self.breakdown = False
-        self.breakdown_step = None
         self.breakdown_t = None      # measured t_{k+1,k} at breakdown, before reset
 
     @property
@@ -103,10 +102,6 @@ class SoarState:
     def p_cols(self):
         """Read-only list of the columns of P."""
         return list(self.P.T)
-
-    @property
-    def p_norms(self):
-        return np.linalg.norm(self.P, axis=0)
 
     def nonzero_q(self):
         """Matrix of the nonzero columns of Q_{k+1}."""
@@ -184,7 +179,6 @@ def msoar_step(state, op, tol):
     # breakdown: the final column keeps the deflation shape but is not a
     # deflation event of the run
     state.breakdown = True
-    state.breakdown_step = j
     state.breakdown_t = t_next
     return StepOutcome(kind=BREAKDOWN)
 
@@ -210,19 +204,3 @@ def extraction_basis(state):
             Qt = np.column_stack([Qt, r / rn])
     return Qt
 
-
-def estimate_ck(state, theta, norm_M):
-    """Monitored estimate of the residual-bound coefficient.
-
-    (|theta|^2 + 1)^{1/2} (||M||_1^2 + ||p_{k+1}||^2)^{1/2}
-        / (1 + (1/k) sum_j ||p_j||^2)^{1/2},
-    computable during the recurrence without the Petrov eigenvector.
-    """
-    if state.k < 1:
-        raise ValueError("need at least one completed step")
-    pn = state.p_norms
-    p_last = pn[state.k]                    # ||p_{k+1}||
-    mean_sq = sum(x * x for x in pn[: state.k]) / state.k
-    return float(np.sqrt(abs(theta) ** 2 + 1.0)
-                 * np.sqrt(norm_M ** 2 + p_last ** 2)
-                 / np.sqrt(1.0 + mean_sq))

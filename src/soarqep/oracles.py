@@ -86,16 +86,20 @@ def dense_qep_spectrum(M, C, K, max_n=500):
 
     Returns (lams, X) with X columns the unit eigenvectors; infinite
     eigenvalues appear as inf entries with the corresponding X column taken
-    from the leading block.
+    from the leading block.  A triple with no nonzero imaginary part goes
+    through the real QZ, which is several times faster than the complex one.
     """
-    M = np.asarray(M, dtype=complex) if not hasattr(M, "toarray") else M.toarray()
-    C = np.asarray(C, dtype=complex) if not hasattr(C, "toarray") else C.toarray()
-    K = np.asarray(K, dtype=complex) if not hasattr(K, "toarray") else K.toarray()
+    mats = [X.toarray() if hasattr(X, "toarray") else np.asarray(X)
+            for X in (M, C, K)]
+    if not any(np.imag(X).any() for X in mats):
+        mats = [np.real(X) for X in mats]
+    M, C, K = mats
+    dtype = np.result_type(*mats, float)
     n = M.shape[0]
     if n > max_n:
         raise SizeGuardError("n = %d exceeds the dense guard %d" % (n, max_n))
-    A = np.zeros((2 * n, 2 * n), dtype=complex)
-    B = np.zeros((2 * n, 2 * n), dtype=complex)
+    A = np.zeros((2 * n, 2 * n), dtype=dtype)
+    B = np.zeros((2 * n, 2 * n), dtype=dtype)
     A[:n, :n] = -C
     A[:n, n:] = -K
     A[n:, :n] = np.eye(n)

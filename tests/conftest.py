@@ -84,7 +84,8 @@ def stacked_residual(op, state):
 
 
 def decomposition_tolerance(state, base=1e-10):
-    return base * (1.0 + np.linalg.norm(state.T_hat)) * (1.0 + max(state.p_norms))
+    p_max = np.linalg.norm(state.P, axis=0).max()
+    return base * (1.0 + np.linalg.norm(state.T_hat)) * (1.0 + p_max)
 
 
 @pytest.fixture

@@ -33,6 +33,16 @@ class TestParsing:
         assert code == 1
         assert "usage error" in err
 
+    @pytest.mark.parametrize("flag", ["--ctol", "--dtol"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_tolerance_is_usage_error(self, capsys, flag, value):
+        code, out, err = _run(capsys, ["mass-spring", "-n", "50",
+                                       "--sigma=-13+0.4i", "--num-eigs", "3",
+                                       "--dim", "12", flag, value])
+        assert code == 1
+        assert "usage error" in err and "finite" in err
+        assert out == "" and "breakdown" not in err
+
     def test_unknown_problem(self, capsys):
         code, _, err = _run(capsys, ["heat-equation", "-n", "10"])
         assert code == 1

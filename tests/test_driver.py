@@ -10,6 +10,7 @@ import scipy.linalg
 from conftest import breakdown_starts, random_qep
 from soarqep import driver
 from soarqep.driver import SolverConfig, solve
+from soarqep.extraction import residual_bound
 from soarqep.operator import QepProblem
 from soarqep.problems import gen_mass_spring, gen_string_damping
 from soarqep.oracles import dense_qep_spectrum, mass_spring_spectrum
@@ -36,6 +37,20 @@ class TestConfig:
         with pytest.raises(ValueError, match="tol"):
             SolverConfig(m=2, k=4, ctol=1e-8, tol=1e-10).validate()
         SolverConfig(m=2, k=4, ctol=1e-10, tol=1e-8).validate()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-10])
+    def test_ctol_must_be_finite_and_positive(self, bad):
+        with pytest.raises(ValueError, match="ctol must be finite"):
+            SolverConfig(m=2, k=4, ctol=bad).validate()
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_tol_must_be_finite(self, bad):
+        with pytest.raises(ValueError, match="tol must be finite"):
+            SolverConfig(m=2, k=4, tol=bad).validate()
+
+    def test_drop_tol_defaults_to_ctol(self):
+        assert SolverConfig(m=2, k=4, ctol=1e-9).drop_tol == 1e-9
+        assert SolverConfig(m=2, k=4, ctol=1e-9, tol=1e-7).drop_tol == 1e-7
 
     def test_shift_count_defaults_and_bounds(self):
         cfg = SolverConfig(m=3, k=10)
@@ -261,7 +276,15 @@ class TestLargeN:
 
 
 class TestBreakdown:
-    def test_breakdown_finalization(self, rng):
+    def test_breakdown_finalization(self, rng, monkeypatch):
+        original = driver._breakdown_diagnostics
+        states = []
+
+        def recording(state, op):
+            states.append(state)
+            return original(state, op)
+
+        monkeypatch.setattr(driver, "_breakdown_diagnostics", recording)
         prob = random_qep(rng, 10)
         u1, u2 = breakdown_starts(prob, 6)
         cfg = SolverConfig(m=3, k=10, ctol=1e-10, tol=1e-10, max_restarts=5,
@@ -273,7 +296,17 @@ class TestBreakdown:
         for c in rep.converged:
             assert c.from_breakdown
             assert c.rel_residual <= 1e-10
-        assert rep.bound_diagnostics     # Petrov bound values reported
+        # one bound per Petrov pair of T_k, each the pair's residual_bound
+        (st,) = states
+        assert rep.breakdown[1] == st.k
+        nus, S = np.linalg.eig(st.T)
+        assert len(rep.bound_diagnostics) == st.k
+        for d, nu, s in zip(rep.bound_diagnostics, nus, S.T):
+            want = residual_bound(st, nu, s, prob.norms1[0])
+            assert d["theta"] == nu
+            assert d["bound"] == pytest.approx(want, rel=1e-14)
+            assert d["rel_bound"] == pytest.approx(want / prob.norm_sum,
+                                                   rel=1e-14)
 
     def test_breakdown_pairs_match_oracle(self, rng):
         prob = random_qep(rng, 8)

@@ -127,6 +127,17 @@ class TestRefined:
                 assert (ritz.refined[i].rel_residual
                         <= ritz.pairs[i].rel_residual + 1e-14)
 
+    def test_refined_entry_keeps_ritz_value(self, rng):
+        prob = random_qep(rng, 20)
+        op, st = _run(rng, prob, 6, mode="shift-invert", sigma=0.3)
+        proj = project(st, op)
+        ritz = extract_refined(proj, op, extract_ritz(proj, op, 3))
+        for i in ritz.selection:
+            refined, entry = ritz.refined[i], ritz.pairs[i]
+            assert refined.theta == entry.theta and refined.lam == entry.lam
+            assert refined.finite and entry.sigma_min is None
+            assert refined.sigma_min >= 0.0
+
     def test_sigma_min_matches_direct_svd(self, rng):
         prob = random_qep(rng, 22)
         op, st = _run(rng, prob, 6)
@@ -164,6 +175,19 @@ class TestBound:
         s = np.zeros(5, dtype=complex)
         s[0] = 1.0    # e_1: last component zero, bound vanishes
         assert residual_bound(st, 1.0 + 0j, s, prob.norms1[0]) == 0.0
+
+    def test_columns_match_single_vectors_at_breakdown(self, rng):
+        prob = random_qep(rng, 10)
+        u1, u2 = breakdown_starts(prob, 6)
+        op, st = _run(rng, prob, 10, u1=u1, u2=u2)
+        assert st.breakdown
+        nus, S = np.linalg.eig(st.T)
+        bounds = residual_bound(st, nus, S, prob.norms1[0])
+        assert bounds.shape == (st.k,)
+        for i in range(st.k):
+            one = residual_bound(st, nus[i], S[:, i], prob.norms1[0])
+            assert isinstance(one, float)
+            assert bounds[i] == pytest.approx(one, rel=1e-14, abs=0.0)
 
     def test_bound_vs_true_residual_when_assumption_holds(self, rng):
         # when the Ritz pair beats the Petrov pair targeting the same value

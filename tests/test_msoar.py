@@ -6,8 +6,8 @@ from conftest import (breakdown_starts, decomposition_tolerance,
                       deflation_at_step1, random_qep, rank_deficient_qep,
                       stacked_residual)
 from soarqep.msoar import (BREAKDOWN, CONTINUE, DEFLATION, ZeroStartError,
-                           estimate_ck, extraction_basis, init_state,
-                           msoar_step, run_msoar)
+                           extraction_basis, init_state, msoar_step,
+                           run_msoar)
 from soarqep.operator import QepProblem, build_operator
 from soarqep.oracles import arnoldi_on_h, build_h
 
@@ -74,7 +74,7 @@ class TestSteps:
         assert out.kind == DEFLATION
         out = msoar_step(st, op, 1e-12)
         assert out.kind == BREAKDOWN
-        assert st.breakdown and st.breakdown_step == 2
+        assert st.breakdown and st.k == 2
 
     def test_deflation_columns_shape(self, rng):
         prob, u1, u2 = deflation_at_step1(rng, 18)
@@ -110,7 +110,7 @@ class TestSteps:
         op = build_operator(prob)
         st = run_msoar(init_state(op, u1, u2), op, 10, 1e-12)
         assert st.breakdown
-        assert st.breakdown_step <= 7
+        assert st.k <= 7
 
     def test_breakdown_matches_arnoldi_trail(self, rng):
         # the explicit Arnoldi process on H stalls where the recurrence does
@@ -121,7 +121,7 @@ class TestSteps:
         assert st.breakdown
         H = build_h(op).H
         v = np.concatenate([st.q_cols[0], st.p_cols[0]])
-        _, _, trail = arnoldi_on_h(H, v, st.breakdown_step)
+        _, _, trail = arnoldi_on_h(H, v, st.k)
         assert trail[-1] < 1e-10 * np.linalg.norm(H)
 
     def test_subspace_equivalence(self, rng):
@@ -151,29 +151,6 @@ class TestAccounting:
         T = st.T_hat
         assert T.shape == (7, 6)
         assert np.all(np.tril(T, -2) == 0.0)
-
-    def test_estimate_ck_formula(self, rng):
-        prob = random_qep(rng, 12)
-        op = build_operator(prob)
-        st = run_msoar(init_state(op, rng.standard_normal(12),
-                                  rng.standard_normal(12)), op, 5, 1e-12)
-        theta = 1.3 - 0.2j
-        pn = st.p_norms
-        want = (np.sqrt(abs(theta) ** 2 + 1)
-                * np.sqrt(prob.norms1[0] ** 2 + pn[5] ** 2)
-                / np.sqrt(1 + sum(x * x for x in pn[:5]) / 5))
-        assert estimate_ck(st, theta, prob.norms1[0]) == pytest.approx(want)
-
-    def test_estimate_ck_plugin(self):
-        # theta = 1, ||M||_1 = 1, p_{k+1} = 0, mean ||p_j||^2 = 1 -> exactly 1
-        op = build_operator(QepProblem.from_matrices(np.eye(3), np.eye(3),
-                                                     np.eye(3)))
-        st = init_state(op, np.eye(3)[:, 0], np.eye(3)[:, 2])
-        st.reserve(1)
-        st.k = 1
-        st.Q[:, 1] = np.eye(3)[:, 1]
-        st.T_hat[1, 0] = 1.0
-        assert estimate_ck(st, 1.0, 1.0) == pytest.approx(1.0)
 
     def test_extraction_basis_appends_p1_direction(self, rng):
         prob = random_qep(rng, 20)
