@@ -155,5 +155,8 @@ def solve(problem, config):
         shift_set = select_shifts(
             proj, wanted, config.num_shifts, mode=config.mode,
             provenance="refined" if config.variant == "irsoar" else "exact")
+        # the projection's basis must not outlive the cycle: the contraction
+        # and the next projection then hold one n-length working set
+        del proj, ritz, wanted
         state, _ = contract(state, shift_set, config.k - len(shift_set.shifts))
         report.restarts_used += 1

@@ -20,25 +20,36 @@ HUGE_RITZ = 1e12   # |theta| above this is treated as infinite
 
 @dataclass
 class ProjectedQep:
-    Q_tilde: np.ndarray   # n x ktilde orthonormal basis
-    W1: np.ndarray        # M Q_tilde (working matrices)
-    W2: np.ndarray        # C Q_tilde
-    W3: np.ndarray        # K Q_tilde
+    """The QEP projected onto the n x ktilde basis Q_tilde.
+
+    With the working matrices W1 = M Q_tilde, W2 = C Q_tilde and
+    W3 = K Q_tilde, it keeps the triple M_k = Q_tilde^* W1, C_k, K_k and the
+    blocks (R1, R2, R3) of the thin QR [W1 W2 W3] = Z R.  The W_i themselves
+    are not kept; ``W1``..``W3`` recompute them from the operator's working
+    matrices on demand, and the solver never asks for them.
+    """
+    Q_tilde: np.ndarray   # n x ktilde orthonormal basis, row-major
     M_k: np.ndarray
     C_k: np.ndarray
     K_k: np.ndarray
-    _blocks: tuple = field(default=None, repr=False)
+    blocks: tuple         # (R1, R2, R3), R_i^* R_j = W_i^* W_j
+    op: object = field(default=None, repr=False)
 
     @property
     def ktilde(self):
         return self.Q_tilde.shape[1]
 
     @property
-    def blocks(self):
-        """(R1, R2, R3) of the thin QR [W1 W2 W3] = Z R, computed once and cached."""
-        if self._blocks is None:
-            self._blocks = kernels.gram_blocks(self.W1, self.W2, self.W3)
-        return self._blocks
+    def W1(self):
+        return self.op.work_M @ self.Q_tilde
+
+    @property
+    def W2(self):
+        return self.op.work_C @ self.Q_tilde
+
+    @property
+    def W3(self):
+        return self.op.work_K @ self.Q_tilde
 
 
 @dataclass
@@ -64,15 +75,28 @@ class RitzSet:
 
 
 def project(state, op):
-    """Form the tall products and the projected triple over the finalized basis."""
-    # CSC-by-dense products run 2-5x faster on a row-major basis
-    Qt = np.ascontiguousarray(extraction_basis(state))
-    W1 = op.work_M @ Qt
-    W2 = op.work_C @ Qt
-    W3 = op.work_K @ Qt
-    Qh = Qt.conj().T
-    return ProjectedQep(Q_tilde=Qt, W1=W1, W2=W2, W3=W3,
-                        M_k=Qh @ W1, C_k=Qh @ W2, K_k=Qh @ W3)
+    """Project the working QEP onto the finalized basis.
+
+    The tall products W_i go one at a time through one column-major
+    n x 3ktilde array, which ``kernels.gram_blocks`` then factors in place:
+    the cycle holds a single transient product besides it.  Each projected
+    block is conj(Q_tilde^T conj(W_i)), conjugating the product in place
+    rather than copying the basis; it matched Q_tilde^* W_i bit for bit at
+    one and two OpenBLAS threads.
+    """
+    Qt = extraction_basis(state)
+    kt = Qt.shape[1]
+    A = np.empty((Qt.shape[0], 3 * kt), dtype=complex, order="F")
+    triple = []
+    for i, X in enumerate((op.work_M, op.work_C, op.work_K)):
+        # CSC-by-dense products run 2-5x faster on the row-major basis
+        W = X @ Qt
+        np.conjugate(W, out=W)
+        Xk = Qt.T @ W
+        triple.append(np.conjugate(Xk, out=Xk))
+        np.conjugate(W, out=A[:, i * kt:(i + 1) * kt])
+        del W    # before the next product is formed
+    return ProjectedQep(Qt, *triple, blocks=kernels.gram_blocks(A), op=op)
 
 
 def _relative(op, theta, abs_residual):

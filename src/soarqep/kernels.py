@@ -2,16 +2,16 @@
 
 All routines work on plain ndarrays and do not care where the data came
 from.  Only ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
-n-length data.  ``gram_blocks`` factors with LAPACK zgeqrt rather than
-zgeqrf, whose level-2 panel streams all n rows once per column; zgeqrt's
-recursive panel halves the QR of the solver's n-by-3k blocks (5000-by-123,
-one thread of a 2-core VM: 36 ms against 67-77 ms).  The rest works at
-orders <= ~200 (shifted QR by LAPACK rotations, each applied once; the
-projected QEP by standard eig on the monic companion when M_k is well
-conditioned and by QZ otherwise, returned as an eigenvalue array and one
-matrix of unit eigenvectors; refined vectors by QR, then inverse iteration
-from the Ritz vector on its triangle).  Everything is complex; real inputs
-are promoted.
+n-length data.  ``gram_blocks`` factors the caller's n-by-3k array in
+place, with LAPACK zgeqrt rather than zgeqrf, whose level-2 panel streams
+all n rows once per column; zgeqrt's recursive panel halves the QR of the
+solver's n-by-3k blocks (5000-by-123, one thread of a 2-core VM: 36 ms
+against 67-77 ms).  The rest works at orders <= ~200 (shifted QR by
+LAPACK rotations, each applied once; the projected QEP by standard eig on
+the monic companion when M_k is well conditioned and by QZ otherwise,
+returned as an eigenvalue array and one matrix of unit eigenvectors;
+refined vectors by QR, then inverse iteration from the Ritz vector on its
+triangle).  Everything is complex; real inputs are promoted.
 """
 
 import warnings
@@ -173,14 +173,16 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
     return theta, G
 
 
-def gram_blocks(W1, W2, W3):
+def gram_blocks(A):
     """The Gram blocks W_i^* W_j in factored form, one QR per subspace.
 
-    A Householder QR [W1 W2 W3] = Z [R1 R2 R3], factored in place in one
-    n-by-3k work array, returns the column blocks (R1, R2, R3) of the
+    ``A`` is [W1 W2 W3], an n-by-3k array.  A Householder QR
+    A = Z [R1 R2 R3] returns the column blocks (R1, R2, R3) of the
     min(n, 3k)-by-3k triangle R, so R_i^* R_j = W_i^* W_j and
     ||(a W1 + b W2 + c W3) x|| = ||(a R1 + b R2 + c R3) x|| for any a, b, c, x.
-    R1 is zero below row k and R2 below row 2k.
+    R1 is zero below row k and R2 below row 2k.  A complex column-major
+    ``A`` is factored in place and left holding the reflectors; any other
+    is copied first.
 
     The QR is LAPACK zgeqrt, not zgeqrf (``scipy.linalg.qr``): zgeqrf's
     level-2 panel streams all n rows once per column, while zgeqrt factors
@@ -189,9 +191,7 @@ def gram_blocks(W1, W2, W3):
     a 5000-by-123 block, one thread of a 2-core VM, it takes 36 ms against
     67-77 ms; at 20000-by-123, 153 against 540 ms.
     """
-    n, k = W1.shape
-    A = np.empty((n, 3 * k), dtype=complex, order="F")
-    np.concatenate((W1, W2, W3), axis=1, out=A)
+    n, k = A.shape[0], A.shape[1] // 3
     # columns per reflector block; 16 and 64 timed alike on the solver's shapes
     A, _, _ = zgeqrt(min(32, *A.shape), A, overwrite_a=1)
     R = np.triu(A[:min(n, 3 * k)])

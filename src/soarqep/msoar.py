@@ -104,9 +104,11 @@ class SoarState:
         return list(self.P.T)
 
     def nonzero_q(self):
-        """Matrix of the nonzero columns of Q_{k+1}."""
+        """Matrix of the nonzero columns of Q_{k+1}: a copy where Q has a
+        zero column, the view ``Q`` itself otherwise."""
         Q = self.Q
-        return Q[:, np.linalg.norm(Q, axis=0) > 0.0]
+        live = np.linalg.norm(Q, axis=0) > 0.0
+        return Q if live.all() else Q[:, live]
 
 
 def init_state(op, u1, u2):
@@ -194,13 +196,23 @@ def run_msoar(state, op, k_target, tol):
 def extraction_basis(state):
     """Orthonormal basis handed to the projection: the nonzero columns of
     Q_{k+1} plus the orthogonalized p_1 direction when more than 1e-8 of it
-    sticks out of their span (the finalization column of the recurrence)."""
-    Qt = state.nonzero_q()
+    sticks out of their span (the finalization column of the recurrence).
+
+    It is returned row-major, the layout the projection's sparse products
+    want, and built in one allocation when Q has no zero column.  p_1 is
+    orthogonalized against the column-major Q, as the row-major copy would
+    round differently."""
+    Q = state.nonzero_q()
     p1 = state.P[:, 0]
     p1n = np.linalg.norm(p1)
+    extra = None
     if p1n > 0.0:
-        _, r, rn = orthogonalize_with_refinement(p1, Qt)
+        _, r, rn = orthogonalize_with_refinement(p1, Q)
         if rn > 1e-8 * p1n:
-            Qt = np.column_stack([Qt, r / rn])
+            extra = r / rn
+    j = Q.shape[1]
+    Qt = np.empty((Q.shape[0], j + (extra is not None)), dtype=complex)
+    Qt[:, :j] = Q
+    if extra is not None:
+        Qt[:, j] = extra
     return Qt
-

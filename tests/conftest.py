@@ -12,6 +12,8 @@ suite; ``thorough`` draws 500 random examples per test, e.g.
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 from hypothesis import settings
 
 from soarqep.operator import QepProblem, build_operator
@@ -71,6 +73,26 @@ def breakdown_starts(problem, d, rng=None, which="largest"):
     u1 = (X[:, idx] * lams[idx]).sum(axis=1)
     u2 = X[:, idx].sum(axis=1)
     return u1, u2
+
+
+def arpack_nearest_eigenvalues(M, C, K, sigma, count):
+    """The ``count`` eigenvalues of the QEP nearest sigma, by ARPACK.
+
+    Linearized as the pencil A z = lam B z with z = [x; lam x],
+    A = [0 I; -K -C] and B = diag(I, M); ARPACK finds the largest
+    nu = 1/(lam - sigma) of (A - sigma B)^{-1} B through one sparse LU.
+    Independent of the solver, and usable where a dense QZ is too large.
+    """
+    n = M.shape[0]
+    eye = sp.identity(n, dtype=complex, format="csc")
+    A = sp.bmat([[None, eye], [-K, -C]], format="csc")
+    B = sp.bmat([[eye, None], [None, M]], format="csc")
+    lu = spla.splu(sp.csc_matrix(A - sigma * B, dtype=complex))
+    op = spla.LinearOperator(A.shape, matvec=lambda v: lu.solve(B @ v),
+                             dtype=complex)
+    nu = spla.eigs(op, k=count, which="LM", v0=np.ones(2 * n, dtype=complex),
+                   tol=1e-14, return_eigenvectors=False)
+    return sigma + 1.0 / nu
 
 
 def stacked_residual(op, state):

@@ -1,13 +1,15 @@
 import dataclasses
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import breakdown_starts, random_qep
+from conftest import arpack_nearest_eigenvalues, breakdown_starts, random_qep
 from soarqep import driver
 from soarqep.driver import SolverConfig, solve
 from soarqep.extraction import residual_bound
@@ -273,6 +275,53 @@ class TestLargeN:
         got = sorted((c.lam for c in rep.converged), key=lambda t: abs(t - sigma))
         for lam, ref in zip(got, want):
             assert abs(lam - ref) <= 1e-8 * abs(ref)
+
+
+    def test_string_damping_1000_matches_arpack(self):
+        # the string1000 benchmark configuration; past the dense guards,
+        # ARPACK on a companion pencil is the oracle
+        n, sigma, m = 1000, 0.6 + 0.8j, 6
+        prob = gen_string_damping(n, epsilon=0.6)
+        cfg = SolverConfig(m=m, k=20, p=8, mode="shift-invert", sigma=sigma,
+                           variant="imsoar", ctol=1e-10)
+        rep = solve(prob, cfg)
+        assert rep.all_converged and len(rep.converged) == m
+
+        def by_distance(lams):
+            return sorted(lams, key=lambda t: abs(t - sigma))
+
+        want = by_distance(arpack_nearest_eigenvalues(
+            prob.M, prob.C, prob.K, sigma, m + 4))[:m]
+        got = by_distance(c.lam for c in rep.converged)
+        for lam, ref in zip(got, want):
+            assert abs(lam - ref) <= 1e-8 * abs(ref)
+        for c in rep.converged:
+            x = c.x / np.linalg.norm(c.x)
+            r = c.lam ** 2 * (prob.M @ x) + c.lam * (prob.C @ x) + prob.K @ x
+            assert np.linalg.norm(r) / prob.norm_sum <= cfg.ctol
+
+
+class TestMemory:
+    def test_restart_cycle_holds_one_working_set(self):
+        # Besides the O(n) operator data, a cycle holds the Q and P buffers,
+        # one basis, the n x 3ktilde QR array and one transient product:
+        # about 7 blocks of n x (k+2) complex.  Keeping the previous
+        # cycle's projection alive, or the W blocks beside the QR array,
+        # takes it to about 11.
+        n, k = 3000, 40
+        cfg = SolverConfig(m=6, k=k, p=15, mode="shift-invert",
+                           sigma=-13 + 0.4j, variant="irsoar", ctol=1e-10,
+                           tol=1e-8, max_restarts=2)
+        prob = gen_mass_spring(n)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rep = solve(prob, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.restarts_used == 2
+        assert peak <= 9 * n * (k + 2) * 16
 
 
 class TestBreakdown:

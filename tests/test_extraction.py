@@ -29,7 +29,7 @@ class TestProject:
                            atol=1e-12)
 
     def test_basis_layout_changes_projection_only_by_rounding(self, rng):
-        # project runs the sparse products on a row-major copy of the basis
+        # project runs the sparse products on the row-major basis
         prob = random_qep(rng, 40)
         op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j)
         proj = project(st, op)
@@ -47,6 +47,21 @@ class TestProject:
         dense = [A.toarray() @ Q for A in work]
         dense += [Q.conj().T @ Wi for Wi in dense]
         assert all(close(g, w) for g, w in zip(got, dense))
+
+    def test_blocks_factor_gram_and_triple_projects_products(self, rng):
+        prob = random_qep(rng, 40, complex_data=True)
+        op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j)
+        proj = project(st, op)
+        Qt = proj.Q_tilde
+        W = [X @ Qt for X in (op.work_M, op.work_C, op.work_K)]
+        for i in range(3):
+            for j in range(3):
+                G = W[i].conj().T @ W[j]
+                assert (np.linalg.norm(proj.blocks[i].conj().T @ proj.blocks[j]
+                                       - G) <= 1e-12 * np.linalg.norm(G))
+        for Xk, Wi in zip((proj.M_k, proj.C_k, proj.K_k), W):
+            Pk = Qt.conj().T @ Wi
+            assert np.linalg.norm(Xk - Pk) <= 1e-12 * np.linalg.norm(Pk)
 
     def test_hermitian_structure_preserved(self, rng):
         n = 18

@@ -274,7 +274,8 @@ class TestRefinedVector:
         if start == "largest":
             # the dominant right singular vector, nudged off it
             g = scipy.linalg.svd(S)[2][0].conj() + 1e-3 * g
-        z, smin = refined_vector(theta, *gram_blocks(W1, W2, W3), g)
+        R = gram_blocks(np.hstack((W1, W2, W3)))
+        z, smin = refined_vector(theta, *R, g)
         assert svd_calls == []      # inverse iteration alone got there
         assert np.linalg.norm(S @ z) <= np.linalg.norm(S @ g) / np.linalg.norm(g)
         assert smin == pytest.approx(GAPPED[0], rel=1e-8)
@@ -283,7 +284,7 @@ class TestRefinedVector:
     def test_sigma_min_is_residual_of_returned_vector(self, rng, svals):
         theta = 2.0 + 0.5j
         W1, W2, W3, _ = _refined_problem(rng, 60, theta, svals)
-        z, smin = refined_vector(theta, *gram_blocks(W1, W2, W3),
+        z, smin = refined_vector(theta, *gram_blocks(np.hstack((W1, W2, W3))),
                                  _unit(rng, len(svals)))
         S = theta ** 2 * W1 + theta * W2 + W3
         assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-14)
@@ -295,7 +296,8 @@ class TestRefinedVector:
         W3[:, 2] = 0.0          # S = W3 at theta = 0: R_S[2, 2] == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, smin = refined_vector(0.0, *gram_blocks(W1, W2, W3), _unit(rng, k))
+            z, smin = refined_vector(0.0, *gram_blocks(np.hstack((W1, W2, W3))),
+                                     _unit(rng, k))
         assert smin <= 1e-14 * np.linalg.norm(W3)
         assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-14)
         assert np.linalg.norm(W3 @ z) <= 1e-14 * np.linalg.norm(W3)
@@ -303,7 +305,7 @@ class TestRefinedVector:
     def test_close_smallest_pair_falls_back_to_svd(self, rng, svd_calls):
         theta = 0.3 - 0.2j
         W1, W2, W3, S = _refined_problem(rng, 20, theta, CLOSE)
-        z, smin = refined_vector(theta, *gram_blocks(W1, W2, W3),
+        z, smin = refined_vector(theta, *gram_blocks(np.hstack((W1, W2, W3))),
                                  _unit(rng, len(CLOSE)))
         assert svd_calls == [(len(CLOSE), len(CLOSE))]
         assert smin == pytest.approx(CLOSE[0], rel=1e-8)
@@ -314,7 +316,10 @@ class TestRefinedVector:
     def test_gram_blocks_factor_the_gram_matrix(self, rng, n, k):
         W = [rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
              for _ in range(3)]
-        R = gram_blocks(*W)
+        A = np.asfortranarray(np.hstack(W))
+        R = gram_blocks(A)
+        # factored in place: A now holds the triangle above its reflectors
+        assert np.array_equal(np.triu(A[:min(n, 3 * k)]), np.hstack(R))
         for Ri in R:
             assert Ri.shape == (min(n, 3 * k), k)
         # the rows of R1 from k on and of R2 from 2k on are exact zeros
@@ -332,7 +337,7 @@ class TestRefinedVector:
         W3 = np.vstack([np.eye(2), np.zeros((2, 2))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, smin = refined_vector(0.0, *gram_blocks(W1, W2, W3),
+            z, smin = refined_vector(0.0, *gram_blocks(np.hstack((W1, W2, W3))),
                                      np.array([0.6, 0.8j]))
         assert smin == pytest.approx(np.linalg.svd(W3, compute_uv=False)[-1],
                                      rel=1e-14)

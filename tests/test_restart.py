@@ -172,12 +172,14 @@ class TestSelectShifts:
         # ktilde = 2, m = 1, p = 1 with a diagonal projected QEP: the
         # complement QEP is scalar and solvable by the quadratic formula
         from soarqep.extraction import ProjectedQep, RitzEntry
+        from soarqep.kernels import gram_blocks
         M_k = np.diag([1.0, 2.0]).astype(complex)
         C_k = np.diag([3.0, 5.0]).astype(complex)
         K_k = np.diag([2.0, 2.0]).astype(complex)
+        # Q_tilde = I, so the working matrices are the triple itself
         proj = ProjectedQep(Q_tilde=np.eye(2, dtype=complex),
-                            W1=M_k, W2=C_k, W3=K_k,
-                            M_k=M_k, C_k=C_k, K_k=K_k)
+                            M_k=M_k, C_k=C_k, K_k=K_k,
+                            blocks=gram_blocks(np.hstack((M_k, C_k, K_k))))
         e = RitzEntry(theta=0.0, g=np.array([1.0, 0.0], dtype=complex),
                       lam=0.0, rel_residual=0.0, finite=True)
         ss = select_shifts(proj, [e], 1, mode="direct")
