@@ -14,7 +14,11 @@ import scipy.sparse.linalg as spla
 
 
 class FactorizationError(RuntimeError):
-    """The leading matrix is (numerically) singular."""
+    """The leading matrix is (numerically) singular.
+
+    ``pivot_position`` is the index of the smallest pivot on the diagonal of
+    U, in the factorization's column order, when one was computed.
+    """
 
     def __init__(self, message, pivot_position=None):
         super().__init__(message)
@@ -22,9 +26,16 @@ class FactorizationError(RuntimeError):
 
 
 def _one_norm(A):
-    if A.nnz == 0:
+    """Largest absolute column sum of a CSC matrix, without forming abs(A).
+
+    Sums each non-empty column's stored entries with ``np.add.reduceat``,
+    as scipy's own ``abs(A).sum(axis=0)`` does, so the value is the same
+    bit for bit.
+    """
+    starts = A.indptr[:-1][np.diff(A.indptr) > 0]
+    if starts.size == 0:
         return 0.0
-    return float(abs(A).sum(axis=0).max())
+    return float(np.add.reduceat(np.abs(A.data), starts).max())
 
 
 @dataclass
@@ -57,16 +68,61 @@ class QepProblem:
         return self.norms1[0] + self.norms1[1] + self.norms1[2]
 
 
-def _checked_splu(A, what):
+def _unit_signs(y):
+    a = np.abs(y)
+    return np.divide(y, a, out=np.ones_like(y), where=a > 0.0)
+
+
+def _inverse_norm1_estimate(lu):
+    """Lower bound on ||A^{-1}||_1 from the LU of A, by Hager's method.
+
+    Higham's version (ACM TOMS 14 (1988); LAPACK ``zlacn2``): a fixed start
+    vector, at most five steps of solves with A and A^H, and the
+    alternating-sign test vector at the end.  Deterministic.
+    """
+    n = lu.shape[0]
+    y = lu.solve(np.full(n, 1.0 / n, dtype=complex))
+    est = float(np.abs(y).sum())
+    if n == 1:
+        return est
+    j = int(np.argmax(np.abs(lu.solve(_unit_signs(y), trans="H"))))
+    for _ in range(4):
+        e = np.zeros(n, dtype=complex)
+        e[j] = 1.0
+        y = lu.solve(e)
+        new = float(np.abs(y).sum())
+        if new <= est:
+            break
+        est = new
+        z = np.abs(lu.solve(_unit_signs(y), trans="H"))
+        j_last, j = j, int(np.argmax(z))
+        if z[j_last] == z[j]:
+            break
+    i = np.arange(n)
+    alt = ((-1.0) ** i * (1.0 + i / (n - 1.0))).astype(complex)
+    return max(est, 2.0 * float(np.abs(lu.solve(alt)).sum()) / (3 * n))
+
+
+def _checked_splu(A, what, norm1):
+    """Sparse LU of A, refused when A is numerically singular.
+
+    The criterion is ||A||_1 * est(||A^{-1}||_1) >= 1e14, a 1-norm
+    condition estimate on the scale of a pivot 1e-14 times the largest;
+    ``norm1`` is ||A||_1, and the estimate needs only solves with the
+    factors.  ``lu.U`` is read only on the raising path, to report the
+    smallest pivot: reading ``lu.L`` or ``lu.U`` makes scipy's ``SuperLU``
+    build CSC copies of both factors, and it keeps them (read-only, not
+    releasable) for as long as the factorization lives.
+    """
     try:
         lu = spla.splu(A.tocsc())
     except RuntimeError as exc:
         raise FactorizationError("%s is singular: %s" % (what, exc)) from exc
-    d = np.abs(lu.U.diagonal())
-    if d.size and d.min() <= 1e-14 * d.max():
+    if norm1 * _inverse_norm1_estimate(lu) >= 1e14:
         raise FactorizationError(
-            "%s is numerically singular (zero pivot)" % what,
-            pivot_position=int(np.argmin(d)),
+            "%s is numerically singular (1-norm condition estimate >= 1e14)"
+            % what,
+            pivot_position=int(np.argmin(np.abs(lu.U.diagonal()))),
         )
     return lu
 
@@ -105,8 +161,9 @@ def build_operator(problem, mode="direct", sigma=None):
     C_hat = C + 2 sigma M and K_hat = M, and factorizes M_hat.
     """
     if mode == "direct":
-        lu = _checked_splu(problem.M, "M")
         wM, wC, wK = problem.M, problem.C, problem.K
+        norms1 = problem.norms1
+        lu = _checked_splu(wM, "M", norms1[0])
     elif mode == "shift-invert":
         if sigma is None:
             raise ValueError("shift-invert mode requires sigma")
@@ -114,12 +171,12 @@ def build_operator(problem, mode="direct", sigma=None):
         wM = sp.csc_matrix(sigma ** 2 * problem.M + sigma * problem.C + problem.K)
         wC = sp.csc_matrix(problem.C + 2.0 * sigma * problem.M)
         wK = problem.M
-        lu = _checked_splu(wM, "sigma^2 M + sigma C + K")
+        norms1 = (_one_norm(wM), _one_norm(wC), problem.norms1[0])
+        lu = _checked_splu(wM, "sigma^2 M + sigma C + K", norms1[0])
     else:
         raise ValueError("unknown mode %r" % mode)
     return OperatorPair(problem=problem, mode=mode, sigma=sigma, lu=lu,
-                        work_M=wM, work_C=wC, work_K=wK,
-                        work_norms1=(_one_norm(wM), _one_norm(wC), _one_norm(wK)))
+                        work_M=wM, work_C=wC, work_K=wK, work_norms1=norms1)
 
 
 def apply_ab(op, q, p):

@@ -1,9 +1,16 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from soarqep.operator import (FactorizationError, QepProblem, apply_ab,
-                              build_operator, recover_eigen)
+from soarqep.operator import (FactorizationError, QepProblem, _one_norm,
+                              apply_ab, build_operator, recover_eigen)
+from soarqep.problems import gen_string_damping
+
+# the shift of the string1000 benchmark workload
+STRING_SIGMA = 0.6 + 0.8j
 
 
 class TestProblem:
@@ -14,6 +21,18 @@ class TestProblem:
         prob = QepProblem.from_matrices(M, C, K)
         assert prob.norms1 == (2.0, 3.0, 1.0)
         assert prob.norm_sum == 6.0
+
+    @pytest.mark.parametrize("dense", [
+        [[0, 1, 0, -2j, 0], [0, 3, 0, 0, 0], [0, -1e-3, 0, 7, 0]],
+        [[1, 0, 0.5, 0], [0, 0, -2, 0], [4j, 0, 0, 0]],
+        np.sin(np.arange(1200.0)).reshape(300, 4) * [0, 1 + 0.7j, 0, -3j],
+        np.zeros((4, 5)),
+    ])
+    def test_one_norm_matches_abs_column_sums(self, dense):
+        # empty leading, interior and trailing columns, long columns, and
+        # no stored entry at all
+        A = sp.csc_matrix(np.asarray(dense, dtype=complex))
+        assert _one_norm(A) == float(abs(A).sum(axis=0).max())
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="C"):
@@ -37,6 +56,42 @@ class TestBuildOperator:
         with pytest.raises(FactorizationError) as exc:
             build_operator(prob)
         assert exc.value.pivot_position is not None
+
+    def test_shift_invert_rejects_numerically_singular_shift(self):
+        # sigma = 1 gives M_hat = diag(2, 1e-18, 2): condition about 2e18
+        prob = QepProblem.from_matrices(np.diag([1.0, 1e-18, 1.0]),
+                                        np.zeros((3, 3)),
+                                        np.diag([1.0, 0.0, 1.0]))
+        with pytest.raises(FactorizationError) as exc:
+            build_operator(prob, mode="shift-invert", sigma=1.0)
+        assert exc.value.pivot_position == 1
+
+    def test_string_shift_accepted(self):
+        op = build_operator(gen_string_damping(200), mode="shift-invert",
+                            sigma=STRING_SIGMA)
+        assert op.lu is not None
+
+    def test_direct_mode_reuses_problem_norms(self, rng):
+        prob = QepProblem.from_matrices(np.eye(3), rng.standard_normal((3, 3)),
+                                        rng.standard_normal((3, 3)))
+        assert build_operator(prob).work_norms1 is prob.norms1
+
+    def test_shift_invert_keeps_no_factor_copies(self):
+        # SuperLU's own factor storage is invisible to tracemalloc; reading
+        # lu.L or lu.U would leave CSC copies of both factors in the heap
+        prob = gen_string_damping(400)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            op = build_operator(prob, mode="shift-invert", sigma=STRING_SIGMA)
+            gc.collect()
+            kept = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        work = sum(X.data.nbytes + X.indices.nbytes + X.indptr.nbytes
+                   for X in (op.work_M, op.work_C))
+        assert kept <= 1.05 * work
 
     def test_shift_invert_requires_sigma(self, rng):
         prob = QepProblem.from_matrices(np.eye(3), np.eye(3), np.eye(3))
