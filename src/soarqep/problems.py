@@ -1,23 +1,28 @@
-"""Built-in problem generators and Matrix Market coordinate I/O.
+"""Built-in problem generators and Matrix Market I/O.
 
 Generators: a damped mass-spring chain (identity mass, tridiagonal damping
 and stiffness) and a damped vibrating string whose damping entries come
-from closed-form cosine moments.  The Matrix Market code is a small
-hand-rolled reader/writer for the coordinate format so parse errors carry
-line numbers.
+from closed-form cosine moments.  Matrix Market files are read and written
+by ``scipy.io``; a parse error becomes a ``MatrixMarketError`` that names
+the file and the line scipy reports.
 """
 
+import re
+
 import numpy as np
+import scipy.io
 import scipy.sparse as sp
 
 from .operator import QepProblem
 
 
 class MatrixMarketError(ValueError):
-    """Malformed Matrix Market input; carries file and line number."""
+    """Malformed Matrix Market input; carries the file and the line number,
+    or None where the parser names no line (as for a truncated file)."""
 
     def __init__(self, path, lineno, message):
-        super().__init__("%s:%d: %s" % (path, lineno, message))
+        where = path if lineno is None else "%s:%d" % (path, lineno)
+        super().__init__("%s: %s" % (where, message))
         self.path = path
         self.lineno = lineno
 
@@ -58,105 +63,26 @@ def gen_string_damping(n, epsilon=0.6):
     return QepProblem.from_matrices(M, sp.csc_matrix(C), K)
 
 
-def _parse_value(field_kind, parts, path, lineno):
-    if field_kind == "pattern":
-        return 1.0 + 0.0j
-    if field_kind == "complex":
-        if len(parts) < 2:
-            raise MatrixMarketError(path, lineno, "complex entry needs two values")
-        return complex(float(parts[0]), float(parts[1]))
-    return complex(float(parts[0]))
-
-
 def read_matrix_market(path):
-    """Read one coordinate-format Matrix Market file into a csc matrix."""
-    with open(path, "r") as fh:
-        lines = fh.readlines()
-    if not lines:
-        raise MatrixMarketError(path, 1, "empty file")
-    header = lines[0].split()
-    if (len(header) < 5 or header[0] != "%%MatrixMarket"
-            or header[1].lower() != "matrix"):
-        raise MatrixMarketError(path, 1, "bad header line")
-    layout, field_kind, symmetry = (header[2].lower(), header[3].lower(),
-                                    header[4].lower())
-    if layout != "coordinate":
-        raise MatrixMarketError(path, 1, "only coordinate layout is supported")
-    if field_kind not in ("real", "integer", "complex", "pattern"):
-        raise MatrixMarketError(path, 1, "unknown field %r" % field_kind)
-    if symmetry not in ("general", "symmetric", "hermitian", "skew-symmetric"):
-        raise MatrixMarketError(path, 1, "unknown symmetry %r" % symmetry)
-
-    lineno = 1
-    idx = 1
-    while idx < len(lines) and lines[idx].lstrip().startswith("%"):
-        idx += 1
-    if idx >= len(lines):
-        raise MatrixMarketError(path, len(lines), "missing size line")
-    lineno = idx + 1
-    sizes = lines[idx].split()
-    if len(sizes) != 3:
-        raise MatrixMarketError(path, lineno, "size line needs rows cols nnz")
+    """Read one Matrix Market file into a complex csc matrix."""
     try:
-        rows, cols, nnz = (int(x) for x in sizes)
-    except ValueError:
-        raise MatrixMarketError(path, lineno, "non-integer size line")
-
-    ii, jj, vv = [], [], []
-    count = 0
-    for off, line in enumerate(lines[idx + 1:]):
-        lineno = idx + 2 + off
-        s = line.strip()
-        if not s or s.startswith("%"):
-            continue
-        parts = s.split()
-        need = 2 if field_kind == "pattern" else 3
-        if len(parts) < need:
-            raise MatrixMarketError(path, lineno, "too few fields in entry")
-        try:
-            i = int(parts[0])
-            j = int(parts[1])
-            v = _parse_value(field_kind, parts[2:], path, lineno)
-        except ValueError:
-            raise MatrixMarketError(path, lineno, "malformed entry %r" % s)
-        if not (1 <= i <= rows and 1 <= j <= cols):
-            raise MatrixMarketError(path, lineno, "index (%d, %d) out of range" % (i, j))
-        ii.append(i - 1)
-        jj.append(j - 1)
-        vv.append(v)
-        if symmetry != "general" and i != j:
-            ii.append(j - 1)
-            jj.append(i - 1)
-            if symmetry == "symmetric":
-                vv.append(v)
-            elif symmetry == "hermitian":
-                vv.append(np.conj(v))
-            else:
-                vv.append(-v)
-        count += 1
-    if count != nnz:
-        raise MatrixMarketError(path, lineno, "expected %d entries, found %d"
-                                % (nnz, count))
-    return sp.csc_matrix((np.asarray(vv, dtype=complex), (ii, jj)),
-                         shape=(rows, cols))
+        A = scipy.io.mmread(path)
+    except (ValueError, OverflowError) as exc:
+        line, message = re.match(r"(?:Line (\d+): )?(.*)", str(exc),
+                                 re.S).groups()
+        raise MatrixMarketError(path, None if line is None else int(line),
+                                message) from exc
+    return sp.csc_matrix(A, dtype=complex)
 
 
 def write_matrix_market(path, A, comment=None):
-    """Write a matrix in general coordinate format with %.17g precision."""
-    A = sp.coo_matrix(A)
-    is_cplx = bool(np.iscomplexobj(A.data) and np.any(A.data.imag != 0.0))
-    kind = "complex" if is_cplx else "real"
-    with open(path, "w") as fh:
-        fh.write("%%%%MatrixMarket matrix coordinate %s general\n" % kind)
-        if comment:
-            for c in str(comment).splitlines():
-                fh.write("%% %s\n" % c)
-        fh.write("%d %d %d\n" % (A.shape[0], A.shape[1], A.nnz))
-        for i, j, v in zip(A.row, A.col, A.data):
-            if is_cplx:
-                fh.write("%d %d %.17g %.17g\n" % (i + 1, j + 1, v.real, v.imag))
-            else:
-                fh.write("%d %d %.17g\n" % (i + 1, j + 1, v.real))
+    """Write a matrix in general coordinate format, real when every imaginary
+    part is zero, in shortest round-trip digits."""
+    A = sp.coo_matrix(A, dtype=complex)
+    if not np.any(A.data.imag):
+        A = A.real
+    with open(path, "wb") as fh:
+        scipy.io.mmwrite(fh, A, comment=comment, symmetry="general")
 
 
 def load_matrix_market(paths):

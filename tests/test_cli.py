@@ -162,6 +162,16 @@ class TestMatrixMarketPath:
         assert code == 1
         assert "error" in err
 
+    def test_malformed_file_exits_one_naming_line(self, capsys, argv,
+                                                  tmp_path):
+        bad = tmp_path / "k_bad.mtx"
+        bad.write_text("%%MatrixMarket matrix coordinate real general\n"
+                       "12 12 2\n1 1 3.0\n2 oops 1.0\n")
+        argv[4] = str(bad)
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert "%s:4:" % bad in err
+
 
 def test_library_does_not_load_oracles():
     # the dense oracles are test-only code; a fresh interpreter shows what

@@ -88,13 +88,37 @@ class TestMatrixMarket:
         B = read_matrix_market(p)
         assert np.array_equal(A.toarray(), B.toarray())
 
-    def test_symmetric_expansion(self, tmp_path):
+    def test_writer_output_is_general_and_real_when_imag_is_zero(self,
+                                                                 tmp_path):
+        # a symmetric matrix with complex dtype but zero imaginary parts, at
+        # a path without the .mtx suffix, which must be kept as given
+        A = sp.csc_matrix(np.array([[2.0, 1.0 / 3.0], [1.0 / 3.0, 0.0]],
+                                   dtype=complex))
+        p = tmp_path / "sym.txt"
+        write_matrix_market(p, A)
+        assert (p.read_text().splitlines()[0]
+                == "%%MatrixMarket matrix coordinate real general")
+        assert np.array_equal(read_matrix_market(p).toarray(), A.toarray())
+
+    @pytest.mark.parametrize("header, entries, expected", [
+        ("real symmetric", "1 1 4.0\n2 1 -1.5\n",
+         [[4.0, -1.5], [-1.5, 0.0]]),
+        ("complex hermitian", "1 1 4.0 0.0\n2 1 -1.5 2.0\n",
+         [[4.0, -1.5 - 2.0j], [-1.5 + 2.0j, 0.0]]),
+        ("real skew-symmetric", "2 1 -1.5\n",
+         [[0.0, 1.5], [-1.5, 0.0]]),
+        ("integer general", "1 1 4\n2 1 -3\n",
+         [[4.0, 0.0], [-3.0, 0.0]]),
+    ], ids=["symmetric", "hermitian", "skew-symmetric", "integer"])
+    def test_symmetric_expansion(self, tmp_path, header, entries, expected):
+        # symmetric storage mirrors the lower triangle as is, conjugated or
+        # negated; integer entries are read as complex like real ones
         p = tmp_path / "s.mtx"
-        p.write_text("%%MatrixMarket matrix coordinate real symmetric\n"
-                     "2 2 2\n1 1 4.0\n2 1 -1.5\n")
-        A = read_matrix_market(p).toarray()
-        assert np.array_equal(A, np.array([[4.0, -1.5], [-1.5, 0.0]],
-                                          dtype=complex))
+        p.write_text("%%%%MatrixMarket matrix coordinate %s\n2 2 %d\n%s"
+                     % (header, entries.count("\n"), entries))
+        A = read_matrix_market(p)
+        assert A.dtype == complex
+        assert np.array_equal(A.toarray(), np.array(expected, dtype=complex))
 
     def test_pattern_entries(self, tmp_path):
         p = tmp_path / "p.mtx"
@@ -123,15 +147,26 @@ class TestMatrixMarket:
         p = tmp_path / "oor.mtx"
         p.write_text("%%MatrixMarket matrix coordinate real general\n"
                      "2 2 1\n3 1 1.0\n")
-        with pytest.raises(MatrixMarketError, match="out of range"):
+        with pytest.raises(MatrixMarketError,
+                           match=":3: Row index out of bounds") as exc:
+            read_matrix_market(p)
+        assert exc.value.lineno == 3
+
+    def test_index_overflow_reports_line(self, tmp_path):
+        p = tmp_path / "big.mtx"
+        p.write_text("%%MatrixMarket matrix coordinate real general\n"
+                     "2 2 1\n99999999999999999999999 1 1.0\n")
+        with pytest.raises(MatrixMarketError, match=":3:"):
             read_matrix_market(p)
 
     def test_entry_count_mismatch(self, tmp_path):
         p = tmp_path / "cnt.mtx"
         p.write_text("%%MatrixMarket matrix coordinate real general\n"
                      "2 2 3\n1 1 1.0\n")
-        with pytest.raises(MatrixMarketError, match="expected 3"):
+        with pytest.raises(MatrixMarketError, match="Truncated file") as exc:
             read_matrix_market(p)
+        assert exc.value.lineno is None
+        assert str(exc.value).startswith("%s: " % p)
 
     def test_load_triple_and_shape_mismatch(self, rng, tmp_path):
         n = 4
