@@ -119,6 +119,8 @@ def solve(problem, config):
         if np.shape(u) != (problem.n,):
             raise ValueError("start vector %s has shape %s, need length n=%d"
                              % (name, np.shape(u), problem.n))
+        if not np.isfinite(u).all():
+            raise ValueError("start vector %s has an inf or NaN entry" % name)
     op = build_operator(problem, mode=config.mode, sigma=config.sigma)
     state = init_state(op, u1, u2)
 

@@ -155,13 +155,10 @@ def msoar_step(state, op, tol):
         apply_ab(op, Q[:, j - 1], P[:, j - 1]), Q)
     s = Q[:, j - 1] - P @ t_col
 
-    scale = op.work_norm_sum
-    if scale == 0.0:
-        scale = 1.0
     state.k = j
     state.T_hat[:j, j - 1] = t_col
 
-    if t_next / scale > tol:
+    if t_next / op.work_norm_sum > tol:
         state.T_hat[j, j - 1] = t_next
         state.Q[:, j] = r / t_next
         state.P[:, j] = s / t_next

@@ -57,68 +57,38 @@ class QepProblem:
             mats.append(sp.csc_matrix(X, dtype=complex))
         M, C, K = mats
         n = M.shape[0]
-        for name, X in (("M", M), ("C", C), ("K", K)):
+        norms1 = tuple(_one_norm(X) for X in mats)
+        for name, X, norm1 in zip("MCK", mats, norms1):
             if X.shape != (n, n):
                 raise ValueError("%s has shape %s, expected (%d, %d)" % (name, X.shape, n, n))
-        return cls(M=M, C=C, K=K, n=n,
-                   norms1=(_one_norm(M), _one_norm(C), _one_norm(K)))
+            if not np.isfinite(norm1):
+                raise ValueError("%s has 1-norm %r; entries must be finite" % (name, norm1))
+        return cls(M=M, C=C, K=K, n=n, norms1=norms1)
 
     @property
     def norm_sum(self):
         return self.norms1[0] + self.norms1[1] + self.norms1[2]
 
 
-def _unit_signs(y):
-    a = np.abs(y)
-    return np.divide(y, a, out=np.ones_like(y), where=a > 0.0)
-
-
-def _inverse_norm1_estimate(lu):
-    """Lower bound on ||A^{-1}||_1 from the LU of A, by Hager's method.
-
-    Higham's version (ACM TOMS 14 (1988); LAPACK ``zlacn2``): a fixed start
-    vector, at most five steps of solves with A and A^H, and the
-    alternating-sign test vector at the end.  Deterministic.
-    """
-    n = lu.shape[0]
-    y = lu.solve(np.full(n, 1.0 / n, dtype=complex))
-    est = float(np.abs(y).sum())
-    if n == 1:
-        return est
-    j = int(np.argmax(np.abs(lu.solve(_unit_signs(y), trans="H"))))
-    for _ in range(4):
-        e = np.zeros(n, dtype=complex)
-        e[j] = 1.0
-        y = lu.solve(e)
-        new = float(np.abs(y).sum())
-        if new <= est:
-            break
-        est = new
-        z = np.abs(lu.solve(_unit_signs(y), trans="H"))
-        j_last, j = j, int(np.argmax(z))
-        if z[j_last] == z[j]:
-            break
-    i = np.arange(n)
-    alt = ((-1.0) ** i * (1.0 + i / (n - 1.0))).astype(complex)
-    return max(est, 2.0 * float(np.abs(lu.solve(alt)).sum()) / (3 * n))
-
-
 def _checked_splu(A, what, norm1):
     """Sparse LU of A, refused when A is numerically singular.
 
-    The criterion is ||A||_1 * est(||A^{-1}||_1) >= 1e14, a 1-norm
-    condition estimate on the scale of a pivot 1e-14 times the largest;
-    ``norm1`` is ||A||_1, and the estimate needs only solves with the
-    factors.  ``lu.U`` is read only on the raising path, to report the
-    smallest pivot: reading ``lu.L`` or ``lu.U`` makes scipy's ``SuperLU``
-    build CSC copies of both factors, and it keeps them (read-only, not
-    releasable) for as long as the factorization lives.
+    A passes when ||A||_1 * est(||A^{-1}||_1) < 1e14 (``norm1`` is
+    ||A||_1), a condition estimate on the scale of a pivot 1e-14 times the
+    largest; a NaN estimate fails.  scipy's ``onenormest`` with t=1 (the
+    Hager/Higham method) needs only solves with the factors and draws no
+    random numbers.  ``lu.U`` is read only on the raising path, to report
+    the smallest pivot: reading ``lu.L`` or ``lu.U`` makes scipy's
+    ``SuperLU`` build CSC copies of both factors, and it keeps them
+    (read-only, not releasable) for as long as the factorization lives.
     """
     try:
         lu = spla.splu(A.tocsc())
     except RuntimeError as exc:
         raise FactorizationError("%s is singular: %s" % (what, exc)) from exc
-    if norm1 * _inverse_norm1_estimate(lu) >= 1e14:
+    inverse = spla.LinearOperator(lu.shape, lu.solve, dtype=complex,
+                                  rmatvec=lambda x: lu.solve(x, trans="H"))
+    if not norm1 * spla.onenormest(inverse, t=1) < 1e14:
         raise FactorizationError(
             "%s is numerically singular (1-norm condition estimate >= 1e14)"
             % what,

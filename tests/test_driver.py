@@ -72,6 +72,16 @@ class TestConfig:
         with pytest.raises(ValueError, match=r"%s .*n=10" % name):
             solve(prob, cfg)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(1.0, -np.inf)])
+    @pytest.mark.parametrize("name", ["u1", "u2"])
+    def test_start_vector_finiteness_checked(self, name, bad):
+        prob = gen_mass_spring(10)
+        u = np.ones(10, dtype=complex)
+        u[4] = bad
+        cfg = SolverConfig(m=2, k=6, **{name: u})
+        with pytest.raises(ValueError, match="start vector %s .*inf or NaN" % name):
+            solve(prob, cfg)
+
 
 class TestShiftInvert:
     def test_converges_to_nearest_eigenvalues(self, rng):

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from soarqep.operator import (FactorizationError, QepProblem, _one_norm,
                               apply_ab, build_operator, recover_eigen)
@@ -38,6 +39,15 @@ class TestProblem:
         with pytest.raises(ValueError, match="C"):
             QepProblem.from_matrices(np.eye(3), np.eye(2), np.eye(3))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("name", ["M", "C", "K"])
+    def test_non_finite_entry_rejected(self, name, bad):
+        mats = {"M": np.eye(3), "C": np.eye(3), "K": np.eye(3)}
+        mats[name] = mats[name].astype(complex)
+        mats[name][2, 1] = bad
+        with pytest.raises(ValueError, match="^%s has 1-norm (nan|inf)" % name):
+            QepProblem.from_matrices(**mats)
+
     def test_sparse_input_kept_sparse(self):
         prob = QepProblem.from_matrices(sp.identity(4), sp.identity(4),
                                         sp.identity(4))
@@ -66,10 +76,46 @@ class TestBuildOperator:
             build_operator(prob, mode="shift-invert", sigma=1.0)
         assert exc.value.pivot_position == 1
 
-    def test_string_shift_accepted(self):
+    @staticmethod
+    def _estimates(monkeypatch):
+        """Record each 1-norm estimate the build computes."""
+        seen, real = [], spla.onenormest
+
+        def spy(*args, **kwargs):
+            seen.append(real(*args, **kwargs))
+            return seen[-1]
+
+        monkeypatch.setattr(spla, "onenormest", spy)
+        return seen
+
+    def test_estimate_bounds_inverse_norm_dense(self, monkeypatch):
+        # complex non-Hermitian A = X^{-1}, X = I plus a heavy first column
+        # whose squared phases cancel: ||X||_1 = 25 but ||X||_inf = 4, and
+        # solving with A^T in place of A^H stops the estimate near 3
+        n = 8
+        X = np.eye(n, dtype=complex)
+        X[:, 0] += 3.0 * np.exp(0.25j * np.pi * np.arange(n))
+        seen = self._estimates(monkeypatch)
+        build_operator(QepProblem.from_matrices(np.linalg.inv(X), np.eye(n),
+                                                np.eye(n)))
+        exact = np.abs(X).sum(axis=0).max()
+        assert seen[0] <= exact * (1 + 1e-12) and exact <= 3 * seen[0]
+
+    def test_global_random_state_untouched(self):
+        before = np.random.get_state()
+        build_operator(gen_string_damping(200), mode="shift-invert",
+                       sigma=STRING_SIGMA)
+        after = np.random.get_state()
+        assert np.array_equal(before[1], after[1])
+        assert before[:1] + before[2:] == after[:1] + after[2:]
+
+    def test_string_shift_accepted(self, monkeypatch):
+        seen = self._estimates(monkeypatch)
         op = build_operator(gen_string_damping(200), mode="shift-invert",
                             sigma=STRING_SIGMA)
         assert op.lu is not None
+        exact = np.abs(np.linalg.inv(op.work_M.toarray())).sum(axis=0).max()
+        assert seen[0] <= exact * (1 + 1e-12) and exact <= 3 * seen[0]
 
     def test_direct_mode_reuses_problem_norms(self, rng):
         prob = QepProblem.from_matrices(np.eye(3), rng.standard_normal((3, 3)),

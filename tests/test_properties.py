@@ -85,7 +85,8 @@ def _replay(n, seed, plan):
 @pytest.mark.filterwarnings("ignore:overflow")
 @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: contract divides "
                    "by a tiny R diagonal for a shift near a zero eigenvalue "
-                   "of T, and the next expansion overflows")
+                   "of T; the state stays finite (about 1e145) but "
+                   "conftest.stacked_residual overflows to inf")
 def test_shift_near_zero_eigenvalue_with_deflation():
     _replay(10, 6021, [(3, [6.3703409613256726e-145j]), (3, None)])
 
