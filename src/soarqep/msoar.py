@@ -111,11 +111,24 @@ class SoarState:
         return Q if live.all() else Q[:, live]
 
 
+# below this 2-norm the squares of u1's largest entries are subnormal
+_NORM_SAFE_MIN = np.sqrt(np.finfo(float).tiny)
+
+
 def init_state(op, u1, u2):
     """Start the recurrence with q_1 = u1/||u1||, p_1 = u2/||u1||."""
     u1 = np.asarray(u1, dtype=complex)
     u2 = np.asarray(u2, dtype=complex)
-    nrm = np.linalg.norm(u1)
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(u1)
+    if not _NORM_SAFE_MIN < nrm < np.inf and u1.any():
+        # the sum of squares overflowed or underflowed: scale the largest
+        # real or imaginary part of u1 to 1 first, part by part, as numpy's
+        # complex division overflows for a subnormal divisor
+        parts1, parts2 = (np.ascontiguousarray(u).view(float) for u in (u1, u2))
+        scale = np.abs(parts1).max()
+        u1, u2 = (parts1 / scale).view(complex), (parts2 / scale).view(complex)
+        nrm = np.linalg.norm(u1)
     if nrm == 0.0:
         raise ZeroStartError("u1 must be nonzero")
     state = SoarState(op.n)
@@ -195,21 +208,14 @@ def extraction_basis(state):
     Q_{k+1} plus the orthogonalized p_1 direction when more than 1e-8 of it
     sticks out of their span (the finalization column of the recurrence).
 
-    It is returned row-major, the layout the projection's sparse products
-    want, and built in one allocation when Q has no zero column.  p_1 is
-    orthogonalized against the column-major Q, as the row-major copy would
-    round differently."""
+    When Q has no zero column and p_1 adds no direction, this is the
+    column-major view ``state.Q`` itself, not a copy; otherwise a new
+    column-major array."""
     Q = state.nonzero_q()
     p1 = state.P[:, 0]
     p1n = np.linalg.norm(p1)
-    extra = None
     if p1n > 0.0:
         _, r, rn = orthogonalize_with_refinement(p1, Q)
         if rn > 1e-8 * p1n:
-            extra = r / rn
-    j = Q.shape[1]
-    Qt = np.empty((Q.shape[0], j + (extra is not None)), dtype=complex)
-    Qt[:, :j] = Q
-    if extra is not None:
-        Qt[:, j] = extra
-    return Qt
+            return np.column_stack((Q, r / rn))
+    return Q

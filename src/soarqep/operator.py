@@ -124,6 +124,10 @@ class OperatorPair:
         return self.work_norms1[0] + self.work_norms1[1] + self.work_norms1[2]
 
 
+# largest |Re sigma| + |Im sigma| whose square is finite
+_SIGMA_MAX = np.sqrt(np.finfo(float).max)
+
+
 def build_operator(problem, mode="direct", sigma=None):
     """Factorize and wrap the operator pair for ``mode``.
 
@@ -138,6 +142,10 @@ def build_operator(problem, mode="direct", sigma=None):
         if sigma is None:
             raise ValueError("shift-invert mode requires sigma")
         sigma = complex(sigma)
+        # NaN fails the comparison too
+        if not abs(sigma.real) + abs(sigma.imag) <= _SIGMA_MAX:
+            raise ValueError("sigma must be finite with a finite sigma^2, "
+                             "got %r" % sigma)
         wM = sp.csc_matrix(sigma ** 2 * problem.M + sigma * problem.C + problem.K)
         wC = sp.csc_matrix(problem.C + 2.0 * sigma * problem.M)
         wK = problem.M

@@ -119,7 +119,7 @@ def contract(state, shifts, m):
     new = SoarState(state.n)
     new.reserve(state.capacity)
     new.k = m
-    np.matmul(Q[:, keep], U[:, : m + 1], out=new.Q)
+    np.matmul(Q[:, keep] if zero_cols else Q[:, :k], U[:, : m + 1], out=new.Q)
     np.matmul(P[:, :k], _right_tri_solve(V, R)[:, : m + 1], out=new.P)
     f_q = S[m, m - 1] * new.Q[:, m] + beta_t * Q[:, k]
     f_p = S[m, m - 1] * new.P[:, m] + beta_t * P[:, k]

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from conftest import breakdown_starts, random_qep
+from soarqep import extraction
 from soarqep.extraction import (extract_refined, extract_ritz, project,
                                 residual_bound)
+from soarqep.kernels import gram_blocks
 from soarqep.msoar import extraction_basis, init_state, run_msoar
 from soarqep.operator import QepProblem, build_operator
 
@@ -29,7 +31,8 @@ class TestProject:
                            atol=1e-12)
 
     def test_basis_layout_changes_projection_only_by_rounding(self, rng):
-        # project runs the sparse products on the row-major basis
+        # project runs the sparse products on row-major copies of a few
+        # basis columns at a time and the triple on the column-major basis
         prob = random_qep(rng, 40)
         op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j)
         proj = project(st, op)
@@ -47,6 +50,25 @@ class TestProject:
         dense = [A.toarray() @ Q for A in work]
         dense += [Q.conj().T @ Wi for Wi in dense]
         assert all(close(g, w) for g, w in zip(got, dense))
+
+    def test_chunked_projection_matches_unchunked_formula(self, rng,
+                                                          monkeypatch):
+        # u2 = u1 adds no p1 column, so ktilde = k + 1 = 9, formed in
+        # chunks of 4, 4 and 1 columns
+        monkeypatch.setattr(extraction, "PROJECT_CHUNK_ENTRIES", 4 * 40 + 3)
+        prob = random_qep(rng, 40, complex_data=True)
+        u1 = rng.standard_normal(40)
+        op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j,
+                      u1=u1, u2=u1)
+        proj = project(st, op)
+        Qt = proj.Q_tilde
+        assert Qt.shape[1] == 9
+        W = [X @ np.ascontiguousarray(Qt)
+             for X in (op.work_M, op.work_C, op.work_K)]
+        for Xk, Wi in zip((proj.M_k, proj.C_k, proj.K_k), W):
+            assert np.array_equal(Xk, np.conj(Qt.T @ np.conj(Wi)))
+        want = gram_blocks(np.asfortranarray(np.hstack(W)))
+        assert all(np.array_equal(g, w) for g, w in zip(proj.blocks, want))
 
     def test_blocks_factor_gram_and_triple_projects_products(self, rng):
         prob = random_qep(rng, 40, complex_data=True)

@@ -152,6 +152,16 @@ class TestAccounting:
         assert T.shape == (7, 6)
         assert np.all(np.tril(T, -2) == 0.0)
 
+    def test_extraction_basis_is_q_itself(self, rng):
+        # no zero column and p1 = q1: the basis is the live Q, not a copy
+        prob = random_qep(rng, 20)
+        op = build_operator(prob)
+        u1 = rng.standard_normal(20)
+        st = run_msoar(init_state(op, u1, u1), op, 5, 1e-12)
+        Qt = extraction_basis(st)
+        assert Qt.shape == (20, 6) and Qt.flags.f_contiguous
+        assert np.shares_memory(Qt, st.Q)
+
     def test_extraction_basis_appends_p1_direction(self, rng):
         prob = random_qep(rng, 20)
         op = build_operator(prob)

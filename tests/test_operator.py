@@ -144,6 +144,13 @@ class TestBuildOperator:
         with pytest.raises(ValueError):
             build_operator(prob, mode="shift-invert")
 
+    @pytest.mark.parametrize("sigma", [np.nan, np.inf, 1e160,
+                                       complex(0.0, np.nan)])
+    def test_shift_must_be_finite_with_finite_square(self, sigma):
+        prob = QepProblem.from_matrices(np.eye(3), np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match="sigma must be finite"):
+            build_operator(prob, mode="shift-invert", sigma=sigma)
+
     def test_shift_invert_matrices(self, rng):
         n = 5
         M = np.eye(n) + 0.1 * rng.standard_normal((n, n))
