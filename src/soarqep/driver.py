@@ -157,8 +157,9 @@ def solve(problem, config):
         shift_set = select_shifts(
             proj, wanted, config.num_shifts, mode=config.mode,
             provenance="refined" if config.variant == "irsoar" else "exact")
-        # the projection's basis must not outlive the cycle: the contraction
-        # and the next projection then hold one n-length working set
+        # the projection's basis is a view of Q, which the contraction
+        # overwrites in place; nothing n-length of the cycle outlives it
         del proj, ritz, wanted
-        state, _ = contract(state, shift_set, config.k - len(shift_set.shifts))
+        state, _ = contract(state, shift_set, config.k - len(shift_set.shifts),
+                            overwrite=True)
         report.restarts_used += 1

@@ -24,9 +24,10 @@ class ProjectedQep:
 
     With the working matrices W1 = M Q_tilde, W2 = C Q_tilde and
     W3 = K Q_tilde, it keeps the triple M_k = Q_tilde^* W1, C_k, K_k and the
-    blocks (R1, R2, R3) of the thin QR [W1 W2 W3] = Z R.  The W_i themselves
-    are not kept; ``W1``..``W3`` recompute them from the operator's working
-    matrices on demand, and the solver never asks for them.
+    blocks (R1, R2, R3) of the thin QR [W1 W2 W3] = Z R, both accumulated
+    over row blocks by ``project``.  The W_i are not kept, so a later cycle
+    cannot reuse them; ``W1``..``W3`` recompute them from the operator's
+    working matrices on demand, and the solver never asks for them.
     """
     Q_tilde: np.ndarray   # n x ktilde orthonormal basis, often a view of Q
     M_k: np.ndarray
@@ -74,42 +75,100 @@ class RitzSet:
         return [self.refined.get(i, self.pairs[i]) for i in self.selection]
 
 
-# basis entries per sparse product in ``project``: a 512 KiB chunk, which
-# is 6 columns at n=5000 and the whole basis at n=1000 (wider chunks mean
-# fewer passes over the matrix)
+# basis entries per row-major copy in ``project``: a 512 KiB chunk, which is
+# 31 columns of a 1024-row block of a banded matrix, 32 at n=1000 and 109
+# at n=300 (wider chunks mean fewer passes over the matrix)
 PROJECT_CHUNK_ENTRIES = 2 ** 15
+
+# bytes of one stored entry of a sliced working matrix: a complex value and
+# its int32 row index
+SLICE_ENTRY_BYTES = 20
+
+
+def _project_blocks(op, kt):
+    """The row blocks ``project`` streams, as pairs (rows, cols) with the
+    span of columns of the working matrices those rows touch.
+
+    They are ``kernels.row_blocks(n)`` if, for every block, the three
+    matrices' entries in its column span take fewer bytes than the rows of
+    the n x 3ktilde array that streaming does not hold; else one block of
+    all n rows.  Those entries are what slicing the block reads and at
+    most what it keeps.  A banded matrix puts a few entries per row in a
+    block's span and streams; one with rows about half full, such as the
+    damping matrix of ``gen_string_damping``, puts about b x n/2 there and
+    does not.
+    """
+    n = op.n
+    whole = [(slice(0, n), slice(0, n))]
+    blocks = kernels.row_blocks(n)
+    if len(blocks) == 1:
+        return whole
+    lo, hi = op.work_row_extents
+    pairs = []
+    for rows in blocks:
+        touched = np.flatnonzero((lo < rows.stop) & (hi >= rows.start))
+        pairs.append((rows, slice(touched[0], touched[-1] + 1)
+                      if touched.size else slice(0, 0)))
+    work = (op.work_M, op.work_C, op.work_K)
+    spanned = max(sum(int(X.indptr[cols.stop] - X.indptr[cols.start])
+                      for X in work) for _, cols in pairs)
+    spared = (n - blocks[0].stop) * 3 * kt * 16
+    return pairs if spanned * SLICE_ENTRY_BYTES < spared else whole
 
 
 def project(state, op):
     """Project the working QEP onto the finalized basis.
 
-    The tall products W_i = X_i Q_tilde are formed PROJECT_CHUNK_ENTRIES
-    basis entries at a time, each from a row-major copy of those columns,
-    and written straight into their block of one column-major n x 3ktilde
-    array, which ``kernels.gram_blocks`` then factors in place; no copy of
-    the basis and no full-width product is held besides it.  CSC-by-dense
-    products run 2-5x faster on row-major operands, and on ms5k the chunks
-    take a third of the full-width time.  A chunked sparse product equals
-    the full one bit for bit, as each output column is summed on its own.
-    Each projected block is conj(Q_tilde^T conj(W_i)), with the block
-    conjugated in place and back; it matched Q_tilde^* W_i bit for bit at
+    The rows of [W1 W2 W3] = [X1 Q_tilde, X2 Q_tilde, X3 Q_tilde] are
+    formed a block of rows at a time in one reused column-major buffer;
+    each block adds its share to the triple and is folded into the Gram
+    triangle by ``kernels.gram_blocks`` before the next one is formed.  The
+    blocks are ``kernels.row_blocks`` where that holds less memory
+    (``_project_blocks``), and then the n x 3ktilde array is never held:
+    the working set is the basis and one block of rows.  With n at most
+    ROW_BLOCK_MIN, or working matrices whose rows are too full to slice,
+    there is one block of all n rows, no slicing, and the arithmetic of the
+    unblocked formula.
+
+    A block's rows of X_i Q_tilde are one slice of X_i, over the block's
+    rows and the columns they touch, times row-major copies of at most
+    PROJECT_CHUNK_ENTRIES entries of those basis rows, each shared by the
+    three products.  CSC-by-dense products run 2-5x faster on row-major
+    operands, and each entry is summed over the same columns in the same
+    order as in the full product, so it is the same bit for bit.  A
+    block's share of X_k is conj(Q_tilde[rows]^T conj(W_i[rows])), with
+    the block conjugated in place and back: no conjugated copy of the
+    basis rows, and in one block it matched Q_tilde^* W_i bit for bit at
     one and two OpenBLAS threads.
     """
     Qt = extraction_basis(state)
     n, kt = Qt.shape
-    A = np.empty((n, 3 * kt), dtype=complex, order="F")
-    width = max(1, PROJECT_CHUNK_ENTRIES // n)
-    triple = []
-    for i, X in enumerate((op.work_M, op.work_C, op.work_K)):
-        blk = A[:, i * kt:(i + 1) * kt]
+    blocks = _project_blocks(op, kt)
+    work = (op.work_M, op.work_C, op.work_K)
+    buf = np.empty(blocks[0][0].stop * 3 * kt, dtype=complex)
+    triple, R = [None, None, None], None
+    for rows, cols in blocks:
+        W = buf[:(rows.stop - rows.start) * 3 * kt].reshape(
+            (-1, 3 * kt), order="F")
+        mats = (work if rows.stop - rows.start == n
+                else [X[rows, cols] for X in work])
+        width = max(1, PROJECT_CHUNK_ENTRIES // max(1, cols.stop - cols.start))
         for j in range(0, kt, width):
-            cols = slice(j, j + width)
-            blk[:, cols] = X @ np.ascontiguousarray(Qt[:, cols])
-        np.conjugate(blk, out=blk)
-        Xk = Qt.T @ blk
-        triple.append(np.conjugate(Xk, out=Xk))
-        np.conjugate(blk, out=blk)
-    return ProjectedQep(Qt, *triple, blocks=kernels.gram_blocks(A), op=op)
+            Q_chunk = np.ascontiguousarray(Qt[cols, j:j + width])
+            for i, X in enumerate(mats):
+                W[:, i * kt + j:i * kt + min(j + width, kt)] = X @ Q_chunk
+        for i in range(3):
+            blk = W[:, i * kt:(i + 1) * kt]
+            np.conjugate(blk, out=blk)
+            Xk = Qt[rows].T @ blk
+            np.conjugate(Xk, out=Xk)
+            np.conjugate(blk, out=blk)
+            if triple[i] is None:
+                triple[i] = Xk
+            else:
+                triple[i] += Xk
+        R = kernels.gram_blocks(W, R)
+    return ProjectedQep(Qt, *triple, blocks=R, op=op)
 
 
 def _relative(op, theta, abs_residual):
@@ -176,7 +235,7 @@ def residual_bound(state, theta, s, norm_M):
     ps = np.linalg.norm(state.P[:, :k] @ s, axis=0)
     p_last = np.linalg.norm(state.P[:, k])
     c_k = (np.sqrt(np.abs(theta) ** 2 + 1.0)
-           * np.sqrt(norm_M ** 2 + p_last ** 2)
+           * np.hypot(norm_M, p_last)
            / np.sqrt(1.0 + ps ** 2))
     bound = c_k * t_sub * np.abs(s[k - 1])
     return float(bound) if s.ndim == 1 else bound

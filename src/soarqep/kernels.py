@@ -1,13 +1,16 @@
 """Small dense complex linear-algebra kernels shared by the solver layers.
 
 All routines work on plain ndarrays and do not care where the data came
-from.  Only ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
-n-length data.  ``gram_blocks`` factors the caller's n-by-3k array in
-place, with LAPACK zgeqrt rather than zgeqrf, whose level-2 panel streams
-all n rows once per column; zgeqrt's recursive panel halves the QR of the
-solver's n-by-3k blocks (5000-by-123, one thread of a 2-core VM: 36 ms
-against 67-77 ms).  The rest works at orders <= ~200 (shifted QR by
-LAPACK rotations, each applied once; the projected QEP by standard eig on
+from.  ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
+n-length data, ``gram_blocks`` a block of rows at a time: blocks of the
+sizes ``row_blocks`` hands out, or all n rows where the projection does
+not stream (``extraction.project``).  ``gram_blocks`` factors the first
+block in place with LAPACK zgeqrt rather than zgeqrf, whose level-2 panel
+streams all rows once per column; zgeqrt's recursive panel halves the QR
+of the solver's n-by-3k blocks (5000-by-123, one thread of a 2-core VM:
+36 ms against 67-77 ms).  Each later block is folded into the triangle by
+ztpqrt.  The rest works at orders <= ~200 (shifted QR by LAPACK
+rotations, each applied once; the projected QEP by standard eig on
 the monic companion when M_k is well conditioned and by QZ otherwise,
 returned as an eigenvalue array and one matrix of unit eigenvectors;
 refined vectors by QR, then inverse iteration from the Ritz vector on its
@@ -18,7 +21,7 @@ import warnings
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgeqrt, zlartg, zrot
+from scipy.linalg.lapack import zgeqrt, zlartg, zrot, ztpqrt
 
 
 class QRSweepError(RuntimeError):
@@ -173,28 +176,59 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
     return theta, G
 
 
-def gram_blocks(A):
+# rows per block of the n-length passes that stream by rows (projection,
+# contraction): at least ROW_BLOCK_MIN, so any n up to it is one block, and
+# at most ROW_BLOCKS_MAX blocks, so slicing a sparse matrix by blocks costs
+# a bounded multiple of one pass over it
+ROW_BLOCK_MIN = 1024
+ROW_BLOCKS_MAX = 16
+
+
+def row_blocks(n):
+    """Consecutive row slices covering range(n): all of ROW_BLOCK_MIN rows
+    or more, the last one possibly shorter, and at most ROW_BLOCKS_MAX."""
+    b = max(ROW_BLOCK_MIN, -(-n // ROW_BLOCKS_MAX))
+    return [slice(r, min(r + b, n)) for r in range(0, n, b)]
+
+
+def gram_blocks(A, above=None):
     """The Gram blocks W_i^* W_j in factored form, one QR per subspace.
 
-    ``A`` is [W1 W2 W3], an n-by-3k array.  A Householder QR
-    A = Z [R1 R2 R3] returns the column blocks (R1, R2, R3) of the
-    min(n, 3k)-by-3k triangle R, so R_i^* R_j = W_i^* W_j and
+    ``A`` is [W1 W2 W3], an n-by-3k array, or a row block of it.  A
+    Householder QR A = Z [R1 R2 R3] returns the column blocks (R1, R2, R3)
+    of the min(n, 3k)-by-3k triangle R, so R_i^* R_j = W_i^* W_j and
     ||(a W1 + b W2 + c W3) x|| = ||(a R1 + b R2 + c R3) x|| for any a, b, c, x.
     R1 is zero below row k and R2 below row 2k.  A complex column-major
     ``A`` is factored in place and left holding the reflectors; any other
     is copied first.
 
-    The QR is LAPACK zgeqrt, not zgeqrf (``scipy.linalg.qr``): zgeqrf's
-    level-2 panel streams all n rows once per column, while zgeqrt factors
-    each panel recursively with level-3 updates (Elmroth & Gustavson, IBM
-    J. Res. Dev. 44 (2000)) and yields the same triangle up to rounding.  On
-    a 5000-by-123 block, one thread of a 2-core VM, it takes 36 ms against
-    67-77 ms; at 20000-by-123, 153 against 540 ms.
+    ``above`` is what this function returned for the rows above ``A``.
+    Then R is the 3k-by-3k triangle of those rows and ``A`` stacked: the
+    triangle, zero-padded to square, and ``A`` go through LAPACK ztpqrt, the
+    triangular-pentagonal QR that tall-skinny QR is built on (Demmel,
+    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34 (2012)).  So
+    [W1 W2 W3] is factored one row block at a time and is never needed
+    whole.  Folding five row blocks of a 5000-by-123 array took 33 ms
+    against 34 ms for one zgeqrt of it (medians of 40 alternating runs,
+    one thread of a 2-core VM).
+
+    The first QR is LAPACK zgeqrt, not zgeqrf (``scipy.linalg.qr``):
+    zgeqrf's level-2 panel streams all n rows once per column, while zgeqrt
+    factors each panel recursively with level-3 updates (Elmroth &
+    Gustavson, IBM J. Res. Dev. 44 (2000)) and yields the same triangle up
+    to rounding.  On a 5000-by-123 block, one thread of a 2-core VM, it
+    takes 36 ms against 67-77 ms; at 20000-by-123, 153 against 540 ms.
     """
     n, k = A.shape[0], A.shape[1] // 3
     # columns per reflector block; 16 and 64 timed alike on the solver's shapes
-    A, _, _ = zgeqrt(min(32, *A.shape), A, overwrite_a=1)
-    R = np.triu(A[:min(n, 3 * k)])
+    if above is None:
+        A, _, _ = zgeqrt(min(32, *A.shape), A, overwrite_a=1)
+        R = np.triu(A[:min(n, 3 * k)])
+    else:
+        R = np.zeros((3 * k, 3 * k), dtype=complex, order="F")
+        R[:above[0].shape[0]] = np.hstack(above)
+        R, _, _, _ = ztpqrt(0, min(32, 3 * k), R, A, overwrite_a=1,
+                            overwrite_b=1)
     return R[:, :k], R[:, k:2 * k], R[:, 2 * k:]
 
 

@@ -107,7 +107,8 @@ class SoarState:
         """Matrix of the nonzero columns of Q_{k+1}: a copy where Q has a
         zero column, the view ``Q`` itself otherwise."""
         Q = self.Q
-        live = np.linalg.norm(Q, axis=0) > 0.0
+        # any() reduces in place; a column norm would square all of Q first
+        live = Q.any(axis=0)
         return Q if live.all() else Q[:, live]
 
 
@@ -119,21 +120,27 @@ def init_state(op, u1, u2):
     """Start the recurrence with q_1 = u1/||u1||, p_1 = u2/||u1||."""
     u1 = np.asarray(u1, dtype=complex)
     u2 = np.asarray(u2, dtype=complex)
-    with np.errstate(over="ignore"):
+    # an overflow is caught below, on p_1 itself
+    with np.errstate(over="ignore", invalid="ignore"):
         nrm = np.linalg.norm(u1)
-    if not _NORM_SAFE_MIN < nrm < np.inf and u1.any():
-        # the sum of squares overflowed or underflowed: scale the largest
-        # real or imaginary part of u1 to 1 first, part by part, as numpy's
-        # complex division overflows for a subnormal divisor
-        parts1, parts2 = (np.ascontiguousarray(u).view(float) for u in (u1, u2))
-        scale = np.abs(parts1).max()
-        u1, u2 = (parts1 / scale).view(complex), (parts2 / scale).view(complex)
-        nrm = np.linalg.norm(u1)
-    if nrm == 0.0:
-        raise ZeroStartError("u1 must be nonzero")
+        if not _NORM_SAFE_MIN < nrm < np.inf and u1.any():
+            # the sum of squares overflowed or underflowed: scale the largest
+            # real or imaginary part of u1 to 1 first, part by part, as
+            # numpy's complex division overflows for a subnormal divisor
+            parts1, parts2 = (np.ascontiguousarray(u).view(float)
+                              for u in (u1, u2))
+            scale = np.abs(parts1).max()
+            u1, u2 = (parts1 / scale).view(complex), (parts2 / scale).view(complex)
+            nrm = np.linalg.norm(u1)
+        if nrm == 0.0:
+            raise ZeroStartError("u1 must be nonzero")
+        p1 = u2 / nrm
+    if not np.isfinite(p1).all():
+        raise ValueError("start vector u2 is too large for u1: p_1 = "
+                         "u2/||u1|| overflows")
     state = SoarState(op.n)
     state.Q[:, 0] = u1 / nrm
-    state.P[:, 0] = u2 / nrm
+    state.P[:, 0] = p1
     return state
 
 

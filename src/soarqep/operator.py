@@ -7,6 +7,7 @@ step.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -122,6 +123,22 @@ class OperatorPair:
     @property
     def work_norm_sum(self):
         return self.work_norms1[0] + self.work_norms1[1] + self.work_norms1[2]
+
+    @cached_property
+    def work_row_extents(self):
+        """(lo, hi): the smallest and largest row index of each column over
+        the three working matrices, n and -1 for a column empty in all.
+        ``extraction.project`` finds the columns a row block touches from
+        them; they cost a pass over the matrices, made once per operator."""
+        lo = np.full(self.n, self.n)
+        hi = np.full(self.n, -1)
+        for X in (self.work_M, self.work_C, self.work_K):
+            cols = np.flatnonzero(np.diff(X.indptr))
+            if cols.size:
+                idx, starts = X.indices[:X.indptr[-1]], X.indptr[cols]
+                lo[cols] = np.minimum(lo[cols], np.minimum.reduceat(idx, starts))
+                hi[cols] = np.maximum(hi[cols], np.maximum.reduceat(idx, starts))
+        return lo, hi
 
 
 # largest |Re sigma| + |Im sigma| whose square is finite

@@ -14,7 +14,8 @@ import numpy as np
 import scipy.linalg
 
 from .extraction import HUGE_RITZ
-from .kernels import hessenberg_shifted_qr, qr_unit_diagonal, solve_projected_qep
+from .kernels import (hessenberg_shifted_qr, qr_unit_diagonal, row_blocks,
+                      solve_projected_qep)
 from .msoar import SoarState
 
 
@@ -87,7 +88,7 @@ def _right_tri_solve(X, R):
     return scipy.linalg.solve_triangular(R.T, X.T, lower=True).T
 
 
-def contract(state, shifts, m):
+def contract(state, shifts, m, overwrite=False):
     """Shrink a k-step decomposition to m steps with the given shifts.
 
     The row-pruned rotation of the shifted-QR sweeps is refactored (QR with
@@ -95,6 +96,13 @@ def contract(state, shifts, m):
     orthonormal again even with zero columns in Q; without them R is the
     identity up to rounding and this is the plain shifted-QR update.
     Returns (new_state, RestartReport).
+
+    The retained columns are formed ``kernels.row_blocks`` at a time, each
+    block through a column-major temporary (an ``@`` without ``out``
+    returns row-major and rounds differently).  With ``overwrite`` they are
+    written into the input's own buffers, which a block is read from before
+    it is written, and the input becomes the new state; otherwise the input
+    is left untouched and new buffers are allocated.
     """
     if state.breakdown:
         raise RuntimeError("cannot restart past breakdown")
@@ -104,25 +112,38 @@ def contract(state, shifts, m):
     if k != m + p:
         raise ValueError("need k = m + p (k=%d, m=%d, p=%d)" % (k, m, p))
     if p == 0:
-        return copy.deepcopy(state), RestartReport(deflations_repaired=0)
+        new = state if overwrite else copy.deepcopy(state)
+        return new, RestartReport(deflations_repaired=0)
 
-    Q, P = state.Q, state.P
+    Q, P, T_hat = state.Q, state.P, state.T_hat
     V, T_plus = hessenberg_shifted_qr(state.T, mu)
     zero_cols = [j for j in state.deflation_steps if j <= k - 1]
     keep = [i for i in range(k) if i not in zero_cols]
     U, R = qr_unit_diagonal(V[keep, :])
     S = _right_tri_solve(R @ T_plus, R)
-    beta_t = state.T_hat[k, k - 1] * V[k - 1, m - 1] / R[m - 1, m - 1]
+    beta_t = T_hat[k, k - 1] * V[k - 1, m - 1] / R[m - 1, m - 1]
+    U_q, U_p = U[:, : m + 1], _right_tri_solve(V, R)[:, : m + 1]
+    # the old residual direction, before its column is zeroed or reused
+    q_k, p_k = Q[:, k].copy(), P[:, k].copy()
 
-    # the retained columns and the raw residual direction go straight into
-    # the buffers of the new state
-    new = SoarState(state.n)
+    new = state if overwrite else SoarState(state.n)
     new.reserve(state.capacity)
     new.k = m
-    np.matmul(Q[:, keep] if zero_cols else Q[:, :k], U[:, : m + 1], out=new.Q)
-    np.matmul(P[:, :k], _right_tri_solve(V, R)[:, : m + 1], out=new.P)
-    f_q = S[m, m - 1] * new.Q[:, m] + beta_t * Q[:, k]
-    f_p = S[m, m - 1] * new.P[:, m] + beta_t * P[:, k]
+    blocks = row_blocks(state.n)
+    tmp = np.empty((blocks[0].stop - blocks[0].start) * (m + 1), dtype=complex)
+    for rows in blocks:
+        out = tmp[:(rows.stop - rows.start) * (m + 1)].reshape(
+            (-1, m + 1), order="F")
+        Q_rows = Q[rows, keep] if zero_cols else Q[rows, :k]
+        new.Q[rows] = np.matmul(Q_rows, U_q, out=out)
+        new.P[rows] = np.matmul(P[rows, :k], U_p, out=out)
+    if overwrite:
+        # the buffers hold zeros past the live part
+        Q[:, m + 1:] = 0.0
+        P[:, m + 1:] = 0.0
+        T_hat[...] = 0.0
+    f_q = S[m, m - 1] * new.Q[:, m] + beta_t * q_k
+    f_p = S[m, m - 1] * new.P[:, m] + beta_t * p_k
     carried = [i for i in range(m) if np.linalg.norm(U[:, i]) == 0.0]
 
     beta = float(np.sqrt(np.linalg.norm(f_q) ** 2 + np.linalg.norm(f_p) ** 2))

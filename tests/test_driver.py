@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,14 @@ class TestConfig:
         assert [c.lam for c in got.converged] == [c.lam for c in want.converged]
         assert len(want.converged) == 2
 
+    def test_start_vector_u2_too_large_for_u1(self):
+        # p_1 = u2/||u1|| = 1/(sqrt(10) 1e-320) is past the float range
+        cfg = SolverConfig(m=2, k=6, u1=np.full(10, 1e-320), u2=np.ones(10))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="u2"):
+                solve(gen_mass_spring(10), cfg)
+
 
 class TestShiftInvert:
     def test_converges_to_nearest_eigenvalues(self, rng):
@@ -150,9 +159,9 @@ class TestShiftInvert:
             out = select_shifts(*args, **kwargs)
             return dataclasses.replace(out, shifts=out.shifts[:-2])
 
-        def recording(state, shifts, m):
+        def recording(state, shifts, m, **kwargs):
             retained.append(m)
-            return contract(state, shifts, m)
+            return contract(state, shifts, m, **kwargs)
 
         monkeypatch.setattr(driver, "select_shifts", short_set)
         monkeypatch.setattr(driver, "contract", recording)
@@ -321,30 +330,53 @@ class TestLargeN:
             assert np.linalg.norm(r) / prob.norm_sum <= cfg.ctol
 
 
+def _peak_blocks(n, k, restarts):
+    """tracemalloc peak of a mass-spring solve, in blocks of n x (k+2)
+    complex, and the restarts it used."""
+    cfg = SolverConfig(m=6, k=k, p=15, mode="shift-invert", sigma=-13 + 0.4j,
+                       variant="irsoar", ctol=1e-10, tol=1e-8,
+                       max_restarts=restarts)
+    prob = gen_mass_spring(n)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = solve(prob, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak / (n * (k + 2) * 16), rep.restarts_used
+
+
 class TestMemory:
     def test_restart_cycle_holds_one_working_set(self):
         # Besides the O(n) operator data, a cycle holds the Q and P buffers
-        # and the n x 3ktilde QR array, which project fills a few columns at
-        # a time: 5.75 blocks of n x (k+2) complex.  A row-major copy of the
-        # basis takes it to 6.7, full-width products to 7.2, and keeping the
-        # previous cycle's projection alive to 6.9.
-        n, k = 3000, 40
-        cfg = SolverConfig(m=6, k=k, p=15, mode="shift-invert",
-                           sigma=-13 + 0.4j, variant="irsoar", ctol=1e-10,
-                           tol=1e-8, max_restarts=2)
-        prob = gen_mass_spring(n)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            rep = solve(prob, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert rep.restarts_used == 2
-        assert peak <= 6.25 * n * (k + 2) * 16
+        # and one row block of the projection: 4.09 blocks of n x (k+2)
+        # complex at n = 3000, whose three row blocks of 1024 rows are a
+        # third of n.  The whole n x 3ktilde QR array took it to 5.75.
+        blocks, restarts = _peak_blocks(3000, 40, 2)
+        assert restarts == 2
+        assert blocks <= 4.75
+
+    def test_large_n_holds_q_and_p_and_one_row_block(self):
+        # At n = 20000 a row block is 1/16 of n, so the peak is the Q and P
+        # buffers (1.95 blocks), the operator data and one block of rows:
+        # 2.60.  The n x 3ktilde array adds 2.9 blocks, a column-norm
+        # temporary of Q or a second pair of Q and P buffers at least one.
+        blocks, restarts = _peak_blocks(20000, 40, 1)
+        assert restarts == 1
+        assert blocks <= 3.0
 
 
 class TestBreakdown:
+    def test_huge_shift_reports_breakdown_without_overflow(self):
+        # ||M_hat||_1 is about 1e200, whose square overflows a float
+        cfg = SolverConfig(m=2, k=6, mode="shift-invert", sigma=1e100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(gen_mass_spring(10), cfg)
+        assert rep.breakdown == (0, 2)
+        assert all(np.isfinite(d["bound"]) for d in rep.bound_diagnostics)
+
     def test_breakdown_finalization(self, rng, monkeypatch):
         original = driver._breakdown_diagnostics
         states = []

@@ -1,13 +1,17 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from conftest import breakdown_starts, random_qep
-from soarqep import extraction
-from soarqep.extraction import (extract_refined, extract_ritz, project,
-                                residual_bound)
+from soarqep import extraction, kernels
+from soarqep.extraction import (_project_blocks, extract_refined,
+                                extract_ritz, project, residual_bound)
 from soarqep.kernels import gram_blocks
 from soarqep.msoar import extraction_basis, init_state, run_msoar
 from soarqep.operator import QepProblem, build_operator
+from soarqep.problems import gen_mass_spring
 
 
 def _run(rng, prob, k, mode="direct", sigma=None, u1=None, u2=None,
@@ -69,6 +73,89 @@ class TestProject:
             assert np.array_equal(Xk, np.conj(Qt.T @ np.conj(Wi)))
         want = gram_blocks(np.asfortranarray(np.hstack(W)))
         assert all(np.array_equal(g, w) for g, w in zip(proj.blocks, want))
+
+    @pytest.mark.parametrize("problem", ["arrow", "tridiagonal"])
+    def test_row_blocks_match_unblocked_formula(self, rng, monkeypatch,
+                                                problem):
+        # blocks of 7 rows, the last one shorter; the first block has fewer
+        # rows than [W1 W2 W3] has columns.  The tridiagonal working
+        # matrices touch only the columns next to a block's rows; a full
+        # first column stretches every block's column span back to 0.
+        # Basis chunks of 40 entries are 1 to 5 columns of a span.
+        monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 7)
+        monkeypatch.setattr(extraction, "PROJECT_CHUNK_ENTRIES", 40)
+        n = 47
+        prob = gen_mass_spring(n)
+        if problem == "arrow":
+            C = prob.C.tolil()
+            C[:, 0] = 1.0
+            prob = QepProblem.from_matrices(prob.M, C, prob.K)
+        op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j)
+        kt = extraction_basis(st).shape[1]
+        blocks = _project_blocks(op, kt)
+        assert [rows for rows, _ in blocks] == kernels.row_blocks(n)
+        assert len(blocks) == 7
+        # the last block, rows 42 to 46
+        assert blocks[-1][1] == slice(0 if problem == "arrow" else 41, 47)
+        proj = project(st, op)
+        Qt = proj.Q_tilde
+        W = [X @ Qt for X in (op.work_M, op.work_C, op.work_K)]
+
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+
+        for Xk, Wi in zip((proj.M_k, proj.C_k, proj.K_k), W):
+            assert close(Xk, Qt.conj().T @ Wi)
+        R = np.hstack(proj.blocks)
+        assert R.shape == (3 * kt, 3 * kt)
+        assert not np.any(np.tril(R, -1))
+        A = np.hstack(W)
+        assert close(R.conj().T @ R, A.conj().T @ A)
+
+    def test_full_rows_are_projected_in_one_block(self, rng, monkeypatch):
+        # Slicing 16-row blocks out of dense working matrices would hold
+        # more than the rows of the n x 3ktilde array that streaming
+        # spares, so project takes all n rows at once: the unblocked
+        # formula bit for bit, at about twice the array's size (5.2 times
+        # when streamed anyway).
+        n = 200
+        prob = random_qep(rng, n, complex_data=True)
+        op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j)
+        want = project(st, op)
+        monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 16)
+        kt = want.ktilde
+        assert len(kernels.row_blocks(n)) == 13
+        assert _project_blocks(op, kt) == [(slice(0, n), slice(0, n))]
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got = project(st, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * n * 3 * kt * 16
+        for name in ("M_k", "C_k", "K_k"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert all(np.array_equal(g, w)
+                   for g, w in zip(got.blocks, want.blocks))
+
+    def test_one_block_copies_basis_in_chunks(self, rng):
+        # n = 1000 is one row block.  Besides the n x 3ktilde array, project
+        # holds a row-major copy of 2^15 basis entries (32 columns) and the
+        # product of one chunk, and the triangle R is 0.3 of the array:
+        # 1.47 arrays.  A row-major copy of the whole basis, with its
+        # full-width product, takes 1.78.
+        n = 1000
+        op, st = _run(rng, gen_mass_spring(n), 100)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            proj = project(st, op)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert proj.ktilde > 100
+        assert peak <= 1.6 * n * 3 * proj.ktilde * 16
 
     def test_blocks_factor_gram_and_triple_projects_products(self, rng):
         prob = random_qep(rng, 40, complex_data=True)

@@ -5,10 +5,11 @@ import pytest
 import scipy.linalg
 
 from soarqep import kernels
-from soarqep.kernels import (RankDeficiencyError, gram_blocks,
+from soarqep.kernels import (ROW_BLOCK_MIN, ROW_BLOCKS_MAX,
+                             RankDeficiencyError, gram_blocks,
                              hessenberg_shifted_qr,
                              orthogonalize_with_refinement, qr_unit_diagonal,
-                             refined_vector, solve_projected_qep)
+                             refined_vector, row_blocks, solve_projected_qep)
 
 
 class TestOrthogonalize:
@@ -330,6 +331,24 @@ class TestRefinedVector:
                 assert (np.linalg.norm(R[i].conj().T @ R[j] - G)
                         <= 1e-12 * np.linalg.norm(G))
 
+    # 2000 rows in blocks of 500; 100 rows in blocks of 30, the first of
+    # them shorter than 3k = 123, so its triangle is zero-padded
+    @pytest.mark.parametrize("n, k, rows", [(2000, 41, 500), (100, 41, 30),
+                                            (31, 4, 7)])
+    def test_gram_blocks_fold_row_blocks(self, rng, n, k, rows):
+        W = [rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
+             for _ in range(3)]
+        A = np.hstack(W)
+        R = None
+        for r in range(0, n, rows):
+            R = gram_blocks(np.asfortranarray(A[r:r + rows]), R)
+        for Ri in R:
+            assert Ri.shape == (3 * k, k)
+        T = np.hstack(R)
+        assert not np.any(np.tril(T, -1))
+        G = A.conj().T @ A
+        assert np.linalg.norm(T.conj().T @ T - G) <= 1e-13 * np.linalg.norm(G)
+
     def test_degenerate_gap_matches_svd(self):
         # the two smallest singular values of S = W3 coincide
         W1 = np.zeros((4, 2))
@@ -368,3 +387,14 @@ class TestQrUnitDiagonal:
         V = rng.standard_normal((4, 3))   # 4 rows cannot fit in 3 columns
         with pytest.raises(RankDeficiencyError):
             qr_unit_diagonal(V)
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("n", [1, 1024, 1025, 20000, 16 * 1024 + 1])
+    def test_row_blocks_cover_rows(self, n):
+        blocks = row_blocks(n)
+        assert blocks[0].start == 0 and blocks[-1].stop == n
+        assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
+        assert len(blocks) <= ROW_BLOCKS_MAX
+        assert all(b.stop - b.start >= ROW_BLOCK_MIN for b in blocks[:-1])
+        assert (len(blocks) == 1) == (n <= ROW_BLOCK_MIN)

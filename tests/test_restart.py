@@ -1,9 +1,12 @@
+import copy
+
 import numpy as np
 import pytest
 import scipy.linalg
 
 from conftest import (decomposition_tolerance, deflation_at_step1, random_qep,
                       rank_deficient_qep, stacked_residual)
+from soarqep import kernels
 from soarqep.extraction import extract_ritz, project
 from soarqep.msoar import init_state, run_msoar
 from soarqep.operator import build_operator
@@ -59,6 +62,43 @@ class TestContract:
         assert st.breakdown
         with pytest.raises(RuntimeError):
             contract(st, ShiftSet(shifts=[0.1], provenance="exact"), st.k - 1)
+
+
+    @pytest.mark.parametrize("block_rows", [None, 5])
+    @pytest.mark.parametrize("case", ["plain", "repaired", "carried"])
+    def test_overwrite_equals_new_state(self, rng, monkeypatch, case,
+                                        block_rows):
+        # "repaired" and "carried" contract a Q with zero columns; blocks of
+        # 5 rows stream the products in several row blocks
+        if block_rows is not None:
+            monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", block_rows)
+        if case == "plain":
+            op, st = _state(rng, random_qep(rng, 24), 9)
+            mu, m = list(rng.standard_normal(4) + 1j * rng.standard_normal(4)), 5
+        elif case == "repaired":
+            prob, u1, u2 = deflation_at_step1(rng, 24)
+            op, st = _state(rng, prob, 9, tol=1e-10, u1=u1, u2=u2)
+            mu, m = list(rng.standard_normal(4)), 5
+        else:
+            rng = np.random.default_rng(0)
+            prob = rank_deficient_qep(rng, 12, rank=int(rng.integers(1, 3)))
+            op, st = _state(rng, prob, 6, tol=1e-10)
+            mu, m = [0.0], 5
+        assert (case == "plain") == (not st.deflation_steps)
+        shifts = ShiftSet(shifts=mu, provenance="exact")
+        before = copy.deepcopy(st)
+        want, rep = contract(st, shifts, m)
+        # the default leaves its input untouched
+        for name in ("_Q", "_P", "_T"):
+            assert np.array_equal(getattr(st, name), getattr(before, name))
+        assert (st.k, st.deflation_steps) == (before.k, before.deflation_steps)
+        got, rep_got = contract(st, shifts, m, overwrite=True)
+        assert got is st
+        for name in ("_Q", "_P", "_T"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert (got.k, got.deflation_steps) == (want.k, want.deflation_steps)
+        assert rep_got == rep
+        assert stacked_residual(op, got) <= decomposition_tolerance(got, 1e-9)
 
 
 class TestFilter:
