@@ -216,10 +216,25 @@ def extract_refined(proj, op, ritz):
     """Fill refined vectors for the selected Ritz values, each by inverse
     iteration started at its Ritz vector, so its residual is no larger than
     the Ritz vector's up to rounding; a refined entry is the Ritz entry with
-    g, sigma_min (the exact residual norm of g) and rel_residual replaced."""
+    g, sigma_min (the exact residual norm of g) and rel_residual replaced.
+
+    With real R blocks, an entry whose theta and g are the exact conjugates
+    of an entry refined before it takes the conjugate of that refined
+    vector and the same sigma_min: complex arithmetic is symmetric under
+    conjugation, so this is what ``kernels.refined_vector`` would return
+    bit for bit, and one call serves each conjugate pair of a real
+    projection.
+    """
+    real = not any(R.imag.any() for R in proj.blocks)
+    done = {}     # conj(theta) -> (Ritz g, refined g, sigma_min)
     for i in ritz.selection:
         entry = ritz.pairs[i]
-        g, smin = kernels.refined_vector(entry.theta, *proj.blocks, entry.g)
+        twin = done.get(entry.theta) if real else None
+        if twin is not None and np.array_equal(entry.g, twin[0].conj()):
+            g, smin = twin[1].conj(), twin[2]
+        else:
+            g, smin = kernels.refined_vector(entry.theta, *proj.blocks, entry.g)
+            done[entry.theta.conjugate()] = (entry.g, g, smin)
         ritz.refined[i] = replace(entry, g=g, sigma_min=smin,
                                   rel_residual=_relative(op, entry.theta, smin)[1])
     return ritz

@@ -135,9 +135,11 @@ def init_state(op, u1, u2):
         if nrm == 0.0:
             raise ZeroStartError("u1 must be nonzero")
         p1 = u2 / nrm
-    if not np.isfinite(p1).all():
+        # the recurrence takes ||p_1|| unscaled
+        p1_norm = np.linalg.norm(p1)
+    if not np.isfinite(p1_norm):
         raise ValueError("start vector u2 is too large for u1: p_1 = "
-                         "u2/||u1|| overflows")
+                         "u2/||u1|| or its norm overflows")
     state = SoarState(op.n)
     state.Q[:, 0] = u1 / nrm
     state.P[:, 0] = p1

@@ -101,6 +101,14 @@ class TestConfig:
             with pytest.raises(ValueError, match="u2"):
                 solve(gen_mass_spring(10), cfg)
 
+    def test_start_vector_u2_norm_overflows(self):
+        # p_1 = u2/sqrt(10) is finite, but the sum of its squares is not
+        cfg = SolverConfig(m=2, k=6, u1=np.ones(10), u2=np.full(10, 1e308))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="u2"):
+                solve(gen_mass_spring(10), cfg)
+
 
 class TestShiftInvert:
     def test_converges_to_nearest_eigenvalues(self, rng):
@@ -288,6 +296,72 @@ class TestVariants:
                              timeout=600)
         assert out.returncode == 0, out.stdout[-2000:]
         assert "2 passed" in out.stdout
+
+
+class TestRealProblems:
+    """A real problem in direct mode, or at a real shift, projects to exactly
+    real triples until a complex shift enters the basis; those cycles solve
+    their projected QEP in real arithmetic."""
+
+    def _recorded_solve(self, monkeypatch, prob, cfg):
+        """Solve, and check in every cycle that no refined residual exceeds
+        its Ritz residual, and the delivered lambda against the dense
+        oracle; returns the report and, per cycle, the dtype of the
+        companion that extract_ritz hands to scipy.linalg.eig."""
+        eig, ritz, refined = (scipy.linalg.eig, driver.extract_ritz,
+                              driver.extract_refined)
+        seen, dtypes, cycles = [], [], []
+
+        def recording_eig(a, b=None, **kwargs):
+            seen.append(a.dtype.name)
+            return eig(a, b, **kwargs)
+
+        def recording_ritz(proj, op, m):
+            seen.clear()
+            out = ritz(proj, op, m)
+            dtypes.extend(seen)
+            return out
+
+        def recording_refined(proj, op, r):
+            out = refined(proj, op, r)
+            cycles.append([(out.refined[i], out.pairs[i]) for i in out.selection])
+            return out
+
+        monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
+        monkeypatch.setattr(driver, "extract_ritz", recording_ritz)
+        monkeypatch.setattr(driver, "extract_refined", recording_refined)
+        rep = solve(prob, cfg)
+        assert len(dtypes) == len(cycles) == rep.restarts_used + 1
+        for wanted in cycles:
+            for ref, entry in wanted:
+                assert ref.rel_residual <= entry.rel_residual
+        want, _ = dense_qep_spectrum(prob.M.toarray(), prob.C.toarray(),
+                                     prob.K.toarray())
+        assert rep.all_converged and len(rep.converged) == cfg.m
+        for pair in rep.converged:
+            assert np.min(np.abs(want - pair.lam)) <= 1e-8 * abs(pair.lam)
+        return rep, dtypes
+
+    def test_direct_string_real_first_cycle(self, monkeypatch):
+        # the shifts of the first restart are complex, so Q is from then on
+        cfg = SolverConfig(m=10, k=40, mode="direct", variant="irsoar",
+                           ctol=1e-10, seed=3)
+        rep, dtypes = self._recorded_solve(monkeypatch, gen_string_damping(150),
+                                           cfg)
+        assert rep.restarts_used >= 1
+        assert dtypes == ["float64"] + ["complex128"] * rep.restarts_used
+
+    def test_real_shift_on_real_spectrum_stays_real(self, monkeypatch):
+        # the chain is overdamped, (x*Cx)^2 > 4 (x*Mx)(x*Kx) for all x != 0,
+        # and so is its shift-inverted triple at a real shift and every
+        # projection of it onto a real basis: all Ritz values and shifts are
+        # real, and the basis stays real through every contraction
+        cfg = SolverConfig(m=6, k=16, p=6, mode="shift-invert", sigma=-13.0,
+                           variant="irsoar", ctol=1e-10, seed=1)
+        rep, dtypes = self._recorded_solve(monkeypatch, gen_mass_spring(200),
+                                           cfg)
+        assert rep.restarts_used >= 1
+        assert dtypes == ["float64"] * (rep.restarts_used + 1)
 
 
 class TestLargeN:

@@ -276,6 +276,44 @@ class TestRefined:
                 assert ritz.refined[i].sigma_min == pytest.approx(
                     svals[-1], rel=1e-8, abs=1e-8)
 
+    @pytest.fixture
+    def refined_calls(self, monkeypatch):
+        """The theta of every kernels.refined_vector call."""
+        original = kernels.refined_vector
+        calls = []
+
+        def recording(theta, *args):
+            calls.append(theta)
+            return original(theta, *args)
+
+        monkeypatch.setattr(kernels, "refined_vector", recording)
+        return calls, original
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_one_call_per_conjugate_pair_of_a_real_projection(
+            self, rng, refined_calls, real):
+        calls, direct = refined_calls
+        prob = random_qep(rng, 30)
+        # a real problem and real starts in direct mode project to exactly
+        # real blocks; a complex shift makes everything complex
+        kw = {} if real else dict(mode="shift-invert", sigma=0.3 + 0.2j)
+        op, st = _run(rng, prob, 12, **kw)
+        proj = project(st, op)
+        assert (not any(R.imag.any() for R in proj.blocks)) == real
+        ritz = extract_refined(proj, op, extract_ritz(proj, op, 8))
+        thetas = [ritz.pairs[i].theta for i in ritz.selection]
+        classes = {(t.real, abs(t.imag)) for t in thetas}
+        if real:
+            assert len(classes) < len(thetas)   # a selected conjugate pair
+            assert len(calls) == len(classes)
+        else:
+            assert len(calls) == len(thetas)
+        for i in ritz.selection:
+            entry, refined = ritz.pairs[i], ritz.refined[i]
+            g, smin = direct(entry.theta, *proj.blocks, entry.g)
+            assert np.array_equal(refined.g, g) and refined.sigma_min == smin
+            assert refined.rel_residual <= entry.rel_residual
+
     def test_full_space_refined_is_global_minimum(self, rng):
         # k tilde = n: the refined vector minimizes over the whole space
         n = 6

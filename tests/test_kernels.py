@@ -112,17 +112,58 @@ class TestShiftedQr:
         assert np.max(np.abs(sub)) < 1e-12
 
 
-def _triple_with_mass_condition(rng, k, cond):
-    """Random complex k-by-k (M, C, K), M with singular values 1 to ``cond``."""
+def _triple_with_mass_condition(rng, k, cond, real=False):
+    """Random k-by-k (M, C, K), M with singular values 1 to ``cond``, all
+    complex arrays; with ``real``, their imaginary parts are exact zeros, as
+    in a projection of a real problem."""
     def mat():
-        return rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        X = rng.standard_normal((k, k)) + 0j
+        if not real:
+            X += 1j * rng.standard_normal((k, k))
+        return X
     U, _ = np.linalg.qr(mat())
     V, _ = np.linalg.qr(mat())
     return U @ np.diag(np.geomspace(1.0, cond, k)) @ V.conj().T, mat(), mat()
 
 
+def _assert_exact_conjugate_pairs(theta, G=None):
+    """There is a nonreal theta[j], and every one has a partner equal to
+    conj(theta[j]) bit for bit, with column conj(G[:, j]); real eigenvalues
+    have real columns."""
+    assert np.any(theta.imag != 0.0)
+    partners = {}
+    for j, t in enumerate(theta.tolist()):
+        partners.setdefault(t, []).append(j)
+    for j, t in enumerate(theta.tolist()):
+        if t.imag == 0.0:
+            assert G is None or not G[:, j].imag.any()
+            continue
+        mates = partners.get(t.conjugate(), [])
+        assert len(mates) == len(partners[t])
+        if G is not None:
+            assert any(np.array_equal(G[:, i], G[:, j].conj()) for i in mates)
+
+
 # one condition number on each side of the monic-companion threshold
 CONDITIONS = [kernels.MONIC_COND_MAX / 5, kernels.MONIC_COND_MAX * 100]
+# (cond, real) for each condition, with a complex and with a real triple
+TRIPLES = ([pytest.param(c, False, id=str(c)) for c in CONDITIONS]
+           + [pytest.param(c, True, id="%s-real" % c) for c in CONDITIONS])
+
+
+@pytest.fixture
+def pencils(monkeypatch):
+    """The dtypes (of A, of B) of every scipy.linalg.eig call; B is None on
+    the monic companion."""
+    eig = scipy.linalg.eig
+    seen = []
+
+    def recording(a, b=None, **kwargs):
+        seen.append((a.dtype.name, None if b is None else b.dtype.name))
+        return eig(a, b, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eig", recording)
+    return seen
 
 
 class TestProjectedQep:
@@ -144,7 +185,7 @@ class TestProjectedQep:
             assert np.linalg.norm(r) < 1e-8 * (1 + abs(t)) ** 2
             assert np.linalg.norm(g) == pytest.approx(1.0, abs=1e-12)
 
-    def test_singular_mass_warns_and_flags_infinite(self, rng):
+    def test_singular_mass_warns_and_flags_infinite(self, rng, pencils):
         k = 3
         M = np.zeros((k, k))
         M[0, 0] = 1.0
@@ -152,6 +193,8 @@ class TestProjectedQep:
         K = rng.standard_normal((k, k))
         with pytest.warns(RuntimeWarning):
             theta, G = solve_projected_qep(M, C, K)
+        # a real triple: real QZ (dggev)
+        assert pencils == [("float64", "float64")]
         assert np.any(theta == np.inf)
         assert np.all(np.isfinite(theta) | (theta == np.inf))
         # unit columns, those of the infinite eigenvalues included
@@ -170,25 +213,18 @@ class TestProjectedQep:
             j = int(np.argmin([abs(v - w) for w in rest]))
             assert abs(v - rest.pop(j)) < 1e-9
 
-    @pytest.fixture
-    def pencils(self, monkeypatch):
-        """The B argument of every scipy.linalg.eig call (None: monic)."""
-        eig = scipy.linalg.eig
-        seen = []
-
-        def recording(a, b=None, **kwargs):
-            seen.append(b)
-            return eig(a, b, **kwargs)
-
-        monkeypatch.setattr(scipy.linalg, "eig", recording)
-        return seen
-
-    @pytest.mark.parametrize("cond", CONDITIONS)
-    def test_matches_dense_oracle_and_backward_stable(self, rng, pencils, cond):
+    @pytest.mark.parametrize("cond, real", TRIPLES)
+    def test_matches_dense_oracle_and_backward_stable(self, rng, pencils, cond,
+                                                      real):
         from soarqep.oracles import dense_qep_spectrum
-        M, C, K = _triple_with_mass_condition(rng, 8, cond)
+        M, C, K = _triple_with_mass_condition(rng, 8, cond, real)
         theta, G = solve_projected_qep(M, C, K)
-        assert [B is None for B in pencils] == [cond <= kernels.MONIC_COND_MAX]
+        assert theta.dtype == G.dtype == complex and G.flags.f_contiguous
+        dtype = "float64" if real else "complex128"
+        monic = cond <= kernels.MONIC_COND_MAX
+        assert pencils == [(dtype, None if monic else dtype)]
+        if real:
+            _assert_exact_conjugate_pairs(theta, G)
         want, _ = dense_qep_spectrum(M, C, K)
         rest = list(want)
         for t in theta:
@@ -200,14 +236,17 @@ class TestProjectedQep:
             scale = abs(t) ** 2 * norms[0] + abs(t) * norms[1] + norms[2]
             assert r <= 1e-12 * scale
 
-    @pytest.mark.parametrize("cond", CONDITIONS)
-    def test_values_only_same_spectrum(self, rng, cond):
-        M, C, K = _triple_with_mass_condition(rng, 8, cond)
+    @pytest.mark.parametrize("cond, real", TRIPLES)
+    def test_values_only_same_spectrum(self, rng, pencils, cond, real):
+        M, C, K = _triple_with_mass_condition(rng, 8, cond, real)
         full, _ = solve_projected_qep(M, C, K)
         bare, G = solve_projected_qep(M, C, K, vectors=False)
         assert G is None
         assert bare.shape == full.shape == (16,)
         assert np.all(np.isfinite(bare))
+        assert {a for a, _ in pencils} == {"float64" if real else "complex128"}
+        if real:
+            _assert_exact_conjugate_pairs(bare)
         rest = list(full)
         for t in bare:
             j = int(np.argmin([abs(t - w) for w in rest]))
