@@ -109,6 +109,16 @@ def _breakdown_diagnostics(state, op):
             for nu, b in zip(nus, bounds)]
 
 
+def _scale_checked(step, *args, **kwargs):
+    """Run ``step`` and refuse an overflow, which P t makes of a large p_1."""
+    try:
+        with np.errstate(over="raise"):
+            return step(*args, **kwargs)
+    except FloatingPointError as exc:
+        raise ValueError("start vectors u1 and u2 out of scale with each other "
+                         "or the problem: the decomposition overflowed") from exc
+
+
 def solve(problem, config):
     """Run the restarted solver on a QepProblem; never raises on stagnation."""
     config.validate()
@@ -128,7 +138,7 @@ def solve(problem, config):
                           residual_history=[], deflation_history=[])
 
     for cycle in range(config.max_restarts + 1):
-        run_msoar(state, op, config.k, config.drop_tol)
+        _scale_checked(run_msoar, state, op, config.k, config.drop_tol)
         proj = project(state, op)
         ritz = extract_ritz(proj, op, config.m)
         if config.variant == "irsoar":
@@ -154,12 +164,10 @@ def solve(problem, config):
             report.all_converged = done
             return report
 
-        shift_set = select_shifts(
-            proj, wanted, config.num_shifts, mode=config.mode,
-            provenance="refined" if config.variant == "irsoar" else "exact")
+        shift_set = select_shifts(proj, wanted, config.num_shifts)
         # the projection's basis is a view of Q, which the contraction
         # overwrites in place; nothing n-length of the cycle outlives it
         del proj, ritz, wanted
-        state, _ = contract(state, shift_set, config.k - len(shift_set.shifts),
-                            overwrite=True)
+        state, _ = _scale_checked(contract, state, shift_set,
+                                  config.k - len(shift_set.shifts), overwrite=True)
         report.restarts_used += 1

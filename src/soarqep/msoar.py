@@ -10,9 +10,9 @@ the drop tolerance is classified as numerical deflation (the auxiliary chain
 still grows) or numerical breakdown (the subspace is invariant and the run
 stops).
 
-The decomposition lives in preallocated arrays filled in place: columns
-0..k of the n-by-(capacity+1) Q and P buffers and rows 0..k, columns
-0..k-1 of the (capacity+1)-by-capacity T_hat buffer are live; the rest is
+The decomposition lives in preallocated arrays filled in place: for buffers
+sized for c steps, columns 0..k of the n-by-(c+1) Q and P buffers and rows
+0..k, columns 0..k-1 of the (c+1)-by-c T_hat buffer are live; the rest is
 zero.  The deflation directions are the P columns at ``deflation_steps``.
 """
 
@@ -62,14 +62,9 @@ class SoarState:
     def n(self):
         return self._Q.shape[0]
 
-    @property
-    def capacity(self):
-        """Number of steps the buffers hold without growing."""
-        return self._T.shape[1]
-
     def reserve(self, k):
         """Grow the buffers to hold a k-step decomposition."""
-        if k > self.capacity:
+        if k > self._T.shape[1]:
             self._Q = _grown(self._Q, (self.n, k + 1))
             self._P = _grown(self._P, (self.n, k + 1))
             self._T = _grown(self._T, (k + 1, k))

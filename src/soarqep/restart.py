@@ -16,7 +16,6 @@ import scipy.linalg
 from .extraction import HUGE_RITZ
 from .kernels import (hessenberg_shifted_qr, qr_unit_diagonal, row_blocks,
                       solve_projected_qep)
-from .msoar import SoarState
 
 
 class RepairError(RuntimeError):
@@ -35,7 +34,7 @@ class RestartReport:
     deflations_repaired: int
 
 
-def select_shifts(proj, wanted, p, mode="direct", provenance="exact"):
+def select_shifts(proj, wanted, p):
     """Shifts from the complement of the wanted directions inside the subspace.
 
     ``wanted`` is ``RitzSet.wanted()``.  The complement of its vectors ``g``
@@ -44,9 +43,11 @@ def select_shifts(proj, wanted, p, mode="direct", provenance="exact"):
     U_perp is the first p columns of this (ktilde - m)-dimensional complement
     (70 of 121 on string300, 8 of 15 on string1000).  The QEP projected onto
     U_perp yields 2p candidates for unwanted eigenvalues; only its
-    eigenvalues are computed, no eigenvectors.  Direct mode keeps
-    the p farthest (max-min distance) from the wanted Ritz values;
+    eigenvalues are computed, no eigenvectors.  In ``proj.op.mode``, direct
+    mode keeps the p farthest (max-min distance) from the wanted Ritz values;
     shift-invert mode the p of smallest magnitude, farthest from the target.
+    The shifts are "refined" if wanted entries exist and all carry
+    ``sigma_min``, and "exact" otherwise.
     """
     Z = np.zeros((proj.M_k.shape[0], 0), dtype=complex)
     if wanted:
@@ -64,13 +65,12 @@ def select_shifts(proj, wanted, p, mode="direct", provenance="exact"):
     Qc, _ = np.linalg.qr(Z, mode="complete")
     U_perp = Qc[:, m_eff: m_eff + p]
 
-    Mp = U_perp.conj().T @ proj.M_k @ U_perp
-    Cp = U_perp.conj().T @ proj.C_k @ U_perp
-    Kp = U_perp.conj().T @ proj.K_k @ U_perp
-    theta, _ = solve_projected_qep(Mp, Cp, Kp, vectors=False)
+    theta, _ = solve_projected_qep(*(U_perp.conj().T @ X @ U_perp
+                                     for X in (proj.M_k, proj.C_k, proj.K_k)),
+                                   vectors=False)
     cands = [t for t in theta.tolist() if abs(t) <= HUGE_RITZ]
 
-    if mode == "shift-invert":
+    if proj.op.mode == "shift-invert":
         ranked = sorted(cands, key=lambda t: (abs(t), t.real, t.imag))
     elif wanted:
         def score(t):
@@ -80,7 +80,8 @@ def select_shifts(proj, wanted, p, mode="direct", provenance="exact"):
         ranked = sorted(cands, key=lambda t: (-abs(t), t.real, t.imag))
     # applied in order of increasing magnitude for reproducibility
     shifts = sorted(ranked[:p], key=lambda t: (abs(t), t.real, t.imag))
-    return ShiftSet(shifts=shifts, provenance=provenance, candidates=cands)
+    refined = wanted and all(e.sigma_min is not None for e in wanted)
+    return ShiftSet(shifts, "refined" if refined else "exact", cands)
 
 
 def _right_tri_solve(X, R):
@@ -97,12 +98,10 @@ def contract(state, shifts, m, overwrite=False):
     identity up to rounding and this is the plain shifted-QR update.
     Returns (new_state, RestartReport).
 
-    The retained columns are formed ``kernels.row_blocks`` at a time, each
-    block through a column-major temporary (an ``@`` without ``out``
-    returns row-major and rounds differently).  With ``overwrite`` they are
-    written into the input's own buffers, which a block is read from before
-    it is written, and the input becomes the new state; otherwise the input
-    is left untouched and new buffers are allocated.
+    Works in place: on the input with ``overwrite``, else on a deep copy of
+    it.  The retained columns are formed ``kernels.row_blocks`` at a time
+    through a column-major temporary (an ``@`` without ``out`` returns
+    row-major and rounds differently), over the rows they are read from.
     """
     if state.breakdown:
         raise RuntimeError("cannot restart past breakdown")
@@ -111,9 +110,9 @@ def contract(state, shifts, m, overwrite=False):
     k = state.k
     if k != m + p:
         raise ValueError("need k = m + p (k=%d, m=%d, p=%d)" % (k, m, p))
+    state = state if overwrite else copy.deepcopy(state)
     if p == 0:
-        new = state if overwrite else copy.deepcopy(state)
-        return new, RestartReport(deflations_repaired=0)
+        return state, RestartReport(deflations_repaired=0)
 
     Q, P, T_hat = state.Q, state.P, state.T_hat
     V, T_plus = hessenberg_shifted_qr(state.T, mu)
@@ -126,46 +125,43 @@ def contract(state, shifts, m, overwrite=False):
     # the old residual direction, before its column is zeroed or reused
     q_k, p_k = Q[:, k].copy(), P[:, k].copy()
 
-    new = state if overwrite else SoarState(state.n)
-    new.reserve(state.capacity)
-    new.k = m
+    state.k = m
     blocks = row_blocks(state.n)
     tmp = np.empty((blocks[0].stop - blocks[0].start) * (m + 1), dtype=complex)
     for rows in blocks:
         out = tmp[:(rows.stop - rows.start) * (m + 1)].reshape(
             (-1, m + 1), order="F")
         Q_rows = Q[rows, keep] if zero_cols else Q[rows, :k]
-        new.Q[rows] = np.matmul(Q_rows, U_q, out=out)
-        new.P[rows] = np.matmul(P[rows, :k], U_p, out=out)
-    if overwrite:
-        # the buffers hold zeros past the live part
-        Q[:, m + 1:] = 0.0
-        P[:, m + 1:] = 0.0
-        T_hat[...] = 0.0
-    f_q = S[m, m - 1] * new.Q[:, m] + beta_t * q_k
-    f_p = S[m, m - 1] * new.P[:, m] + beta_t * p_k
+        state.Q[rows] = np.matmul(Q_rows, U_q, out=out)
+        state.P[rows] = np.matmul(P[rows, :k], U_p, out=out)
+    # the buffers hold zeros past the live part
+    Q[:, m + 1:] = 0.0
+    P[:, m + 1:] = 0.0
+    T_hat[...] = 0.0
+    f_q = S[m, m - 1] * state.Q[:, m] + beta_t * q_k
+    f_p = S[m, m - 1] * state.P[:, m] + beta_t * p_k
     carried = [i for i in range(m) if np.linalg.norm(U[:, i]) == 0.0]
 
     beta = float(np.sqrt(np.linalg.norm(f_q) ** 2 + np.linalg.norm(f_p) ** 2))
     t_new = float(np.linalg.norm(f_q))
-    new.deflation_steps = [i for i in carried if i >= 1]
-    new.T_hat[:m, :m] = np.triu(S[:m, :m], -1)
+    state.deflation_steps = [i for i in carried if i >= 1]
+    state.T_hat[:m, :m] = np.triu(S[:m, :m], -1)
     if t_new > 1e-14 * max(beta, 1.0):
-        new.Q[:, m] = f_q / t_new
-        new.P[:, m] = f_p / t_new
-        new.T_hat[m, m - 1] = t_new
-        check = np.linalg.norm(new.Q[:, m].conj() @ new.Q[:, :m])
+        state.Q[:, m] = f_q / t_new
+        state.P[:, m] = f_p / t_new
+        state.T_hat[m, m - 1] = t_new
+        check = np.linalg.norm(state.Q[:, m].conj() @ state.Q[:, :m])
         if check > 1e-8:
             raise RepairError("retained basis not orthogonal to the residual "
                               "direction (%.2e)" % check)
     else:
         # the retained residual has no new basis direction: boundary deflation
-        new.Q[:, m] = 0.0
-        new.P[:, m] = f_p
-        new.T_hat[m, m - 1] = 1.0
-        new.deflation_steps.append(m)
+        state.Q[:, m] = 0.0
+        state.P[:, m] = f_p
+        state.T_hat[m, m - 1] = 1.0
+        state.deflation_steps.append(m)
 
-    return new, RestartReport(deflations_repaired=len(zero_cols) - len(carried))
+    return state, RestartReport(deflations_repaired=len(zero_cols) - len(carried))
 
 
 def verify_filter(state_before, state_after, shifts, op):

@@ -109,6 +109,18 @@ class TestConfig:
             with pytest.raises(ValueError, match="u2"):
                 solve(gen_mass_spring(10), cfg)
 
+    @pytest.mark.parametrize("scale", [1e70, 1e140, 1e150])
+    def test_start_vectors_out_of_scale_named(self, scale):
+        # ||p_1|| is finite, but the P t products of the recurrence square
+        # it: 1e140 and 1e150 overflow in the first step, 1e70 in the first
+        # contraction, after the projection has warned of a singular M_k
+        cfg = SolverConfig(m=2, k=6, u1=np.ones(10), u2=np.full(10, scale))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            warnings.filterwarnings("ignore", "projected mass matrix")
+            with pytest.raises(ValueError, match="u1 and u2 .* overflowed"):
+                solve(gen_mass_spring(10), cfg)
+
 
 class TestShiftInvert:
     def test_converges_to_nearest_eigenvalues(self, rng):

@@ -7,7 +7,7 @@ import scipy.linalg
 from conftest import (decomposition_tolerance, deflation_at_step1, random_qep,
                       rank_deficient_qep, stacked_residual)
 from soarqep import kernels
-from soarqep.extraction import extract_ritz, project
+from soarqep.extraction import extract_refined, extract_ritz, project
 from soarqep.msoar import init_state, run_msoar
 from soarqep.operator import build_operator
 from soarqep.oracles import dense_qep_spectrum
@@ -88,9 +88,10 @@ class TestContract:
         shifts = ShiftSet(shifts=mu, provenance="exact")
         before = copy.deepcopy(st)
         want, rep = contract(st, shifts, m)
-        # the default leaves its input untouched
+        # the default leaves its input untouched and shares no memory with it
         for name in ("_Q", "_P", "_T"):
             assert np.array_equal(getattr(st, name), getattr(before, name))
+            assert not np.shares_memory(getattr(want, name), getattr(st, name))
         assert (st.k, st.deflation_steps) == (before.k, before.deflation_steps)
         got, rep_got = contract(st, shifts, m, overwrite=True)
         assert got is st
@@ -195,15 +196,24 @@ class TestSelectShifts:
             proj = project(st, op)
             ritz = extract_ritz(proj, op, 3)
             wanted = [ritz.pairs[i].theta for i in ritz.selection]
-            ss = select_shifts(proj, ritz.wanted(), 5, mode="direct")
+            ss = select_shifts(proj, ritz.wanted(), 5)
             for muj in ss.shifts:
                 assert min(abs(muj - w) for w in wanted) > 1e-12
+
+    def test_provenance_follows_wanted_entries(self, rng):
+        prob = random_qep(rng, 25)
+        op, st = _state(rng, prob, 8)
+        proj = project(st, op)
+        ritz = extract_ritz(proj, op, 3)
+        assert select_shifts(proj, ritz.wanted(), 5).provenance == "exact"
+        extract_refined(proj, op, ritz)
+        assert select_shifts(proj, ritz.wanted(), 5).provenance == "refined"
 
     def test_m0_fallback_largest_magnitude(self, rng):
         prob = random_qep(rng, 20)
         op, st = _state(rng, prob, 6)
         proj = project(st, op)
-        ss = select_shifts(proj, [], 3, mode="direct")
+        ss = select_shifts(proj, [], 3)
         assert len(ss.shifts) == 3
         cutoff = sorted((abs(c) for c in ss.candidates), reverse=True)[2]
         assert all(abs(muj) >= cutoff - 1e-10 for muj in ss.shifts)
@@ -213,16 +223,19 @@ class TestSelectShifts:
         # complement QEP is scalar and solvable by the quadratic formula
         from soarqep.extraction import ProjectedQep, RitzEntry
         from soarqep.kernels import gram_blocks
+        from soarqep.operator import QepProblem
         M_k = np.diag([1.0, 2.0]).astype(complex)
         C_k = np.diag([3.0, 5.0]).astype(complex)
         K_k = np.diag([2.0, 2.0]).astype(complex)
         # Q_tilde = I, so the working matrices are the triple itself
+        op = build_operator(QepProblem.from_matrices(M_k, C_k, K_k))
         proj = ProjectedQep(Q_tilde=np.eye(2, dtype=complex),
                             M_k=M_k, C_k=C_k, K_k=K_k,
-                            blocks=gram_blocks(np.hstack((M_k, C_k, K_k))))
+                            blocks=gram_blocks(np.hstack((M_k, C_k, K_k))),
+                            op=op)
         e = RitzEntry(theta=0.0, g=np.array([1.0, 0.0], dtype=complex),
                       lam=0.0, rel_residual=0.0, finite=True)
-        ss = select_shifts(proj, [e], 1, mode="direct")
+        ss = select_shifts(proj, [e], 1)
         # complement direction e2: 2 t^2 + 5 t + 2 = 0 -> t = -1/2 or -2;
         # direct mode keeps the candidate farthest from the wanted value 0
         assert len(ss.shifts) == 1
@@ -235,7 +248,7 @@ class TestSelectShifts:
         ritz = extract_ritz(proj, op, 2)
         e = ritz.pairs[ritz.selection[0]]
         with pytest.warns(RuntimeWarning):   # duplicated wanted vector
-            select_shifts(proj, [e, e], 2, mode="direct")
+            select_shifts(proj, [e, e], 2)
 
     def test_shift_invert_prefers_small_rho(self, rng):
         prob = random_qep(rng, 20)
@@ -244,8 +257,7 @@ class TestSelectShifts:
                                   rng.standard_normal(20)), op, 6, 1e-12)
         proj = project(st, op)
         ritz = extract_ritz(proj, op, 2)
-        ss = select_shifts(proj, [ritz.pairs[i] for i in ritz.selection], 3,
-                           mode="shift-invert")
+        ss = select_shifts(proj, [ritz.pairs[i] for i in ritz.selection], 3)
         chosen = sorted(abs(muj) for muj in ss.shifts)
         others = sorted(abs(c) for c in ss.candidates)[:3]
         assert chosen == pytest.approx(others, rel=1e-12)
@@ -262,13 +274,12 @@ class TestSelectShifts:
         k, m = 40, 10
         st = run_msoar(init_state(op, u, u), op, k, 1e-10)
         proj = project(st, op)
-        ss = select_shifts(proj, extract_ritz(proj, op, m).wanted(), k - m,
-                           mode=mode)
+        ss = select_shifts(proj, extract_ritz(proj, op, m).wanted(), k - m)
         st, _ = contract(st, ss, k - len(ss.shifts))
         run_msoar(st, op, k, 1e-10)
         proj = project(st, op)
         wanted = extract_ritz(proj, op, m).wanted()
-        ss = select_shifts(proj, wanted, proj.ktilde - m, mode=mode)
+        ss = select_shifts(proj, wanted, proj.ktilde - m)
 
         Z = np.column_stack([e.g for e in wanted])
         N = scipy.linalg.null_space(Z.conj().T)
