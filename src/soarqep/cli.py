@@ -140,12 +140,13 @@ def run_cli(argv=None):
         else:
             sys.stdout.write(text)
 
-        print("converged %d of %d pairs in %d restart(s); final max residual %.3e"
-              % (len(report.converged), config.m, report.restarts_used,
+        out_of = "" if report.breakdown else " of %d" % config.m
+        print("converged %d%s pairs in %d restart(s); final max residual %.3e"
+              % (len(report.converged), out_of, report.restarts_used,
                  report.residual_history[-1]), file=sys.stderr)
         if report.breakdown:
-            print("breakdown at restart %d, step %d" % report.breakdown,
-                  file=sys.stderr)
+            print("breakdown at restart %d, step %d: the subspace is invariant"
+                  % report.breakdown, file=sys.stderr)
         return 0 if report.all_converged else 2
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

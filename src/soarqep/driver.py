@@ -79,12 +79,15 @@ class ConvergedPair:
 @dataclass
 class SolverReport:
     converged: list
-    restarts_used: int
     residual_history: list         # per-cycle max wanted relative residual
     deflation_history: list        # per-cycle deflation count
     breakdown: tuple = None        # (restart index, step) or None
     bound_diagnostics: list = field(default_factory=list)
     all_converged: bool = False
+
+    @property
+    def restarts_used(self):
+        return len(self.residual_history) - 1
 
 
 def _deliver(proj, entries, ctol, from_breakdown=False):
@@ -134,8 +137,7 @@ def solve(problem, config):
     op = build_operator(problem, mode=config.mode, sigma=config.sigma)
     state = init_state(op, u1, u2)
 
-    report = SolverReport(converged=[], restarts_used=0,
-                          residual_history=[], deflation_history=[])
+    report = SolverReport(converged=[], residual_history=[], deflation_history=[])
 
     for cycle in range(config.max_restarts + 1):
         _scale_checked(run_msoar, state, op, config.k, config.drop_tol)
@@ -170,4 +172,3 @@ def solve(problem, config):
         del proj, ritz, wanted
         state, _ = _scale_checked(contract, state, shift_set,
                                   config.k - len(shift_set.shifts), overwrite=True)
-        report.restarts_used += 1

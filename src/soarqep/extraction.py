@@ -34,7 +34,7 @@ class ProjectedQep:
     C_k: np.ndarray
     K_k: np.ndarray
     blocks: tuple         # (R1, R2, R3), R_i^* R_j = W_i^* W_j
-    op: object = field(default=None, repr=False)
+    op: object = field(repr=False)
 
     @property
     def ktilde(self):

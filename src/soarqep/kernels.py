@@ -4,12 +4,8 @@ All routines work on plain ndarrays and do not care where the data came
 from.  ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
 n-length data, ``gram_blocks`` a block of rows at a time: blocks of the
 sizes ``row_blocks`` hands out, or all n rows where the projection does
-not stream (``extraction.project``).  ``gram_blocks`` factors the first
-block in place with LAPACK zgeqrt rather than zgeqrf, whose level-2 panel
-streams all rows once per column; zgeqrt's recursive panel halves the QR
-of the solver's n-by-3k blocks (5000-by-123, one thread of a 2-core VM:
-36 ms against 67-77 ms).  Each later block is folded into the triangle by
-ztpqrt.  The rest works at orders <= ~200 (shifted QR by LAPACK
+not stream (``extraction.project``), by LAPACK zgeqrt and ztpqrt (see
+``gram_blocks``).  The rest works at orders <= ~200 (shifted QR by LAPACK
 rotations, each applied once; the projected QEP by standard eig on
 the monic companion when M_k is well conditioned and by QZ otherwise,
 returned as an eigenvalue array and one matrix of unit eigenvectors;

@@ -12,8 +12,8 @@ stops).
 
 The decomposition lives in preallocated arrays filled in place: for buffers
 sized for c steps, columns 0..k of the n-by-(c+1) Q and P buffers and rows
-0..k, columns 0..k-1 of the (c+1)-by-c T_hat buffer are live; the rest is
-zero.  The deflation directions are the P columns at ``deflation_steps``.
+0..k, columns 0..k-1 of the (c+1)-by-c T_hat buffer are live.  The
+deflation directions are the P columns at ``deflation_steps``.
 """
 
 from dataclasses import dataclass
@@ -55,8 +55,11 @@ class SoarState:
         self._T = np.zeros((1, 0), dtype=complex, order="F")
         self.k = 0
         self.deflation_steps = []    # steps j with q_{j+1} = 0
-        self.breakdown = False
         self.breakdown_t = None      # measured t_{k+1,k} at breakdown, before reset
+
+    @property
+    def breakdown(self):
+        return self.breakdown_t is not None
 
     @property
     def n(self):
@@ -194,7 +197,6 @@ def msoar_step(state, op, tol):
 
     # breakdown: the final column keeps the deflation shape but is not a
     # deflation event of the run
-    state.breakdown = True
     state.breakdown_t = t_next
     return StepOutcome(kind=BREAKDOWN)
 

@@ -41,30 +41,35 @@ def _one_norm(A):
 
 @dataclass
 class QepProblem:
-    """The triple (M, C, K) of an n-by-n quadratic eigenvalue problem."""
+    """The triple (M, C, K) of an n-by-n quadratic eigenvalue problem as
+    complex CSC matrices, converted from any dense or sparse triple, which
+    must be square of one size with finite entries; ``norms1`` holds their
+    1-norms.  ``from_matrices(M, C, K)`` is the same call."""
 
     M: sp.csc_matrix
     C: sp.csc_matrix
     K: sp.csc_matrix
-    n: int
-    norms1: tuple
+    norms1: tuple = field(init=False)
 
-    @classmethod
-    def from_matrices(cls, M, C, K):
-        mats = []
-        for X in (M, C, K):
-            if not sp.issparse(X):
-                X = sp.csc_matrix(np.asarray(X))
-            mats.append(sp.csc_matrix(X, dtype=complex))
-        M, C, K = mats
-        n = M.shape[0]
-        norms1 = tuple(_one_norm(X) for X in mats)
-        for name, X, norm1 in zip("MCK", mats, norms1):
+    def __post_init__(self):
+        self.M, self.C, self.K = mats = [
+            sp.csc_matrix(X if sp.issparse(X) else sp.csc_matrix(np.asarray(X)),
+                          dtype=complex) for X in (self.M, self.C, self.K)]
+        n = self.n
+        self.norms1 = tuple(_one_norm(X) for X in mats)
+        for name, X, norm1 in zip("MCK", mats, self.norms1):
             if X.shape != (n, n):
                 raise ValueError("%s has shape %s, expected (%d, %d)" % (name, X.shape, n, n))
             if not np.isfinite(norm1):
                 raise ValueError("%s has 1-norm %r; entries must be finite" % (name, norm1))
-        return cls(M=M, C=C, K=K, n=n, norms1=norms1)
+
+    @classmethod
+    def from_matrices(cls, M, C, K):
+        return cls(M, C, K)
+
+    @property
+    def n(self):
+        return self.M.shape[0]
 
     @property
     def norm_sum(self):
@@ -104,17 +109,18 @@ class OperatorPair:
 
     ``work_M``, ``work_C``, ``work_K`` are the matrices of the QEP the
     Arnoldi recurrence actually iterates on: (M, C, K) in direct mode,
-    (M_hat, C_hat, K_hat) in shift-invert mode.
+    (M_hat, C_hat, K_hat) in shift-invert mode.  ``sigma`` is None in
+    direct mode.
     """
 
     problem: QepProblem
     mode: str
-    sigma: complex = None
-    lu: object = None
-    work_M: sp.csc_matrix = None
-    work_C: sp.csc_matrix = None
-    work_K: sp.csc_matrix = None
-    work_norms1: tuple = field(default=None)
+    sigma: complex
+    lu: object
+    work_M: sp.csc_matrix
+    work_C: sp.csc_matrix
+    work_K: sp.csc_matrix
+    work_norms1: tuple
 
     @property
     def n(self):
@@ -152,8 +158,7 @@ def build_operator(problem, mode="direct", sigma=None):
     C_hat = C + 2 sigma M and K_hat = M, and factorizes M_hat.
     """
     if mode == "direct":
-        wM, wC, wK = problem.M, problem.C, problem.K
-        norms1 = problem.norms1
+        wM, wC, wK, norms1 = problem.M, problem.C, problem.K, problem.norms1
         lu = _checked_splu(wM, "M", norms1[0])
     elif mode == "shift-invert":
         if sigma is None:

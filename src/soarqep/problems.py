@@ -34,8 +34,7 @@ def gen_mass_spring(n, kappa=5.0, tau=10.0):
         raise ValueError("need n >= 2")
     ones = np.ones(n)
     T = sp.diags([-ones[:-1], 3.0 * ones, -ones[:-1]], [-1, 0, 1], format="csc")
-    return QepProblem.from_matrices(sp.identity(n, format="csc"),
-                                    tau * T, kappa * T)
+    return QepProblem(sp.identity(n, format="csc"), tau * T, kappa * T)
 
 
 def gen_string_damping(n, epsilon=0.6):
@@ -60,7 +59,7 @@ def gen_string_damping(n, epsilon=0.6):
                                - h[j[:, None] + j[None, :]])
     M = (np.pi / 2.0) * sp.identity(n, format="csc")
     K = sp.diags((np.pi / 2.0) * j.astype(float) ** 2, format="csc")
-    return QepProblem.from_matrices(M, sp.csc_matrix(C), K)
+    return QepProblem(M, sp.csc_matrix(C), K)
 
 
 def read_matrix_market(path):
@@ -95,4 +94,4 @@ def load_matrix_market(paths):
         if A.shape != (n, n):
             raise ValueError("%s has shape %s, expected (%d, %d)"
                              % (p, A.shape, n, n))
-    return QepProblem.from_matrices(*mats)
+    return QepProblem(*mats)

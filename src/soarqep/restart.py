@@ -134,10 +134,6 @@ def contract(state, shifts, m, overwrite=False):
         Q_rows = Q[rows, keep] if zero_cols else Q[rows, :k]
         state.Q[rows] = np.matmul(Q_rows, U_q, out=out)
         state.P[rows] = np.matmul(P[rows, :k], U_p, out=out)
-    # the buffers hold zeros past the live part
-    Q[:, m + 1:] = 0.0
-    P[:, m + 1:] = 0.0
-    T_hat[...] = 0.0
     f_q = S[m, m - 1] * state.Q[:, m] + beta_t * q_k
     f_p = S[m, m - 1] * state.P[:, m] + beta_t * p_k
     carried = [i for i in range(m) if np.linalg.norm(U[:, i]) == 0.0]

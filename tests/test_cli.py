@@ -60,13 +60,14 @@ class TestParsing:
 
 class TestFormat:
     def test_csv_rows(self):
-        report = SolverReport(converged=[], restarts_used=2,
-                              residual_history=[0.5, 1e-3, 1 / 3],
+        report = SolverReport(converged=[], residual_history=[0.5, 1e-3, 1 / 3],
                               deflation_history=[0, 2, 1])
         assert format_csv(report) == ("restart,max_rel_residual,deflations\n"
                                       "0,0.5,0\n"
                                       "1,0.001,2\n"
                                       "2,0.33333333333333331,1\n")
+        # one history row per cycle: the restart count is read off it
+        assert report.restarts_used == 2
 
 
 class TestRuns:
@@ -121,6 +122,19 @@ class TestRuns:
         assert code == 0
         assert out.startswith("restart,max_rel_residual,deflations")
         assert "converged 4 of 4" in err
+
+    def test_breakdown_summary(self, capsys):
+        # k = 2n: the Krylov space is the whole space and breaks down at the
+        # last step, which delivers every pair of the problem, not m of them
+        code, out, err = _run(capsys, ["mass-spring", "-n", "6", "--num-eigs",
+                                       "2", "--dim", "12", "--format", "json"])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["config"]["sigma"] is None
+        assert doc["breakdown"] == [0, 12]
+        assert doc["converged_count"] == len(doc["pairs"]) == 12
+        assert "converged 12 pairs in 0 restart(s)" in err
+        assert "breakdown at restart 0, step 12" in err
 
     def test_threads_env_accepted(self, capsys, monkeypatch):
         monkeypatch.setenv("SOARQEP_THREADS", "4")

@@ -32,6 +32,10 @@ class TestConfig:
         with pytest.raises(ValueError, match="mode"):
             SolverConfig(m=2, k=4, mode="invert").validate()
 
+    def test_max_restarts_at_least_one(self):
+        with pytest.raises(ValueError, match="max_restarts"):
+            SolverConfig(m=2, k=6, max_restarts=0).validate()
+
     def test_shift_invert_needs_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
             SolverConfig(m=2, k=4, mode="shift-invert").validate()

@@ -44,6 +44,10 @@ class TestOrthogonalize:
 
 
 class TestShiftedQr:
+    def test_non_square_rejected(self):
+        with pytest.raises(ValueError, match="square"):
+            hessenberg_shifted_qr(np.ones((3, 2)), [0.5])
+
     def test_similarity_and_structure(self, rng):
         k = 9
         T = np.triu(rng.standard_normal((k, k)), -1) + 0j
@@ -167,6 +171,15 @@ def pencils(monkeypatch):
 
 
 class TestProjectedQep:
+    def test_eigensolver_failure_named(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise scipy.linalg.LinAlgError("did not converge")
+
+        monkeypatch.setattr(scipy.linalg, "eig", fail)
+        with pytest.raises(kernels.SingularPencilError,
+                           match="companion linearization"):
+            solve_projected_qep(np.eye(2), np.eye(2), np.eye(2))
+
     def test_scalar_roots(self):
         theta, G = solve_projected_qep([[1.0]], [[3.0]], [[2.0]])
         assert sorted(theta.real) == pytest.approx([-2.0, -1.0], abs=1e-12)

@@ -75,6 +75,13 @@ class TestSteps:
         out = msoar_step(st, op, 1e-12)
         assert out.kind == BREAKDOWN
         assert st.breakdown and st.k == 2
+        # the flag is read off the measured t_{k+1,k}, and the run ends there
+        assert st.breakdown_t is not None
+        with pytest.raises(AttributeError):
+            st.breakdown = False
+        with pytest.raises(RuntimeError, match="past breakdown"):
+            msoar_step(st, op, 1e-12)
+        assert st.k == 2
 
     def test_deflation_columns_shape(self, rng):
         prob, u1, u2 = deflation_at_step1(rng, 18)

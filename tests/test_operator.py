@@ -54,7 +54,46 @@ class TestProblem:
         assert sp.issparse(prob.M)
 
 
+class TestConstructor:
+    """``QepProblem(M, C, K)`` is the one construction path: n and the
+    1-norms are read off the matrices, never passed in."""
+
+    def test_converts_dense_real_triple(self):
+        M, K = np.diag([2.0, 1.0]), np.eye(2)
+        C = np.array([[0.0, -3.0], [1.0, 0.0]])
+        prob = QepProblem(M, C, K)
+        for got, want in zip((prob.M, prob.C, prob.K), (M, C, K)):
+            assert got.format == "csc" and got.dtype == complex
+            assert np.array_equal(got.toarray(), want)
+        assert prob.n == 2 and prob.norms1 == (2.0, 3.0, 1.0)
+
+    @pytest.mark.parametrize("mats", [
+        (np.eye(3), np.diag([1.0, np.nan, 1.0]), np.eye(3)),
+        (np.eye(3), np.eye(3), np.eye(2)),
+    ], ids=["nan", "shape"])
+    def test_refusals_match_from_matrices(self, mats):
+        with pytest.raises(ValueError) as direct:
+            QepProblem(*mats)
+        with pytest.raises(ValueError) as named:
+            QepProblem.from_matrices(*mats)
+        assert str(direct.value) == str(named.value)
+
+    def test_derived_values_are_not_arguments(self):
+        prob = gen_string_damping(5)
+        with pytest.raises(TypeError):
+            QepProblem(prob.M, prob.C, prob.K, 5, (1e-30,) * 3)
+        with pytest.raises(TypeError):
+            QepProblem(prob.M, prob.C, prob.K, norms1=(1e-30,) * 3)
+        with pytest.raises(AttributeError):
+            prob.n = 4
+
+
 class TestBuildOperator:
+    def test_unknown_mode_rejected(self):
+        prob = QepProblem(np.eye(2), np.eye(2), np.eye(2))
+        with pytest.raises(ValueError, match="unknown mode 'bogus'"):
+            build_operator(prob, mode="bogus")
+
     def test_singular_mass_rejected(self):
         M = np.zeros((3, 3))
         with pytest.raises(FactorizationError):

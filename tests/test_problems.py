@@ -29,6 +29,10 @@ class TestMassSpring:
 
 
 class TestStringDamping:
+    def test_needs_positive_size(self):
+        with pytest.raises(ValueError, match="n >= 1"):
+            gen_string_damping(0)
+
     def test_mass_and_stiffness(self):
         prob = gen_string_damping(5)
         assert np.allclose(prob.M.toarray(), (np.pi / 2) * np.eye(5))
@@ -73,6 +77,10 @@ class TestStringDamping:
 
 
 class TestMatrixMarket:
+    def test_load_needs_three_paths(self, tmp_path):
+        with pytest.raises(ValueError, match="exactly three"):
+            load_matrix_market([str(tmp_path / "m.mtx"), str(tmp_path / "c.mtx")])
+
     def test_round_trip_real(self, rng, tmp_path):
         A = sp.random(7, 7, density=0.4, random_state=42, format="csc")
         p = tmp_path / "a.mtx"

@@ -1,0 +1,81 @@
+"""Print a fingerprint of the solver's output on fixed problems.
+
+    python3 tools/fingerprint.py [--src DIR] [--seeds 1 2]
+
+Solves each benchmark workload of ``perfbench/harness.py`` at the given
+seeds (the start vector the benchmark uses) and the two tight-ctol cases of
+``tests/test_driver.py`` (mass-spring n=500, shift-invert, ctol 1e-15). For
+each it prints the cycle count, the final max residual and a sha1 of the
+residual history, the delivered eigenvalues, their relative residuals and
+their eigenvectors.  Two checkouts give the same output exactly when they
+compute bitwise the same results, so a change meant to leave the arithmetic
+alone is checked by diffing the output of both: run it once with ``--src``
+pointing at the other checkout's ``src``.
+
+BLAS is pinned to one thread before numpy is first imported, as in
+``perfbench/run.py``; a different thread count may round differently.
+"""
+
+import os
+import sys
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import argparse  # noqa: E402
+import hashlib  # noqa: E402
+
+import numpy as np  # noqa: E402
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+
+import harness  # noqa: E402  (after the pinning above)
+
+TIGHT_CTOL = dict(m=6, k=40, p=15, mode="shift-invert", sigma=-13 + 0.4j,
+                  ctol=1e-15, max_restarts=15)
+
+
+def _sha1(values, dtype):
+    return hashlib.sha1(np.asarray(values, dtype=dtype).tobytes()).hexdigest()
+
+
+def fingerprint(name, report):
+    pairs = report.converged
+    x = np.concatenate([p.x for p in pairs]) if pairs else []
+    return ("%s cycles=%d final=%.3e history=%s lam=%s rel_residual=%s x=%s"
+            % (name, len(report.residual_history), report.residual_history[-1],
+               _sha1(report.residual_history, float),
+               _sha1([p.lam for p in pairs], complex),
+               _sha1([p.rel_residual for p in pairs], float),
+               _sha1(x, complex)))
+
+
+def cases(soarqep, seeds):
+    """(name, problem, config) of every fingerprinted solve."""
+    for wl in harness.WORKLOADS:
+        problem = harness.generate(soarqep, wl)
+        for seed in seeds:
+            config = soarqep.SolverConfig(
+                u1=harness.start_vector(seed, problem.n), seed=seed,
+                **wl.config)
+            yield "%s seed=%d" % (wl.name, seed), problem, config
+    problem = soarqep.gen_mass_spring(500)
+    for variant in ("irsoar", "imsoar"):
+        yield ("tight-ctol-%s" % variant, problem,
+               soarqep.SolverConfig(variant=variant, **TIGHT_CTOL))
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", default=os.path.join(ROOT, "src"),
+                    help="directory holding the soarqep package")
+    ap.add_argument("--seeds", type=int, nargs="+", default=[1, 2])
+    args = ap.parse_args(argv)
+    soarqep = harness.load_soarqep(os.path.abspath(args.src))
+    for name, problem, config in cases(soarqep, args.seeds):
+        print(fingerprint(name, soarqep.solve(problem, config)), flush=True)
+
+
+if __name__ == "__main__":
+    main()
