@@ -117,13 +117,12 @@ def run_cli(argv=None):
     try:
         args = build_parser().parse_args(argv)
         sigma = parse_sigma(args.sigma) if args.sigma is not None else None
-        config = SolverConfig(m=args.m, k=args.k, p=args.p,
-                              mode="shift-invert" if sigma is not None else "direct",
-                              sigma=sigma, variant=args.variant,
-                              ctol=args.ctol, tol=args.dtol,
-                              max_restarts=args.max_restarts, seed=args.seed)
         try:
-            config.validate()
+            config = SolverConfig(
+                m=args.m, k=args.k, p=args.p,
+                mode="shift-invert" if sigma is not None else "direct",
+                sigma=sigma, variant=args.variant, ctol=args.ctol,
+                tol=args.dtol, max_restarts=args.max_restarts, seed=args.seed)
         except ValueError as exc:
             raise UsageError(str(exc))
 

@@ -20,8 +20,11 @@ from .operator import build_operator
 from .restart import contract, select_shifts
 
 
-@dataclass
+@dataclass(frozen=True)
 class SolverConfig:
+    """Checked when built, fixed afterwards; ``build_operator`` checks mode
+    and sigma, ``init_state`` the start vectors."""
+
     m: int                     # number of wanted eigenpairs
     k: int                     # subspace dimension per cycle
     p: int = None              # shifts per restart (default k - m)
@@ -48,6 +51,9 @@ class SolverConfig:
         # dimension kept after a contraction
         return self.k - self.num_shifts
 
+    def __post_init__(self):
+        self.validate()
+
     def validate(self):
         if not (0 < self.m < self.k):
             raise ValueError("need 0 < m < k (m=%d, k=%d)" % (self.m, self.k))
@@ -56,10 +62,6 @@ class SolverConfig:
                              % (self.m, self.k, self.num_shifts))
         if self.variant not in ("imsoar", "irsoar"):
             raise ValueError("unknown variant %r" % self.variant)
-        if self.mode not in ("direct", "shift-invert"):
-            raise ValueError("unknown mode %r" % self.mode)
-        if self.mode == "shift-invert" and self.sigma is None:
-            raise ValueError("shift-invert mode requires sigma")
         if self.max_restarts < 1:
             raise ValueError("max_restarts must be at least 1")
         if not (np.isfinite(self.ctol) and self.ctol > 0):
@@ -124,16 +126,9 @@ def _scale_checked(step, *args, **kwargs):
 
 def solve(problem, config):
     """Run the restarted solver on a QepProblem; never raises on stagnation."""
-    config.validate()
     rng = np.random.default_rng(config.seed)
     u1 = config.u1 if config.u1 is not None else rng.random(problem.n)
     u2 = config.u2 if config.u2 is not None else u1
-    for name, u in (("u1", u1), ("u2", u2)):
-        if np.shape(u) != (problem.n,):
-            raise ValueError("start vector %s has shape %s, need length n=%d"
-                             % (name, np.shape(u), problem.n))
-        if not np.isfinite(u).all():
-            raise ValueError("start vector %s has an inf or NaN entry" % name)
     op = build_operator(problem, mode=config.mode, sigma=config.sigma)
     state = init_state(op, u1, u2)
 

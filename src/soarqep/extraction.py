@@ -188,7 +188,7 @@ def extract_ritz(proj, op, m):
     theta, G = kernels.solve_projected_qep(proj.M_k, proj.C_k, proj.K_k)
     mag = np.abs(theta)
     ok = mag <= HUGE_RITZ
-    if op.mode == "shift-invert":
+    if op.sigma is not None:
         ok &= mag >= 1e-300
     live = np.flatnonzero(ok)
     # ||(theta^2 W1 + theta W2 + W3) g|| of every live pair at once, through

@@ -115,9 +115,15 @@ _NORM_SAFE_MIN = np.sqrt(np.finfo(float).tiny)
 
 
 def init_state(op, u1, u2):
-    """Start the recurrence with q_1 = u1/||u1||, p_1 = u2/||u1||."""
+    """Start with q_1 = u1/||u1||, p_1 = u2/||u1||, from finite n-vectors."""
     u1 = np.asarray(u1, dtype=complex)
     u2 = np.asarray(u2, dtype=complex)
+    for name, u in (("u1", u1), ("u2", u2)):
+        if u.shape != (op.n,):
+            raise ValueError("start vector %s has shape %s, need length n=%d"
+                             % (name, u.shape, op.n))
+        if not np.isfinite(u).all():
+            raise ValueError("start vector %s has an inf or NaN entry" % name)
     # an overflow is caught below, on p_1 itself
     with np.errstate(over="ignore", invalid="ignore"):
         nrm = np.linalg.norm(u1)

@@ -110,11 +110,10 @@ class OperatorPair:
     ``work_M``, ``work_C``, ``work_K`` are the matrices of the QEP the
     Arnoldi recurrence actually iterates on: (M, C, K) in direct mode,
     (M_hat, C_hat, K_hat) in shift-invert mode.  ``sigma`` is None in
-    direct mode.
+    direct mode, so it alone tells the two modes apart.
     """
 
     problem: QepProblem
-    mode: str
     sigma: complex
     lu: object
     work_M: sp.csc_matrix
@@ -155,9 +154,12 @@ def build_operator(problem, mode="direct", sigma=None):
     """Factorize and wrap the operator pair for ``mode``.
 
     In shift-invert mode assembles M_hat = sigma^2 M + sigma C + K,
-    C_hat = C + 2 sigma M and K_hat = M, and factorizes M_hat.
+    C_hat = C + 2 sigma M and K_hat = M, and factorizes M_hat.  Direct mode
+    refuses a sigma; shift-invert mode needs one with a finite square.
     """
     if mode == "direct":
+        if sigma is not None:
+            raise ValueError("direct mode takes no sigma, got %r" % (sigma,))
         wM, wC, wK, norms1 = problem.M, problem.C, problem.K, problem.norms1
         lu = _checked_splu(wM, "M", norms1[0])
     elif mode == "shift-invert":
@@ -175,7 +177,7 @@ def build_operator(problem, mode="direct", sigma=None):
         lu = _checked_splu(wM, "sigma^2 M + sigma C + K", norms1[0])
     else:
         raise ValueError("unknown mode %r" % mode)
-    return OperatorPair(problem=problem, mode=mode, sigma=sigma, lu=lu,
+    return OperatorPair(problem=problem, sigma=sigma, lu=lu,
                         work_M=wM, work_C=wC, work_K=wK, work_norms1=norms1)
 
 
@@ -192,7 +194,7 @@ def recover_eigen(op, rho, residual_norm_hat):
     eigenvalue is 1/rho + sigma and its residual norm is the hatted one
     divided by |rho|^2.  In direct mode this is the identity.
     """
-    if op.mode == "direct":
+    if op.sigma is None:
         return complex(rho), float(residual_norm_hat)
     if abs(rho) < 1e-300:
         raise ZeroDivisionError("shift-inverted eigenvalue too close to zero")

@@ -85,13 +85,12 @@ def write_matrix_market(path, A, comment=None):
 
 
 def load_matrix_market(paths):
-    """Assemble a QepProblem from three Matrix Market files (M, C, K)."""
+    """Assemble a QepProblem from three Matrix Market files (M, C, K); an
+    error of ``QepProblem``'s checks is raised with the three paths."""
     if len(paths) != 3:
         raise ValueError("need exactly three paths (M, C, K)")
     mats = [read_matrix_market(p) for p in paths]
-    n = mats[0].shape[0]
-    for p, A in zip(paths, mats):
-        if A.shape != (n, n):
-            raise ValueError("%s has shape %s, expected (%d, %d)"
-                             % (p, A.shape, n, n))
-    return QepProblem(*mats)
+    try:
+        return QepProblem(*mats)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (", ".join(map(str, paths)), exc)) from exc

@@ -16,6 +16,7 @@ import scipy.linalg
 from .extraction import HUGE_RITZ
 from .kernels import (hessenberg_shifted_qr, qr_unit_diagonal, row_blocks,
                       solve_projected_qep)
+from .operator import apply_ab
 
 
 class RepairError(RuntimeError):
@@ -43,10 +44,10 @@ def select_shifts(proj, wanted, p):
     U_perp is the first p columns of this (ktilde - m)-dimensional complement
     (70 of 121 on string300, 8 of 15 on string1000).  The QEP projected onto
     U_perp yields 2p candidates for unwanted eigenvalues; only its
-    eigenvalues are computed, no eigenvectors.  In ``proj.op.mode``, direct
-    mode keeps the p farthest (max-min distance) from the wanted Ritz values;
-    shift-invert mode the p of smallest magnitude, farthest from the target.
-    The shifts are "refined" if wanted entries exist and all carry
+    eigenvalues are computed, no eigenvectors.  Direct mode (``proj.op.sigma``
+    None) keeps the p farthest (max-min distance) from the wanted Ritz
+    values; shift-invert mode the p of smallest magnitude, farthest from the
+    target.  The shifts are "refined" if wanted entries exist and all carry
     ``sigma_min``, and "exact" otherwise.
     """
     Z = np.zeros((proj.M_k.shape[0], 0), dtype=complex)
@@ -70,7 +71,7 @@ def select_shifts(proj, wanted, p):
                                    vectors=False)
     cands = [t for t in theta.tolist() if abs(t) <= HUGE_RITZ]
 
-    if proj.op.mode == "shift-invert":
+    if proj.op.sigma is not None:
         ranked = sorted(cands, key=lambda t: (abs(t), t.real, t.imag))
     elif wanted:
         def score(t):
@@ -163,17 +164,13 @@ def contract(state, shifts, m, overwrite=False):
 def verify_filter(state_before, state_after, shifts, op):
     """Cosine distance between the restarted start vector and the filtered one.
 
-    Applies psi(H) = prod(H - mu_j I) to the stacked old start explicitly
-    (dense, small problems only) and compares directions.
-    """
-    from .oracles import build_h
-
-    H = build_h(op).H
-    v_old = np.concatenate([state_before.Q[:, 0], state_before.P[:, 0]])
+    Applies psi(H) = prod(H - mu_j I), H = [A B; I 0], to the stacked old
+    start through the operator, one ``apply_ab`` per shift."""
+    q, p = state_before.Q[:, 0], state_before.P[:, 0]
+    for mu in shifts:
+        q, p = apply_ab(op, q, p) - mu * q, q - mu * p
+    w = np.concatenate([q, p])
     v_new = np.concatenate([state_after.Q[:, 0], state_after.P[:, 0]])
-    w = v_old.copy()
-    for m_j in shifts:
-        w = H @ w - m_j * w
     denom = np.linalg.norm(w) * np.linalg.norm(v_new)
     if denom == 0.0:
         return 1.0

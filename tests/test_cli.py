@@ -136,11 +136,6 @@ class TestRuns:
         assert "converged 12 pairs in 0 restart(s)" in err
         assert "breakdown at restart 0, step 12" in err
 
-    def test_threads_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("SOARQEP_THREADS", "4")
-        code, _, _ = _run(capsys, self.ARGS)
-        assert code == 0
-
 
 class TestMatrixMarketPath:
     N = 12

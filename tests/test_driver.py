@@ -20,40 +20,56 @@ from soarqep.oracles import dense_qep_spectrum, mass_spring_spectrum
 
 
 class TestConfig:
+    # the fields are checked when the config is built; mode and sigma when
+    # solve builds the operator
     def test_bad_split(self):
         with pytest.raises(ValueError, match="0 < m < k"):
-            SolverConfig(m=5, k=5).validate()
+            SolverConfig(m=5, k=5)
         with pytest.raises(ValueError, match="0 < m < k"):
-            SolverConfig(m=0, k=4).validate()
+            SolverConfig(m=0, k=4)
 
     def test_bad_variant_and_mode(self):
         with pytest.raises(ValueError, match="variant"):
-            SolverConfig(m=2, k=4, variant="soar").validate()
+            SolverConfig(m=2, k=4, variant="soar")
         with pytest.raises(ValueError, match="mode"):
-            SolverConfig(m=2, k=4, mode="invert").validate()
+            solve(gen_mass_spring(10), SolverConfig(m=2, k=4, mode="invert"))
 
     def test_max_restarts_at_least_one(self):
         with pytest.raises(ValueError, match="max_restarts"):
-            SolverConfig(m=2, k=6, max_restarts=0).validate()
+            SolverConfig(m=2, k=6, max_restarts=0)
 
     def test_shift_invert_needs_sigma(self):
         with pytest.raises(ValueError, match="sigma"):
-            SolverConfig(m=2, k=4, mode="shift-invert").validate()
+            solve(gen_mass_spring(10),
+                  SolverConfig(m=2, k=4, mode="shift-invert"))
+
+    def test_direct_mode_refuses_sigma(self):
+        # a sigma in direct mode would be ignored and steer nothing
+        with pytest.raises(ValueError, match="sigma"):
+            solve(gen_mass_spring(10), SolverConfig(m=2, k=4, sigma=0.5))
+
+    def test_fields_cannot_be_assigned(self):
+        cfg = SolverConfig(m=2, k=4)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.k = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.sigma = 0.5
+        assert cfg.k == 4 and cfg.sigma is None
 
     def test_tolerance_ordering(self):
         with pytest.raises(ValueError, match="tol"):
-            SolverConfig(m=2, k=4, ctol=1e-8, tol=1e-10).validate()
-        SolverConfig(m=2, k=4, ctol=1e-10, tol=1e-8).validate()
+            SolverConfig(m=2, k=4, ctol=1e-8, tol=1e-10)
+        SolverConfig(m=2, k=4, ctol=1e-10, tol=1e-8)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf"), 0.0, -1e-10])
     def test_ctol_must_be_finite_and_positive(self, bad):
         with pytest.raises(ValueError, match="ctol must be finite"):
-            SolverConfig(m=2, k=4, ctol=bad).validate()
+            SolverConfig(m=2, k=4, ctol=bad)
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_tol_must_be_finite(self, bad):
         with pytest.raises(ValueError, match="tol must be finite"):
-            SolverConfig(m=2, k=4, tol=bad).validate()
+            SolverConfig(m=2, k=4, tol=bad)
 
     def test_drop_tol_defaults_to_ctol(self):
         assert SolverConfig(m=2, k=4, ctol=1e-9).drop_tol == 1e-9
@@ -64,11 +80,10 @@ class TestConfig:
         assert cfg.num_shifts == 7 and cfg.retained == 3
         cfg = SolverConfig(m=6, k=40, p=15)
         assert cfg.retained == 25
-        cfg.validate()
         with pytest.raises(ValueError, match="k - p"):
-            SolverConfig(m=6, k=10, p=10).validate()
+            SolverConfig(m=6, k=10, p=10)
         with pytest.raises(ValueError, match="k - p"):
-            SolverConfig(m=6, k=10, p=5).validate()
+            SolverConfig(m=6, k=10, p=5)
 
     @pytest.mark.parametrize("name", ["u1", "u2"])
     def test_start_vector_length_checked(self, name):

@@ -35,6 +35,20 @@ class TestInit:
         with pytest.raises(ZeroStartError):
             init_state(op, np.zeros(4), np.ones(4))
 
+    def test_non_finite_start_named(self, rng):
+        op = build_operator(random_qep(rng, 10))
+        u1 = np.ones(10)
+        u1[3] = np.inf
+        with pytest.raises(ValueError,
+                           match="start vector u1 has an inf or NaN entry"):
+            init_state(op, u1, np.ones(10))
+
+    def test_short_start_named(self, rng):
+        op = build_operator(random_qep(rng, 10))
+        with pytest.raises(ValueError, match=r"start vector u2 has shape "
+                           r"\(5,\), need length n=10"):
+            init_state(op, np.ones(10), np.ones(5))
+
 
 class TestSteps:
     def test_decomposition_identity(self, rng):

@@ -178,6 +178,11 @@ class TestBuildOperator:
                    for X in (op.work_M, op.work_C))
         assert kept <= 1.05 * work
 
+    def test_direct_mode_refuses_sigma(self):
+        prob = QepProblem.from_matrices(np.eye(3), np.eye(3), np.eye(3))
+        with pytest.raises(ValueError, match="direct mode takes no sigma"):
+            build_operator(prob, sigma=0.5)
+
     def test_shift_invert_requires_sigma(self, rng):
         prob = QepProblem.from_matrices(np.eye(3), np.eye(3), np.eye(3))
         with pytest.raises(ValueError):

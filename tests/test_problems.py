@@ -191,3 +191,13 @@ class TestMatrixMarket:
         write_matrix_market(bad, sp.identity(3))
         with pytest.raises(ValueError, match="k3.mtx"):
             load_matrix_market(names[:2] + [str(bad)])
+
+    def test_non_finite_entry_names_the_files(self, tmp_path):
+        paths = []
+        for tag, A in (("m", np.eye(2)), ("c", np.eye(2)),
+                       ("k", np.array([[1.0, np.nan], [0.0, 1.0]]))):
+            q = tmp_path / ("%s.mtx" % tag)
+            write_matrix_market(q, sp.csc_matrix(A))
+            paths.append(str(q))
+        with pytest.raises(ValueError, match=r"k\.mtx: K has 1-norm nan"):
+            load_matrix_market(paths)

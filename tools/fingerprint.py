@@ -7,10 +7,13 @@ seeds (the start vector the benchmark uses) and the two tight-ctol cases of
 ``tests/test_driver.py`` (mass-spring n=500, shift-invert, ctol 1e-15). For
 each it prints the cycle count, the final max residual and a sha1 of the
 residual history, the delivered eigenvalues, their relative residuals and
-their eigenvectors.  Two checkouts give the same output exactly when they
-compute bitwise the same results, so a change meant to leave the arithmetic
-alone is checked by diffing the output of both: run it once with ``--src``
-pointing at the other checkout's ``src``.
+their eigenvectors.  A last line runs the command line of acceptance
+criterion 11 (``tests/test_acceptance.py``) through ``soarqep.cli.run_cli``
+with ``--format csv`` and ``--format json`` and prints the exit codes and a
+sha1 of each output's bytes.  Two checkouts give the same output exactly
+when they compute bitwise the same results, so a change meant to leave the
+arithmetic alone is checked by diffing the output of both: run it once with
+``--src`` pointing at the other checkout's ``src``.
 
 BLAS is pinned to one thread before numpy is first imported, as in
 ``perfbench/run.py``; a different thread count may round differently.
@@ -23,7 +26,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
 import argparse  # noqa: E402
+import contextlib  # noqa: E402
 import hashlib  # noqa: E402
+import importlib  # noqa: E402
+import io  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -34,6 +40,9 @@ import harness  # noqa: E402  (after the pinning above)
 
 TIGHT_CTOL = dict(m=6, k=40, p=15, mode="shift-invert", sigma=-13 + 0.4j,
                   ctol=1e-15, max_restarts=15)
+CLI_ARGV = ["mass-spring", "-n", "500", "--sigma=-13+0.4i", "--num-eigs", "6",
+            "--dim", "40", "--shifts", "15", "--variant", "irsoar",
+            "--ctol", "1e-10", "--dtol", "1e-8", "--seed", "0"]
 
 
 def _sha1(values, dtype):
@@ -66,6 +75,20 @@ def cases(soarqep, seeds):
                soarqep.SolverConfig(variant=variant, **TIGHT_CTOL))
 
 
+def cli_fingerprint(run_cli):
+    """Exit code and sha1 of the standard output of the command line of
+    acceptance criterion 11, in CSV and in JSON."""
+    parts = []
+    for fmt in ("csv", "json"):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = run_cli(CLI_ARGV + ["--format", fmt])
+        parts.append("%s=%d:%s" % (fmt, code, hashlib.sha1(
+            out.getvalue().encode()).hexdigest()))
+    return "cli " + " ".join(parts)
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", default=os.path.join(ROOT, "src"),
@@ -75,6 +98,7 @@ def main(argv=None):
     soarqep = harness.load_soarqep(os.path.abspath(args.src))
     for name, problem, config in cases(soarqep, args.seeds):
         print(fingerprint(name, soarqep.solve(problem, config)), flush=True)
+    print(cli_fingerprint(importlib.import_module("soarqep.cli").run_cli))
 
 
 if __name__ == "__main__":
