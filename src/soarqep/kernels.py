@@ -10,19 +10,22 @@ rotations, each applied once; the projected QEP by standard eig on
 the monic companion when M_k is well conditioned and by QZ otherwise,
 returned as an eigenvalue array and one matrix of unit eigenvectors;
 refined vectors by QR, then inverse iteration from the Ritz vector on its
-triangle).  Everything is complex, real inputs promoted, except the
-projected QEP: a triple with no nonzero imaginary part, as a real problem
-projects to in direct mode or at a real shift until a complex shift enters
-the basis, goes to real LAPACK (dgeev, dggev): on string300's first
-282-by-282 companion dgeev took 77 ms against 199 ms for zgeev (medians of
-25 alternating calls, one thread of a shared 2-core VM).
+triangle).  Everything is complex, real inputs promoted, except where
+the data are real.  A projected triple with no nonzero imaginary part, as
+a real problem projects to in direct mode or at a real shift, goes to real
+LAPACK (dgeev, dggev): on string300's first 282-by-282 companion dgeev
+took 77 ms against 199 ms for zgeev (medians of 25 alternating calls, one
+thread of a shared 2-core VM).  On a real T, each conjugate pair of shifts
+is one real double-shift sweep (dlartg, drot), so such a problem's basis
+stays real through every restart.
 """
 
 import warnings
 
 import numpy as np
 import scipy.linalg
-from scipy.linalg.lapack import zgeqrt, zlartg, zrot, ztpqrt
+from scipy.linalg.blas import drot
+from scipy.linalg.lapack import dlartg, zgeqrt, zlartg, zrot, ztpqrt
 
 
 class QRSweepError(RuntimeError):
@@ -68,14 +71,22 @@ def orthogonalize_with_refinement(v, basis):
 
 
 def hessenberg_shifted_qr(T, shifts):
-    """Run one explicit shifted-QR sweep per shift on a Hessenberg matrix.
+    """Run one shifted-QR sweep per shift on a Hessenberg matrix.
 
     Returns (V, T_plus) with T_plus = V^* T V Hessenberg and
     psi(T) = V @ R for upper-triangular R, psi(mu) = prod(mu - mu_j).
-    V is unitary with at most len(shifts) nonzero subdiagonals.  Each sweep
-    reduces T - mu I to R with LAPACK rotations and applies them to R from
-    the right; right rotation i meets columns that are zero below row i+1,
-    so it stops there and T_plus is exactly Hessenberg.
+    V is unitary with at most len(shifts) nonzero subdiagonals.
+
+    A real shift, or any shift on a complex T or in a set that is not
+    conjugate-paired, gets an explicit sweep in complex arithmetic: T - mu I
+    is reduced to R with LAPACK rotations (zlartg, zrot), which are then
+    applied to R from the right; right rotation i meets columns that are
+    zero below row i+1, so it stops there and T_plus is exactly Hessenberg.
+    On a T with no nonzero imaginary part, a shift set in which each complex
+    shift is followed by its exact conjugate (as ``restart.select_shifts``
+    orders them) applies each such pair as one real implicit double-shift
+    (Francis) sweep of real rotations (dlartg, drot), as ARPACK's real
+    driver does, so V and T_plus keep exact-zero imaginary parts.
     """
     Tp = np.array(T, dtype=complex, order="F")
     k = Tp.shape[0]
@@ -85,26 +96,117 @@ def hessenberg_shifted_qr(T, shifts):
         raise ValueError("number of shifts must be below the order of T")
 
     V = np.eye(k, dtype=complex, order="F")
+    sweeps = None if Tp.imag.any() else _conjugate_paired(shifts)
+    if sweeps is None:
+        sweeps = [(mu,) for mu in shifts]
+    real = None      # [T_plus; V] in float64 while pairs are applied
+    for sweep in sweeps:
+        if len(sweep) == 2:
+            if real is None:
+                real = np.asfortranarray(np.vstack((Tp.real, V.real)))
+            _double_shift_sweep(real, sweep[0])
+            finite = np.isfinite(real[:k])
+        else:
+            if real is not None:
+                Tp.real, V.real, real = real[:k], real[k:], None
+            _shifted_sweep(Tp, V, sweep[0])
+            finite = np.isfinite(Tp)
+        if not np.all(finite):
+            raise QRSweepError("non-finite entries after QR sweep")
+    if real is not None:
+        Tp.real, V.real = real[:k], real[k:]
+    return V, Tp
+
+
+def _conjugate_paired(shifts):
+    """The shifts grouped into sweeps, a real one alone and a complex one
+    with the exact conjugate that follows it; None if a complex shift has
+    no such partner."""
+    sweeps, i = [], 0
+    while i < len(shifts):
+        mu = complex(shifts[i])
+        if mu.imag == 0.0:
+            sweeps.append((shifts[i],))
+            i += 1
+        elif i + 1 < len(shifts) and complex(shifts[i + 1]) == mu.conjugate():
+            sweeps.append((mu, mu.conjugate()))
+            i += 2
+        else:
+            return None
+    return sweeps
+
+
+def _shifted_sweep(Tp, V, mu):
+    """One explicit shifted-QR sweep with shift mu on the complex
+    column-major Tp, accumulated into V, both in place."""
+    k = Tp.shape[0]
     # zrot works in place on these flat column-major views, (r, c) at r + c*k;
     # positional arguments, as keywords cost more than the rotation itself
     t, v = Tp.reshape(-1, order="F"), V.reshape(-1, order="F")
-    for mu in shifts:
-        t[:: k + 1] -= mu
-        rotations = []
-        for i in range(k - 1):
-            c, s, Tp[i, i] = zlartg(Tp[i, i], Tp[i + 1, i])
-            Tp[i + 1, i] = 0.0
-            o = i + (i + 1) * k     # rows i, i+1 from column i+1 on
-            zrot(t, t, c, s, k - i - 1, o, k, o + 1, k, 1, 1)
-            rotations.append((c, s.conjugate()))
-        for i, (c, s) in enumerate(rotations):
-            # columns i, i+1: rows up to i+1 of T_plus, all rows of V
-            zrot(t, t, c, s, i + 2, i * k, 1, i * k + k, 1, 1, 1)
-            zrot(v, v, c, s, k, i * k, 1, i * k + k, 1, 1, 1)
-        t[:: k + 1] += mu
-        if not np.all(np.isfinite(Tp)):
-            raise QRSweepError("non-finite entries after QR sweep")
-    return V, Tp
+    t[:: k + 1] -= mu
+    rotations = []
+    for i in range(k - 1):
+        c, s, Tp[i, i] = zlartg(Tp[i, i], Tp[i + 1, i])
+        Tp[i + 1, i] = 0.0
+        o = i + (i + 1) * k     # rows i, i+1 from column i+1 on
+        zrot(t, t, c, s, k - i - 1, o, k, o + 1, k, 1, 1)
+        rotations.append((c, s.conjugate()))
+    for i, (c, s) in enumerate(rotations):
+        # columns i, i+1: rows up to i+1 of T_plus, all rows of V
+        zrot(t, t, c, s, i + 2, i * k, 1, i * k + k, 1, 1, 1)
+        zrot(v, v, c, s, k, i * k, 1, i * k + k, 1, 1, 1)
+    t[:: k + 1] += mu
+
+
+def _double_shift_sweep(TV, mu):
+    """One implicit double-shift sweep with shifts mu and conj(mu) on the
+    real Hessenberg T, accumulated into V, in place on the column-major
+    stack TV = [T; V].
+
+    The first column of psi(T) = (T - mu I)(T - conj(mu) I), scaled as in
+    LAPACK dlahqr, starts a bulge at the top of each unreduced block, which
+    two real rotations per column chase to the block's foot (Golub & Van
+    Loan, Matrix Computations, 4th ed., Sec. 7.5).  By the implicit-Q
+    theorem each block's rotations make psi of that block V_b R_b; an
+    exactly zero subdiagonal keeps T block triangular, so psi(T) = V R
+    holds across the split too, where a single chase through it would not.
+    Rows of T below a block are zero in its columns, so a right rotation
+    runs down whole columns of the stack, T's and V's rows in one call.
+    """
+    k = TV.shape[1]
+    T, n = TV[:k], 2 * k
+    tv = TV.reshape(-1, order="F")      # (r, c) at r + c*n
+    a, b = mu.real, mu.imag
+    splits = [0] + [i for i in range(1, k) if T[i, i - 1] == 0.0] + [k]
+    for lo, hi in zip(splits[:-1], splits[1:]):
+        hi -= 1          # the block is rows and columns lo..hi
+        if hi == lo:
+            continue
+        d = T[lo, lo] - a
+        scale = abs(d) + abs(b) + abs(T[lo + 1, lo])
+        h = T[lo + 1, lo] / scale
+        x = h * T[lo, lo + 1] + d * (d / scale) + b * (b / scale)
+        y = h * (T[lo, lo] + T[lo + 1, lo + 1] - 2.0 * a)
+        z = h * T[lo + 2, lo + 1] if hi > lo + 1 else 0.0
+        for r in range(lo, hi):
+            if r > lo:
+                # the bulge: column r-1 below its subdiagonal
+                x, y = T[r, r - 1], T[r + 1, r - 1]
+                z = T[r + 2, r - 1] if r + 2 <= hi else 0.0
+            o = r + r * n           # row r from column r on
+            if r + 2 <= hi:
+                c1, s1, y = dlartg(y, z)
+                drot(tv, tv, c1, s1, k - r, o + 1, n, o + 2, n, 1, 1)
+            c2, s2, x = dlartg(x, y)
+            drot(tv, tv, c2, s2, k - r, o, n, o + 1, n, 1, 1)
+            if r > lo:
+                T[r, r - 1], T[r + 1, r - 1] = x, 0.0
+                if r + 2 <= hi:
+                    T[r + 2, r - 1] = 0.0
+            o = r * n               # column r
+            if r + 2 <= hi:
+                drot(tv, tv, c1, s1, n, o + n, 1, o + 2 * n, 1, 1, 1)
+            drot(tv, tv, c2, s2, n, o, 1, o + n, 1, 1, 1)
 
 
 # cond(M_k) up to which solve_projected_qep uses the monic companion

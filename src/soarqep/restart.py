@@ -8,6 +8,7 @@ from the QEP projected onto the orthogonal complement of the wanted vectors.
 
 import copy
 import warnings
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,24 +36,62 @@ class RestartReport:
     deflations_repaired: int
 
 
+def _real_span(wanted, k):
+    """Real k-row columns spanning the wanted vectors: g for each real g,
+    [Re g, Im g] for each pair of entries whose theta and g are exact
+    conjugates.  None if an entry with a complex g has no such partner."""
+    cols, unpaired = [], []
+    for e in wanted:
+        if not e.g.imag.any():
+            cols.append(e.g.real)
+            continue
+        twin = next((j for j, f in enumerate(unpaired)
+                     if f.theta == e.theta.conjugate()
+                     and np.array_equal(f.g, e.g.conj())), None)
+        if twin is None:
+            unpaired.append(e)
+            cols += [e.g.real, e.g.imag]
+        else:
+            unpaired.pop(twin)
+    if unpaired:
+        return None
+    return np.column_stack(cols) if cols else np.zeros((k, 0))
+
+
 def select_shifts(proj, wanted, p):
     """Shifts from the complement of the wanted directions inside the subspace.
 
     ``wanted`` is ``RitzSet.wanted()``.  The complement of its vectors ``g``
-    comes from a complete QR in complex arithmetic: Q is complex after the
-    first restart, so Re/Im parts of a conjugate pair do not span the pair.
-    U_perp is the first p columns of this (ktilde - m)-dimensional complement
-    (70 of 121 on string300, 8 of 15 on string1000).  The QEP projected onto
-    U_perp yields 2p candidates for unwanted eigenvalues; only its
-    eigenvalues are computed, no eigenvectors.  Direct mode (``proj.op.sigma``
-    None) keeps the p farthest (max-min distance) from the wanted Ritz
-    values; shift-invert mode the p of smallest magnitude, farthest from the
-    target.  The shifts are "refined" if wanted entries exist and all carry
-    ``sigma_min``, and "exact" otherwise.
+    comes from a complete QR.  If the projected triple is exactly real and
+    each complex g has its exact conjugate among the wanted (``extraction``
+    makes a real projection's pairs exact conjugates), the QR is real,
+    of [Re g, Im g] per pair and g per real g, which span the same space;
+    the complement and the QEP projected onto it are real, and the
+    candidates closed under conjugation.  Otherwise the QR is complex, of
+    the g themselves.  U_perp is the first p columns of this
+    (ktilde - m)-dimensional complement (70 of 121 on string300, 8 of 15
+    on string1000).  The QEP projected onto U_perp yields 2p candidates
+    for unwanted eigenvalues; only its eigenvalues are computed, no
+    eigenvectors.  Direct mode (``proj.op.sigma`` None) keeps the p
+    farthest (max-min distance) from the wanted Ritz values; shift-invert
+    mode the p of smallest magnitude, farthest from the target.  From a
+    real complement, a p-th shift whose conjugate ranks p+1-th is left
+    out, as in ARPACK, so the shifts stay conjugate-closed and
+    ``kernels.hessenberg_shifted_qr`` applies each pair as one real
+    double-shift sweep.  The shifts are "refined" if wanted entries exist
+    and all carry ``sigma_min``, and "exact" otherwise.
     """
-    Z = np.zeros((proj.M_k.shape[0], 0), dtype=complex)
-    if wanted:
+    M, C, K = proj.M_k, proj.C_k, proj.K_k
+    Z = (None if M.imag.any() or C.imag.any() or K.imag.any()
+         else _real_span(wanted, M.shape[0]))
+    real = Z is not None
+    if real:
+        M, C, K = M.real, C.real, K.real
+    elif wanted:
         Z = np.asarray(np.column_stack([e.g for e in wanted]), dtype=complex)
+    else:
+        Z = np.zeros((M.shape[0], 0), dtype=complex)
+    if Z.shape[1]:
         # drop numerically dependent columns before the complement QR
         _, Rp, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)
         diag = np.abs(np.diag(Rp))
@@ -67,8 +106,7 @@ def select_shifts(proj, wanted, p):
     U_perp = Qc[:, m_eff: m_eff + p]
 
     theta, _ = solve_projected_qep(*(U_perp.conj().T @ X @ U_perp
-                                     for X in (proj.M_k, proj.C_k, proj.K_k)),
-                                   vectors=False)
+                                     for X in (M, C, K)), vectors=False)
     cands = [t for t in theta.tolist() if abs(t) <= HUGE_RITZ]
 
     if proj.op.sigma is not None:
@@ -79,8 +117,12 @@ def select_shifts(proj, wanted, p):
         ranked = sorted(cands, key=lambda t: (-score(t), t.real, t.imag))
     else:
         ranked = sorted(cands, key=lambda t: (-abs(t), t.real, t.imag))
+    chosen = ranked[:p]
+    if real and len(chosen) > 1 and (
+            Counter(chosen) != Counter(t.conjugate() for t in chosen)):
+        chosen.pop()      # the p-th splits a conjugate pair
     # applied in order of increasing magnitude for reproducibility
-    shifts = sorted(ranked[:p], key=lambda t: (abs(t), t.real, t.imag))
+    shifts = sorted(chosen, key=lambda t: (abs(t), t.real, t.imag))
     refined = wanted and all(e.sigma_min is not None for e in wanted)
     return ShiftSet(shifts, "refined" if refined else "exact", cands)
 

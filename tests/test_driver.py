@@ -331,8 +331,10 @@ class TestVariants:
 
 class TestRealProblems:
     """A real problem in direct mode, or at a real shift, projects to exactly
-    real triples until a complex shift enters the basis; those cycles solve
-    their projected QEP in real arithmetic."""
+    real triples, and its cycles solve their projected QEP in real
+    arithmetic, for as long as the basis stays real: each conjugate pair of
+    shifts is one real double-shift sweep, so only a complex complement (a
+    wanted set that splits a pair) makes it complex."""
 
     def _recorded_solve(self, monkeypatch, prob, cfg):
         """Solve, and check in every cycle that no refined residual exceeds
@@ -373,9 +375,19 @@ class TestRealProblems:
             assert np.min(np.abs(want - pair.lam)) <= 1e-8 * abs(pair.lam)
         return rep, dtypes
 
-    def test_direct_string_real_first_cycle(self, monkeypatch):
-        # the shifts of the first restart are complex, so Q is from then on
+    def test_direct_string_real_every_cycle(self, monkeypatch):
+        # the shifts are complex, but conjugate-closed, so Q stays real
         cfg = SolverConfig(m=10, k=40, mode="direct", variant="irsoar",
+                           ctol=1e-10, seed=3)
+        rep, dtypes = self._recorded_solve(monkeypatch, gen_string_damping(150),
+                                           cfg)
+        assert rep.restarts_used >= 1
+        assert dtypes == ["float64"] * (rep.restarts_used + 1)
+
+    def test_direct_string_split_wanted_pair_goes_complex(self, monkeypatch):
+        # m = 9 wants one member of a conjugate pair: the complement and the
+        # shifts are complex, and so is every cycle after the first
+        cfg = SolverConfig(m=9, k=40, mode="direct", variant="irsoar",
                            ctol=1e-10, seed=3)
         rep, dtypes = self._recorded_solve(monkeypatch, gen_string_damping(150),
                                            cfg)

@@ -3,6 +3,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.linalg.lapack import zlartg, zrot
 
 from soarqep import kernels
 from soarqep.kernels import (ROW_BLOCK_MIN, ROW_BLOCKS_MAX,
@@ -114,6 +115,85 @@ class TestShiftedQr:
         V, _ = hessenberg_shifted_qr(T, list(rng.standard_normal(p)))
         sub = np.tril(V, -(p + 1))
         assert np.max(np.abs(sub)) < 1e-12
+
+    @staticmethod
+    def _check_real_pairs(T, shifts):
+        """V and T_plus real, V orthogonal, T_plus = V^T T V exactly
+        Hessenberg, and V^T psi(T) upper triangular."""
+        k = T.shape[0]
+        V, Tp = hessenberg_shifted_qr(T + 0j, shifts)
+        assert not V.imag.any() and not Tp.imag.any()
+        V, Tp = V.real, Tp.real
+        assert np.linalg.norm(V.T @ V - np.eye(k)) <= 1e-13
+        assert np.linalg.norm(Tp - V.T @ T @ V) <= 1e-13 * np.linalg.norm(T)
+        for i in range(2, k):
+            assert np.all(Tp[i, : i - 1] == 0.0)
+        # psi(T) in real arithmetic: a real factor per pair
+        psi, I = np.eye(k), np.eye(k)
+        for mu in shifts:
+            if mu.imag == 0.0:
+                psi = psi @ (T - mu.real * I)
+            elif mu.imag > 0.0:
+                psi = psi @ (T @ T - 2.0 * mu.real * T + abs(mu) ** 2 * I)
+        lower = np.tril(V.T @ psi, -1)
+        assert np.linalg.norm(lower) <= 1e-12 * np.linalg.norm(psi)
+
+    @staticmethod
+    def _paired_shifts(rng, pairs, real):
+        mu = rng.standard_normal(pairs) + 1j * rng.standard_normal(pairs)
+        return sorted([*mu, *mu.conj(), *real],
+                      key=lambda t: (abs(t), t.real, t.imag))
+
+    def test_conjugate_pairs_on_real_t_stay_real(self, rng):
+        # 7 pairs as real double-shift sweeps and one real shift
+        k = 40
+        T = np.triu(rng.standard_normal((k, k)), -1)
+        self._check_real_pairs(T, self._paired_shifts(rng, 7, [0.3]))
+
+    def test_conjugate_pairs_across_zero_subdiagonal(self, rng):
+        # one chase through the split would lose psi(T) = V R; a fresh bulge
+        # at the top of each unreduced block keeps it, with the 1-by-1 and
+        # 2-by-2 blocks of the splits at 4 and 6 and at the foot
+        k = 40
+        T = np.triu(rng.standard_normal((k, k)), -1)
+        T[4, 3] = T[6, 5] = T[7, 6] = T[k - 1, k - 2] = 0.0
+        self._check_real_pairs(T, self._paired_shifts(rng, 7, [-0.8]))
+
+    @staticmethod
+    def _complex_sweeps(T, shifts):
+        """The explicit single-shift sweeps, each shift alone in complex
+        arithmetic, as a loop over zlartg and zrot."""
+        Tp = np.array(T, dtype=complex, order="F")
+        k = Tp.shape[0]
+        V = np.eye(k, dtype=complex, order="F")
+        t, v = Tp.reshape(-1, order="F"), V.reshape(-1, order="F")
+        for mu in shifts:
+            t[:: k + 1] -= mu
+            rotations = []
+            for i in range(k - 1):
+                c, s, Tp[i, i] = zlartg(Tp[i, i], Tp[i + 1, i])
+                Tp[i + 1, i] = 0.0
+                o = i + (i + 1) * k
+                zrot(t, t, c, s, k - i - 1, o, k, o + 1, k, 1, 1)
+                rotations.append((c, s.conjugate()))
+            for i, (c, s) in enumerate(rotations):
+                zrot(t, t, c, s, i + 2, i * k, 1, i * k + k, 1, 1, 1)
+                zrot(v, v, c, s, k, i * k, 1, i * k + k, 1, 1, 1)
+            t[:: k + 1] += mu
+        return V, Tp
+
+    def test_complex_or_unpaired_keeps_single_sweeps(self, rng):
+        k = 20
+        real = np.triu(rng.standard_normal((k, k)), -1) + 0j
+        cplx = real + 1j * np.triu(rng.standard_normal((k, k)), -1)
+        paired = self._paired_shifts(rng, 3, [0.5])
+        i = next(j for j, mu in enumerate(paired) if mu.imag != 0.0)
+        unpaired = paired[:i] + paired[i + 1:]    # one pair loses a member
+        for T, shifts in [(cplx, paired), (real, unpaired),
+                          (real, [0.4, -1.2, 0.9])]:
+            V, Tp = hessenberg_shifted_qr(T, shifts)
+            V_ref, Tp_ref = self._complex_sweeps(T, shifts)
+            assert np.array_equal(V, V_ref) and np.array_equal(Tp, Tp_ref)
 
 
 def _triple_with_mass_condition(rng, k, cond, real=False):

@@ -5,9 +5,11 @@
 Solves each benchmark workload of ``perfbench/harness.py`` at the given
 seeds (the start vector the benchmark uses) and the two tight-ctol cases of
 ``tests/test_driver.py`` (mass-spring n=500, shift-invert, ctol 1e-15). For
-each it prints the cycle count, the final max residual and a sha1 of the
-residual history, the delivered eigenvalues, their relative residuals and
-their eigenvectors.  A last line runs the command line of acceptance
+each it prints the cycle count, the number of cycles whose projected triple
+has no nonzero imaginary part (``real_cycles=r/c``, the cycles that take
+real arithmetic), the final max residual and a sha1 of the residual
+history, the delivered eigenvalues, their relative residuals and their
+eigenvectors.  A last line runs the command line of acceptance
 criterion 11 (``tests/test_acceptance.py``) through ``soarqep.cli.run_cli``
 with ``--format csv`` and ``--format json`` and prints the exit codes and a
 sha1 of each output's bytes.  Two checkouts give the same output exactly
@@ -49,11 +51,34 @@ def _sha1(values, dtype):
     return hashlib.sha1(np.asarray(values, dtype=dtype).tobytes()).hexdigest()
 
 
-def fingerprint(name, report):
+def solve_counting_real(soarqep, problem, config):
+    """(report, number of real cycles) of one solve: each projection the
+    driver makes passes through a wrapper that notes whether its triple is
+    exactly real."""
+    driver = importlib.import_module("soarqep.driver")
+    project, real = driver.project, []
+
+    def counting_project(state, op):
+        proj = project(state, op)
+        real.append(not any(X.imag.any()
+                            for X in (proj.M_k, proj.C_k, proj.K_k)))
+        return proj
+
+    driver.project = counting_project
+    try:
+        report = soarqep.solve(problem, config)
+    finally:
+        driver.project = project
+    return report, sum(real)
+
+
+def fingerprint(name, report, real_cycles):
     pairs = report.converged
     x = np.concatenate([p.x for p in pairs]) if pairs else []
-    return ("%s cycles=%d final=%.3e history=%s lam=%s rel_residual=%s x=%s"
-            % (name, len(report.residual_history), report.residual_history[-1],
+    cycles = len(report.residual_history)
+    return ("%s cycles=%d real_cycles=%d/%d final=%.3e history=%s lam=%s "
+            "rel_residual=%s x=%s"
+            % (name, cycles, real_cycles, cycles, report.residual_history[-1],
                _sha1(report.residual_history, float),
                _sha1([p.lam for p in pairs], complex),
                _sha1([p.rel_residual for p in pairs], float),
@@ -97,7 +122,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     soarqep = harness.load_soarqep(os.path.abspath(args.src))
     for name, problem, config in cases(soarqep, args.seeds):
-        print(fingerprint(name, soarqep.solve(problem, config)), flush=True)
+        report, real_cycles = solve_counting_real(soarqep, problem, config)
+        print(fingerprint(name, report, real_cycles), flush=True)
     print(cli_fingerprint(importlib.import_module("soarqep.cli").run_cli))
 
 
