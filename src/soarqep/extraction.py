@@ -41,6 +41,13 @@ class ProjectedQep:
         return self.Q_tilde.shape[1]
 
     @property
+    def real(self):
+        """Whether the triple and the R blocks have no nonzero imaginary
+        part, as a real problem projects onto a real basis."""
+        return not any(X.imag.any() for X in (self.M_k, self.C_k, self.K_k,
+                                               *self.blocks))
+
+    @property
     def W1(self):
         return self.op.work_M @ self.Q_tilde
 
@@ -218,25 +225,23 @@ def extract_refined(proj, op, ritz):
     the Ritz vector's up to rounding; a refined entry is the Ritz entry with
     g, sigma_min (the exact residual norm of g) and rel_residual replaced.
 
-    With real R blocks, an entry whose theta and g are the exact conjugates
-    of an entry refined before it takes the conjugate of that refined
-    vector and the same sigma_min: complex arithmetic is symmetric under
-    conjugation, so this is what ``kernels.refined_vector`` would return
-    bit for bit, and one call serves each conjugate pair of a real
-    projection.
+    On a real projection one call serves each conjugate pair of
+    ``kernels.conjugate_groups``: the partner takes the conjugate vector and
+    the same sigma_min, which is what ``kernels.refined_vector`` would
+    return for it bit for bit, as complex arithmetic is symmetric under
+    conjugation.
     """
-    real = not any(R.imag.any() for R in proj.blocks)
-    done = {}     # conj(theta) -> (Ritz g, refined g, sigma_min)
-    for i in ritz.selection:
-        entry = ritz.pairs[i]
-        twin = done.get(entry.theta) if real else None
-        if twin is not None and np.array_equal(entry.g, twin[0].conj()):
-            g, smin = twin[1].conj(), twin[2]
-        else:
-            g, smin = kernels.refined_vector(entry.theta, *proj.blocks, entry.g)
-            done[entry.theta.conjugate()] = (entry.g, g, smin)
-        ritz.refined[i] = replace(entry, g=g, sigma_min=smin,
-                                  rel_residual=_relative(op, entry.theta, smin)[1])
+    sel = ritz.selection
+    groups = (kernels.conjugate_groups([ritz.pairs[i].theta for i in sel])[0]
+              if proj.real else [(j,) for j in range(len(sel))])
+    for group in groups:
+        first = ritz.pairs[sel[group[0]]]
+        z, smin = kernels.refined_vector(first.theta, *proj.blocks, first.g)
+        for j, g in zip(group, (z, z.conj())):
+            entry = ritz.pairs[sel[j]]
+            ritz.refined[sel[j]] = replace(
+                entry, g=g, sigma_min=smin,
+                rel_residual=_relative(op, entry.theta, smin)[1])
     return ritz
 
 

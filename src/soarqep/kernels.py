@@ -11,13 +11,7 @@ the monic companion when M_k is well conditioned and by QZ otherwise,
 returned as an eigenvalue array and one matrix of unit eigenvectors;
 refined vectors by QR, then inverse iteration from the Ritz vector on its
 triangle).  Everything is complex, real inputs promoted, except where
-the data are real.  A projected triple with no nonzero imaginary part, as
-a real problem projects to in direct mode or at a real shift, goes to real
-LAPACK (dgeev, dggev): on string300's first 282-by-282 companion dgeev
-took 77 ms against 199 ms for zgeev (medians of 25 alternating calls, one
-thread of a shared 2-core VM).  On a real T, each conjugate pair of shifts
-is one real double-shift sweep (dlartg, drot), so such a problem's basis
-stays real through every restart.
+the data are real (``solve_projected_qep``, ``hessenberg_shifted_qr``).
 """
 
 import warnings
@@ -77,14 +71,13 @@ def hessenberg_shifted_qr(T, shifts):
     psi(T) = V @ R for upper-triangular R, psi(mu) = prod(mu - mu_j).
     V is unitary with at most len(shifts) nonzero subdiagonals.
 
-    A real shift, or any shift on a complex T or in a set that is not
-    conjugate-paired, gets an explicit sweep in complex arithmetic: T - mu I
-    is reduced to R with LAPACK rotations (zlartg, zrot), which are then
-    applied to R from the right; right rotation i meets columns that are
-    zero below row i+1, so it stops there and T_plus is exactly Hessenberg.
-    On a T with no nonzero imaginary part, a shift set in which each complex
-    shift is followed by its exact conjugate (as ``restart.select_shifts``
-    orders them) applies each such pair as one real implicit double-shift
+    A real shift, or any shift on a complex T or in a set that
+    ``conjugate_groups`` does not close, gets an explicit sweep in complex
+    arithmetic: T - mu I is reduced to R with LAPACK rotations (zlartg,
+    zrot), which are then applied to R from the right; right rotation i
+    meets columns that are zero below row i+1, so it stops there and T_plus
+    is exactly Hessenberg.  On a T with no nonzero imaginary part, each
+    conjugate pair of a closed set is one real implicit double-shift
     (Francis) sweep of real rotations (dlartg, drot), as ARPACK's real
     driver does, so V and T_plus keep exact-zero imaginary parts.
     """
@@ -96,20 +89,21 @@ def hessenberg_shifted_qr(T, shifts):
         raise ValueError("number of shifts must be below the order of T")
 
     V = np.eye(k, dtype=complex, order="F")
-    sweeps = None if Tp.imag.any() else _conjugate_paired(shifts)
-    if sweeps is None:
-        sweeps = [(mu,) for mu in shifts]
+    sweeps, closed = conjugate_groups(shifts)
+    if Tp.imag.any() or not closed:
+        sweeps = [(i,) for i in range(len(shifts))]
     real = None      # [T_plus; V] in float64 while pairs are applied
     for sweep in sweeps:
+        mu = shifts[sweep[0]]
         if len(sweep) == 2:
             if real is None:
                 real = np.asfortranarray(np.vstack((Tp.real, V.real)))
-            _double_shift_sweep(real, sweep[0])
+            _double_shift_sweep(real, complex(mu))
             finite = np.isfinite(real[:k])
         else:
             if real is not None:
                 Tp.real, V.real, real = real[:k], real[k:], None
-            _shifted_sweep(Tp, V, sweep[0])
+            _shifted_sweep(Tp, V, mu)
             finite = np.isfinite(Tp)
         if not np.all(finite):
             raise QRSweepError("non-finite entries after QR sweep")
@@ -118,22 +112,26 @@ def hessenberg_shifted_qr(T, shifts):
     return V, Tp
 
 
-def _conjugate_paired(shifts):
-    """The shifts grouped into sweeps, a real one alone and a complex one
-    with the exact conjugate that follows it; None if a complex shift has
-    no such partner."""
-    sweeps, i = [], 0
-    while i < len(shifts):
-        mu = complex(shifts[i])
-        if mu.imag == 0.0:
-            sweeps.append((shifts[i],))
-            i += 1
-        elif i + 1 < len(shifts) and complex(shifts[i + 1]) == mu.conjugate():
-            sweeps.append((mu, mu.conjugate()))
+def conjugate_groups(values):
+    """The indices of ``values`` in groups: a real value alone, a complex
+    one with the exact conjugate that follows it (either member first).
+
+    Returns (groups, closed), a list of index tuples and whether every
+    complex value found its partner; one that did not is a group alone.
+    """
+    values = [complex(v) for v in values]
+    groups, closed, i = [], True, 0
+    while i < len(values):
+        v = values[i]
+        if (v.imag != 0.0 and i + 1 < len(values)
+                and values[i + 1] == v.conjugate()):
+            groups.append((i, i + 1))
             i += 2
         else:
-            return None
-    return sweeps
+            closed = closed and v.imag == 0.0
+            groups.append((i,))
+            i += 1
+    return groups, closed
 
 
 def _shifted_sweep(Tp, V, mu):
@@ -237,7 +235,8 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
     K_k have no nonzero imaginary part, and complex otherwise, so a real
     triple goes to dgeev or dggev at a fraction of the complex cost (the
     ARPACK users' guide's real driver does the same).  A real triple's
-    eigenpairs then come in exact conjugate pairs: the two members' theta
+    complex eigenpairs then come in adjacent pairs, as LAPACK lists them,
+    the member with positive imaginary part first: the two members' theta
     and g are conjugates bit for bit (for QZ the second member is set to
     the conjugate of the first, as dggev gives them different betas).
 

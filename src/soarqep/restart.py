@@ -8,15 +8,14 @@ from the QEP projected onto the orthogonal complement of the wanted vectors.
 
 import copy
 import warnings
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg
 
 from .extraction import HUGE_RITZ
-from .kernels import (hessenberg_shifted_qr, qr_unit_diagonal, row_blocks,
-                      solve_projected_qep)
+from .kernels import (conjugate_groups, hessenberg_shifted_qr,
+                      qr_unit_diagonal, row_blocks, solve_projected_qep)
 from .operator import apply_ab
 
 
@@ -37,24 +36,16 @@ class RestartReport:
 
 
 def _real_span(wanted, k):
-    """Real k-row columns spanning the wanted vectors: g for each real g,
-    [Re g, Im g] for each pair of entries whose theta and g are exact
-    conjugates.  None if an entry with a complex g has no such partner."""
-    cols, unpaired = [], []
-    for e in wanted:
-        if not e.g.imag.any():
-            cols.append(e.g.real)
-            continue
-        twin = next((j for j, f in enumerate(unpaired)
-                     if f.theta == e.theta.conjugate()
-                     and np.array_equal(f.g, e.g.conj())), None)
-        if twin is None:
-            unpaired.append(e)
-            cols += [e.g.real, e.g.imag]
-        else:
-            unpaired.pop(twin)
-    if unpaired:
+    """Real k-row columns spanning the wanted vectors of a real projection:
+    g for each real theta, [Re g, Im g] for each conjugate pair of
+    ``conjugate_groups``.  None if a complex theta has no partner."""
+    groups, closed = conjugate_groups([e.theta for e in wanted])
+    if not closed:
         return None
+    cols = []
+    for group in groups:
+        g = wanted[group[0]].g
+        cols += [g.real, g.imag] if len(group) == 2 else [g.real]
     return np.column_stack(cols) if cols else np.zeros((k, 0))
 
 
@@ -62,28 +53,28 @@ def select_shifts(proj, wanted, p):
     """Shifts from the complement of the wanted directions inside the subspace.
 
     ``wanted`` is ``RitzSet.wanted()``.  The complement of its vectors ``g``
-    comes from a complete QR.  If the projected triple is exactly real and
-    each complex g has its exact conjugate among the wanted (``extraction``
-    makes a real projection's pairs exact conjugates), the QR is real,
-    of [Re g, Im g] per pair and g per real g, which span the same space;
-    the complement and the QEP projected onto it are real, and the
-    candidates closed under conjugation.  Otherwise the QR is complex, of
-    the g themselves.  U_perp is the first p columns of this
-    (ktilde - m)-dimensional complement (70 of 121 on string300, 8 of 15
-    on string1000).  The QEP projected onto U_perp yields 2p candidates
-    for unwanted eigenvalues; only its eigenvalues are computed, no
-    eigenvectors.  Direct mode (``proj.op.sigma`` None) keeps the p
-    farthest (max-min distance) from the wanted Ritz values; shift-invert
-    mode the p of smallest magnitude, farthest from the target.  From a
-    real complement, a p-th shift whose conjugate ranks p+1-th is left
-    out, as in ARPACK, so the shifts stay conjugate-closed and
+    comes from a complete QR: of ``_real_span`` on a real projection
+    (``proj.real``) whose wanted set is closed under conjugation, so the
+    complement, the QEP projected onto it and its candidates are real;
+    otherwise of the g themselves, in complex arithmetic.  U_perp is the
+    first p columns of this (ktilde - m)-dimensional complement (70 of 121
+    on string300, 8 of 15 on string1000).  The QEP projected onto U_perp
+    yields 2p candidates for unwanted eigenvalues; only its eigenvalues are
+    computed, no eigenvectors.  Direct mode (``proj.op.sigma`` None) keeps
+    the p farthest (max-min distance) from the wanted Ritz values, or of
+    largest magnitude if none is wanted; shift-invert mode the p of
+    smallest magnitude, farthest from the target.
+
+    From a real complement the shifts stay conjugate-closed, so
     ``kernels.hessenberg_shifted_qr`` applies each pair as one real
-    double-shift sweep.  The shifts are "refined" if wanted entries exist
-    and all carry ``sigma_min``, and "exact" otherwise.
+    double-shift sweep.  Where the p-th (p > 1) splits a pair, its partner
+    is taken as well if the retained part still holds the wanted entries
+    with room to spare, m + p + 1 <= ktilde - 2; otherwise the p-th is left
+    out, as in ARPACK.  The shifts are "refined" if wanted entries exist and
+    all carry ``sigma_min``, and "exact" otherwise.
     """
     M, C, K = proj.M_k, proj.C_k, proj.K_k
-    Z = (None if M.imag.any() or C.imag.any() or K.imag.any()
-         else _real_span(wanted, M.shape[0]))
+    Z = _real_span(wanted, M.shape[0]) if proj.real else None
     real = Z is not None
     if real:
         M, C, K = M.real, C.real, K.real
@@ -111,16 +102,15 @@ def select_shifts(proj, wanted, p):
 
     if proj.op.sigma is not None:
         ranked = sorted(cands, key=lambda t: (abs(t), t.real, t.imag))
-    elif wanted:
-        def score(t):
-            return min(abs(t - e.theta) for e in wanted)
-        ranked = sorted(cands, key=lambda t: (-score(t), t.real, t.imag))
     else:
-        ranked = sorted(cands, key=lambda t: (-abs(t), t.real, t.imag))
+        def score(t):
+            return min((abs(t - e.theta) for e in wanted), default=abs(t))
+        ranked = sorted(cands, key=lambda t: (-score(t), t.real, t.imag))
     chosen = ranked[:p]
-    if real and len(chosen) > 1 and (
-            Counter(chosen) != Counter(t.conjugate() for t in chosen)):
-        chosen.pop()      # the p-th splits a conjugate pair
+    if real and len(chosen) > 1 and not conjugate_groups(chosen)[1]:
+        # the p-th splits a conjugate pair, whose partner ranks p+1-th
+        fits = len(wanted) + p + 1 <= proj.ktilde - 2
+        chosen = ranked[:p + 1] if fits else chosen[:-1]
     # applied in order of increasing magnitude for reproducibility
     shifts = sorted(chosen, key=lambda t: (abs(t), t.real, t.imag))
     refined = wanted and all(e.sigma_min is not None for e in wanted)

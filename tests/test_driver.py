@@ -394,6 +394,20 @@ class TestRealProblems:
         assert rep.restarts_used >= 1
         assert dtypes == ["float64"] + ["complex128"] * rep.restarts_used
 
+    @pytest.mark.parametrize("variant", ["irsoar", "imsoar"])
+    def test_small_odd_p_completes_split_pairs(self, variant):
+        # p = 3 splits a conjugate pair of shifts in most restarts; taking
+        # the partner as well (4 shifts) converges in 47 (irsoar) and 45
+        # (imsoar) restarts; leaving the third out (2 shifts) takes 76
+        prob = gen_string_damping(150)
+        rep = solve(prob, SolverConfig(m=10, k=40, p=3, mode="direct",
+                                       variant=variant, ctol=1e-10, seed=3))
+        assert rep.all_converged and rep.restarts_used <= 50
+        want, _ = dense_qep_spectrum(prob.M.toarray(), prob.C.toarray(),
+                                     prob.K.toarray())
+        for pair in rep.converged:
+            assert np.min(np.abs(want - pair.lam)) <= 1e-8 * abs(pair.lam)
+
     def test_real_shift_on_real_spectrum_stays_real(self, monkeypatch):
         # the chain is overdamped, (x*Cx)^2 > 4 (x*Mx)(x*Kx) for all x != 0,
         # and so is its shift-inverted triple at a real shift and every

@@ -299,20 +299,26 @@ class TestRefined:
         kw = {} if real else dict(mode="shift-invert", sigma=0.3 + 0.2j)
         op, st = _run(rng, prob, 12, **kw)
         proj = project(st, op)
-        assert (not any(R.imag.any() for R in proj.blocks)) == real
-        ritz = extract_refined(proj, op, extract_ritz(proj, op, 8))
-        thetas = [ritz.pairs[i].theta for i in ritz.selection]
-        classes = {(t.real, abs(t.imag)) for t in thetas}
-        if real:
-            assert len(classes) < len(thetas)   # a selected conjugate pair
-            assert len(calls) == len(classes)
-        else:
-            assert len(calls) == len(thetas)
-        for i in ritz.selection:
-            entry, refined = ritz.pairs[i], ritz.refined[i]
-            g, smin = direct(entry.theta, *proj.blocks, entry.g)
-            assert np.array_equal(refined.g, g) and refined.sigma_min == smin
-            assert refined.rel_residual <= entry.rel_residual
+        assert proj.real == real
+        # m = 9 selects one member of a conjugate pair, refined alone
+        for m in (8, 9):
+            calls.clear()
+            ritz = extract_refined(proj, op, extract_ritz(proj, op, m))
+            thetas = [ritz.pairs[i].theta for i in ritz.selection]
+            classes = {(t.real, abs(t.imag)) for t in thetas}
+            if real:
+                lone = [t for t in thetas if t.conjugate() not in thetas]
+                assert len(lone) == m % 2
+                assert len(classes) < len(thetas)   # a selected pair
+                assert len(calls) == len(classes)   # pairs plus lone members
+            else:
+                assert len(calls) == len(thetas)
+            for i in ritz.selection:
+                entry, refined = ritz.pairs[i], ritz.refined[i]
+                g, smin = direct(entry.theta, *proj.blocks, entry.g)
+                assert np.array_equal(refined.g, g)
+                assert refined.sigma_min == smin
+                assert refined.rel_residual <= entry.rel_residual
 
     def test_full_space_refined_is_global_minimum(self, rng):
         # k tilde = n: the refined vector minimizes over the whole space

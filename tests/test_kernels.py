@@ -7,8 +7,8 @@ from scipy.linalg.lapack import zlartg, zrot
 
 from soarqep import kernels
 from soarqep.kernels import (ROW_BLOCK_MIN, ROW_BLOCKS_MAX,
-                             RankDeficiencyError, gram_blocks,
-                             hessenberg_shifted_qr,
+                             RankDeficiencyError, conjugate_groups,
+                             gram_blocks, hessenberg_shifted_qr,
                              orthogonalize_with_refinement, qr_unit_diagonal,
                              refined_vector, row_blocks, solve_projected_qep)
 
@@ -42,6 +42,32 @@ class TestOrthogonalize:
         v = basis @ rng.standard_normal(10) + 1e-10 * rng.standard_normal(40)
         _, r, rn = orthogonalize_with_refinement(v, basis)
         assert np.linalg.norm(basis.conj().T @ r) < 1e-14 * max(rn, 1.0) + 1e-15
+
+
+class TestConjugateGroups:
+    A = 0.5 + 2.0j
+
+    def test_real_singles_and_pairs_in_either_order(self):
+        a = self.A
+        values = np.array([1.0, a, a.conjugate(), -3.0, a.conjugate(), a, 0.0])
+        groups, closed = conjugate_groups(values)
+        assert groups == [(0,), (1, 2), (3,), (4, 5), (6,)] and closed
+
+    def test_lone_complex_value_is_alone(self):
+        a = self.A
+        # the partner does not follow at once, or is missing
+        assert conjugate_groups([a, 1.0, a.conjugate()]) == (
+            [(0,), (1,), (2,)], False)
+        assert conjugate_groups([2.0, a]) == ([(0,), (1,)], False)
+
+    def test_partner_one_ulp_off_is_no_pair(self):
+        a = self.A
+        for off in (complex(np.nextafter(a.real, 1.0), -a.imag),
+                    complex(a.real, -np.nextafter(a.imag, 3.0))):
+            assert conjugate_groups([a, off]) == ([(0,), (1,)], False)
+
+    def test_empty(self):
+        assert conjugate_groups([]) == ([], True)
 
 
 class TestShiftedQr:

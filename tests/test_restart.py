@@ -325,18 +325,26 @@ class TestSelectShifts:
             expected.pop(j)
 
     def test_real_complement_never_splits_a_pair(self):
-        # the 29th-ranked candidate of this real problem has its conjugate
-        # 30th: it is left out, as in ARPACK, and the contraction stays real
+        # on this real problem (ktilde = 41) the p-th-ranked candidate has
+        # its conjugate p+1-th: at p = 3 and 27 that partner is taken as
+        # well, m + p + 1 <= ktilde - 2; at p = 29 it would leave no room,
+        # so the 29th is left out, as in ARPACK.  Either way the shifts are
+        # conjugate-closed and the contraction stays real
         op = build_operator(gen_string_damping(150))
         u = np.random.default_rng(0).random(150)
         k, m = 40, 10
         st = run_msoar(init_state(op, u, u), op, k, 1e-10)
         proj = project(st, op)
-        ss = select_shifts(proj, extract_ritz(proj, op, m).wanted(), 29)
-        assert len(ss.shifts) == 28
-        assert Counter(ss.shifts) == Counter(mu.conjugate() for mu in ss.shifts)
-        st, _ = contract(st, ss, k - 28)
-        assert not (st.Q.imag.any() or st.P.imag.any() or st.T_hat.imag.any())
+        assert proj.ktilde == 41
+        wanted = extract_ritz(proj, op, m).wanted()
+        for p, applied in [(3, 4), (27, 28), (29, 28)]:
+            ss = select_shifts(proj, wanted, p)
+            assert len(ss.shifts) == applied
+            assert Counter(ss.shifts) == Counter(mu.conjugate()
+                                                 for mu in ss.shifts)
+            out, _ = contract(st, ss, k - applied)
+            assert not (out.Q.imag.any() or out.P.imag.any()
+                        or out.T_hat.imag.any())
 
 
 class TestExpandDeterminism:

@@ -5,9 +5,9 @@
 Solves each benchmark workload of ``perfbench/harness.py`` at the given
 seeds (the start vector the benchmark uses) and the two tight-ctol cases of
 ``tests/test_driver.py`` (mass-spring n=500, shift-invert, ctol 1e-15). For
-each it prints the cycle count, the number of cycles whose projected triple
-has no nonzero imaginary part (``real_cycles=r/c``, the cycles that take
-real arithmetic), the final max residual and a sha1 of the residual
+each it prints the cycle count, the number of cycles whose projection has
+no nonzero imaginary part (``real_cycles=r/c``, the cycles that take real
+arithmetic), the final max residual and a sha1 of the residual
 history, the delivered eigenvalues, their relative residuals and their
 eigenvectors.  A last line runs the command line of acceptance
 criterion 11 (``tests/test_acceptance.py``) through ``soarqep.cli.run_cli``
@@ -15,7 +15,9 @@ with ``--format csv`` and ``--format json`` and prints the exit codes and a
 sha1 of each output's bytes.  Two checkouts give the same output exactly
 when they compute bitwise the same results, so a change meant to leave the
 arithmetic alone is checked by diffing the output of both: run it once with
-``--src`` pointing at the other checkout's ``src``.
+``--src`` pointing at the other checkout's ``src``, which must have
+``ProjectedQep.real`` (for an older checkout, run its own copy of this
+script).
 
 BLAS is pinned to one thread before numpy is first imported, as in
 ``perfbench/run.py``; a different thread count may round differently.
@@ -53,15 +55,13 @@ def _sha1(values, dtype):
 
 def solve_counting_real(soarqep, problem, config):
     """(report, number of real cycles) of one solve: each projection the
-    driver makes passes through a wrapper that notes whether its triple is
-    exactly real."""
+    driver makes passes through a wrapper that notes ``proj.real``."""
     driver = importlib.import_module("soarqep.driver")
     project, real = driver.project, []
 
     def counting_project(state, op):
         proj = project(state, op)
-        real.append(not any(X.imag.any()
-                            for X in (proj.M_k, proj.C_k, proj.K_k)))
+        real.append(proj.real)
         return proj
 
     driver.project = counting_project
