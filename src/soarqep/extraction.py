@@ -4,7 +4,12 @@ Projection works on the QEP the recurrence iterated on (the shift-inverted
 triple in shift-invert mode); relative residuals are always reported for the
 original problem, recovered through the operator when needed.  Every
 residual norm and refined vector of a cycle goes through the R factor of one
-thin QR of [W1 W2 W3], so none of them costs n-length work.
+thin QR of [W1 W2 W3], so none of them costs n-length work.  A real basis of
+a real working QEP (a real problem in direct mode or at a real shift, for as
+long as its restarts keep the basis real) projects in float64: [W1 W2 W3],
+the projected triple and R, with one residual per conjugate pair of Ritz
+values.  The basis, the eigenvectors and everything the decomposition holds
+stay complex.
 """
 
 from dataclasses import dataclass, field, replace
@@ -25,7 +30,8 @@ class ProjectedQep:
     With the working matrices W1 = M Q_tilde, W2 = C Q_tilde and
     W3 = K Q_tilde, it keeps the triple M_k = Q_tilde^* W1, C_k, K_k and the
     blocks (R1, R2, R3) of the thin QR [W1 W2 W3] = Z R, both accumulated
-    over row blocks by ``project``.  The W_i are not kept, so a later cycle
+    over row blocks by ``project``, float64 for a real projection and
+    complex otherwise.  The W_i are not kept, so a later cycle
     cannot reuse them; ``W1``..``W3`` recompute them from the operator's
     working matrices on demand, and the solver never asks for them.
     """
@@ -42,10 +48,10 @@ class ProjectedQep:
 
     @property
     def real(self):
-        """Whether the triple and the R blocks have no nonzero imaginary
-        part, as a real problem projects onto a real basis."""
-        return not any(X.imag.any() for X in (self.M_k, self.C_k, self.K_k,
-                                               *self.blocks))
+        """Whether ``project`` worked in real arithmetic, as it does for a
+        real basis of a real working QEP: the triple and the R blocks are
+        then float64."""
+        return self.M_k.dtype == float
 
     @property
     def W1(self):
@@ -147,12 +153,19 @@ def project(state, op):
     the block conjugated in place and back: no conjugated copy of the
     basis rows, and in one block it matched Q_tilde^* W_i bit for bit at
     one and two OpenBLAS threads.
+
+    When ``op.real_work`` exists and Q_tilde has no nonzero imaginary
+    part, the buffer is float64 and the products take the real working
+    matrices, the real parts of the chunks and, for the triple, a float64
+    copy of the block's basis rows; the triple and R are then float64
+    (``ProjectedQep.real``).
     """
     Qt = extraction_basis(state)
     n, kt = Qt.shape
     blocks = _project_blocks(op, kt)
-    work = (op.work_M, op.work_C, op.work_K)
-    buf = np.empty(blocks[0][0].stop * 3 * kt, dtype=complex)
+    real = op.real_work is not None and not Qt.imag.any()
+    work = op.real_work if real else (op.work_M, op.work_C, op.work_K)
+    buf = np.empty(blocks[0][0].stop * 3 * kt, dtype=float if real else complex)
     triple, R = [None, None, None], None
     for rows, cols in blocks:
         W = buf[:(rows.stop - rows.start) * 3 * kt].reshape(
@@ -161,13 +174,16 @@ def project(state, op):
                 else [X[rows, cols] for X in work])
         width = max(1, PROJECT_CHUNK_ENTRIES // max(1, cols.stop - cols.start))
         for j in range(0, kt, width):
-            Q_chunk = np.ascontiguousarray(Qt[cols, j:j + width])
+            chunk = Qt[cols, j:j + width]
+            Q_chunk = np.ascontiguousarray(chunk.real if real else chunk)
             for i, X in enumerate(mats):
                 W[:, i * kt + j:i * kt + min(j + width, kt)] = X @ Q_chunk
+        # the block's rows of the basis, in the buffer's dtype
+        Q_rows = np.asfortranarray(Qt[rows].real) if real else Qt[rows]
         for i in range(3):
             blk = W[:, i * kt:(i + 1) * kt]
             np.conjugate(blk, out=blk)
-            Xk = Qt[rows].T @ blk
+            Xk = Q_rows.T @ blk
             np.conjugate(Xk, out=Xk)
             np.conjugate(blk, out=blk)
             if triple[i] is None:
@@ -184,6 +200,14 @@ def _relative(op, theta, abs_residual):
     return lam, res / op.problem.norm_sum
 
 
+def _times(R, G):
+    """R @ G for a complex G; a float64 R multiplies G's real and
+    imaginary parts, interleaved in a row-major copy, in one real product."""
+    if np.iscomplexobj(R):
+        return R @ G
+    return (R @ np.ascontiguousarray(G).view(float)).view(complex)
+
+
 def extract_ritz(proj, op, m):
     """All Ritz pairs of the projected QEP plus the m wanted ones.
 
@@ -198,16 +222,23 @@ def extract_ritz(proj, op, m):
     if op.sigma is not None:
         ok &= mag >= 1e-300
     live = np.flatnonzero(ok)
-    # ||(theta^2 W1 + theta W2 + W3) g|| of every live pair at once, through
-    # the R blocks; Horner's rule in place keeps one temporary of S's size
-    t, G_live = theta[live], G[:, live]
+    # ||(theta^2 W1 + theta W2 + W3) g|| of the live pairs at once, through
+    # the R blocks; Horner's rule in place keeps one temporary of S's size.
+    # On a real projection one column serves each conjugate pair: the
+    # partner's S is the conjugate bit for bit, with the same norm.
+    groups = (kernels.conjugate_groups(theta[live])[0] if proj.real
+              else [(j,) for j in range(live.size)])
+    first = live[[group[0] for group in groups]]
+    t, G_first = theta[first], G[:, first]
     R1, R2, R3 = proj.blocks
-    S = R1 @ G_live
+    S = _times(R1, G_first)
     S *= t
-    S += R2 @ G_live
+    S += _times(R2, G_first)
     S *= t
-    S += R3 @ G_live
-    norms = dict(zip(live.tolist(), np.linalg.norm(S, axis=0).tolist()))
+    S += _times(R3, G_first)
+    norms = {}
+    for group, norm in zip(groups, np.linalg.norm(S, axis=0).tolist()):
+        norms.update((int(live[j]), norm) for j in group)
     pairs = []
     for i, th in enumerate(theta.tolist()):
         lam, rel = (_relative(op, th, norms[i]) if i in norms

@@ -145,6 +145,18 @@ class OperatorPair:
                 hi[cols] = np.maximum(hi[cols], np.maximum.reduceat(idx, starts))
         return lo, hi
 
+    @cached_property
+    def real_work(self):
+        """The working matrices as float64 CSC matrices, or None if one of
+        them has a nonzero imaginary part (a complex problem or sigma).
+        ``extraction.project`` projects a real basis with them in real
+        arithmetic; they are built once per operator."""
+        work = (self.work_M, self.work_C, self.work_K)
+        if any(X.data.imag.any() for X in work):
+            return None
+        return tuple(sp.csc_matrix((X.data.real, X.indices, X.indptr),
+                                   shape=X.shape) for X in work)
+
 
 # largest |Re sigma| + |Im sigma| whose square is finite
 _SIGMA_MAX = np.sqrt(np.finfo(float).max)

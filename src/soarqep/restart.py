@@ -76,12 +76,9 @@ def select_shifts(proj, wanted, p):
     M, C, K = proj.M_k, proj.C_k, proj.K_k
     Z = _real_span(wanted, M.shape[0]) if proj.real else None
     real = Z is not None
-    if real:
-        M, C, K = M.real, C.real, K.real
-    elif wanted:
-        Z = np.asarray(np.column_stack([e.g for e in wanted]), dtype=complex)
-    else:
-        Z = np.zeros((M.shape[0], 0), dtype=complex)
+    if not real:
+        Z = (np.asarray(np.column_stack([e.g for e in wanted]), dtype=complex)
+             if wanted else np.zeros((M.shape[0], 0), dtype=complex))
     if Z.shape[1]:
         # drop numerically dependent columns before the complement QR
         _, Rp, piv = scipy.linalg.qr(Z, mode="economic", pivoting=True)

@@ -340,10 +340,11 @@ class TestRealProblems:
         """Solve, and check in every cycle that no refined residual exceeds
         its Ritz residual, and the delivered lambda against the dense
         oracle; returns the report and, per cycle, the dtype of the
-        companion that extract_ritz hands to scipy.linalg.eig."""
+        companion that extract_ritz hands to scipy.linalg.eig, which is
+        also the dtype of that cycle's projected triple and R blocks."""
         eig, ritz, refined = (scipy.linalg.eig, driver.extract_ritz,
                               driver.extract_refined)
-        seen, dtypes, cycles = [], [], []
+        seen, dtypes, projected, cycles = [], [], [], []
 
         def recording_eig(a, b=None, **kwargs):
             seen.append(a.dtype.name)
@@ -353,6 +354,8 @@ class TestRealProblems:
             seen.clear()
             out = ritz(proj, op, m)
             dtypes.extend(seen)
+            projected.append({X.dtype.name for X in (proj.M_k, proj.C_k,
+                                                     proj.K_k, *proj.blocks)})
             return out
 
         def recording_refined(proj, op, r):
@@ -365,6 +368,7 @@ class TestRealProblems:
         monkeypatch.setattr(driver, "extract_refined", recording_refined)
         rep = solve(prob, cfg)
         assert len(dtypes) == len(cycles) == rep.restarts_used + 1
+        assert projected == [{d} for d in dtypes]
         for wanted in cycles:
             for ref, entry in wanted:
                 assert ref.rel_residual <= entry.rel_residual
@@ -419,6 +423,47 @@ class TestRealProblems:
                                            cfg)
         assert rep.restarts_used >= 1
         assert dtypes == ["float64"] * (rep.restarts_used + 1)
+
+
+@pytest.fixture(scope="class")
+def chain_runs():
+    """Reports of an underdamped chain, ``gen_mass_spring(200, tau=1.0)``,
+    shift-invert at sigma in {-1.0, -1.5}, m=6, k=20, 40 restarts, both
+    variants, seeds 0-2, keyed (sigma, variant, seed).  Every restart drops
+    a numerically dependent wanted vector before the complement QR."""
+    prob = gen_mass_spring(200, tau=1.0)
+    runs = {}
+    for sigma in (-1.0, -1.5):
+        for variant in ("irsoar", "imsoar"):
+            for seed in range(3):
+                cfg = SolverConfig(m=6, k=20, mode="shift-invert", sigma=sigma,
+                                   variant=variant, max_restarts=40, seed=seed)
+                with pytest.warns(RuntimeWarning,
+                                  match="numerically dependent"):
+                    runs[sigma, variant, seed] = solve(prob, cfg)
+    return runs
+
+
+class TestUnderdampedChain:
+    """||p_j|| grows about 15-fold per step on this chain, and T with it,
+    until its smallest subdiagonal entry is 1e-17 of its largest.  A real
+    double-shift chase on such a T lost the restart filter, and three of
+    the six runs at sigma = -1 reported a breakdown at residuals of 2e-2."""
+
+    def test_no_false_breakdown(self, chain_runs):
+        for (sigma, _, _), rep in chain_runs.items():
+            assert rep.breakdown is None and rep.restarts_used == 40
+            if sigma == -1.5:
+                # 1.9e-6 to 4.1e-6; 2.2e-4 to 4.6e-3 with the filter lost
+                assert rep.residual_history[-1] <= 1e-4
+
+    def test_refined_restarts_beat_exact_restarts(self, chain_runs):
+        # the paper's claim for restarted RSOAR against restarted MSOAR:
+        # at sigma = -1 irsoar ends 7 to 12 times below imsoar
+        for seed in range(3):
+            irsoar = chain_runs[-1.0, "irsoar", seed].residual_history[-1]
+            imsoar = chain_runs[-1.0, "imsoar", seed].residual_history[-1]
+            assert irsoar <= imsoar / 3
 
 
 class TestLargeN:

@@ -81,7 +81,8 @@ class TestProject:
         # rows than [W1 W2 W3] has columns.  The tridiagonal working
         # matrices touch only the columns next to a block's rows; a full
         # first column stretches every block's column span back to 0.
-        # Basis chunks of 40 entries are 1 to 5 columns of a span.
+        # Basis chunks of 40 entries are 1 to 5 columns of a span.  A real
+        # shift streams the same blocks in real arithmetic.
         monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 7)
         monkeypatch.setattr(extraction, "PROJECT_CHUNK_ENTRIES", 40)
         n = 47
@@ -90,27 +91,29 @@ class TestProject:
             C = prob.C.tolil()
             C[:, 0] = 1.0
             prob = QepProblem.from_matrices(prob.M, C, prob.K)
-        op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j)
-        kt = extraction_basis(st).shape[1]
-        blocks = _project_blocks(op, kt)
-        assert [rows for rows, _ in blocks] == kernels.row_blocks(n)
-        assert len(blocks) == 7
-        # the last block, rows 42 to 46
-        assert blocks[-1][1] == slice(0 if problem == "arrow" else 41, 47)
-        proj = project(st, op)
-        Qt = proj.Q_tilde
-        W = [X @ Qt for X in (op.work_M, op.work_C, op.work_K)]
 
         def close(a, b):
             return np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
 
-        for Xk, Wi in zip((proj.M_k, proj.C_k, proj.K_k), W):
-            assert close(Xk, Qt.conj().T @ Wi)
-        R = np.hstack(proj.blocks)
-        assert R.shape == (3 * kt, 3 * kt)
-        assert not np.any(np.tril(R, -1))
-        A = np.hstack(W)
-        assert close(R.conj().T @ R, A.conj().T @ A)
+        for sigma in (0.3 + 0.2j, 0.3):
+            op, st = _run(rng, prob, 8, mode="shift-invert", sigma=sigma)
+            kt = extraction_basis(st).shape[1]
+            blocks = _project_blocks(op, kt)
+            assert [rows for rows, _ in blocks] == kernels.row_blocks(n)
+            assert len(blocks) == 7
+            # the last block, rows 42 to 46
+            assert blocks[-1][1] == slice(0 if problem == "arrow" else 41, 47)
+            proj = project(st, op)
+            assert proj.real == (sigma.imag == 0.0)
+            Qt = proj.Q_tilde
+            W = [X @ Qt for X in (op.work_M, op.work_C, op.work_K)]
+            for Xk, Wi in zip((proj.M_k, proj.C_k, proj.K_k), W):
+                assert close(Xk, Qt.conj().T @ Wi)
+            R = np.hstack(proj.blocks)
+            assert R.shape == (3 * kt, 3 * kt)
+            assert not np.any(np.tril(R, -1))
+            A = np.hstack(W)
+            assert close(R.conj().T @ R, A.conj().T @ A)
 
     def test_full_rows_are_projected_in_one_block(self, rng, monkeypatch):
         # Slicing 16-row blocks out of dense working matrices would hold
@@ -140,37 +143,58 @@ class TestProject:
                    for g, w in zip(got.blocks, want.blocks))
 
     def test_one_block_copies_basis_in_chunks(self, rng):
-        # n = 1000 is one row block.  Besides the n x 3ktilde array, project
-        # holds a row-major copy of 2^15 basis entries (32 columns) and the
-        # product of one chunk, and the triangle R is 0.3 of the array:
-        # 1.47 arrays.  A row-major copy of the whole basis, with its
-        # full-width product, takes 1.78.
+        # n = 1000 is one row block.  Besides the complex n x 3ktilde array,
+        # project holds a row-major copy of 2^15 basis entries (32 columns)
+        # and the product of one chunk, and the triangle R is 0.3 of the
+        # array: 1.47 arrays.  A row-major copy of the whole basis, with its
+        # full-width product, takes 1.78.  From a real start everything is
+        # float64, with the real operator's matrices and a float64 copy of
+        # the basis rows for the triple: 0.91 complex arrays.
         n = 1000
-        op, st = _run(rng, gen_mass_spring(n), 100)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            proj = project(st, op)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert proj.ktilde > 100
-        assert peak <= 1.6 * n * 3 * proj.ktilde * 16
+        for real in (True, False):
+            u1 = rng.standard_normal(n)
+            if not real:
+                u1 = u1 + 1j * rng.standard_normal(n)
+            op, st = _run(rng, gen_mass_spring(n), 100, u1=u1)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                proj = project(st, op)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert proj.ktilde > 100 and proj.real == real
+            assert peak <= 1.6 * n * 3 * proj.ktilde * 16
+            del proj
 
     def test_blocks_factor_gram_and_triple_projects_products(self, rng):
-        prob = random_qep(rng, 40, complex_data=True)
-        op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j)
-        proj = project(st, op)
-        Qt = proj.Q_tilde
-        W = [X @ Qt for X in (op.work_M, op.work_C, op.work_K)]
-        for i in range(3):
-            for j in range(3):
-                G = W[i].conj().T @ W[j]
-                assert (np.linalg.norm(proj.blocks[i].conj().T @ proj.blocks[j]
-                                       - G) <= 1e-12 * np.linalg.norm(G))
-        for Xk, Wi in zip((proj.M_k, proj.C_k, proj.K_k), W):
-            Pk = Qt.conj().T @ Wi
-            assert np.linalg.norm(Xk - Pk) <= 1e-12 * np.linalg.norm(Pk)
+        # complex data at a complex shift; a real problem in direct mode or
+        # at a real shift from real starts, which projects in float64; a
+        # complex shift or start, which makes that projection complex
+        cplx, real = random_qep(rng, 40, complex_data=True), random_qep(rng, 40)
+        start = rng.standard_normal(40)
+        si, real_si = (dict(mode="shift-invert", sigma=s) for s in (0.3 + 0.2j,
+                                                                    0.3))
+        cases = [(cplx, si, None, complex), (real, {}, start, float),
+                 (real, real_si, start, float), (real, si, start, complex),
+                 (real, {}, start + 1j * rng.standard_normal(40), complex)]
+        for prob, kw, u1, dtype in cases:
+            op, st = _run(rng, prob, 8, u1=u1, u2=u1, **kw)
+            proj = project(st, op)
+            assert proj.real == (dtype is float)
+            assert all(X.dtype == dtype
+                       for X in (proj.M_k, proj.C_k, proj.K_k, *proj.blocks))
+            Qt = proj.Q_tilde
+            W = [X @ Qt for X in (op.work_M, op.work_C, op.work_K)]
+            for i in range(3):
+                for j in range(3):
+                    G = W[i].conj().T @ W[j]
+                    assert (np.linalg.norm(proj.blocks[i].conj().T
+                                           @ proj.blocks[j] - G)
+                            <= 1e-12 * np.linalg.norm(G))
+            for Xk, Wi in zip((proj.M_k, proj.C_k, proj.K_k), W):
+                Pk = Qt.conj().T @ Wi
+                assert np.linalg.norm(Xk - Pk) <= 1e-12 * np.linalg.norm(Pk)
 
     def test_hermitian_structure_preserved(self, rng):
         n = 18
@@ -207,6 +231,28 @@ class TestRitz:
             direct = np.linalg.norm((e.lam ** 2 * M + e.lam * C + K) @ y)
             assert e.rel_residual == pytest.approx(direct / prob.norm_sum,
                                                    rel=1e-10)
+
+    def test_conjugate_partners_get_identical_residuals(self, rng):
+        # a real projection takes one residual per conjugate pair, which
+        # the partner shares bit for bit; each matches the residual formed
+        # in complex arithmetic
+        prob = random_qep(rng, 30)
+        op, st = _run(rng, prob, 12)
+        proj = project(st, op)
+        assert proj.real
+        ritz = extract_ritz(proj, op, 4)
+        pairs = [e for e in ritz.pairs if e.finite]
+        groups = kernels.conjugate_groups([e.theta for e in pairs])[0]
+        assert sum(len(g) == 2 for g in groups) >= 2
+        R = [Ri.astype(complex) for Ri in proj.blocks]
+        for group in groups:
+            first = pairs[group[0]]
+            for j in group:
+                assert pairs[j].rel_residual == first.rel_residual
+            t = first.theta
+            res = np.linalg.norm((t * t * R[0] + t * R[1] + R[2]) @ first.g)
+            assert first.rel_residual == pytest.approx(res / prob.norm_sum,
+                                                       rel=1e-10, abs=1e-15)
 
     def test_breakdown_run_gives_exact_pairs(self, rng):
         prob = random_qep(rng, 8)

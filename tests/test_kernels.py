@@ -13,6 +13,11 @@ from soarqep.kernels import (ROW_BLOCK_MIN, ROW_BLOCKS_MAX,
                              refined_vector, row_blocks, solve_projected_qep)
 
 
+def _random(rng, shape, dtype):
+    X = rng.standard_normal(shape)
+    return X + 1j * rng.standard_normal(shape) if dtype is complex else X
+
+
 class TestOrthogonalize:
     def test_reconstruction(self, rng):
         basis, _ = np.linalg.qr(rng.standard_normal((30, 6))
@@ -212,14 +217,54 @@ class TestShiftedQr:
         k = 20
         real = np.triu(rng.standard_normal((k, k)), -1) + 0j
         cplx = real + 1j * np.triu(rng.standard_normal((k, k)), -1)
+        # a real T with a nonzero subdiagonal entry below the threshold
+        reduced = real.copy()
+        reduced[8, 7] = 0.5 * kernels.DOUBLE_SHIFT_MIN_SUBDIAG * np.abs(real).max()
         paired = self._paired_shifts(rng, 3, [0.5])
         i = next(j for j, mu in enumerate(paired) if mu.imag != 0.0)
         unpaired = paired[:i] + paired[i + 1:]    # one pair loses a member
         for T, shifts in [(cplx, paired), (real, unpaired),
-                          (real, [0.4, -1.2, 0.9])]:
+                          (real, [0.4, -1.2, 0.9]), (reduced, paired)]:
             V, Tp = hessenberg_shifted_qr(T, shifts)
             V_ref, Tp_ref = self._complex_sweeps(T, shifts)
             assert np.array_equal(V, V_ref) and np.array_equal(Tp, Tp_ref)
+
+    def test_nearly_reduced_t_keeps_the_filter(self):
+        # the first restart of an underdamped chain (shift-invert at
+        # sigma = -1, the solver's start vector of seed 2): ||p_j|| grows
+        # to 4e16 and T with it, so its smallest subdiagonal entry is 8e-18
+        # of its largest.  The real double-shift chase left V e1 at
+        # |cos| = 0.04 from psi(T) e1; the complex sweeps keep it.
+        T, shifts = _underdamped_chain_restart()
+        sub = np.abs(np.diagonal(T, -1))
+        assert sub.min() <= 1e-17 * np.abs(T).max()
+        assert len(shifts) == 14 and conjugate_groups(shifts)[1]
+        V, _ = hessenberg_shifted_qr(T, shifts)
+        x = np.eye(T.shape[0], 1, dtype=complex)[:, 0]
+        for mu in shifts:
+            x = T @ x - mu * x
+        cos = abs(np.vdot(V[:, 0], x)) / np.linalg.norm(x)
+        assert 1.0 - cos <= 1e-8
+
+
+def _underdamped_chain_restart():
+    """(T, shifts) of the first restart of ``gen_mass_spring(200,
+    tau=1.0)``, shift-invert at sigma = -1, m=6, k=20, from the solver's
+    start vector of seed 2, as ``driver.solve`` forms them."""
+    from soarqep.extraction import extract_ritz, project
+    from soarqep.msoar import init_state, run_msoar
+    from soarqep.operator import build_operator
+    from soarqep.problems import gen_mass_spring
+    from soarqep.restart import select_shifts
+
+    op = build_operator(gen_mass_spring(200, tau=1.0), mode="shift-invert",
+                        sigma=-1.0)
+    u1 = np.random.default_rng(2).random(op.n)
+    state = run_msoar(init_state(op, u1, u1), op, 20, 1e-10)
+    proj = project(state, op)
+    with pytest.warns(RuntimeWarning, match="numerically dependent"):
+        shifts = select_shifts(proj, extract_ritz(proj, op, 6).wanted(), 14)
+    return state.T.copy(), shifts.shifts
 
 
 def _triple_with_mass_condition(rng, k, cond, real=False):
@@ -473,39 +518,47 @@ class TestRefinedVector:
     # n > 3k, n < 3k; k = 41 spans four QR blocks of 32 columns
     @pytest.mark.parametrize("n, k", [(30, 4), (10, 6), (2000, 41), (100, 41)])
     def test_gram_blocks_factor_the_gram_matrix(self, rng, n, k):
-        W = [rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-             for _ in range(3)]
-        A = np.asfortranarray(np.hstack(W))
-        R = gram_blocks(A)
-        # factored in place: A now holds the triangle above its reflectors
-        assert np.array_equal(np.triu(A[:min(n, 3 * k)]), np.hstack(R))
-        for Ri in R:
-            assert Ri.shape == (min(n, 3 * k), k)
-        # the rows of R1 from k on and of R2 from 2k on are exact zeros
-        assert not np.any(R[0][k:]) and not np.any(R[1][2 * k:])
-        for i in range(3):
-            for j in range(3):
-                G = W[i].conj().T @ W[j]
-                assert (np.linalg.norm(R[i].conj().T @ R[j] - G)
-                        <= 1e-12 * np.linalg.norm(G))
+        for dtype in (complex, float):
+            W = [_random(rng, (n, k), dtype) for _ in range(3)]
+            A = np.asfortranarray(np.hstack(W))
+            R = gram_blocks(A)
+            # factored in place (zgeqrt or dgeqrt): A now holds the
+            # triangle above its reflectors
+            assert np.array_equal(np.triu(A[:min(n, 3 * k)]), np.hstack(R))
+            for Ri in R:
+                assert Ri.shape == (min(n, 3 * k), k) and Ri.dtype == dtype
+            # the rows of R1 from k on and of R2 from 2k on are exact zeros
+            assert not np.any(R[0][k:]) and not np.any(R[1][2 * k:])
+            for i in range(3):
+                for j in range(3):
+                    G = W[i].conj().T @ W[j]
+                    assert (np.linalg.norm(R[i].conj().T @ R[j] - G)
+                            <= 1e-12 * np.linalg.norm(G))
 
     # 2000 rows in blocks of 500; 100 rows in blocks of 30, the first of
     # them shorter than 3k = 123, so its triangle is zero-padded
     @pytest.mark.parametrize("n, k, rows", [(2000, 41, 500), (100, 41, 30),
                                             (31, 4, 7)])
     def test_gram_blocks_fold_row_blocks(self, rng, n, k, rows):
-        W = [rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
-             for _ in range(3)]
-        A = np.hstack(W)
-        R = None
-        for r in range(0, n, rows):
-            R = gram_blocks(np.asfortranarray(A[r:r + rows]), R)
-        for Ri in R:
-            assert Ri.shape == (3 * k, k)
-        T = np.hstack(R)
-        assert not np.any(np.tril(T, -1))
-        G = A.conj().T @ A
-        assert np.linalg.norm(T.conj().T @ T - G) <= 1e-13 * np.linalg.norm(G)
+        for dtype in (complex, float):
+            A = np.hstack([_random(rng, (n, k), dtype) for _ in range(3)])
+            R = None
+            for r in range(0, n, rows):
+                R = gram_blocks(np.asfortranarray(A[r:r + rows]), R)
+            for Ri in R:
+                assert Ri.shape == (3 * k, k) and Ri.dtype == dtype
+            T = np.hstack(R)
+            assert not np.any(np.tril(T, -1))
+            G = A.conj().T @ A
+            assert (np.linalg.norm(T.conj().T @ T - G)
+                    <= 1e-13 * np.linalg.norm(G))
+            if n >= 3 * k:
+                # a full-rank triangle is unique up to the signs of its
+                # rows, and the diagonal of either QR is real
+                one = np.hstack(gram_blocks(np.asfortranarray(A)))
+                signs = np.sign(np.diagonal(T).real * np.diagonal(one).real)
+                assert (np.linalg.norm(T - signs[:, None] * one)
+                        <= 1e-13 * np.linalg.norm(one))
 
     def test_degenerate_gap_matches_svd(self):
         # the two smallest singular values of S = W3 coincide

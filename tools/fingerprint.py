@@ -5,14 +5,20 @@
 Solves each benchmark workload of ``perfbench/harness.py`` at the given
 seeds (the start vector the benchmark uses) and the two tight-ctol cases of
 ``tests/test_driver.py`` (mass-spring n=500, shift-invert, ctol 1e-15). For
-each it prints the cycle count, the number of cycles whose projection has
-no nonzero imaginary part (``real_cycles=r/c``, the cycles that take real
-arithmetic), the final max residual and a sha1 of the residual
-history, the delivered eigenvalues, their relative residuals and their
-eigenvectors.  A last line runs the command line of acceptance
-criterion 11 (``tests/test_acceptance.py``) through ``soarqep.cli.run_cli``
-with ``--format csv`` and ``--format json`` and prints the exit codes and a
-sha1 of each output's bytes.  Two checkouts give the same output exactly
+each it prints the cycle count, the number of cycles projected in real
+arithmetic (``real_cycles=r/c``, read off ``ProjectedQep.real``), the
+final max residual and a sha1 of the residual history, the delivered
+eigenvalues, their relative residuals and their eigenvectors.  The next
+line runs the command line of acceptance criterion 11
+(``tests/test_acceptance.py``) through ``soarqep.cli.run_cli`` with
+``--format csv`` and ``--format json`` and prints the exit codes and a
+sha1 of each output's bytes.  The last twelve lines solve an underdamped
+chain, ``gen_mass_spring(200, tau=1.0)`` in shift-invert mode at
+sigma = -1.0 and -1.5 with m=6, k=20 and 40 restarts, with both variants
+at seeds 0-2, and print the cycle count, the breakdown (restart, step) or
+None, the final max residual and a sha1 of the residual history: its T is
+badly scaled against its subdiagonal, so a change to the restart layer
+shows there first.  Two checkouts give the same output exactly
 when they compute bitwise the same results, so a change meant to leave the
 arithmetic alone is checked by diffing the output of both: run it once with
 ``--src`` pointing at the other checkout's ``src``, which must have
@@ -34,6 +40,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import importlib  # noqa: E402
 import io  # noqa: E402
+import warnings  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -44,6 +51,8 @@ import harness  # noqa: E402  (after the pinning above)
 
 TIGHT_CTOL = dict(m=6, k=40, p=15, mode="shift-invert", sigma=-13 + 0.4j,
                   ctol=1e-15, max_restarts=15)
+CHAIN = dict(m=6, k=20, mode="shift-invert", max_restarts=40)
+CHAIN_SIGMAS, CHAIN_SEEDS = (-1.0, -1.5), (0, 1, 2)
 CLI_ARGV = ["mass-spring", "-n", "500", "--sigma=-13+0.4i", "--num-eigs", "6",
             "--dim", "40", "--shifts", "15", "--variant", "irsoar",
             "--ctol", "1e-10", "--dtol", "1e-8", "--seed", "0"]
@@ -100,6 +109,25 @@ def cases(soarqep, seeds):
                soarqep.SolverConfig(variant=variant, **TIGHT_CTOL))
 
 
+def chain_fingerprints(soarqep):
+    """One line per solve of the underdamped chain."""
+    problem = soarqep.gen_mass_spring(200, tau=1.0)
+    for sigma in CHAIN_SIGMAS:
+        for variant in ("irsoar", "imsoar"):
+            for seed in CHAIN_SEEDS:
+                config = soarqep.SolverConfig(sigma=sigma, variant=variant,
+                                              seed=seed, **CHAIN)
+                # every restart drops a numerically dependent wanted vector
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore", RuntimeWarning)
+                    report = soarqep.solve(problem, config)
+                yield ("chain sigma=%s %s seed=%d cycles=%d breakdown=%s "
+                       "final=%.3e history=%s"
+                       % (sigma, variant, seed, len(report.residual_history),
+                          report.breakdown, report.residual_history[-1],
+                          _sha1(report.residual_history, float)))
+
+
 def cli_fingerprint(run_cli):
     """Exit code and sha1 of the standard output of the command line of
     acceptance criterion 11, in CSV and in JSON."""
@@ -125,6 +153,8 @@ def main(argv=None):
         report, real_cycles = solve_counting_real(soarqep, problem, config)
         print(fingerprint(name, report, real_cycles), flush=True)
     print(cli_fingerprint(importlib.import_module("soarqep.cli").run_cli))
+    for line in chain_fingerprints(soarqep):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
