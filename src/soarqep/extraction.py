@@ -89,8 +89,9 @@ class RitzSet:
 
 
 # basis entries per row-major copy in ``project``: a 512 KiB chunk, which is
-# 31 columns of a 1024-row block of a banded matrix, 32 at n=1000 and 109
-# at n=300 (wider chunks mean fewer passes over the matrix)
+# 104 columns of a 313-row block of a banded matrix (n=5000, so all of a
+# basis of 41 columns), 32 at n=1000 and 109 at n=300 (wider chunks mean
+# fewer passes over the matrix)
 PROJECT_CHUNK_ENTRIES = 2 ** 15
 
 # bytes of one stored entry of a sliced working matrix: a complex value and
@@ -109,7 +110,9 @@ def _project_blocks(op, kt):
     most what it keeps.  A banded matrix puts a few entries per row in a
     block's span and streams; one with rows about half full, such as the
     damping matrix of ``gen_string_damping``, puts about b x n/2 there and
-    does not.
+    does not.  Each streamed block costs three scipy slices, 30 to 100 us
+    each on ms5k whatever its size; ``kernels.row_blocks`` keeps blocks at
+    256 rows or more for that reason.
     """
     n = op.n
     whole = [(slice(0, n), slice(0, n))]
@@ -138,10 +141,11 @@ def project(state, op):
     triangle by ``kernels.gram_blocks`` before the next one is formed.  The
     blocks are ``kernels.row_blocks`` where that holds less memory
     (``_project_blocks``), and then the n x 3ktilde array is never held:
-    the working set is the basis and one block of rows.  With n at most
-    ROW_BLOCK_MIN, or working matrices whose rows are too full to slice,
-    there is one block of all n rows, no slicing, and the arithmetic of the
-    unblocked formula.
+    the working set is the basis, one block of rows (at most 1/16 of n
+    from n = 4096 on) and the one Gram triangle that each block is folded
+    into in place.  With n at most 4 ROW_BLOCK_MIN = 1024, or working
+    matrices whose rows are too full to slice, there is one block of all n
+    rows, no slicing, and the arithmetic of the unblocked formula.
 
     A block's rows of X_i Q_tilde are one slice of X_i, over the block's
     rows and the columns they touch, times row-major copies of at most

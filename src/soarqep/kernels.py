@@ -3,17 +3,19 @@
 All routines work on plain ndarrays and do not care where the data came
 from.  ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
 n-length data, ``gram_blocks`` a block of rows at a time: blocks of the
-sizes ``row_blocks`` hands out, or all n rows where the projection does
-not stream (``extraction.project``), by LAPACK geqrt and tpqrt (see
-``gram_blocks``).  The rest works at orders <= ~200 (shifted QR by LAPACK
-rotations, each applied once; the projected QEP by standard eig on
-the monic companion when M_k is well conditioned and by QZ otherwise,
-returned as an eigenvalue array and one matrix of unit eigenvectors;
-refined vectors by QR, then inverse iteration from the Ritz vector on its
-triangle).  Everything is complex, real inputs promoted, except where
-the data are real: ``gram_blocks`` follows its input's dtype, and
-``solve_projected_qep`` and ``hessenberg_shifted_qr`` switch to real
-arithmetic on data with no nonzero imaginary part.
+sizes ``row_blocks`` hands out (one block up to n = 1024, 1/16 of n from
+n = 4096 on), or all n rows where the projection does not stream
+(``extraction.project``), by LAPACK geqrt and tpqrt, each block folded
+into one triangle in place (see ``gram_blocks``).  The rest works at
+orders <= ~200 (shifted QR by LAPACK rotations, each applied once; the
+projected QEP by standard eig on the monic companion when M_k is well
+conditioned and by QZ otherwise, returned as an eigenvalue array and one
+matrix of unit eigenvectors; refined vectors by QR, then inverse
+iteration from the Ritz vector on its triangle).  Everything is complex,
+real inputs promoted, except where the data are real: ``gram_blocks``
+follows its input's dtype, and ``solve_projected_qep`` and
+``hessenberg_shifted_qr`` switch to real arithmetic on data with no
+nonzero imaginary part.
 """
 
 import warnings
@@ -322,16 +324,21 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
 
 
 # rows per block of the n-length passes that stream by rows (projection,
-# contraction): at least ROW_BLOCK_MIN, so any n up to it is one block, and
-# at most ROW_BLOCKS_MAX blocks, so slicing a sparse matrix by blocks costs
-# a bounded multiple of one pass over it
-ROW_BLOCK_MIN = 1024
+# contraction): any n up to 4 ROW_BLOCK_MIN is one block, so its arithmetic
+# is the unblocked formula's; past that, blocks of at least ROW_BLOCK_MIN
+# rows, since each costs a fixed overhead, and at most ROW_BLOCKS_MAX of
+# them, so slicing a sparse matrix by blocks costs a bounded multiple of one
+# pass over it and a block is 1/16 of n from n = 4096 on
+ROW_BLOCK_MIN = 256
 ROW_BLOCKS_MAX = 16
 
 
 def row_blocks(n):
-    """Consecutive row slices covering range(n): all of ROW_BLOCK_MIN rows
-    or more, the last one possibly shorter, and at most ROW_BLOCKS_MAX."""
+    """Consecutive row slices covering range(n): one for n at most
+    4 ROW_BLOCK_MIN, else max(ROW_BLOCK_MIN, ceil(n / ROW_BLOCKS_MAX)) rows
+    each, the last one possibly shorter (5000 rows are 16 blocks of 313)."""
+    if n <= 4 * ROW_BLOCK_MIN:
+        return [slice(0, n)]
     b = max(ROW_BLOCK_MIN, -(-n // ROW_BLOCKS_MAX))
     return [slice(r, min(r + b, n)) for r in range(0, n, b)]
 
@@ -352,13 +359,17 @@ def gram_blocks(A, above=None):
 
     ``above`` is what this function returned for the rows above ``A``.
     Then R is the 3k-by-3k triangle of those rows and ``A`` stacked: the
-    triangle, zero-padded to square, and ``A`` go through LAPACK tpqrt, the
-    triangular-pentagonal QR that tall-skinny QR is built on (Demmel,
-    Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34 (2012)).  So
-    [W1 W2 W3] is factored one row block at a time and is never needed
-    whole.  Folding five row blocks of a 5000-by-123 array took 33 ms
-    against 34 ms for one zgeqrt of it (medians of 40 alternating runs,
-    one thread of a 2-core VM).
+    triangle and ``A`` go through LAPACK tpqrt, the triangular-pentagonal
+    QR that tall-skinny QR is built on (Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 34 (2012)).  So [W1 W2 W3] is factored one row
+    block at a time and is never needed whole.  The fold works in place on
+    the column-major 3k-by-3k array of R's dtype behind ``above``, which it
+    overwrites, and returns views of it; ``above`` from any other array
+    (the first QR's triangle) is copied, zero-padded to square, into a new
+    one.  So a run of folds allocates one triangle, not one per block.
+    Folding sixteen row blocks of 313 rows of a 5000-by-123 array took
+    25.3 ms, five blocks of 1024 rows 25.0 ms and one zgeqrt of it 27.0 ms
+    (medians of 40 alternating runs, one thread of a 2-core VM).
 
     The first QR is LAPACK zgeqrt, not zgeqrf (``scipy.linalg.qr``):
     zgeqrf's level-2 panel streams all n rows once per column, while zgeqrt
@@ -375,8 +386,12 @@ def gram_blocks(A, above=None):
         A, _, _ = geqrt(min(32, *A.shape), A, overwrite_a=1)
         R = np.triu(A[:min(n, 3 * k)])
     else:
-        R = np.zeros((3 * k, 3 * k), dtype=dtype, order="F")
-        R[:above[0].shape[0]] = np.hstack(above)
+        R = above[0].base
+        if (R is None or R.shape != (3 * k, 3 * k) or R.dtype != dtype
+                or not R.flags.f_contiguous):
+            R = np.zeros((3 * k, 3 * k), dtype=dtype, order="F")
+            for i, Ri in enumerate(above):
+                R[:Ri.shape[0], i * k:(i + 1) * k] = Ri
         R, _, _, _ = tpqrt(0, min(32, 3 * k), R, A, overwrite_a=1,
                            overwrite_b=1)
     return R[:, :k], R[:, k:2 * k], R[:, 2 * k:]

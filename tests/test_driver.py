@@ -526,12 +526,21 @@ def _peak_blocks(n, k, restarts):
 class TestMemory:
     def test_restart_cycle_holds_one_working_set(self):
         # Besides the O(n) operator data, a cycle holds the Q and P buffers
-        # and one row block of the projection: 4.09 blocks of n x (k+2)
-        # complex at n = 3000, whose three row blocks of 1024 rows are a
-        # third of n.  The whole n x 3ktilde QR array took it to 5.75.
+        # and one row block of the projection: 3.06 blocks of n x (k+2)
+        # complex at n = 3000, whose twelve row blocks of 256 rows are a
+        # twelfth of n each.  Blocks of 1024 rows took it to 4.10, and the
+        # whole n x 3ktilde QR array to 5.75.
         blocks, restarts = _peak_blocks(3000, 40, 2)
         assert restarts == 2
-        assert blocks <= 4.75
+        assert blocks <= 3.3
+
+    def test_ms5k_size_holds_q_and_p_and_one_row_block(self):
+        # n = 5000, the size of the ms5k benchmark workload: sixteen row
+        # blocks of 313 rows, and a peak of 2.80 blocks, where five blocks
+        # of 1024 rows took it to 3.38
+        blocks, restarts = _peak_blocks(5000, 40, 2)
+        assert restarts == 2
+        assert blocks <= 3.0
 
     def test_large_n_holds_q_and_p_and_one_row_block(self):
         # At n = 20000 a row block is 1/16 of n, so the peak is the Q and P

@@ -1,3 +1,5 @@
+import gc
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -560,6 +562,38 @@ class TestRefinedVector:
                 assert (np.linalg.norm(T - signs[:, None] * one)
                         <= 1e-13 * np.linalg.norm(one))
 
+    def test_gram_blocks_fold_sixteen_blocks_in_place(self, rng):
+        # 16 row blocks of 125 rows, as the projection streams them at
+        # n = 2000: from the second fold on, each tpqrt overwrites the one
+        # triangle behind its input.  What a fold allocates is tpqrt's
+        # 32-row T factor and workspace, 64 / 3k = 0.52 of the triangle at
+        # 3k = 123; a new zero-padded triangle and an hstack per fold took
+        # 3.0.
+        n, k, rows = 2000, 41, 125
+        for dtype in (complex, float):
+            A = np.hstack([_random(rng, (n, k), dtype) for _ in range(3)])
+            blocks = [np.asfortranarray(A[r:r + rows])
+                      for r in range(0, n, rows)]
+            assert len(blocks) == 16
+            R = gram_blocks(blocks[1], gram_blocks(blocks[0]))
+            triangle = R[0].base
+            assert triangle.shape == (3 * k, 3 * k)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                for block in blocks[2:]:
+                    R = gram_blocks(block, R)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= 0.75 * triangle.nbytes
+            assert all(Ri.base is triangle for Ri in R)
+            T = np.hstack(R)
+            assert not np.any(np.tril(T, -1))
+            G = A.conj().T @ A
+            assert (np.linalg.norm(T.conj().T @ T - G)
+                    <= 1e-13 * np.linalg.norm(G))
+
     def test_degenerate_gap_matches_svd(self):
         # the two smallest singular values of S = W3 coincide
         W1 = np.zeros((4, 2))
@@ -608,4 +642,14 @@ class TestRowBlocks:
         assert all(a.stop == b.start for a, b in zip(blocks, blocks[1:]))
         assert len(blocks) <= ROW_BLOCKS_MAX
         assert all(b.stop - b.start >= ROW_BLOCK_MIN for b in blocks[:-1])
-        assert (len(blocks) == 1) == (n <= ROW_BLOCK_MIN)
+        # up to 4 ROW_BLOCK_MIN rows, the arithmetic is the unblocked one's
+        assert (len(blocks) == 1) == (n <= 4 * ROW_BLOCK_MIN)
+
+    @pytest.mark.parametrize("n, count, rows", [(1025, 5, 256),
+                                                (5000, 16, 313),
+                                                (20000, 16, 1250)])
+    def test_row_block_counts(self, n, count, rows):
+        blocks = row_blocks(n)
+        assert len(blocks) == count
+        assert {b.stop - b.start for b in blocks[:-1]} <= {rows}
+        assert 0 < blocks[-1].stop - blocks[-1].start <= rows

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from soarqep import operator
 from soarqep.operator import (FactorizationError, QepProblem, _one_norm,
                               apply_ab, build_operator, recover_eigen)
 from soarqep.problems import gen_string_damping
@@ -28,12 +29,34 @@ class TestProblem:
         [[1, 0, 0.5, 0], [0, 0, -2, 0], [4j, 0, 0, 0]],
         np.sin(np.arange(1200.0)).reshape(300, 4) * [0, 1 + 0.7j, 0, -3j],
         np.zeros((4, 5)),
+        np.cos(np.arange(90000.0)).reshape(300, 300)
+        * (np.arange(300) % 7 > 0),
     ])
-    def test_one_norm_matches_abs_column_sums(self, dense):
-        # empty leading, interior and trailing columns, long columns, and
-        # no stored entry at all
+    def test_one_norm_matches_abs_column_sums(self, dense, monkeypatch):
+        # empty leading, interior and trailing columns, long columns, no
+        # stored entry at all, and 77k entries in groups of 2**16 entries;
+        # groups of 3 entries split every matrix, and are shorter than its
+        # longest columns
         A = sp.csc_matrix(np.asarray(dense, dtype=complex))
-        assert _one_norm(A) == float(abs(A).sum(axis=0).max())
+        want = float(abs(A).sum(axis=0).max())
+        assert _one_norm(A) == want
+        monkeypatch.setattr(operator, "ONE_NORM_GROUP_ENTRIES", 3)
+        assert _one_norm(A) == want
+
+    def test_one_norm_holds_one_group_of_entries(self):
+        # a full 600 x 600 matrix: abs of all its 360k entries would take
+        # 2.9 MB, one group of whole columns 2**16 entries of float64
+        A = sp.csc_matrix(np.exp(1j * np.arange(360000.0)).reshape(600, 600))
+        want = float(abs(A).sum(axis=0).max())
+        gc.collect()
+        tracemalloc.start()
+        try:
+            got = _one_norm(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert got == want
+        assert peak <= 1.25 * 8 * operator.ONE_NORM_GROUP_ENTRIES
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="C"):
