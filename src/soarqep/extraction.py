@@ -94,6 +94,14 @@ class RitzSet:
 # fewer passes over the matrix)
 PROJECT_CHUNK_ENTRIES = 2 ** 15
 
+# entries of S per group of columns whose Ritz residuals ``_residual_norms``
+# takes at once (256 KiB complex): ms5k's S (123 x 82) and string1000's
+# (63 x 42) are one group, string300's (300 x 141) three of 54 columns.
+# One group is the one-array product bit for bit; OpenBLAS can round a
+# group's product differently from the same columns of the whole one, by
+# an ulp, so S is split only where its size matters
+RITZ_GROUP_ENTRIES = 2 ** 14
+
 # bytes of one stored entry of a sliced working matrix: a complex value and
 # its int32 row index
 SLICE_ENTRY_BYTES = 20
@@ -142,10 +150,11 @@ def project(state, op):
     blocks are ``kernels.row_blocks`` where that holds less memory
     (``_project_blocks``), and then the n x 3ktilde array is never held:
     the working set is the basis, one block of rows (at most 1/16 of n
-    from n = 4096 on) and the one Gram triangle that each block is folded
-    into in place.  With n at most 4 ROW_BLOCK_MIN = 1024, or working
-    matrices whose rows are too full to slice, there is one block of all n
-    rows, no slicing, and the arithmetic of the unblocked formula.
+    from n = 4096 on) and the one Gram triangle that each block, the
+    first included, is folded into in place.  With n at most
+    4 ROW_BLOCK_MIN = 1024, or working matrices whose rows are too full to
+    slice, there is one block of all n rows, no slicing, and the arithmetic
+    of the unblocked formula.
 
     A block's rows of X_i Q_tilde are one slice of X_i, over the block's
     rows and the columns they touch, times row-major copies of at most
@@ -194,7 +203,7 @@ def project(state, op):
                 triple[i] = Xk
             else:
                 triple[i] += Xk
-        R = kernels.gram_blocks(W, R)
+        R = kernels.gram_blocks(W, R, square=len(blocks) > 1)
     return ProjectedQep(Qt, *triple, blocks=R, op=op)
 
 
@@ -212,6 +221,29 @@ def _times(R, G):
     return (R @ np.ascontiguousarray(G).view(float)).view(complex)
 
 
+def _residual_norms(blocks, theta, G, cols):
+    """||(theta_j^2 W1 + theta_j W2 + W3) g_j|| for j in ``cols``, through
+    the R blocks, by Horner's rule in place on groups of columns of about
+    RITZ_GROUP_ENTRIES entries of S.  A last group of one column joins the
+    one before, as ``np.linalg.norm(S, axis=0)`` sums a lone column in
+    another order."""
+    R1, R2, R3 = blocks
+    width = max(2, RITZ_GROUP_ENTRIES // R1.shape[0])
+    starts = list(range(0, len(cols), width))
+    if len(starts) > 1 and len(cols) - starts[-1] == 1:
+        starts.pop()
+    norms = []
+    for start, stop in zip(starts, starts[1:] + [len(cols)]):
+        t, G_part = theta[cols[start:stop]], G[:, cols[start:stop]]
+        S = _times(R1, G_part)
+        S *= t
+        S += _times(R2, G_part)
+        S *= t
+        S += _times(R3, G_part)
+        norms += np.linalg.norm(S, axis=0).tolist()
+    return norms
+
+
 def extract_ritz(proj, op, m):
     """All Ritz pairs of the projected QEP plus the m wanted ones.
 
@@ -219,6 +251,13 @@ def extract_ritz(proj, op, m):
     direct mode, nearest the target in shift-invert mode.  Huge or infinite
     Ritz values, and in shift-invert mode zero ones (lam = infinity), are
     excluded from selection and carry an infinite residual.
+
+    The residual ||(theta^2 W1 + theta W2 + W3) g|| of each live pair is
+    taken through the R blocks (``_residual_norms``), a bounded group of
+    columns at a time, so besides theta and G the call holds one group's
+    temporaries, not arrays of the size of R times G.  On a real
+    projection one column serves each conjugate pair: the partner's S is
+    the conjugate bit for bit, with the same norm.
     """
     theta, G = kernels.solve_projected_qep(proj.M_k, proj.C_k, proj.K_k)
     mag = np.abs(theta)
@@ -226,22 +265,12 @@ def extract_ritz(proj, op, m):
     if op.sigma is not None:
         ok &= mag >= 1e-300
     live = np.flatnonzero(ok)
-    # ||(theta^2 W1 + theta W2 + W3) g|| of the live pairs at once, through
-    # the R blocks; Horner's rule in place keeps one temporary of S's size.
-    # On a real projection one column serves each conjugate pair: the
-    # partner's S is the conjugate bit for bit, with the same norm.
     groups = (kernels.conjugate_groups(theta[live])[0] if proj.real
               else [(j,) for j in range(live.size)])
     first = live[[group[0] for group in groups]]
-    t, G_first = theta[first], G[:, first]
-    R1, R2, R3 = proj.blocks
-    S = _times(R1, G_first)
-    S *= t
-    S += _times(R2, G_first)
-    S *= t
-    S += _times(R3, G_first)
     norms = {}
-    for group, norm in zip(groups, np.linalg.norm(S, axis=0).tolist()):
+    for group, norm in zip(groups, _residual_norms(proj.blocks, theta, G,
+                                                   first)):
         norms.update((int(live[j]), norm) for j in group)
     pairs = []
     for i, th in enumerate(theta.tolist()):

@@ -11,11 +11,14 @@ orders <= ~200 (shifted QR by LAPACK rotations, each applied once; the
 projected QEP by standard eig on the monic companion when M_k is well
 conditioned and by QZ otherwise, returned as an eigenvalue array and one
 matrix of unit eigenvectors; refined vectors by QR, then inverse
-iteration from the Ritz vector on its triangle).  Everything is complex,
-real inputs promoted, except where the data are real: ``gram_blocks``
-follows its input's dtype, and ``solve_projected_qep`` and
-``hessenberg_shifted_qr`` switch to real arithmetic on data with no
-nonzero imaginary part.
+iteration from the Ritz vector on its triangle).  Real data stay real:
+``gram_blocks`` follows its input's dtype, ``solve_projected_qep`` keeps
+a triple with no nonzero imaginary part in float64, up to its complex
+theta and G, and ``hessenberg_shifted_qr`` applies conjugate shift pairs
+to a real T in real arithmetic.  The rest is complex: the basis vectors,
+T's other sweeps and the refined vector's S.  The k-order routines work
+in place on column-major arrays LAPACK can overwrite, so a call holds
+few copies of its order-k data (each function says which).
 """
 
 import warnings
@@ -23,8 +26,8 @@ import warnings
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import drot
-from scipy.linalg.lapack import (dgeqrt, dlartg, dtpqrt, zgeqrt, zlartg,
-                                 zrot, ztpqrt)
+from scipy.linalg.lapack import (dgeev, dgeev_lwork, dgeqrt, dlartg, dtpqrt,
+                                 zgeqrf, zgeqrt, zlartg, zrot, ztpqrt)
 
 
 class QRSweepError(RuntimeError):
@@ -257,14 +260,25 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
     also delivers the infinite eigenvalues of a singular M_k.  The direct
     string-damping problems (M = pi/2 I) always have cond 1.
 
-    The companion, and the QZ pencil's B, are float64 when M_k, C_k and
-    K_k have no nonzero imaginary part, and complex otherwise, so a real
-    triple goes to dgeev or dggev at a fraction of the complex cost (the
-    ARPACK users' guide's real driver does the same).  A real triple's
-    complex eigenpairs then come in adjacent pairs, as LAPACK lists them,
-    the member with positive imaginary part first: the two members' theta
-    and g are conjugates bit for bit (for QZ the second member is set to
-    the conjugate of the first, as dggev gives them different betas).
+    A triple with no nonzero imaginary part is taken in float64, never
+    promoted, and so are the companion and the QZ pencil's B, so it goes to
+    dgeev or dggev at a fraction of the complex cost (the ARPACK users'
+    guide's real driver does the same); any other triple is complex
+    throughout.  A real triple's complex eigenpairs then come in adjacent
+    pairs, as LAPACK lists them, the member with positive imaginary part
+    first: the two members' theta and g are conjugates bit for bit (for QZ
+    the second member is set to the conjugate of the first, as dggev gives
+    them different betas).
+
+    The companion is built column-major, so LAPACK overwrites it in place.
+    The real monic companion goes to dgeev directly, with the workspace
+    that ``scipy.linalg.eig`` queries, so theta and G are what that call
+    gives bit for bit; G is assembled from the needed half of dgeev's real
+    eigenvector matrix after the companion is freed, without the 2k-by-2k
+    complex eigenvector matrix scipy would build.  What the call holds at
+    most is then the companion, that real matrix and dgeev's workspace, or
+    that matrix and G; QZ, and a complex triple, still go through
+    ``scipy.linalg.eig`` and its 2k-by-2k eigenvector matrix.
 
     Returns (theta, G), complex whatever the path: theta holds the 2k
     eigenvalues, inf where infinite, and column j of the column-major
@@ -275,18 +289,20 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
     infinite.  With ``vectors=False`` only eigenvalues are computed and G
     is None.
     """
-    M_k = np.asarray(M_k, dtype=complex)
-    C_k = np.asarray(C_k, dtype=complex)
-    K_k = np.asarray(K_k, dtype=complex)
-    if not (M_k.imag.any() or C_k.imag.any() or K_k.imag.any()):
-        # a real triple: every array below follows its dtype
-        M_k, C_k, K_k = M_k.real, C_k.real, K_k.real
+    triple = [np.asarray(X) for X in (M_k, C_k, K_k)]
+    real = not any(np.iscomplexobj(X) and X.imag.any() for X in triple)
+    # every array below follows the triple's dtype
+    M_k, C_k, K_k = (np.asarray(X.real, dtype=float) if real
+                     else np.asarray(X, dtype=complex) for X in triple)
     k = M_k.shape[0]
     cond = np.linalg.cond(M_k)
-    A = np.zeros((2 * k, 2 * k), dtype=M_k.dtype)
-    A[k:, :k] = np.eye(k)
+    A = np.zeros((2 * k, 2 * k), dtype=M_k.dtype, order="F")
+    A[np.arange(k, 2 * k), np.arange(k)] = 1.0
     if cond <= MONIC_COND_MAX:
-        A[:k] = -scipy.linalg.solve(M_k, np.hstack((C_k, K_k)))
+        CK = np.empty((k, 2 * k), dtype=M_k.dtype, order="F")
+        CK[:, :k], CK[:, k:] = C_k, K_k
+        np.negative(scipy.linalg.solve(M_k, CK, overwrite_b=True), out=A[:k])
+        del CK
         B = None
     else:
         if not np.isfinite(cond) or cond > 1e14:
@@ -296,31 +312,63 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
             )
         A[:k, :k] = -C_k
         A[:k, k:] = -K_k
-        B = np.eye(2 * k, dtype=M_k.dtype)
+        B = np.eye(2 * k, dtype=M_k.dtype, order="F")
         B[:k, :k] = M_k
+    real_qz = real and B is not None
     try:
-        out = scipy.linalg.eig(A, B, right=vectors, overwrite_a=True,
-                               overwrite_b=True)
+        if real and B is None:
+            w, vr = _real_eig(A, vectors)
+        else:
+            out = scipy.linalg.eig(A, B, right=vectors, overwrite_a=True,
+                                   overwrite_b=True)
+            w, vr = out if vectors else (out, None)
     except (np.linalg.LinAlgError, scipy.linalg.LinAlgError) as exc:
         raise SingularPencilError("eigensolver failed on the companion "
                                   "linearization") from exc
-    w, vr = out if vectors else (out, None)
-    if B is not None and B.dtype == float:
+    del A, B
+    # LAPACK's real form of a pair: its real part in the first column, its
+    # imaginary part in the next (the mask scipy.linalg.eig reads it with)
+    first = w.imag > 0
+    first[:-1] |= w.imag[1:] < 0
+    if real_qz:
         # dggev gives the two members of a pair different betas, so their
         # alpha/beta are conjugate only to rounding; the member with positive
         # imaginary part comes first
-        first = np.flatnonzero(w.imag > 0)
-        w[first + 1] = w[first].conj()
+        pos = np.flatnonzero(w.imag > 0)
+        w[pos + 1] = w[pos].conj()
     theta = np.where(np.isfinite(w), w, np.inf)
     if not vectors:
         return theta, None
-    # a real companion with only real eigenvalues gives a real vr
-    G = np.asfortranarray(vr[:k], dtype=complex)
-    np.copyto(G, vr[k:], where=np.abs(theta) < 1.0)
+    low = np.abs(theta) < 1.0
+    G = np.empty((k, 2 * k), dtype=complex, order="F")
     for j in range(2 * k):
+        z, g = vr[k:] if low[j] else vr[:k], G[:, j]
+        if vr.dtype != float:
+            g[:] = z[:, j]
+        elif first[j]:
+            g.real, g.imag = z[:, j], z[:, j + 1]
+        elif j and first[j - 1]:
+            g.real = z[:, j - 1]
+            np.negative(z[:, j], out=g.imag)
+        else:
+            g.real, g.imag = z[:, j], 0.0
         # one 1-D norm per column: norm(G, axis=0) rounds differently
-        G[:, j] /= np.linalg.norm(G[:, j])
+        g /= np.linalg.norm(g)
     return theta, G
+
+
+def _real_eig(A, vectors):
+    """``scipy.linalg.eig(A, right=vectors, overwrite_a=True)`` on the real
+    column-major A, by the same dgeev call, but with the eigenvectors left
+    in LAPACK's real form: (w, vr), vr None without ``vectors``."""
+    if not np.isfinite(A).all():
+        raise ValueError("array must not contain infs or NaNs")
+    lwork, _ = dgeev_lwork(A.shape[0], compute_vl=0, compute_vr=int(vectors))
+    wr, wi, _, vr, info = dgeev(A, compute_vl=0, compute_vr=int(vectors),
+                                lwork=int(lwork), overwrite_a=1)
+    if info:
+        raise scipy.linalg.LinAlgError("eig algorithm (geev) did not converge")
+    return wr + 1j * wi, vr if vectors else None
 
 
 # rows per block of the n-length passes that stream by rows (projection,
@@ -343,7 +391,7 @@ def row_blocks(n):
     return [slice(r, min(r + b, n)) for r in range(0, n, b)]
 
 
-def gram_blocks(A, above=None):
+def gram_blocks(A, above=None, square=False):
     """The Gram blocks W_i^* W_j in factored form, one QR per subspace.
 
     ``A`` is [W1 W2 W3], an n-by-3k array, or a row block of it.  A
@@ -364,9 +412,13 @@ def gram_blocks(A, above=None):
     SIAM J. Sci. Comput. 34 (2012)).  So [W1 W2 W3] is factored one row
     block at a time and is never needed whole.  The fold works in place on
     the column-major 3k-by-3k array of R's dtype behind ``above``, which it
-    overwrites, and returns views of it; ``above`` from any other array
-    (the first QR's triangle) is copied, zero-padded to square, into a new
-    one.  So a run of folds allocates one triangle, not one per block.
+    overwrites, and returns views of it; ``above`` from any other array is
+    copied, zero-padded to square, into a new one.  ``square=True`` (the
+    first of several row blocks) writes the first QR's triangle straight
+    into such an array, so a run of folds allocates one triangle and never
+    holds two.  Without it the first QR's R keeps the layout of
+    ``np.triu`` (row-major), which the one-block projection's arithmetic
+    depends on.
     Folding sixteen row blocks of 313 rows of a 5000-by-123 array took
     25.3 ms, five blocks of 1024 rows 25.0 ms and one zgeqrt of it 27.0 ms
     (medians of 40 alternating runs, one thread of a 2-core VM).
@@ -384,7 +436,13 @@ def gram_blocks(A, above=None):
     # columns per reflector block; 16 and 64 timed alike on the solver's shapes
     if above is None:
         A, _, _ = geqrt(min(32, *A.shape), A, overwrite_a=1)
-        R = np.triu(A[:min(n, 3 * k)])
+        top = A[:min(n, 3 * k)]
+        if square:
+            R = np.zeros((3 * k, 3 * k), dtype=dtype, order="F")
+            np.copyto(R[:top.shape[0]], top,
+                      where=~np.tri(*top.shape, k=-1, dtype=bool))
+        else:
+            R = np.triu(top)
     else:
         R = above[0].base
         if (R is None or R.shape != (3 * k, 3 * k) or R.dtype != dtype
@@ -396,6 +454,13 @@ def gram_blocks(A, above=None):
                            overwrite_b=1)
     return R[:, :k], R[:, k:2 * k], R[:, 2 * k:]
 
+
+# entries of S that refined_vector forms per group of columns (64 KiB complex)
+REFINED_GROUP_ENTRIES = 2 ** 12
+# row bands in which refined_vector copies its triangle out of S: S and the
+# bands hold S plus 0.56 of the triangle at most, where S and the triangle
+# held both
+REFINED_TRIANGLE_BANDS = 8
 
 # inverse-iteration steps refined_vector takes before it falls back to the SVD
 REFINED_MAX_STEPS = 8
@@ -423,11 +488,35 @@ def refined_vector(theta, R1, R2, R3, start):
     Returns (z, sigma_min) with sigma_min = ||R_S z|| = ||S z||, the exact
     residual of the delivered vector.  With the blocks of ``gram_blocks``
     this is the refined vector of the tall W_i at no n-length cost.
+
+    S is formed in one column-major complex buffer, REFINED_GROUP_ENTRIES
+    entries at a time by the same per-entry expression, and LAPACK zgeqrf
+    overwrites it, as ``scipy.linalg.qr`` would call it; the k-by-k
+    triangle R_S is copied out in REFINED_TRIANGLE_BANDS row bands and
+    built once S is freed.  So the call holds one array of S's size and
+    about half of R_S, not the four arrays of S's size that forming S whole
+    and a full-height triangle took.
     """
     t = complex(theta)
-    S = t ** 2 * R1 + t * R2 + R3
+    S = np.empty(R1.shape, dtype=complex, order="F")
     k = S.shape[1]
-    R = scipy.linalg.qr(S, overwrite_a=True, mode="r", check_finite=False)[0][:k]
+    width = max(1, REFINED_GROUP_ENTRIES // S.shape[0])
+    for j in range(0, k, width):
+        c = slice(j, j + width)
+        S[:, c] = t ** 2 * R1[:, c] + t * R2[:, c] + R3[:, c]
+    # zgeqrf in place, with the workspace scipy.linalg.qr queries
+    work = zgeqrf(S, lwork=-1, overwrite_a=1)[2]
+    zgeqrf(S, lwork=int(work[0].real), overwrite_a=1)
+    # R_S = triu(S[:k]), row-major as np.triu gives it, copied out in row
+    # bands so that S is freed before R_S is allocated
+    step = -(-k // REFINED_TRIANGLE_BANDS)
+    bands = [S[a:min(a + step, k), a:].copy() for a in range(0, k, step)]
+    del S
+    R = np.zeros((k, k), dtype=complex)
+    for a, band in zip(range(0, k, step), bands):
+        band[np.tri(*band.shape, k=-1, dtype=bool)] = 0.0
+        R[a:a + step, a:] = band
+    del bands
     d = np.abs(np.diagonal(R))
     if d.min() > REFINED_TINY_PIVOT * d.max():
         z = start / np.linalg.norm(start)

@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 from conftest import arpack_nearest_eigenvalues, breakdown_starts, random_qep
-from soarqep import driver
+from soarqep import driver, kernels
 from soarqep.driver import SolverConfig, solve
 from soarqep.extraction import residual_bound
 from soarqep.operator import QepProblem
@@ -243,15 +243,21 @@ class TestVariants:
 
     def test_monic_path_runs_bitwise_identical(self, monkeypatch):
         # M = (pi/2) I keeps every projected M_k perfectly conditioned, so
-        # each projected QEP goes to standard eig on the monic companion
-        eig = scipy.linalg.eig
+        # each projected QEP goes to standard eig on the monic companion:
+        # scipy.linalg.eig with no B, or LAPACK dgeev for a real triple
+        eig, dgeev = scipy.linalg.eig, kernels.dgeev
         pencils = []
 
         def recording(a, b=None, **kwargs):
             pencils.append(b)
             return eig(a, b, **kwargs)
 
+        def recording_dgeev(a, **kwargs):
+            pencils.append(None)
+            return dgeev(a, **kwargs)
+
         monkeypatch.setattr(scipy.linalg, "eig", recording)
+        monkeypatch.setattr(kernels, "dgeev", recording_dgeev)
         prob = gen_string_damping(150)
         cfg = dict(m=10, k=40, mode="direct", variant="irsoar", ctol=1e-10,
                    max_restarts=30, seed=3)
@@ -340,15 +346,22 @@ class TestRealProblems:
         """Solve, and check in every cycle that no refined residual exceeds
         its Ritz residual, and the delivered lambda against the dense
         oracle; returns the report and, per cycle, the dtype of the
-        companion that extract_ritz hands to scipy.linalg.eig, which is
-        also the dtype of that cycle's projected triple and R blocks."""
-        eig, ritz, refined = (scipy.linalg.eig, driver.extract_ritz,
-                              driver.extract_refined)
+        companion that extract_ritz hands to its eigensolver
+        (scipy.linalg.eig, or LAPACK dgeev for a real monic companion),
+        which is also the dtype of that cycle's projected triple and R
+        blocks."""
+        eig, dgeev, ritz, refined = (scipy.linalg.eig, kernels.dgeev,
+                                     driver.extract_ritz,
+                                     driver.extract_refined)
         seen, dtypes, projected, cycles = [], [], [], []
 
         def recording_eig(a, b=None, **kwargs):
             seen.append(a.dtype.name)
             return eig(a, b, **kwargs)
+
+        def recording_dgeev(a, **kwargs):
+            seen.append(a.dtype.name)
+            return dgeev(a, **kwargs)
 
         def recording_ritz(proj, op, m):
             seen.clear()
@@ -364,6 +377,7 @@ class TestRealProblems:
             return out
 
         monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
+        monkeypatch.setattr(kernels, "dgeev", recording_dgeev)
         monkeypatch.setattr(driver, "extract_ritz", recording_ritz)
         monkeypatch.setattr(driver, "extract_refined", recording_refined)
         rep = solve(prob, cfg)
@@ -550,6 +564,28 @@ class TestMemory:
         blocks, restarts = _peak_blocks(20000, 40, 1)
         assert restarts == 1
         assert blocks <= 3.0
+
+
+    def test_direct_real_solve_at_large_ktilde(self):
+        # string300's configuration, one restart: n = 300 is small beside
+        # ktilde = 141, so the cycle's k-order work sets the peak, here in
+        # units of the 2ktilde x 2ktilde float64 companion.  It is 7.67:
+        # the refined vector's S on top of the cycle's Q, P, R blocks,
+        # triple and Ritz vectors.  Promoting the real triple to complex,
+        # copying the companion and building scipy's complex eigenvectors,
+        # with S formed whole and its triangle built beside it, took 10.62.
+        cfg = SolverConfig(m=20, k=140, p=70, mode="direct", variant="irsoar",
+                           ctol=1e-10, max_restarts=1)
+        prob = gen_string_damping(300)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rep = solve(prob, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.restarts_used == 1 and len(rep.converged) == 20
+        assert peak <= 7.75 * (2 * 141) ** 2 * 8
 
 
 class TestBreakdown:

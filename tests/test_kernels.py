@@ -301,6 +301,52 @@ def _assert_exact_conjugate_pairs(theta, G=None):
             assert any(np.array_equal(G[:, i], G[:, j].conj()) for i in mates)
 
 
+def _eig_reference(M_k, C_k, K_k, vectors=True):
+    """The projected QEP solved the way ``solve_projected_qep`` did before
+    it called dgeev itself: the triple promoted to complex (a real one
+    taken back as .real views), a row-major companion, ``scipy.linalg.eig``
+    and G from the needed half of its 2k-by-2k complex eigenvectors."""
+    M_k, C_k, K_k = (np.asarray(X, dtype=complex) for X in (M_k, C_k, K_k))
+    if not (M_k.imag.any() or C_k.imag.any() or K_k.imag.any()):
+        M_k, C_k, K_k = M_k.real, C_k.real, K_k.real
+    k = M_k.shape[0]
+    cond = np.linalg.cond(M_k)
+    A = np.zeros((2 * k, 2 * k), dtype=M_k.dtype)
+    A[k:, :k] = np.eye(k)
+    B = None
+    if cond <= kernels.MONIC_COND_MAX:
+        A[:k] = -scipy.linalg.solve(M_k, np.hstack((C_k, K_k)))
+    else:
+        A[:k, :k], A[:k, k:] = -C_k, -K_k
+        B = np.eye(2 * k, dtype=M_k.dtype)
+        B[:k, :k] = M_k
+    out = scipy.linalg.eig(A, B, right=vectors, overwrite_a=True,
+                           overwrite_b=True)
+    w, vr = out if vectors else (out, None)
+    if B is not None and B.dtype == float:
+        first = np.flatnonzero(w.imag > 0)
+        w[first + 1] = w[first].conj()
+    theta = np.where(np.isfinite(w), w, np.inf)
+    if not vectors:
+        return theta, None
+    G = np.asfortranarray(vr[:k], dtype=complex)
+    np.copyto(G, vr[k:], where=np.abs(theta) < 1.0)
+    for j in range(2 * k):
+        G[:, j] /= np.linalg.norm(G[:, j])
+    return theta, G
+
+
+def _peak(f):
+    """tracemalloc peak, in bytes, of the call f()."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        f()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 # one condition number on each side of the monic-companion threshold
 CONDITIONS = [kernels.MONIC_COND_MAX / 5, kernels.MONIC_COND_MAX * 100]
 # (cond, real) for each condition, with a complex and with a real triple
@@ -310,28 +356,42 @@ TRIPLES = ([pytest.param(c, False, id=str(c)) for c in CONDITIONS]
 
 @pytest.fixture
 def pencils(monkeypatch):
-    """The dtypes (of A, of B) of every scipy.linalg.eig call; B is None on
-    the monic companion."""
-    eig = scipy.linalg.eig
+    """The dtypes (of A, of B) of every eigensolver call: scipy.linalg.eig,
+    or LAPACK dgeev on a real monic companion; B is None on the monic
+    companion."""
+    eig, dgeev = scipy.linalg.eig, kernels.dgeev
     seen = []
 
     def recording(a, b=None, **kwargs):
         seen.append((a.dtype.name, None if b is None else b.dtype.name))
         return eig(a, b, **kwargs)
 
+    def recording_dgeev(a, **kwargs):
+        seen.append((a.dtype.name, None))
+        return dgeev(a, **kwargs)
+
     monkeypatch.setattr(scipy.linalg, "eig", recording)
+    monkeypatch.setattr(kernels, "dgeev", recording_dgeev)
     return seen
 
 
 class TestProjectedQep:
     def test_eigensolver_failure_named(self, monkeypatch):
+        # scipy.linalg.eig raises; the direct dgeev call of a real monic
+        # companion reports non-convergence through info > 0
         def fail(*args, **kwargs):
             raise scipy.linalg.LinAlgError("did not converge")
 
+        def unconverged(a, **kwargs):
+            n = a.shape[0]
+            return np.zeros(n), np.zeros(n), None, np.eye(n), 1
+
         monkeypatch.setattr(scipy.linalg, "eig", fail)
-        with pytest.raises(kernels.SingularPencilError,
-                           match="companion linearization"):
-            solve_projected_qep(np.eye(2), np.eye(2), np.eye(2))
+        monkeypatch.setattr(kernels, "dgeev", unconverged)
+        for M in (np.eye(2), 1j * np.eye(2), np.diag([1.0, 1e-3])):
+            with pytest.raises(kernels.SingularPencilError,
+                               match="companion linearization"):
+                solve_projected_qep(M, np.eye(2), np.eye(2))
 
     def test_scalar_roots(self):
         theta, G = solve_projected_qep([[1.0]], [[3.0]], [[2.0]])
@@ -402,6 +462,45 @@ class TestProjectedQep:
             scale = abs(t) ** 2 * norms[0] + abs(t) * norms[1] + norms[2]
             assert r <= 1e-12 * scale
 
+    @pytest.mark.parametrize("vectors", [True, False])
+    @pytest.mark.parametrize("cond, real", TRIPLES)
+    def test_bitwise_as_scipy_eig(self, rng, pencils, cond, real, vectors):
+        # k = 70 is a companion of order 140, where LAPACK's blocked
+        # Hessenberg and QR code runs; a real triple keeps float64 (the
+        # monic one goes to dgeev directly) and a complex one goes through
+        # scipy.linalg.eig, and either gives theta and G bit for bit as
+        # before
+        for k in (8, 70):
+            M, C, K = _triple_with_mass_condition(rng, k, cond, real)
+            theta, G = solve_projected_qep(M, C, K, vectors=vectors)
+            want, want_G = _eig_reference(M, C, K, vectors)
+            if real:
+                # real eigenvalues among the conjugate pairs
+                assert np.any(theta.imag == 0.0) and np.any(theta.imag != 0.0)
+            assert theta.tobytes() == want.tobytes()
+            if vectors:
+                assert G.flags.f_contiguous and G.tobytes() == want_G.tobytes()
+            else:
+                assert G is None
+        dtype = "float64" if real else "complex128"
+        monic = cond <= kernels.MONIC_COND_MAX
+        assert pencils[0] == (dtype, None if monic else dtype)
+
+    def test_real_monic_holds_companion_eigenvectors_and_workspace(self, rng):
+        # string300's order, k = 141: a real monic call holds the companion,
+        # dgeev's real eigenvectors and its workspace (0.46 companions), then
+        # those eigenvectors and G: 2.50 companions of (2k)^2 float64 with
+        # vectors, 1.61 without.  Promoting the triple to complex, copying
+        # the row-major companion and building scipy's complex eigenvectors
+        # took 5.55 and 3.64.
+        k = 141
+        M, C, K = (X.real for X in _triple_with_mass_condition(rng, k, 2.0,
+                                                                True))
+        companion = (2 * k) ** 2 * 8
+        assert _peak(lambda: solve_projected_qep(M, C, K)) <= 2.6 * companion
+        assert (_peak(lambda: solve_projected_qep(M, C, K, vectors=False))
+                <= 1.7 * companion)
+
     @pytest.mark.parametrize("cond, real", TRIPLES)
     def test_values_only_same_spectrum(self, rng, pencils, cond, real):
         M, C, K = _triple_with_mass_condition(rng, 8, cond, real)
@@ -459,7 +558,75 @@ GAPPED = [0.01, 1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0]
 CLOSE = [1.0, 1.001, 2.0, 3.0, 4.0, 5.0]
 
 
+def _dense_refined(theta, R1, R2, R3, start):
+    """``refined_vector`` as it was before it formed S in column groups:
+    S whole, and R_S the first k rows of the dense
+    ``scipy.linalg.qr(S, mode="r")``."""
+    t = complex(theta)
+    S = t ** 2 * R1 + t * R2 + R3
+    k = S.shape[1]
+    R = scipy.linalg.qr(S, overwrite_a=True, mode="r", check_finite=False)[0][:k]
+    d = np.abs(np.diagonal(R))
+    if d.min() > kernels.REFINED_TINY_PIVOT * d.max():
+        z = start / np.linalg.norm(start)
+        res = float(np.linalg.norm(R @ z))
+        for _ in range(kernels.REFINED_MAX_STEPS):
+            y = scipy.linalg.solve_triangular(R, z, trans="C",
+                                              check_finite=False)
+            y = scipy.linalg.solve_triangular(R, y, check_finite=False)
+            y /= np.linalg.norm(y)
+            r = float(np.linalg.norm(R @ y))
+            if r > res:
+                return z, res
+            if res - r <= kernels.REFINED_RTOL * res:
+                return y, r
+            z, res = y, r
+    z = np.linalg.svd(R)[2][-1].conj()
+    return z, float(np.linalg.norm(R @ z))
+
+
 class TestRefinedVector:
+    # (n, k): S of 3k = 180 rows in groups of 22 columns; 100 rows, fewer
+    # than 3k = 123; a 9-by-3 S
+    @pytest.mark.parametrize("n, k", [(400, 60), (100, 41), (20, 3)])
+    def test_bitwise_as_dense_qr(self, rng, monkeypatch, n, k):
+        for dtype in (float, complex):
+            A = np.hstack([_random(rng, (n, k), dtype) for _ in range(3)])
+            R = gram_blocks(np.asfortranarray(A))
+            for theta in (0.3 + 0.2j, -1.5, 2.0 - 0.7j):
+                g = _unit(rng, k)
+                want = _dense_refined(theta, *R, g)
+                for entries, bands in ((kernels.REFINED_GROUP_ENTRIES,
+                                        kernels.REFINED_TRIANGLE_BANDS),
+                                       (1, 1), (1, k)):
+                    # one-column groups, and the triangle in one band or in
+                    # one band per row
+                    monkeypatch.setattr(kernels, "REFINED_GROUP_ENTRIES",
+                                        entries)
+                    monkeypatch.setattr(kernels, "REFINED_TRIANGLE_BANDS",
+                                        bands)
+                    z, smin = refined_vector(theta, *R, g)
+                    assert z.tobytes() == want[0].tobytes()
+                    assert smin == want[1]
+        # the SVD fallback reads the same triangle
+        monkeypatch.setattr(kernels, "REFINED_MAX_STEPS", 0)
+        z, smin = refined_vector(theta, *R, g)
+        want = _dense_refined(theta, *R, g)
+        assert z.tobytes() == want[0].tobytes() and smin == want[1]
+
+    def test_holds_one_array_of_s_size(self, rng):
+        # string300's R blocks: 300 rows of a 423-column triangle, k = 141.
+        # S is 300 x 141 complex; the call holds it and one group of its
+        # columns' temporaries, then it, zgeqrf's workspace and the row
+        # bands of its k x k triangle: 1.44 S.  Building the triangle while
+        # S was alive took 1.71, forming S whole and a full-height triangle
+        # 3.27.
+        n, k = 300, 141
+        R = gram_blocks(np.asfortranarray(rng.standard_normal((n, 3 * k))))
+        g = _unit(rng, k)
+        S_bytes = n * k * 16
+        assert _peak(lambda: refined_vector(0.3 + 0.4j, *R, g)) <= 1.5 * S_bytes
+
     def test_matches_direct_svd(self, rng):
         n, k = 25, 6
         W1 = rng.standard_normal((n, k)) + 1j * rng.standard_normal((n, k))
@@ -593,6 +760,41 @@ class TestRefinedVector:
             G = A.conj().T @ A
             assert (np.linalg.norm(T.conj().T @ T - G)
                     <= 1e-13 * np.linalg.norm(G))
+
+    def test_gram_blocks_first_fold_into_one_square_triangle(self, rng):
+        # three row blocks of 300 rows: with square=True the first QR's
+        # triangle goes straight into the column-major 3k-by-3k array that
+        # the folds overwrite, so the run holds one triangle plus tpqrt's T
+        # factor and workspace, 1.53 triangles; a row-major first triangle
+        # copied by the first fold held two, 2.53.  R is the same bit for bit.
+        n, k, rows = 900, 41, 300
+        for dtype in (complex, float):
+            A = np.hstack([_random(rng, (n, k), dtype) for _ in range(3)])
+
+            def blocks():
+                return [np.asfortranarray(A[r:r + rows])
+                        for r in range(0, n, rows)]
+
+            want = None
+            for block in blocks():
+                want = gram_blocks(block, want)
+            first, *rest = blocks()
+            out = []
+
+            def fold():
+                R = gram_blocks(first, square=True)
+                out.append(R[0].base)
+                for block in rest:
+                    R = gram_blocks(block, R)
+                out.append(R)
+
+            peak = _peak(fold)
+            triangle, R = out
+            assert triangle.shape == (3 * k, 3 * k)
+            assert triangle.flags.f_contiguous
+            assert all(Ri.base is triangle for Ri in R)
+            assert peak <= 1.6 * triangle.nbytes
+            assert all(g.tobytes() == w.tobytes() for g, w in zip(R, want))
 
     def test_degenerate_gap_matches_svd(self):
         # the two smallest singular values of S = W3 coincide
