@@ -191,6 +191,8 @@ def project(state, op):
             Q_chunk = np.ascontiguousarray(chunk.real if real else chunk)
             for i, X in enumerate(mats):
                 W[:, i * kt + j:i * kt + min(j + width, kt)] = X @ Q_chunk
+        # the last chunk is freed before the block's triple and fold
+        chunk = Q_chunk = None
         # the block's rows of the basis, in the buffer's dtype
         Q_rows = np.asfortranarray(Qt[rows].real) if real else Qt[rows]
         for i in range(3):

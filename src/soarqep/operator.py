@@ -4,6 +4,11 @@ The solver never forms A = -M^{-1}C or B = -M^{-1}K explicitly; it keeps a
 sparse LU factorization of M (direct mode) or of the shift-inverted
 M_hat = sigma^2 M + sigma C + K and applies the pair through one solve per
 step.
+
+In shift-invert mode M_hat and C_hat = C + 2 sigma M are assembled on C's
+own sparsity pattern whenever M's and K's entries lie on it, as they do
+for every generator: both reference C's index arrays and hold only their
+own data, entry for entry what scipy's sparse sums would compute.
 """
 
 from dataclasses import dataclass, field
@@ -180,12 +185,110 @@ class OperatorPair:
 _SIGMA_MAX = np.sqrt(np.finfo(float).max)
 
 
+def _keys(X):
+    """col * n + row of each stored entry of the n-row X, in storage order,
+    as int64."""
+    n = X.shape[0]
+    keys = np.repeat(np.arange(X.shape[1], dtype=np.int64) * n,
+                     np.diff(X.indptr))
+    keys += X.indices[:X.indptr[-1]]
+    return keys
+
+
+def _positions_on(C, mats):
+    """Where each of ``mats`` stores its entries among C's: None for a
+    matrix with C's own pattern, else the positions as an index array.  The
+    whole result is None if an entry lies off C's pattern.  All the
+    matrices are canonical.  C's keys, 8 bytes per stored entry, are freed
+    on return, before any data array is built."""
+    nnz, keys, found = C.indptr[-1], None, []
+    for X in mats:
+        if (np.array_equal(X.indptr, C.indptr)
+                and np.array_equal(X.indices[:nnz], C.indices[:nnz])):
+            found.append(None)
+            continue
+        if keys is None:
+            keys = _keys(C)
+        want = _keys(X)
+        at = np.searchsorted(keys, want)
+        # want is sorted too, so the last position is the largest
+        if at.size and (at[-1] == keys.size or (keys[at] != want).any()):
+            return None
+        found.append(at)
+    return found
+
+
+def _add_on_pattern(a, pos, b, out=None):
+    """The entries of scipy's sum A + B of canonical matrices, where B's
+    entries b sit at positions ``pos`` of A's entries a, or at all of them
+    if pos is None: a + b there, and a + 0 elsewhere, which turns -0.0
+    into 0.0 as the sum's op(x, 0) does.  Exact zeros are kept; ``out``
+    may be a."""
+    if pos is None:
+        return np.add(a, b, out=out)
+    at = a[pos]
+    out = np.add(a, 0, out=out)
+    out[pos] = at + b
+    return out
+
+
+def _shifted_on_pattern(problem, sigma):
+    """(M_hat, C_hat) on C's pattern, or None when the sums must build them.
+
+    M_hat = (sigma^2 M + sigma C) + K and C_hat = C + 2 sigma M are formed
+    entry by entry with the operands and the association of scipy's sums,
+    so they equal ``sigma**2 * M + sigma * C + K`` and ``C + 2.0 * sigma *
+    M`` bit for bit: the scalar products are taken of whole data arrays as
+    scipy takes them, and an entry that sigma^2 M + sigma C cancels exactly,
+    which that sum drops, is 0 where K is added to it.  A matrix without an
+    exact zero shares C's ``indices`` and ``indptr``; one with an exact
+    zero gets copies of them with its zeros eliminated, as the sums drop
+    them.  None unless the three matrices are canonical (sorted indices, no
+    duplicates) and every entry of M and K lies on C's pattern.
+    """
+    M, C, K = problem.M, problem.C, problem.K
+    if not all(X.has_canonical_format for X in (M, C, K)):
+        return None
+    positions = _positions_on(C, (M, K))
+    if positions is None:
+        return None
+    pos_m, pos_k = positions
+    c, m, k = (X.data[:X.indptr[-1]] for X in (C, M, K))
+    hat = c * sigma
+    _add_on_pattern(hat, pos_m, m * sigma ** 2, out=hat)
+    # sigma^2 M + sigma C drops what it cancels exactly, so K is added to
+    # 0 there; elsewhere a zero stays zero and is dropped below
+    hat[hat == 0] = 0
+    _add_on_pattern(hat, pos_k, k, out=hat)
+    tilde = _add_on_pattern(c, pos_m, m * (2.0 * sigma))
+    return tuple(_on_pattern(C, data) for data in (hat, tilde))
+
+
+def _on_pattern(C, data):
+    """The CSC matrix of ``data`` on C's pattern: sharing C's index arrays,
+    or, with an exact zero in ``data``, on copies of them with the zeros
+    eliminated.  C's own arrays are never changed."""
+    if data.all():
+        return sp.csc_matrix((data, C.indices, C.indptr), shape=C.shape)
+    X = sp.csc_matrix((data, C.indices.copy(), C.indptr.copy()),
+                      shape=C.shape)
+    X.eliminate_zeros()
+    return X
+
+
 def build_operator(problem, mode="direct", sigma=None):
     """Factorize and wrap the operator pair for ``mode``.
 
     In shift-invert mode assembles M_hat = sigma^2 M + sigma C + K,
-    C_hat = C + 2 sigma M and K_hat = M, and factorizes M_hat.  Direct mode
-    refuses a sigma; shift-invert mode needs one with a finite square.
+    C_hat = C + 2 sigma M and K_hat = M, and factorizes M_hat.  Where M's
+    and K's entries lie on C's pattern (``_shifted_on_pattern``), M_hat and
+    C_hat share C's ``indices`` and ``indptr`` and keep only their data
+    arrays; a matrix with an exact zero on that pattern, such as C_hat's
+    diagonal on ``gen_mass_spring(200, tau=1.0)`` at sigma = -1.5, gets
+    its own compacted index arrays instead.  A non-canonical C, or an M or
+    K with an entry off C's pattern, takes scipy's sparse sums; both routes
+    give the same matrices bit for bit.  Direct mode refuses a sigma;
+    shift-invert mode needs one with a finite square.
     """
     if mode == "direct":
         if sigma is not None:
@@ -200,8 +303,12 @@ def build_operator(problem, mode="direct", sigma=None):
         if not abs(sigma.real) + abs(sigma.imag) <= _SIGMA_MAX:
             raise ValueError("sigma must be finite with a finite sigma^2, "
                              "got %r" % sigma)
-        wM = sp.csc_matrix(sigma ** 2 * problem.M + sigma * problem.C + problem.K)
-        wC = sp.csc_matrix(problem.C + 2.0 * sigma * problem.M)
+        work = _shifted_on_pattern(problem, sigma)
+        if work is None:
+            work = (sp.csc_matrix(sigma ** 2 * problem.M + sigma * problem.C
+                                  + problem.K),
+                    sp.csc_matrix(problem.C + 2.0 * sigma * problem.M))
+        wM, wC = work
         wK = problem.M
         norms1 = (_one_norm(wM), _one_norm(wC), problem.norms1[0])
         lu = _checked_splu(wM, "sigma^2 M + sigma C + K", norms1[0])

@@ -565,6 +565,25 @@ class TestMemory:
         assert restarts == 1
         assert blocks <= 3.0
 
+    def test_shift_invert_string_holds_two_data_arrays(self):
+        # string1000's configuration at n = 600, one restart, in units of
+        # C's data bytes (180k stored entries): M_hat and C_hat share C's
+        # index arrays, so the operator keeps 2.0 units and the one-block
+        # projection sets the peak at 2.51.  With private index arrays
+        # (and scipy's sums) it was 3.02.
+        cfg = SolverConfig(m=6, k=20, p=8, mode="shift-invert",
+                           sigma=0.6 + 0.8j, variant="imsoar", ctol=1e-10,
+                           max_restarts=1)
+        prob = gen_string_damping(600)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            rep = solve(prob, cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.restarts_used == 1
+        assert peak <= 2.6 * prob.C.data.nbytes
 
     def test_direct_real_solve_at_large_ktilde(self):
         # string300's configuration, one restart: n = 300 is small beside

@@ -12,18 +12,21 @@ eigenvalues, their relative residuals and their eigenvectors.  The next
 line runs the command line of acceptance criterion 11
 (``tests/test_acceptance.py``) through ``soarqep.cli.run_cli`` with
 ``--format csv`` and ``--format json`` and prints the exit codes and a
-sha1 of each output's bytes.  The last twelve lines solve an underdamped
+sha1 of each output's bytes.  The next twelve lines solve an underdamped
 chain, ``gen_mass_spring(200, tau=1.0)`` in shift-invert mode at
 sigma = -1.0 and -1.5 with m=6, k=20 and 40 restarts, with both variants
 at seeds 0-2, and print the cycle count, the breakdown (restart, step) or
 None, the final max residual and a sha1 of the residual history: its T is
 badly scaled against its subdiagonal, so a change to the restart layer
-shows there first.  Two checkouts give the same output exactly
-when they compute bitwise the same results, so a change meant to leave the
-arithmetic alone is checked by diffing the output of both: run it once with
-``--src`` pointing at the other checkout's ``src``, which must have
-``ProjectedQep.real`` (for an older checkout, run its own copy of this
-script).
+shows there first.  The last five lines build the shift-invert operator
+of ms5k, string1000, the tight-ctol problem and the chain at both shifts
+and print a sha1 of the data, indices and indptr bytes of M_hat and of
+C_hat, so the working matrices are compared directly.  Two checkouts give
+the same output exactly when they compute bitwise the same results, so a
+change meant to leave the arithmetic alone is checked by diffing the
+output of both: run it once with ``--src`` pointing at the other
+checkout's ``src``, which must have ``ProjectedQep.real`` (for an older
+checkout, run its own copy of this script).
 
 BLAS is pinned to one thread before numpy is first imported, as in
 ``perfbench/run.py``; a different thread count may round differently.
@@ -128,6 +131,26 @@ def chain_fingerprints(soarqep):
                           _sha1(report.residual_history, float)))
 
 
+def operator_fingerprints(soarqep):
+    """One line per shift-invert problem: a sha1 of each working matrix."""
+    build = importlib.import_module("soarqep.operator").build_operator
+    shifted = [(wl.name, harness.generate(soarqep, wl), wl.config["sigma"])
+               for wl in harness.WORKLOADS
+               if wl.config["mode"] == "shift-invert"]
+    shifted.append(("tight-ctol", soarqep.gen_mass_spring(500),
+                    TIGHT_CTOL["sigma"]))
+    chain = soarqep.gen_mass_spring(200, tau=1.0)
+    shifted += [("chain sigma=%s" % sigma, chain, sigma)
+                for sigma in CHAIN_SIGMAS]
+    for name, problem, sigma in shifted:
+        op = build(problem, mode="shift-invert", sigma=sigma)
+        yield "operator %s %s" % (name, " ".join(
+            "%s=%s" % (label, hashlib.sha1(
+                X.data.tobytes() + X.indices.tobytes()
+                + X.indptr.tobytes()).hexdigest())
+            for label, X in (("M_hat", op.work_M), ("C_hat", op.work_C))))
+
+
 def cli_fingerprint(run_cli):
     """Exit code and sha1 of the standard output of the command line of
     acceptance criterion 11, in CSV and in JSON."""
@@ -154,6 +177,8 @@ def main(argv=None):
         print(fingerprint(name, report, real_cycles), flush=True)
     print(cli_fingerprint(importlib.import_module("soarqep.cli").run_cli))
     for line in chain_fingerprints(soarqep):
+        print(line, flush=True)
+    for line in operator_fingerprints(soarqep):
         print(line, flush=True)
 
 
