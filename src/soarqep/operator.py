@@ -67,7 +67,13 @@ class QepProblem:
     """The triple (M, C, K) of an n-by-n quadratic eigenvalue problem as
     complex CSC matrices, converted from any dense or sparse triple, which
     must be square of one size with finite entries; ``norms1`` holds their
-    1-norms.  ``from_matrices(M, C, K)`` is the same call."""
+    1-norms.  ``from_matrices(M, C, K)`` is the same call.
+
+    Index arrays are stored as int32 whenever n and nnz fit, the dtype
+    scipy picks for new matrices.  scipy's sums of int64 inputs choose
+    their index dtype from the contents of an uninitialized buffer, so
+    without the cast the index dtype of ``build_operator``'s sums could
+    differ from run to run."""
 
     M: sp.csc_matrix
     C: sp.csc_matrix
@@ -85,6 +91,9 @@ class QepProblem:
                 raise ValueError("%s has shape %s, expected (%d, %d)" % (name, X.shape, n, n))
             if not np.isfinite(norm1):
                 raise ValueError("%s has 1-norm %r; entries must be finite" % (name, norm1))
+            if max(n, X.nnz) <= np.iinfo(np.int32).max:
+                X.indices = X.indices.astype(np.int32, copy=False)
+                X.indptr = X.indptr.astype(np.int32, copy=False)
 
     @classmethod
     def from_matrices(cls, M, C, K):

@@ -16,6 +16,15 @@ from soarqep.problems import gen_mass_spring, gen_string_damping
 STRING_SIGMA = 0.6 + 0.8j
 
 
+def _int64_indices(X):
+    """A copy of the CSC matrix X with int64 index arrays (scipy's
+    constructor would pick int32 for them)."""
+    X = X.copy()
+    X.indices = X.indices.astype(np.int64)
+    X.indptr = X.indptr.astype(np.int64)
+    return X
+
+
 class TestProblem:
     def test_norms_and_flags(self):
         M = np.array([[2.0, 0.0], [0.0, 1.0]])
@@ -71,6 +80,15 @@ class TestProblem:
         mats[name][2, 1] = bad
         with pytest.raises(ValueError, match="^%s has 1-norm (nan|inf)" % name):
             QepProblem.from_matrices(**mats)
+
+    def test_int64_indices_stored_as_int32(self):
+        ref = gen_mass_spring(20)
+        wide = [_int64_indices(X) for X in (ref.M, ref.C, ref.K)]
+        prob = QepProblem(*wide)
+        for got, want in zip((prob.M, prob.C, prob.K), (ref.M, ref.C, ref.K)):
+            assert _arrays(got) == _arrays(want)
+        assert prob.norms1 == ref.norms1
+        assert all(X.indices.dtype == np.int64 for X in wide)
 
     def test_sparse_input_kept_sparse(self):
         prob = QepProblem.from_matrices(sp.identity(4), sp.identity(4),
@@ -316,6 +334,20 @@ class TestShiftedAssembly:
         prob = QepProblem(M, C.tocsc(), K)
         assert operator._shifted_on_pattern(prob, complex(sigma)) is None
         op = build_operator(prob, mode="shift-invert", sigma=sigma)
+        _assert_bitwise_as_sums(op, prob)
+
+    def test_fallback_sums_of_int64_input_are_int32(self):
+        # scipy's sums pick the index dtype of int64 inputs from an
+        # uninitialized buffer; QepProblem stores int32, which fixes it
+        ref = gen_mass_spring(20)
+        M = ref.M + sp.csc_matrix(([0.5], ([0], [19])), shape=(20, 20))
+        prob = QepProblem(*[_int64_indices(X) for X in (M, ref.C, ref.K)])
+        sigma = -13 + 0.4j
+        assert operator._shifted_on_pattern(prob, sigma) is None
+        for _ in range(5):
+            op = build_operator(prob, mode="shift-invert", sigma=sigma)
+            for X in (op.work_M, op.work_C, op.work_K):
+                assert X.indices.dtype == X.indptr.dtype == np.int32
         _assert_bitwise_as_sums(op, prob)
 
     def test_fallback_non_canonical_c(self):

@@ -1,7 +1,11 @@
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from soarqep.operator import QepProblem
 from soarqep.problems import (MatrixMarketError, gen_mass_spring,
                               gen_string_damping, load_matrix_market,
                               read_matrix_market, write_matrix_market)
@@ -28,7 +32,61 @@ class TestMassSpring:
             gen_mass_spring(1)
 
 
+def _dense_string_damping(n, epsilon):
+    """The string triple as the generator once built it: C through dense
+    n-by-n arrays and ``csc_matrix`` of the result."""
+    m = np.arange(2 * n + 1)
+    h = np.where(m % 2 == 0, -24.0 * np.pi / np.maximum(m, 1) ** 4.0, 0.0)
+    h[0] = np.pi ** 5 / 30.0 - 201.0 * np.pi
+    j = np.arange(1, n + 1)
+    C = 0.5 * epsilon * np.abs(h[np.abs(j[:, None] - j[None, :])]
+                               - h[j[:, None] + j[None, :]])
+    M = (np.pi / 2.0) * sp.identity(n, format="csc")
+    K = sp.diags((np.pi / 2.0) * j.astype(float) ** 2, format="csc")
+    return QepProblem(M, sp.csc_matrix(C), K)
+
+
+def _stored(prob):
+    """dtype and bytes of every stored array of M, C and K, their
+    canonical-format flags and the 1-norms."""
+    mats = (prob.M, prob.C, prob.K)
+    return ([(a.dtype, a.tobytes()) for X in mats
+             for a in (X.data, X.indices, X.indptr)],
+            [X.has_canonical_format for X in mats], prob.norms1)
+
+
 class TestStringDamping:
+    @pytest.mark.parametrize("epsilon", [0.6, 0.3, -0.6, 0.0, -0.0, 1e-320])
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 300, 301])
+    def test_bitwise_as_dense_formula(self, n, epsilon):
+        # epsilon = +-0 leaves C empty; at n=300 and 301, 1e-320 underflows
+        # the entries whose moment difference is small, and drops them
+        got = gen_string_damping(n, epsilon=epsilon)
+        want = _dense_string_damping(n, epsilon)
+        assert _stored(got) == _stored(want)
+        if epsilon == 0.0:
+            assert got.C.nnz == 0
+        if epsilon == 1e-320 and n >= 300:
+            assert 0 < got.C.nnz < (n * n + 1) // 2
+
+    @pytest.mark.parametrize("epsilon", [np.inf, -np.inf, np.nan])
+    def test_non_finite_epsilon_rejected(self, epsilon):
+        with pytest.raises(ValueError, match="finite"):
+            gen_string_damping(4, epsilon=epsilon)
+
+    def test_generation_holds_no_dense_square(self):
+        # C's entries are computed straight into its CSC arrays: one dense
+        # n-by-n float64 array alone would be 0.8 times C's stored bytes
+        gc.collect()
+        tracemalloc.start()
+        try:
+            C = gen_string_damping(1500).C
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        stored = C.data.nbytes + C.indices.nbytes + C.indptr.nbytes
+        assert peak <= 1.5 * stored
+
     def test_needs_positive_size(self):
         with pytest.raises(ValueError, match="n >= 1"):
             gen_string_damping(0)

@@ -18,10 +18,14 @@ sigma = -1.0 and -1.5 with m=6, k=20 and 40 restarts, with both variants
 at seeds 0-2, and print the cycle count, the breakdown (restart, step) or
 None, the final max residual and a sha1 of the residual history: its T is
 badly scaled against its subdiagonal, so a change to the restart layer
-shows there first.  The last five lines build the shift-invert operator
+shows there first.  The next five lines build the shift-invert operator
 of ms5k, string1000, the tight-ctol problem and the chain at both shifts
 and print a sha1 of the data, indices and indptr bytes of M_hat and of
-C_hat, so the working matrices are compared directly.  Two checkouts give
+C_hat, so the working matrices are compared directly.  The last five
+lines print a sha1 of the dtypes and bytes of the data, indices and
+indptr of M, C and K of each workload's problem, of
+``gen_string_damping(2000)`` and of ``gen_string_damping(7, epsilon=0.0)``
+(an empty C), so the generators are compared directly.  Two checkouts give
 the same output exactly when they compute bitwise the same results, so a
 change meant to leave the arithmetic alone is checked by diffing the
 output of both: run it once with ``--src`` pointing at the other
@@ -151,6 +155,30 @@ def operator_fingerprints(soarqep):
             for label, X in (("M_hat", op.work_M), ("C_hat", op.work_C))))
 
 
+def _matrix_sha1(X):
+    """sha1 of the dtypes and bytes of X's data, indices and indptr."""
+    digest = hashlib.sha1()
+    for a in (X.data, X.indices, X.indptr):
+        digest.update(a.dtype.str.encode() + a.tobytes())
+    return digest.hexdigest()
+
+
+def _generated(soarqep):
+    """(name, problem) of every fingerprinted problem, one at a time."""
+    for wl in harness.WORKLOADS:
+        yield wl.name, harness.generate(soarqep, wl)
+    yield "string2000", soarqep.gen_string_damping(2000)
+    yield "string7 epsilon=0", soarqep.gen_string_damping(7, epsilon=0.0)
+
+
+def problem_fingerprints(soarqep):
+    """One line per generated problem: a sha1 of each of M, C and K."""
+    for name, problem in _generated(soarqep):
+        yield "problem %s %s" % (name, " ".join(
+            "%s=%s" % (label, _matrix_sha1(X))
+            for label, X in zip("MCK", (problem.M, problem.C, problem.K))))
+
+
 def cli_fingerprint(run_cli):
     """Exit code and sha1 of the standard output of the command line of
     acceptance criterion 11, in CSV and in JSON."""
@@ -179,6 +207,8 @@ def main(argv=None):
     for line in chain_fingerprints(soarqep):
         print(line, flush=True)
     for line in operator_fingerprints(soarqep):
+        print(line, flush=True)
+    for line in problem_fingerprints(soarqep):
         print(line, flush=True)
 
 
