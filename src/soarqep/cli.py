@@ -144,8 +144,8 @@ def run_cli(argv=None):
               % (len(report.converged), out_of, report.restarts_used,
                  report.residual_history[-1]), file=sys.stderr)
         if report.breakdown:
-            print("breakdown at restart %d, step %d: the subspace is invariant"
-                  % report.breakdown, file=sys.stderr)
+            print("breakdown at restart %d, step %d: no new direction above "
+                  "the drop tolerance" % report.breakdown, file=sys.stderr)
         return 0 if report.all_converged else 2
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -150,11 +150,13 @@ def project(state, op):
     blocks are ``kernels.row_blocks`` where that holds less memory
     (``_project_blocks``), and then the n x 3ktilde array is never held:
     the working set is the basis, one block of rows (at most 1/16 of n
-    from n = 4096 on) and the one Gram triangle that each block, the
-    first included, is folded into in place.  With n at most
+    from n = 4096 on) and the zeroed column-major 3ktilde x 3ktilde
+    triangle allocated here, into which every block, the first included,
+    is folded in place; R1, R2 and R3 are views of it.  With n at most
     4 ROW_BLOCK_MIN = 1024, or working matrices whose rows are too full to
     slice, there is one block of all n rows, no slicing, and the arithmetic
-    of the unblocked formula.
+    of the unblocked formula: R is its row-major min(n, 3ktilde)-row
+    triangle.
 
     A block's rows of X_i Q_tilde are one slice of X_i, over the block's
     rows and the columns they touch, times row-major copies of at most
@@ -178,8 +180,11 @@ def project(state, op):
     blocks = _project_blocks(op, kt)
     real = op.real_work is not None and not Qt.imag.any()
     work = op.real_work if real else (op.work_M, op.work_C, op.work_K)
-    buf = np.empty(blocks[0][0].stop * 3 * kt, dtype=float if real else complex)
-    triple, R = [None, None, None], None
+    dtype = float if real else complex
+    buf = np.empty(blocks[0][0].stop * 3 * kt, dtype=dtype)
+    triangle = (np.zeros((3 * kt, 3 * kt), dtype=dtype, order="F")
+                if len(blocks) > 1 else None)
+    triple = [None, None, None]
     for rows, cols in blocks:
         W = buf[:(rows.stop - rows.start) * 3 * kt].reshape(
             (-1, 3 * kt), order="F")
@@ -205,7 +210,7 @@ def project(state, op):
                 triple[i] = Xk
             else:
                 triple[i] += Xk
-        R = kernels.gram_blocks(W, R, square=len(blocks) > 1)
+        R = kernels.gram_blocks(W, triangle)
     return ProjectedQep(Qt, *triple, blocks=R, op=op)
 
 
@@ -226,17 +231,13 @@ def _times(R, G):
 def _residual_norms(blocks, theta, G, cols):
     """||(theta_j^2 W1 + theta_j W2 + W3) g_j|| for j in ``cols``, through
     the R blocks, by Horner's rule in place on groups of columns of about
-    RITZ_GROUP_ENTRIES entries of S.  A last group of one column joins the
-    one before, as ``np.linalg.norm(S, axis=0)`` sums a lone column in
-    another order."""
+    RITZ_GROUP_ENTRIES entries of S."""
     R1, R2, R3 = blocks
-    width = max(2, RITZ_GROUP_ENTRIES // R1.shape[0])
-    starts = list(range(0, len(cols), width))
-    if len(starts) > 1 and len(cols) - starts[-1] == 1:
-        starts.pop()
+    width = max(1, RITZ_GROUP_ENTRIES // R1.shape[0])
     norms = []
-    for start, stop in zip(starts, starts[1:] + [len(cols)]):
-        t, G_part = theta[cols[start:stop]], G[:, cols[start:stop]]
+    for start in range(0, len(cols), width):
+        part = cols[start:start + width]
+        t, G_part = theta[part], G[:, part]
         S = _times(R1, G_part)
         S *= t
         S += _times(R2, G_part)

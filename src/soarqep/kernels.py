@@ -2,11 +2,12 @@
 
 All routines work on plain ndarrays and do not care where the data came
 from.  ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
-n-length data, ``gram_blocks`` a block of rows at a time: blocks of the
-sizes ``row_blocks`` hands out (one block up to n = 1024, 1/16 of n from
-n = 4096 on), or all n rows where the projection does not stream
-(``extraction.project``), by LAPACK geqrt and tpqrt, each block folded
-into one triangle in place (see ``gram_blocks``).  The rest works at
+n-length data, ``gram_blocks`` a block of rows at a time: all n rows by
+LAPACK geqrt where the projection does not stream
+(``extraction.project``), else blocks of the sizes ``row_blocks`` hands
+out (one block up to n = 1024, 1/16 of n from n = 4096 on), each folded
+by LAPACK tpqrt into the one triangle its caller holds (see
+``gram_blocks``).  The rest works at
 orders <= ~200 (shifted QR by LAPACK rotations, each applied once; the
 projected QEP by standard eig on the monic companion when M_k is well
 conditioned and by QZ otherwise, returned as an eigenvalue array and one
@@ -391,12 +392,12 @@ def row_blocks(n):
     return [slice(r, min(r + b, n)) for r in range(0, n, b)]
 
 
-def gram_blocks(A, above=None, square=False):
+def gram_blocks(A, R=None):
     """The Gram blocks W_i^* W_j in factored form, one QR per subspace.
 
     ``A`` is [W1 W2 W3], an n-by-3k array, or a row block of it.  A
     Householder QR A = Z [R1 R2 R3] returns the column blocks (R1, R2, R3)
-    of the min(n, 3k)-by-3k triangle R, so R_i^* R_j = W_i^* W_j and
+    of the triangle R, so R_i^* R_j = W_i^* W_j and
     ||(a W1 + b W2 + c W3) x|| = ||(a R1 + b R2 + c R3) x|| for any a, b, c, x.
     R1 is zero below row k and R2 below row 2k.  A complex ``A`` goes
     through LAPACK zgeqrt and ztpqrt, any other through dgeqrt and dtpqrt,
@@ -405,25 +406,27 @@ def gram_blocks(A, above=None, square=False):
     complex128 or float64 ``A`` is factored in place and left holding the
     reflectors; any other is copied first.
 
-    ``above`` is what this function returned for the rows above ``A``.
-    Then R is the 3k-by-3k triangle of those rows and ``A`` stacked: the
-    triangle and ``A`` go through LAPACK tpqrt, the triangular-pentagonal
-    QR that tall-skinny QR is built on (Demmel, Grigori, Hoemmen & Langou,
-    SIAM J. Sci. Comput. 34 (2012)).  So [W1 W2 W3] is factored one row
-    block at a time and is never needed whole.  The fold works in place on
-    the column-major 3k-by-3k array of R's dtype behind ``above``, which it
-    overwrites, and returns views of it; ``above`` from any other array is
-    copied, zero-padded to square, into a new one.  ``square=True`` (the
-    first of several row blocks) writes the first QR's triangle straight
-    into such an array, so a run of folds allocates one triangle and never
-    holds two.  Without it the first QR's R keeps the layout of
-    ``np.triu`` (row-major), which the one-block projection's arithmetic
-    depends on.
-    Folding sixteen row blocks of 313 rows of a 5000-by-123 array took
-    25.3 ms, five blocks of 1024 rows 25.0 ms and one zgeqrt of it 27.0 ms
+    Without ``R``, R is the min(n, 3k)-by-3k triangle of ``A`` alone, as
+    ``np.triu`` gives it.  The one-block projection's arithmetic depends on
+    those min(n, 3k) rows: on string300 (300 rows, 3k = 423), zero-padding R
+    to 3k rows moved the seed-1 final residual (one BLAS thread) from
+    1.760e-11 to 1.833e-11, and folding the one block from zeros to
+    1.724e-11.
+
+    With ``R``, the caller's column-major 3k-by-3k triangle of the rows
+    above ``A`` (zeros before the first row block), R becomes the triangle
+    of those rows and ``A`` stacked: the triangle and ``A`` go through
+    LAPACK tpqrt, the triangular-pentagonal QR that tall-skinny QR is built
+    on (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34
+    (2012)), which overwrites ``R`` in place if it has the result's dtype
+    (LAPACK gets a copy otherwise), and the blocks returned are views of the
+    triangle it wrote.  So [W1 W2 W3] is factored one row block at a time
+    into one triangle, and is never needed whole.  Folding sixteen row
+    blocks of 313 rows of a 5000-by-123 array into a zeroed triangle took
+    24.4 ms, five blocks of 1024 rows 23.0 ms and one zgeqrt of it 26.9 ms
     (medians of 40 alternating runs, one thread of a 2-core VM).
 
-    The first QR is LAPACK zgeqrt, not zgeqrf (``scipy.linalg.qr``):
+    The one-block QR is LAPACK zgeqrt, not zgeqrf (``scipy.linalg.qr``):
     zgeqrf's level-2 panel streams all n rows once per column, while zgeqrt
     factors each panel recursively with level-3 updates (Elmroth &
     Gustavson, IBM J. Res. Dev. 44 (2000)) and yields the same triangle up
@@ -431,25 +434,13 @@ def gram_blocks(A, above=None, square=False):
     takes 36 ms against 67-77 ms; at 20000-by-123, 153 against 540 ms.
     """
     n, k = A.shape[0], A.shape[1] // 3
-    dtype, geqrt, tpqrt = ((complex, zgeqrt, ztpqrt) if np.iscomplexobj(A)
-                           else (float, dgeqrt, dtpqrt))
+    geqrt, tpqrt = ((zgeqrt, ztpqrt) if np.iscomplexobj(A)
+                    else (dgeqrt, dtpqrt))
     # columns per reflector block; 16 and 64 timed alike on the solver's shapes
-    if above is None:
+    if R is None:
         A, _, _ = geqrt(min(32, *A.shape), A, overwrite_a=1)
-        top = A[:min(n, 3 * k)]
-        if square:
-            R = np.zeros((3 * k, 3 * k), dtype=dtype, order="F")
-            np.copyto(R[:top.shape[0]], top,
-                      where=~np.tri(*top.shape, k=-1, dtype=bool))
-        else:
-            R = np.triu(top)
+        R = np.triu(A[:min(n, 3 * k)])
     else:
-        R = above[0].base
-        if (R is None or R.shape != (3 * k, 3 * k) or R.dtype != dtype
-                or not R.flags.f_contiguous):
-            R = np.zeros((3 * k, 3 * k), dtype=dtype, order="F")
-            for i, Ri in enumerate(above):
-                R[:Ri.shape[0], i * k:(i + 1) * k] = Ri
         R, _, _, _ = tpqrt(0, min(32, 3 * k), R, A, overwrite_a=1,
                            overwrite_b=1)
     return R[:, :k], R[:, k:2 * k], R[:, 2 * k:]

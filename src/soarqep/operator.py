@@ -205,19 +205,13 @@ def _keys(X):
 
 
 def _positions_on(C, mats):
-    """Where each of ``mats`` stores its entries among C's: None for a
-    matrix with C's own pattern, else the positions as an index array.  The
-    whole result is None if an entry lies off C's pattern.  All the
-    matrices are canonical.  C's keys, 8 bytes per stored entry, are freed
-    on return, before any data array is built."""
-    nnz, keys, found = C.indptr[-1], None, []
+    """Where each of ``mats`` stores its entries among C's, as an index
+    array per matrix, found by ``searchsorted`` on C's keys; None if an
+    entry lies off C's pattern.  All the matrices are canonical.  C's keys,
+    8 bytes per stored entry, are freed on return, before any data array is
+    built."""
+    keys, found = _keys(C), []
     for X in mats:
-        if (np.array_equal(X.indptr, C.indptr)
-                and np.array_equal(X.indices[:nnz], C.indices[:nnz])):
-            found.append(None)
-            continue
-        if keys is None:
-            keys = _keys(C)
         want = _keys(X)
         at = np.searchsorted(keys, want)
         # want is sorted too, so the last position is the largest
@@ -229,12 +223,9 @@ def _positions_on(C, mats):
 
 def _add_on_pattern(a, pos, b, out=None):
     """The entries of scipy's sum A + B of canonical matrices, where B's
-    entries b sit at positions ``pos`` of A's entries a, or at all of them
-    if pos is None: a + b there, and a + 0 elsewhere, which turns -0.0
-    into 0.0 as the sum's op(x, 0) does.  Exact zeros are kept; ``out``
-    may be a."""
-    if pos is None:
-        return np.add(a, b, out=out)
+    entries b sit at positions ``pos`` of A's entries a: a + b there, and
+    a + 0 elsewhere, which turns -0.0 into 0.0 as the sum's op(x, 0) does.
+    Exact zeros are kept; ``out`` may be a."""
     at = a[pos]
     out = np.add(a, 0, out=out)
     out[pos] = at + b

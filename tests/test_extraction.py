@@ -115,6 +115,34 @@ class TestProject:
             A = np.hstack(W)
             assert close(R.conj().T @ R, A.conj().T @ A)
 
+    def test_gram_triangle_layout(self, rng, monkeypatch):
+        # a streamed projection folds every row block into one zeroed
+        # column-major 3ktilde x 3ktilde triangle, which R1, R2 and R3 view;
+        # one block keeps geqrt's row-major triangle of min(n, 3ktilde)
+        # rows (20 rows when n = 20 < 3ktilde)
+        for n, streamed in ((47, False), (20, False), (47, True)):
+            if streamed:
+                monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 7)
+            for sigma in (0.3 + 0.2j, 0.3):
+                op, st = _run(rng, gen_mass_spring(n), 8,
+                              mode="shift-invert", sigma=sigma)
+                proj = project(st, op)
+                kt = proj.ktilde
+                R = proj.blocks
+                dtype = float if proj.real else complex
+                assert all(Ri.dtype == dtype for Ri in R)
+                if streamed:
+                    triangle = R[0].base
+                    assert all(Ri.base is triangle for Ri in R)
+                    assert triangle.shape == (3 * kt, 3 * kt)
+                    assert triangle.flags.f_contiguous
+                else:
+                    T = np.hstack(R)
+                    assert T.shape == (min(n, 3 * kt), 3 * kt)
+                    assert R[0].base.flags.c_contiguous
+                    assert R[0].base.shape == T.shape
+            monkeypatch.undo()
+
     def test_full_rows_are_projected_in_one_block(self, rng, monkeypatch):
         # Slicing 16-row blocks out of dense working matrices would hold
         # more than the rows of the n x 3ktilde array that streaming

@@ -336,6 +336,16 @@ def _eig_reference(M_k, C_k, K_k, vectors=True):
     return theta, G
 
 
+def _from_one_block_qr(T, A):
+    """Relative distance of the folded triangle T from the one-block QR
+    triangle of the full-rank A with at least as many rows as columns, up to
+    the signs of its rows: a full-rank triangle is unique up to those, and
+    the diagonal of either QR is real."""
+    one = np.hstack(gram_blocks(np.asfortranarray(A)))
+    signs = np.sign(np.diagonal(T).real * np.diagonal(one).real)
+    return np.linalg.norm(T - signs[:, None] * one) / np.linalg.norm(one)
+
+
 def _peak(f):
     """tracemalloc peak, in bytes, of the call f()."""
     gc.collect()
@@ -704,52 +714,45 @@ class TestRefinedVector:
                     assert (np.linalg.norm(R[i].conj().T @ R[j] - G)
                             <= 1e-12 * np.linalg.norm(G))
 
-    # 2000 rows in blocks of 500; 100 rows in blocks of 30, the first of
-    # them shorter than 3k = 123, so its triangle is zero-padded
+    # 2000 rows in blocks of 500; 100 rows in blocks of 30, each shorter
+    # than 3k = 123
     @pytest.mark.parametrize("n, k, rows", [(2000, 41, 500), (100, 41, 30),
                                             (31, 4, 7)])
     def test_gram_blocks_fold_row_blocks(self, rng, n, k, rows):
         for dtype in (complex, float):
             A = np.hstack([_random(rng, (n, k), dtype) for _ in range(3)])
-            R = None
+            triangle = np.zeros((3 * k, 3 * k), dtype=dtype, order="F")
             for r in range(0, n, rows):
-                R = gram_blocks(np.asfortranarray(A[r:r + rows]), R)
+                R = gram_blocks(np.asfortranarray(A[r:r + rows]), triangle)
             for Ri in R:
                 assert Ri.shape == (3 * k, k) and Ri.dtype == dtype
+                assert Ri.base is triangle
             T = np.hstack(R)
             assert not np.any(np.tril(T, -1))
             G = A.conj().T @ A
             assert (np.linalg.norm(T.conj().T @ T - G)
                     <= 1e-13 * np.linalg.norm(G))
             if n >= 3 * k:
-                # a full-rank triangle is unique up to the signs of its
-                # rows, and the diagonal of either QR is real
-                one = np.hstack(gram_blocks(np.asfortranarray(A)))
-                signs = np.sign(np.diagonal(T).real * np.diagonal(one).real)
-                assert (np.linalg.norm(T - signs[:, None] * one)
-                        <= 1e-13 * np.linalg.norm(one))
+                assert _from_one_block_qr(T, A) <= 1e-13
 
     def test_gram_blocks_fold_sixteen_blocks_in_place(self, rng):
         # 16 row blocks of 125 rows, as the projection streams them at
-        # n = 2000: from the second fold on, each tpqrt overwrites the one
-        # triangle behind its input.  What a fold allocates is tpqrt's
-        # 32-row T factor and workspace, 64 / 3k = 0.52 of the triangle at
-        # 3k = 123; a new zero-padded triangle and an hstack per fold took
-        # 3.0.
+        # n = 2000: each tpqrt, the first included, overwrites the caller's
+        # triangle.  What a fold allocates is tpqrt's 32-row T factor and
+        # workspace, 64 / 3k = 0.52 of the triangle at 3k = 123; a new
+        # zero-padded triangle and an hstack per fold took 3.0.
         n, k, rows = 2000, 41, 125
         for dtype in (complex, float):
             A = np.hstack([_random(rng, (n, k), dtype) for _ in range(3)])
             blocks = [np.asfortranarray(A[r:r + rows])
                       for r in range(0, n, rows)]
             assert len(blocks) == 16
-            R = gram_blocks(blocks[1], gram_blocks(blocks[0]))
-            triangle = R[0].base
-            assert triangle.shape == (3 * k, 3 * k)
+            triangle = np.zeros((3 * k, 3 * k), dtype=dtype, order="F")
             gc.collect()
             tracemalloc.start()
             try:
-                for block in blocks[2:]:
-                    R = gram_blocks(block, R)
+                for block in blocks:
+                    R = gram_blocks(block, triangle)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
@@ -762,39 +765,30 @@ class TestRefinedVector:
                     <= 1e-13 * np.linalg.norm(G))
 
     def test_gram_blocks_first_fold_into_one_square_triangle(self, rng):
-        # three row blocks of 300 rows: with square=True the first QR's
-        # triangle goes straight into the column-major 3k-by-3k array that
-        # the folds overwrite, so the run holds one triangle plus tpqrt's T
-        # factor and workspace, 1.53 triangles; a row-major first triangle
-        # copied by the first fold held two, 2.53.  R is the same bit for bit.
+        # three row blocks of 300 rows: the first goes through tpqrt from a
+        # zeroed column-major 3k-by-3k triangle like the others, so the run
+        # holds that triangle plus tpqrt's T factor and workspace, 1.53
+        # triangles; a row-major first triangle copied by the first fold
+        # held two, 2.53.  R is the one-block QR's up to the signs of its
+        # rows.
         n, k, rows = 900, 41, 300
         for dtype in (complex, float):
             A = np.hstack([_random(rng, (n, k), dtype) for _ in range(3)])
-
-            def blocks():
-                return [np.asfortranarray(A[r:r + rows])
-                        for r in range(0, n, rows)]
-
-            want = None
-            for block in blocks():
-                want = gram_blocks(block, want)
-            first, *rest = blocks()
+            blocks = [np.asfortranarray(A[r:r + rows])
+                      for r in range(0, n, rows)]
             out = []
 
             def fold():
-                R = gram_blocks(first, square=True)
-                out.append(R[0].base)
-                for block in rest:
-                    R = gram_blocks(block, R)
-                out.append(R)
+                triangle = np.zeros((3 * k, 3 * k), dtype=dtype, order="F")
+                for block in blocks:
+                    R = gram_blocks(block, triangle)
+                out.extend((triangle, R))
 
             peak = _peak(fold)
             triangle, R = out
-            assert triangle.shape == (3 * k, 3 * k)
-            assert triangle.flags.f_contiguous
             assert all(Ri.base is triangle for Ri in R)
             assert peak <= 1.6 * triangle.nbytes
-            assert all(g.tobytes() == w.tobytes() for g, w in zip(R, want))
+            assert _from_one_block_qr(np.hstack(R), A) <= 1e-13
 
     def test_degenerate_gap_matches_svd(self):
         # the two smallest singular values of S = W3 coincide
