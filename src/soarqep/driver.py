@@ -148,7 +148,8 @@ def solve(problem, config):
         report.deflation_history.append(len(state.deflation_steps))
 
         if state.breakdown:
-            # every pair of an invariant subspace is delivered, wanted or not
+            # no new direction above the drop tolerance: every pair that
+            # passes ctol is delivered, wanted or not
             report.breakdown = (cycle, state.k)
             report.converged = _deliver(proj, ritz.pairs, config.ctol,
                                         from_breakdown=True)

@@ -15,6 +15,7 @@ stay complex.
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy.sparse._sparsetools import csr_matvec
 
 from . import kernels
 from .msoar import extraction_basis
@@ -88,10 +89,9 @@ class RitzSet:
         return [self.refined.get(i, self.pairs[i]) for i in self.selection]
 
 
-# basis entries per row-major copy in ``project``: a 512 KiB chunk, which is
-# 104 columns of a 313-row block of a banded matrix (n=5000, so all of a
-# basis of 41 columns), 32 at n=1000 and 109 at n=300 (wider chunks mean
-# fewer passes over the matrix)
+# basis entries per row-major copy in a one-block ``project``: a 512 KiB
+# chunk, 32 columns at n=1000 and 109 at n=300 (wider chunks mean fewer
+# passes over the matrix)
 PROJECT_CHUNK_ENTRIES = 2 ** 15
 
 # entries of S per group of columns whose Ritz residuals ``_residual_norms``
@@ -102,42 +102,28 @@ PROJECT_CHUNK_ENTRIES = 2 ** 15
 # an ulp, so S is split only where its size matters
 RITZ_GROUP_ENTRIES = 2 ** 14
 
-# bytes of one stored entry of a sliced working matrix: a complex value and
-# its int32 row index
-SLICE_ENTRY_BYTES = 20
 
-
-def _project_blocks(op, kt):
-    """The row blocks ``project`` streams, as pairs (rows, cols) with the
-    span of columns of the working matrices those rows touch.
-
-    They are ``kernels.row_blocks(n)`` if, for every block, the three
-    matrices' entries in its column span take fewer bytes than the rows of
-    the n x 3ktilde array that streaming does not hold; else one block of
-    all n rows.  Those entries are what slicing the block reads and at
-    most what it keeps.  A banded matrix puts a few entries per row in a
-    block's span and streams; one with rows about half full, such as the
-    damping matrix of ``gen_string_damping``, puts about b x n/2 there and
-    does not.  Each streamed block costs three scipy slices, 30 to 100 us
-    each on ms5k whatever its size; ``kernels.row_blocks`` keeps blocks at
-    256 rows or more for that reason.
+def _project_blocks(op, kt, real):
+    """The row blocks ``project`` streams: ``kernels.row_blocks(n)`` if, for
+    every block, the three working matrices' entries in the block's own
+    rows (``OperatorPair.work_row_entries``) take fewer bytes, a value and
+    an int32 index each, than the rows of the n x 3ktilde array that
+    streaming does not hold; else one block of all n rows.  Values are
+    counted in the projection's dtype, float64 for a ``real`` one.  Each
+    column pass over a block reads those entries: a banded matrix has a few
+    per row and streams, one with rows about half full, such as the damping
+    matrix of ``gen_string_damping``, has about b x n/2 in a block of b
+    rows and does not.
     """
     n = op.n
-    whole = [(slice(0, n), slice(0, n))]
     blocks = kernels.row_blocks(n)
     if len(blocks) == 1:
-        return whole
-    lo, hi = op.work_row_extents
-    pairs = []
-    for rows in blocks:
-        touched = np.flatnonzero((lo < rows.stop) & (hi >= rows.start))
-        pairs.append((rows, slice(touched[0], touched[-1] + 1)
-                      if touched.size else slice(0, 0)))
-    work = (op.work_M, op.work_C, op.work_K)
-    spanned = max(sum(int(X.indptr[cols.stop] - X.indptr[cols.start])
-                      for X in work) for _, cols in pairs)
-    spared = (n - blocks[0].stop) * 3 * kt * 16
-    return pairs if spanned * SLICE_ENTRY_BYTES < spared else whole
+        return blocks
+    itemsize = 8 if real else 16
+    ptr = op.work_row_entries
+    held = max(int(ptr[rows.stop] - ptr[rows.start]) for rows in blocks)
+    spared = (n - blocks[0].stop) * 3 * kt * itemsize
+    return blocks if held * (itemsize + 4) < spared else [slice(0, n)]
 
 
 def project(state, op):
@@ -154,50 +140,68 @@ def project(state, op):
     triangle allocated here, into which every block, the first included,
     is folded in place; R1, R2 and R3 are views of it.  With n at most
     4 ROW_BLOCK_MIN = 1024, or working matrices whose rows are too full to
-    slice, there is one block of all n rows, no slicing, and the arithmetic
-    of the unblocked formula: R is its row-major min(n, 3ktilde)-row
-    triangle.
+    stream, there is one block of all n rows and the arithmetic of the
+    unblocked formula: R is its row-major min(n, 3ktilde)-row triangle.
 
-    A block's rows of X_i Q_tilde are one slice of X_i, over the block's
-    rows and the columns they touch, times row-major copies of at most
-    PROJECT_CHUNK_ENTRIES entries of those basis rows, each shared by the
-    three products.  CSC-by-dense products run 2-5x faster on row-major
-    operands, and each entry is summed over the same columns in the same
-    order as in the full product, so it is the same bit for bit.  A
-    block's share of X_k is conj(Q_tilde[rows]^T conj(W_i[rows])), with
+    A streamed block's column i ktilde + c is X_i Q_tilde[:, c] over the
+    block's rows, written into the zeroed buffer by scipy's own CSR
+    matrix-vector kernel, reading the block's range of the CSR arrays of
+    ``OperatorPair.work_csr`` in place (for a matrix equal to its
+    transpose, its own CSC arrays): no slice of the matrices, copy of the
+    basis rows or product temporary.  Each entry is summed over the same
+    columns in the same order as in the one-block product.  The one block
+    of all n rows takes the whole matrices times row-major copies of at
+    most PROJECT_CHUNK_ENTRIES basis entries, each shared by the three
+    products: CSC-by-dense products run 2-5x faster on row-major operands.
+    A block's share of X_k is conj(Q_tilde[rows]^T conj(W_i[rows])), with
     the block conjugated in place and back: no conjugated copy of the
     basis rows, and in one block it matched Q_tilde^* W_i bit for bit at
     one and two OpenBLAS threads.
 
     When ``op.real_work`` exists and Q_tilde has no nonzero imaginary
     part, the buffer is float64 and the products take the real working
-    matrices, the real parts of the chunks and, for the triple, a float64
-    copy of the block's basis rows; the triple and R are then float64
-    (``ProjectedQep.real``).
+    matrices and float64 copies of the basis (a column at a time when
+    streamed, the chunks otherwise) and, for the triple, of the block's
+    basis rows; the triple and R are then float64 (``ProjectedQep.real``).
     """
     Qt = extraction_basis(state)
     n, kt = Qt.shape
-    blocks = _project_blocks(op, kt)
     real = op.real_work is not None and not Qt.imag.any()
-    work = op.real_work if real else (op.work_M, op.work_C, op.work_K)
+    blocks = _project_blocks(op, kt, real)
+    streamed = len(blocks) > 1
+    if streamed:
+        # an operator's first streamed projection builds these, before the
+        # buffer is allocated
+        csr = op.real_work_csr if real else op.work_csr
+    else:
+        work = op.real_work if real else (op.work_M, op.work_C, op.work_K)
+        width = max(1, PROJECT_CHUNK_ENTRIES // n)
     dtype = float if real else complex
-    buf = np.empty(blocks[0][0].stop * 3 * kt, dtype=dtype)
+    buf = np.empty(blocks[0].stop * 3 * kt, dtype=dtype)
     triangle = (np.zeros((3 * kt, 3 * kt), dtype=dtype, order="F")
-                if len(blocks) > 1 else None)
+                if streamed else None)
     triple = [None, None, None]
-    for rows, cols in blocks:
-        W = buf[:(rows.stop - rows.start) * 3 * kt].reshape(
-            (-1, 3 * kt), order="F")
-        mats = (work if rows.stop - rows.start == n
-                else [X[rows, cols] for X in work])
-        width = max(1, PROJECT_CHUNK_ENTRIES // max(1, cols.stop - cols.start))
-        for j in range(0, kt, width):
-            chunk = Qt[cols, j:j + width]
-            Q_chunk = np.ascontiguousarray(chunk.real if real else chunk)
-            for i, X in enumerate(mats):
-                W[:, i * kt + j:i * kt + min(j + width, kt)] = X @ Q_chunk
-        # the last chunk is freed before the block's triple and fold
-        chunk = Q_chunk = None
+    for rows in blocks:
+        b = rows.stop - rows.start
+        W = buf[:b * 3 * kt].reshape((b, 3 * kt), order="F")
+        if streamed:
+            W[:] = 0
+            mats = [(indptr[rows.start:rows.stop + 1], indices, data)
+                    for indptr, indices, data in csr]
+            for c in range(kt):
+                q = np.ascontiguousarray(Qt[:, c].real if real else Qt[:, c])
+                for i, (indptr, indices, data) in enumerate(mats):
+                    csr_matvec(b, n, indptr, indices, data, q,
+                               W[:, i * kt + c])
+            q = None
+        else:
+            for j in range(0, kt, width):
+                chunk = Qt[:, j:j + width]
+                Q_chunk = np.ascontiguousarray(chunk.real if real else chunk)
+                for i, X in enumerate(work):
+                    W[:, i * kt + j:i * kt + min(j + width, kt)] = X @ Q_chunk
+            # the last chunk is freed before the block's triple and fold
+            chunk = Q_chunk = None
         # the block's rows of the basis, in the buffer's dtype
         Q_rows = np.asfortranarray(Qt[rows].real) if real else Qt[rows]
         for i in range(3):

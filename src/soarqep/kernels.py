@@ -5,9 +5,10 @@ from.  ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
 n-length data, ``gram_blocks`` a block of rows at a time: all n rows by
 LAPACK geqrt where the projection does not stream
 (``extraction.project``), else blocks of the sizes ``row_blocks`` hands
-out (one block up to n = 1024, 1/16 of n from n = 4096 on), each folded
-by LAPACK tpqrt into the one triangle its caller holds (see
-``gram_blocks``).  The rest works at
+out (one block up to n = 1024, 1/16 of n from n = 4096 on), which the
+projection forms in its one buffer from the working matrices' CSR rows,
+read in place, each folded by LAPACK tpqrt into the one triangle the
+projection holds (see ``gram_blocks``).  The rest works at
 orders <= ~200 (shifted QR by LAPACK rotations, each applied once; the
 projected QEP by standard eig on the monic companion when M_k is well
 conditioned and by QZ otherwise, returned as an eigenvalue array and one
@@ -375,9 +376,10 @@ def _real_eig(A, vectors):
 # rows per block of the n-length passes that stream by rows (projection,
 # contraction): any n up to 4 ROW_BLOCK_MIN is one block, so its arithmetic
 # is the unblocked formula's; past that, blocks of at least ROW_BLOCK_MIN
-# rows, since each costs a fixed overhead, and at most ROW_BLOCKS_MAX of
-# them, so slicing a sparse matrix by blocks costs a bounded multiple of one
-# pass over it and a block is 1/16 of n from n = 4096 on
+# rows, since each costs a fixed overhead (in the projection, 3 ktilde
+# sparse kernel calls and a fold whatever its size), and at most
+# ROW_BLOCKS_MAX of them, so those overheads are bounded and a block is
+# 1/16 of n from n = 4096 on
 ROW_BLOCK_MIN = 256
 ROW_BLOCKS_MAX = 16
 

@@ -7,8 +7,8 @@ Builds the decomposition
 with an orthonormal Q (zero columns at deflation steps), an auxiliary chain
 P and a (k+1)-by-k Hessenberg T_hat.  A step whose new direction falls below
 the drop tolerance is classified as numerical deflation (the auxiliary chain
-still grows) or numerical breakdown (the subspace is invariant and the run
-stops).
+still grows) or numerical breakdown (the auxiliary chain has no new
+direction above the drop tolerance either, and the run stops).
 
 The decomposition lives in preallocated arrays filled in place: for buffers
 sized for c steps, columns 0..k of the n-by-(c+1) Q and P buffers and rows

@@ -135,6 +135,12 @@ def _checked_splu(A, what, norm1):
     return lu
 
 
+# stored entries whose row indices ``OperatorPair.work_row_entries`` counts
+# at a time: np.bincount takes them as 8-byte integers, which for all of
+# string2000's shifted damping matrix (2M entries) would be 15 MiB
+ROW_COUNT_GROUP_ENTRIES = 2 ** 16
+
+
 @dataclass
 class OperatorPair:
     """Matrix-free A q + B p (direct) or its shift-inverted analogue.
@@ -162,22 +168,6 @@ class OperatorPair:
         return self.work_norms1[0] + self.work_norms1[1] + self.work_norms1[2]
 
     @cached_property
-    def work_row_extents(self):
-        """(lo, hi): the smallest and largest row index of each column over
-        the three working matrices, n and -1 for a column empty in all.
-        ``extraction.project`` finds the columns a row block touches from
-        them; they cost a pass over the matrices, made once per operator."""
-        lo = np.full(self.n, self.n)
-        hi = np.full(self.n, -1)
-        for X in (self.work_M, self.work_C, self.work_K):
-            cols = np.flatnonzero(np.diff(X.indptr))
-            if cols.size:
-                idx, starts = X.indices[:X.indptr[-1]], X.indptr[cols]
-                lo[cols] = np.minimum(lo[cols], np.minimum.reduceat(idx, starts))
-                hi[cols] = np.maximum(hi[cols], np.maximum.reduceat(idx, starts))
-        return lo, hi
-
-    @cached_property
     def real_work(self):
         """The working matrices as float64 CSC matrices, or None if one of
         them has a nonzero imaginary part (a complex problem or sigma).
@@ -188,6 +178,61 @@ class OperatorPair:
             return None
         return tuple(sp.csc_matrix((X.data.real, X.indices, X.indptr),
                                    shape=X.shape) for X in work)
+
+    @cached_property
+    def work_row_entries(self):
+        """The stored entries of work_M, work_C and work_K together in the
+        rows before each row r = 0..n: the sum of their CSR ``indptr``
+        arrays, counted from their CSC row indices ROW_COUNT_GROUP_ENTRIES
+        at a time, with no CSR copy.  ``extraction.project`` decides from
+        it whether to stream; it is built once per operator."""
+        n = self.n
+        counts = np.zeros(n + 1, dtype=np.int64)
+        for X in (self.work_M, self.work_C, self.work_K):
+            rows = X.indices[:X.indptr[-1]]
+            for s in range(0, rows.size, ROW_COUNT_GROUP_ENTRIES):
+                counts[1:] += np.bincount(
+                    rows[s:s + ROW_COUNT_GROUP_ENTRIES], minlength=n)
+        return np.cumsum(counts, out=counts)
+
+    @cached_property
+    def work_csr(self):
+        """The CSR arrays of work_M, work_C and work_K (``_csr_arrays``),
+        from which a streamed ``extraction.project`` reads a row block's
+        entries in place; built once per operator, by its first streamed
+        projection."""
+        return tuple(_csr_arrays(X)
+                     for X in (self.work_M, self.work_C, self.work_K))
+
+    @cached_property
+    def real_work_csr(self):
+        """The CSR arrays of the matrices of ``real_work``, which must
+        exist, as ``work_csr``."""
+        return tuple(_csr_arrays(X) for X in self.real_work)
+
+
+def _csr_arrays(X):
+    """(indptr, indices, data) of the CSR form of the CSC matrix X, each
+    contiguous.  A matrix whose CSC arrays are bit for bit those of its
+    ``tocsr()`` copy, as a canonical matrix equal to its transpose has,
+    keeps its own (a contiguous copy of a strided ``data`` aside), and the
+    copy is dropped; any other keeps the copy."""
+    Y = X.tocsr()
+    data = X.data[:Y.nnz]
+    if (np.array_equal(X.indptr, Y.indptr)
+            and np.array_equal(X.indices[:Y.nnz], Y.indices)
+            and np.array_equal(_bits(data), _bits(Y.data))):
+        return X.indptr, X.indices, (data if data.flags.c_contiguous
+                                     else Y.data)
+    return Y.indptr, Y.indices, Y.data
+
+
+def _bits(a):
+    """A view of the 1-D float or complex array a as unsigned integers of
+    its bits (two per complex entry), so that -0.0 and 0.0 differ."""
+    if a.dtype.kind == "c":
+        a = a.view(a.real.dtype)
+    return a.view("u%d" % a.itemsize)
 
 
 # largest |Re sigma| + |Im sigma| whose square is finite

@@ -540,30 +540,33 @@ def _peak_blocks(n, k, restarts):
 class TestMemory:
     def test_restart_cycle_holds_one_working_set(self):
         # Besides the O(n) operator data, a cycle holds the Q and P buffers
-        # and one row block of the projection: 3.06 blocks of n x (k+2)
+        # and one row block of the projection: 2.64 blocks of n x (k+2)
         # complex at n = 3000, whose twelve row blocks of 256 rows are a
-        # twelfth of n each.  Blocks of 1024 rows took it to 4.10, and the
-        # whole n x 3ktilde QR array to 5.75.
+        # twelfth of n each.  Slicing the working matrices and copying
+        # basis-row chunks for each block took it to 2.80, blocks of 1024
+        # rows to 4.10, and the whole n x 3ktilde QR array to 5.75.
         blocks, restarts = _peak_blocks(3000, 40, 2)
         assert restarts == 2
-        assert blocks <= 3.3
+        assert blocks <= 2.7
 
     def test_ms5k_size_holds_q_and_p_and_one_row_block(self):
         # n = 5000, the size of the ms5k benchmark workload: sixteen row
-        # blocks of 313 rows, and a peak of 2.80 blocks, where five blocks
-        # of 1024 rows took it to 3.38
+        # blocks of 313 rows, and a peak of 2.46 blocks, where slices and
+        # basis-row chunks took it to 2.58 and five blocks of 1024 rows to
+        # 3.38
         blocks, restarts = _peak_blocks(5000, 40, 2)
         assert restarts == 2
-        assert blocks <= 3.0
+        assert blocks <= 2.5
 
     def test_large_n_holds_q_and_p_and_one_row_block(self):
         # At n = 20000 a row block is 1/16 of n, so the peak is the Q and P
         # buffers (1.95 blocks), the operator data and one block of rows:
-        # 2.60.  The n x 3ktilde array adds 2.9 blocks, a column-norm
-        # temporary of Q or a second pair of Q and P buffers at least one.
+        # 2.33 (2.44 with slices and basis-row chunks).  The n x 3ktilde
+        # array adds 2.9 blocks, a column-norm temporary of Q or a second
+        # pair of Q and P buffers at least one.
         blocks, restarts = _peak_blocks(20000, 40, 1)
         assert restarts == 1
-        assert blocks <= 3.0
+        assert blocks <= 2.4
 
     def test_shift_invert_string_holds_two_data_arrays(self):
         # string1000's configuration at n = 600, one restart, in units of

@@ -3,6 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import breakdown_starts, random_qep
 from soarqep import extraction, kernels
@@ -21,6 +22,53 @@ def _run(rng, prob, k, mode="direct", sigma=None, u1=None, u2=None,
     u2 = u2 if u2 is not None else rng.standard_normal(prob.n)
     st = run_msoar(init_state(op, u1, u2), op, k, tol)
     return op, st
+
+
+def _arrow(n):
+    """gen_mass_spring(n) with a full first column of C, so that the
+    shifted M and C are not symmetric."""
+    prob = gen_mass_spring(n)
+    C = prob.C.tolil()
+    C[:, 0] = 1.0
+    return QepProblem.from_matrices(prob.M, C, prob.K)
+
+
+def _sliced_projection(Qt, op, real, chunk_entries):
+    """(M_k, C_k, K_k, R) by the streamed formula that slices the working
+    matrices, the reference the CSR kernel is held to bit for bit: each row
+    block's products are one slice of each matrix, over the block's rows
+    and the span of columns they touch, times row-major copies of at most
+    ``chunk_entries`` entries of those basis rows; the triple and the fold
+    are ``project``'s."""
+    n, kt = Qt.shape
+    work = op.real_work if real else (op.work_M, op.work_C, op.work_K)
+    lo, hi = np.full(n, n), np.full(n, -1)
+    for X in work:
+        for j in range(n):
+            rows = X.indices[X.indptr[j]:X.indptr[j + 1]]
+            if rows.size:
+                lo[j], hi[j] = min(lo[j], rows.min()), max(hi[j], rows.max())
+    dtype = float if real else complex
+    triangle = np.zeros((3 * kt, 3 * kt), dtype=dtype, order="F")
+    triple = [0, 0, 0]
+    for rows in kernels.row_blocks(n):
+        touched = np.flatnonzero((lo < rows.stop) & (hi >= rows.start))
+        cols = slice(touched[0], touched[-1] + 1)
+        W = np.empty((rows.stop - rows.start, 3 * kt), dtype=dtype, order="F")
+        mats = [X[rows, cols] for X in work]
+        width = max(1, chunk_entries // (cols.stop - cols.start))
+        for j in range(0, kt, width):
+            chunk = Qt[cols, j:j + width]
+            Q_chunk = np.ascontiguousarray(chunk.real if real else chunk)
+            for i, X in enumerate(mats):
+                W[:, i * kt + j:i * kt + min(j + width, kt)] = X @ Q_chunk
+        Q_rows = np.asfortranarray(Qt[rows].real) if real else Qt[rows]
+        for i in range(3):
+            blk = W[:, i * kt:(i + 1) * kt]
+            Xk = np.conj(Q_rows.T @ np.conj(blk))
+            triple[i] = Xk if rows.start == 0 else triple[i] + Xk
+        R = gram_blocks(W, triangle)
+    return (*triple, np.hstack(R))
 
 
 class TestProject:
@@ -78,19 +126,12 @@ class TestProject:
     def test_row_blocks_match_unblocked_formula(self, rng, monkeypatch,
                                                 problem):
         # blocks of 7 rows, the last one shorter; the first block has fewer
-        # rows than [W1 W2 W3] has columns.  The tridiagonal working
-        # matrices touch only the columns next to a block's rows; a full
-        # first column stretches every block's column span back to 0.
-        # Basis chunks of 40 entries are 1 to 5 columns of a span.  A real
-        # shift streams the same blocks in real arithmetic.
+        # rows than [W1 W2 W3] has columns.  A full first column of C makes
+        # the shifted M and C unsymmetric, so they stream from CSR copies.
+        # A real shift streams the same blocks in real arithmetic.
         monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 7)
-        monkeypatch.setattr(extraction, "PROJECT_CHUNK_ENTRIES", 40)
         n = 47
-        prob = gen_mass_spring(n)
-        if problem == "arrow":
-            C = prob.C.tolil()
-            C[:, 0] = 1.0
-            prob = QepProblem.from_matrices(prob.M, C, prob.K)
+        prob = _arrow(n) if problem == "arrow" else gen_mass_spring(n)
 
         def close(a, b):
             return np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
@@ -98,11 +139,9 @@ class TestProject:
         for sigma in (0.3 + 0.2j, 0.3):
             op, st = _run(rng, prob, 8, mode="shift-invert", sigma=sigma)
             kt = extraction_basis(st).shape[1]
-            blocks = _project_blocks(op, kt)
-            assert [rows for rows, _ in blocks] == kernels.row_blocks(n)
+            blocks = _project_blocks(op, kt, sigma.imag == 0.0)
+            assert blocks == kernels.row_blocks(n)
             assert len(blocks) == 7
-            # the last block, rows 42 to 46
-            assert blocks[-1][1] == slice(0 if problem == "arrow" else 41, 47)
             proj = project(st, op)
             assert proj.real == (sigma.imag == 0.0)
             Qt = proj.Q_tilde
@@ -114,6 +153,84 @@ class TestProject:
             assert not np.any(np.tril(R, -1))
             A = np.hstack(W)
             assert close(R.conj().T @ R, A.conj().T @ A)
+
+    @pytest.mark.parametrize("problem", ["arrow", "mass-spring"])
+    def test_streamed_products_match_sliced_formula(self, rng, monkeypatch,
+                                                    problem):
+        # blocks of 7 rows; the oracle's basis chunks of 40 entries are 1
+        # to 5 columns of a span.  The mass-spring working matrices equal
+        # their transposes bit for bit and stream from their own CSC arrays;
+        # the arrow's shifted M and C are copied to CSR once per operator,
+        # its K_hat = M is not.  A real shift streams in real arithmetic.
+        monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 7)
+        n = 47
+        prob = _arrow(n) if problem == "arrow" else gen_mass_spring(n)
+        tocsr, copies = sp.csc_matrix.tocsr, []
+
+        def counting(X, *args, **kwargs):
+            copies.append(X)
+            return tocsr(X, *args, **kwargs)
+
+        for sigma in (0.3 + 0.2j, 0.3):
+            op, st = _run(rng, prob, 8, mode="shift-invert", sigma=sigma)
+            real = sigma.imag == 0.0
+            monkeypatch.setattr(sp.csc_matrix, "tocsr", counting)
+            copies.clear()
+            got = project(st, op)
+            project(st, op)
+            monkeypatch.setattr(sp.csc_matrix, "tocsr", tocsr)
+            assert got.real == real
+            work = op.real_work if real else (op.work_M, op.work_C, op.work_K)
+            csr = op.real_work_csr if real else op.work_csr
+            # one CSR form of each matrix per operator, from the first call
+            assert [id(X) for X in copies] == [id(X) for X in work]
+            for i, (X, (indptr, indices, data)) in enumerate(zip(work, csr)):
+                shared = problem == "mass-spring" or i == 2
+                assert (indptr is X.indptr) == shared
+                assert (indices is X.indices) == shared
+                # a real matrix's data is a strided view of the complex one's
+                assert np.shares_memory(data, X.data) == (shared and not real)
+                assert data.flags.c_contiguous
+                Y = X.tocsr()
+                assert np.array_equal(indptr, Y.indptr)
+                assert np.array_equal(indices, Y.indices)
+                assert data.tobytes() == Y.data.tobytes()
+            want = _sliced_projection(got.Q_tilde, op, real, 40)
+            for g, w in zip((got.M_k, got.C_k, got.K_k,
+                             np.hstack(got.blocks)), want):
+                assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_streamed_block_holds_no_basis_copy(self, rng):
+        # Past what it is entered with, a streamed projection holds its
+        # block buffer, the 3ktilde x 3ktilde triangle and O(ktilde^2) more:
+        # the triple, one block's share of it and tpqrt's workspace, 8.9
+        # ktilde^2 complex entries at n = 3000, ktilde = 41 (18.5 with the
+        # sliced products' basis-row chunks and product temporaries).  A
+        # real projection adds the float64 copies of the block's basis rows
+        # for the triple and of one basis column (25.6 with the slices).
+        # u2 = u1 makes Q_tilde a view of Q, not a copy.
+        n = 3000
+        prob = gen_mass_spring(n)
+        u1 = rng.standard_normal(n)
+        b = kernels.row_blocks(n)[0].stop
+        for sigma in (-13 + 0.4j, -13.0):
+            op, st = _run(rng, prob, 40, mode="shift-invert", sigma=sigma,
+                          u1=u1, u2=u1)
+            # the operator's row counts and CSR arrays, built once
+            project(st, op)
+            gc.collect()
+            tracemalloc.start()
+            try:
+                proj = project(st, op)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            kt = proj.ktilde
+            assert kt == 41 and proj.real == (sigma.imag == 0.0)
+            item = 8 if proj.real else 16
+            copies = (b * kt + n) * item if proj.real else 0
+            assert peak <= (b * 3 * kt + 19 * kt * kt) * item + copies
+            del proj
 
     def test_gram_triangle_layout(self, rng, monkeypatch):
         # a streamed projection folds every row block into one zeroed
@@ -144,11 +261,11 @@ class TestProject:
             monkeypatch.undo()
 
     def test_full_rows_are_projected_in_one_block(self, rng, monkeypatch):
-        # Slicing 16-row blocks out of dense working matrices would hold
-        # more than the rows of the n x 3ktilde array that streaming
-        # spares, so project takes all n rows at once: the unblocked
-        # formula bit for bit, at about twice the array's size (5.2 times
-        # when streamed anyway).
+        # A 16-row block of dense working matrices holds more entries than
+        # the rows of the n x 3ktilde array that streaming spares, so
+        # project takes all n rows at once: the unblocked formula bit for
+        # bit, at about twice the array's size, and no CSR copy of the
+        # unsymmetric matrices.
         n = 200
         prob = random_qep(rng, n, complex_data=True)
         op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j)
@@ -156,7 +273,7 @@ class TestProject:
         monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 16)
         kt = want.ktilde
         assert len(kernels.row_blocks(n)) == 13
-        assert _project_blocks(op, kt) == [(slice(0, n), slice(0, n))]
+        assert _project_blocks(op, kt, False) == [slice(0, n)]
         gc.collect()
         tracemalloc.start()
         try:
@@ -169,6 +286,7 @@ class TestProject:
             assert np.array_equal(getattr(got, name), getattr(want, name))
         assert all(np.array_equal(g, w)
                    for g, w in zip(got.blocks, want.blocks))
+        assert "work_csr" not in vars(op)
 
     def test_one_block_copies_basis_in_chunks(self, rng):
         # n = 1000 is one row block.  Besides the complex n x 3ktilde array,

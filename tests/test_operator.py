@@ -7,8 +7,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from soarqep import operator
-from soarqep.operator import (FactorizationError, QepProblem, _one_norm,
-                              apply_ab, build_operator, recover_eigen)
+from soarqep.operator import (FactorizationError, QepProblem, _csr_arrays,
+                              _one_norm, apply_ab, build_operator,
+                              recover_eigen)
 from soarqep.driver import SolverConfig, solve
 from soarqep.problems import gen_mass_spring, gen_string_damping
 
@@ -406,6 +407,54 @@ class TestShiftedAssembly:
                                        ctol=1e-10, max_restarts=2))
         assert rep.residual_history
         assert [_arrays(X) for X in (prob.M, prob.C, prob.K)] == before
+
+
+class TestRowAccess:
+    def test_row_entries_sum_the_csr_indptrs(self, rng, monkeypatch):
+        # counted 5 row indices at a time: a banded triple, a full first
+        # column of C, which spreads over every row, and dense matrices
+        monkeypatch.setattr(operator, "ROW_COUNT_GROUP_ENTRIES", 5)
+        prob = gen_mass_spring(30)
+        C = prob.C.tolil()
+        C[:, 0] = 1.0
+        arrow = QepProblem.from_matrices(prob.M, C, prob.K)
+        dense = QepProblem.from_matrices(
+            *(np.eye(9) + rng.standard_normal((9, 9)) for _ in range(3)))
+        for problem, kw in ((prob, dict(mode="shift-invert", sigma=-1 + 1j)),
+                            (arrow, dict(mode="shift-invert", sigma=-1.0)),
+                            (dense, {})):
+            op = build_operator(problem, **kw)
+            want = sum(X.tocsr().indptr.astype(np.int64)
+                       for X in (op.work_M, op.work_C, op.work_K))
+            assert op.work_row_entries.dtype == np.int64
+            assert np.array_equal(op.work_row_entries, want)
+
+    def test_csr_arrays_are_shared_only_when_bitwise_equal(self):
+        # a symmetric pattern whose transpose moves a -0.0, and a symmetric
+        # matrix with unsorted indices, are copied; a canonical symmetric
+        # one keeps its own arrays, and a strided real view of its data
+        # gets a contiguous copy of that alone
+        signed = sp.csc_matrix((np.array([1.0, 0.0, -0.0, 1.0]),
+                                np.array([0, 1, 0, 1]), np.array([0, 2, 4])),
+                               shape=(2, 2))
+        unsorted = sp.csc_matrix((np.array([1.0, 2.0, 2.0, 1.0]),
+                                  np.array([1, 0, 1, 0]), np.array([0, 2, 4])),
+                                 shape=(2, 2))
+        for X in (signed, unsorted):
+            indptr, indices, data = _csr_arrays(X)
+            Y = X.tocsr()
+            assert not np.shares_memory(data, X.data)
+            assert data.tobytes() == Y.data.tobytes()
+            assert np.array_equal(indices, Y.indices)
+        X = gen_mass_spring(20).K
+        indptr, indices, data = _csr_arrays(X)
+        assert indptr is X.indptr and indices is X.indices
+        assert np.shares_memory(data, X.data)
+        real = sp.csc_matrix((X.data.real, X.indices, X.indptr), shape=X.shape)
+        assert not real.data.flags.c_contiguous
+        indptr, indices, data = _csr_arrays(real)
+        assert indptr is real.indptr and indices is real.indices
+        assert data.flags.c_contiguous and np.array_equal(data, X.data.real)
 
 
 class TestApply:

@@ -25,7 +25,14 @@ C_hat, so the working matrices are compared directly.  The last five
 lines print a sha1 of the dtypes and bytes of the data, indices and
 indptr of M, C and K of each workload's problem, of
 ``gen_string_damping(2000)`` and of ``gen_string_damping(7, epsilon=0.0)``
-(an empty C), so the generators are compared directly.  Two checkouts give
+(an empty C), so the generators are compared directly.  The last two
+lines project ``gen_mass_spring(3000)`` with a full first column in C,
+whose shifted M and C are not symmetric, in shift-invert mode at
+sigma = 0.3+0.2i and 0.3 (complex and real arithmetic) onto the basis of
+40 steps from ``perfbench``'s seed-1 start vector, in streamed row
+blocks, and print a sha1 of the projected M_k, C_k, K_k and the Gram R:
+every workload streams only symmetric working matrices, so this compares
+the route through CSR copies.  Two checkouts give
 the same output exactly when they compute bitwise the same results, so a
 change meant to leave the arithmetic alone is checked by diffing the
 output of both: run it once with ``--src`` pointing at the other
@@ -60,6 +67,7 @@ TIGHT_CTOL = dict(m=6, k=40, p=15, mode="shift-invert", sigma=-13 + 0.4j,
                   ctol=1e-15, max_restarts=15)
 CHAIN = dict(m=6, k=20, mode="shift-invert", max_restarts=40)
 CHAIN_SIGMAS, CHAIN_SEEDS = (-1.0, -1.5), (0, 1, 2)
+STREAMED_N, STREAMED_SIGMAS = 3000, (0.3 + 0.2j, 0.3)
 CLI_ARGV = ["mass-spring", "-n", "500", "--sigma=-13+0.4i", "--num-eigs", "6",
             "--dim", "40", "--shifts", "15", "--variant", "irsoar",
             "--ctol", "1e-10", "--dtol", "1e-8", "--seed", "0"]
@@ -179,6 +187,27 @@ def problem_fingerprints(soarqep):
             for label, X in zip("MCK", (problem.M, problem.C, problem.K))))
 
 
+def streamed_fingerprints(soarqep):
+    """One line per streamed projection of a triple that is not symmetric:
+    a sha1 of the projected M_k, C_k, K_k and the Gram R."""
+    msoar = importlib.import_module("soarqep.msoar")
+    project = importlib.import_module("soarqep.extraction").project
+    base = soarqep.gen_mass_spring(STREAMED_N)
+    C = base.C.tolil()
+    C[:, 0] = 1.0
+    problem = soarqep.QepProblem(base.M, C, base.K)
+    u1 = harness.start_vector(1, STREAMED_N)
+    for sigma in STREAMED_SIGMAS:
+        op = soarqep.build_operator(problem, mode="shift-invert", sigma=sigma)
+        state = msoar.run_msoar(msoar.init_state(op, u1, u1), op, 40, 1e-12)
+        proj = project(state, op)
+        yield "streamed arrow n=%d sigma=%s real=%s %s" % (
+            STREAMED_N, sigma, proj.real, " ".join(
+                "%s=%s" % (label, _sha1(X, X.dtype)) for label, X in (
+                    ("M_k", proj.M_k), ("C_k", proj.C_k), ("K_k", proj.K_k),
+                    ("R", np.hstack(proj.blocks)))))
+
+
 def cli_fingerprint(run_cli):
     """Exit code and sha1 of the standard output of the command line of
     acceptance criterion 11, in CSV and in JSON."""
@@ -209,6 +238,8 @@ def main(argv=None):
     for line in operator_fingerprints(soarqep):
         print(line, flush=True)
     for line in problem_fingerprints(soarqep):
+        print(line, flush=True)
+    for line in streamed_fingerprints(soarqep):
         print(line, flush=True)
 
 
