@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .extraction import extract_refined, extract_ritz, project, residual_bound
+from .kernels import matmul_complex
 from .msoar import init_state, run_msoar
 from .operator import build_operator
 from .restart import contract, select_shifts
@@ -92,14 +93,28 @@ class SolverReport:
         return len(self.residual_history) - 1
 
 
+_OUT_OF_SCALE = ("start vectors u1 and u2 out of scale with each other or "
+                 "the problem: the decomposition overflowed or lost the "
+                 "orthonormality of its basis")
+
+
 def _deliver(proj, entries, ctol, from_breakdown=False):
     """ConvergedPair objects for the entries whose residuals pass ctol
-    (infinite Ritz values carry an infinite residual and never do)."""
+    (infinite Ritz values carry an infinite residual and never do).
+
+    A residual is that of Q_tilde g for a unit g, so it is the eigenvector's
+    only while Q_tilde g has unit norm.  A basis that has lost its
+    orthonormality can hold a near-null g, whose residual is as small
+    as Q_tilde g; that pair is refused, with the error an overflow gives
+    (``_scale_checked``), as a start far out of scale is what does it."""
     out = []
     for e in entries:
         if e.rel_residual <= ctol:
-            x = proj.Q_tilde @ e.g
-            x = x / np.linalg.norm(x)
+            x = matmul_complex(proj.Q_tilde, e.g)
+            x_norm = np.linalg.norm(x)
+            if abs(x_norm - 1.0) > 1e-8:
+                raise ValueError(_OUT_OF_SCALE)
+            x = x / x_norm
             out.append(ConvergedPair(lam=e.lam, x=x, rel_residual=e.rel_residual,
                                      from_breakdown=from_breakdown))
     return out
@@ -120,8 +135,7 @@ def _scale_checked(step, *args, **kwargs):
         with np.errstate(over="raise"):
             return step(*args, **kwargs)
     except FloatingPointError as exc:
-        raise ValueError("start vectors u1 and u2 out of scale with each other "
-                         "or the problem: the decomposition overflowed") from exc
+        raise ValueError(_OUT_OF_SCALE) from exc
 
 
 def solve(problem, config):

@@ -4,12 +4,12 @@ Projection works on the QEP the recurrence iterated on (the shift-inverted
 triple in shift-invert mode); relative residuals are always reported for the
 original problem, recovered through the operator when needed.  Every
 residual norm and refined vector of a cycle goes through the R factor of one
-thin QR of [W1 W2 W3], so none of them costs n-length work.  A real basis of
-a real working QEP (a real problem in direct mode or at a real shift, for as
-long as its restarts keep the basis real) projects in float64: [W1 W2 W3],
-the projected triple and R, with one residual per conjugate pair of Ritz
-values.  The basis, the eigenvectors and everything the decomposition holds
-stay complex.
+thin QR of [W1 W2 W3], so none of them costs n-length work.  The float64
+basis of a real decomposition (a real problem in direct mode or at a real
+shift from a real start, for as long as its restarts keep it real) projects
+in float64: [W1 W2 W3], the projected triple and R, with one residual per
+conjugate pair of Ritz values.  The Ritz values, primitive vectors and
+delivered eigenvectors are complex.
 """
 
 from dataclasses import dataclass, field, replace
@@ -50,8 +50,7 @@ class ProjectedQep:
     @property
     def real(self):
         """Whether ``project`` worked in real arithmetic, as it does for a
-        real basis of a real working QEP: the triple and the R blocks are
-        then float64."""
+        float64 basis: the triple and the R blocks are then float64."""
         return self.M_k.dtype == float
 
     @property
@@ -158,15 +157,16 @@ def project(state, op):
     basis rows, and in one block it matched Q_tilde^* W_i bit for bit at
     one and two OpenBLAS threads.
 
-    When ``op.real_work`` exists and Q_tilde has no nonzero imaginary
-    part, the buffer is float64 and the products take the real working
-    matrices and float64 copies of the basis (a column at a time when
-    streamed, the chunks otherwise) and, for the triple, of the block's
-    basis rows; the triple and R are then float64 (``ProjectedQep.real``).
+    A float64 Q_tilde, the basis of a float64 decomposition (which
+    ``msoar.init_state`` starts only on an operator with ``real_work``),
+    makes the buffer float64, and the products take the real working
+    matrices and the basis itself; the triple and R are then float64
+    (``ProjectedQep.real``).  A complex Q_tilde projects in complex
+    arithmetic, whatever its imaginary part.
     """
     Qt = extraction_basis(state)
     n, kt = Qt.shape
-    real = op.real_work is not None and not Qt.imag.any()
+    real = Qt.dtype == float
     blocks = _project_blocks(op, kt, real)
     streamed = len(blocks) > 1
     if streamed:
@@ -189,21 +189,19 @@ def project(state, op):
             mats = [(indptr[rows.start:rows.stop + 1], indices, data)
                     for indptr, indices, data in csr]
             for c in range(kt):
-                q = np.ascontiguousarray(Qt[:, c].real if real else Qt[:, c])
+                q = np.ascontiguousarray(Qt[:, c])
                 for i, (indptr, indices, data) in enumerate(mats):
                     csr_matvec(b, n, indptr, indices, data, q,
                                W[:, i * kt + c])
             q = None
         else:
             for j in range(0, kt, width):
-                chunk = Qt[:, j:j + width]
-                Q_chunk = np.ascontiguousarray(chunk.real if real else chunk)
+                Q_chunk = np.ascontiguousarray(Qt[:, j:j + width])
                 for i, X in enumerate(work):
                     W[:, i * kt + j:i * kt + min(j + width, kt)] = X @ Q_chunk
             # the last chunk is freed before the block's triple and fold
-            chunk = Q_chunk = None
-        # the block's rows of the basis, in the buffer's dtype
-        Q_rows = np.asfortranarray(Qt[rows].real) if real else Qt[rows]
+            Q_chunk = None
+        Q_rows = Qt[rows]
         for i in range(3):
             blk = W[:, i * kt:(i + 1) * kt]
             np.conjugate(blk, out=blk)
@@ -224,14 +222,6 @@ def _relative(op, theta, abs_residual):
     return lam, res / op.problem.norm_sum
 
 
-def _times(R, G):
-    """R @ G for a complex G; a float64 R multiplies G's real and
-    imaginary parts, interleaved in a row-major copy, in one real product."""
-    if np.iscomplexobj(R):
-        return R @ G
-    return (R @ np.ascontiguousarray(G).view(float)).view(complex)
-
-
 def _residual_norms(blocks, theta, G, cols):
     """||(theta_j^2 W1 + theta_j W2 + W3) g_j|| for j in ``cols``, through
     the R blocks, by Horner's rule in place on groups of columns of about
@@ -242,11 +232,11 @@ def _residual_norms(blocks, theta, G, cols):
     for start in range(0, len(cols), width):
         part = cols[start:start + width]
         t, G_part = theta[part], G[:, part]
-        S = _times(R1, G_part)
+        S = kernels.matmul_complex(R1, G_part)
         S *= t
-        S += _times(R2, G_part)
+        S += kernels.matmul_complex(R2, G_part)
         S *= t
-        S += _times(R3, G_part)
+        S += kernels.matmul_complex(R3, G_part)
         norms += np.linalg.norm(S, axis=0).tolist()
     return norms
 

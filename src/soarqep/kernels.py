@@ -14,11 +14,15 @@ projected QEP by standard eig on the monic companion when M_k is well
 conditioned and by QZ otherwise, returned as an eigenvalue array and one
 matrix of unit eigenvectors; refined vectors by QR, then inverse
 iteration from the Ritz vector on its triangle).  Real data stay real:
-``gram_blocks`` follows its input's dtype, ``solve_projected_qep`` keeps
-a triple with no nonzero imaginary part in float64, up to its complex
-theta and G, and ``hessenberg_shifted_qr`` applies conjugate shift pairs
-to a real T in real arithmetic.  The rest is complex: the basis vectors,
-T's other sweeps and the refined vector's S.  The k-order routines work
+``orthogonalize_with_refinement``, ``qr_unit_diagonal`` and
+``gram_blocks`` follow their inputs' dtype, so a float64 basis is
+orthogonalized in float64, ``matmul_complex`` multiplies a float64 matrix
+into complex vectors without a complex copy of it,
+``solve_projected_qep`` keeps a triple with no nonzero imaginary part in
+float64, up to its complex theta and G, and ``hessenberg_shifted_qr``
+applies conjugate shift pairs to a real T in real arithmetic.  The rest
+is complex: T's other sweeps, which turn a float64 decomposition complex
+(``restart.contract``), and the refined vector's S.  The k-order routines work
 in place on column-major arrays LAPACK can overwrite, so a call holds
 few copies of its order-k data (each function says which).
 """
@@ -54,12 +58,15 @@ def orthogonalize_with_refinement(v, basis):
     Returns (coefficients, residual, residual_norm) with
     v = basis @ coefficients + residual.  Re-orthogonalizes whenever the
     residual norm drops below 1/sqrt(2) of the pre-pass norm (the classical
-    twice-is-enough rule), up to three passes.
+    twice-is-enough rule), up to three passes.  Works in float64 when v and
+    ``basis`` are both real, in complex arithmetic otherwise.
     """
-    v = np.asarray(v, dtype=complex)
-    basis = np.asarray(basis, dtype=complex)
+    v, basis = np.asarray(v), np.asarray(basis)
+    dtype = np.result_type(v, basis, float)
+    v = v.astype(dtype, copy=False)
+    basis = basis.astype(dtype, copy=False)
 
-    coeffs = np.zeros(basis.shape[1], dtype=complex)
+    coeffs = np.zeros(basis.shape[1], dtype=dtype)
     r = v.copy()
     prev_norm = float(np.linalg.norm(r))
     for _ in range(3):
@@ -72,6 +79,16 @@ def orthogonalize_with_refinement(v, basis):
             break
         prev_norm = rn
     return coeffs, r, rn
+
+
+def matmul_complex(A, G):
+    """A @ G for a complex G, 1-D or 2-D.  A float64 A multiplies G's real
+    and imaginary parts, interleaved in a row-major copy, in one real
+    product; ``A @ G`` would multiply a complex copy of A."""
+    if np.iscomplexobj(A):
+        return A @ G
+    parts = np.ascontiguousarray(G).reshape(G.shape[0], -1).view(float)
+    return (A @ parts).view(complex).reshape(A.shape[:1] + G.shape[1:])
 
 
 def hessenberg_shifted_qr(T, shifts):
@@ -438,7 +455,10 @@ def gram_blocks(A, R=None):
     n, k = A.shape[0], A.shape[1] // 3
     geqrt, tpqrt = ((zgeqrt, ztpqrt) if np.iscomplexobj(A)
                     else (dgeqrt, dtpqrt))
-    # columns per reflector block; 16 and 64 timed alike on the solver's shapes
+    # columns per reflector block: folding sixteen complex row blocks of
+    # 313 x 123 into a zeroed triangle took 20.5, 23.7 and 31.9 ms at 16,
+    # 32 and 64 (medians of 25 runs, one thread of a 2-core VM); 32 is
+    # kept, as any other value changes ms5k's rounding
     if R is None:
         A, _, _ = geqrt(min(32, *A.shape), A, overwrite_a=1)
         R = np.triu(A[:min(n, 3 * k)])
@@ -535,12 +555,14 @@ def qr_unit_diagonal(V_hat):
     V_hat is (k-j)-by-k with independent rows.  Columns that fall inside the
     span of the previous ones (relative residual at most 1e-12) yield a zero
     column of U and a forced unit diagonal in R; the remaining columns of U
-    are orthonormal.
+    are orthonormal.  U and R are float64 for a real V_hat, complex
+    otherwise.
     """
-    V_hat = np.asarray(V_hat, dtype=complex)
+    V_hat = np.asarray(V_hat)
+    V_hat = V_hat.astype(np.result_type(V_hat, float), copy=False)
     m, k = V_hat.shape
-    U = np.zeros((m, k), dtype=complex)
-    R = np.zeros((k, k), dtype=complex)
+    U = np.zeros((m, k), dtype=V_hat.dtype)
+    R = np.zeros((k, k), dtype=V_hat.dtype)
     nonzero = []
     for col in range(k):
         v = V_hat[:, col]

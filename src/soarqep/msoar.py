@@ -14,6 +14,15 @@ The decomposition lives in preallocated arrays filled in place: for buffers
 sized for c steps, columns 0..k of the n-by-(c+1) Q and P buffers and rows
 0..k, columns 0..k-1 of the (c+1)-by-c T_hat buffer are live.  The
 deflation directions are the P columns at ``deflation_steps``.
+
+The buffers hold float64 while every quantity of the decomposition is
+real, as in ARPACK's real driver: ``init_state`` starts a real state from
+start vectors with no nonzero imaginary part on an operator with real
+working matrices (``OperatorPair.real_work``), the recurrence keeps it
+real, and
+``restart.contract`` turns it complex, once and for good, at the first
+restart whose shifted-QR sweeps are complex.  Any other start is complex
+from the first step.
 """
 
 from dataclasses import dataclass
@@ -40,19 +49,20 @@ class StepOutcome:
 
 def _grown(buf, shape):
     # column-major, so each basis column handed to the operator is contiguous
-    out = np.zeros(shape, dtype=complex, order="F")
+    out = np.zeros(shape, dtype=buf.dtype, order="F")
     out[: buf.shape[0], : buf.shape[1]] = buf
     return out
 
 
 class SoarState:
-    """A k-step MSOAR decomposition; ``Q``, ``P``, ``T_hat`` and ``T`` are
-    views of its live part."""
+    """A k-step MSOAR decomposition stored in ``dtype``, float64 or
+    complex128; ``Q``, ``P``, ``T_hat`` and ``T`` are views of its live
+    part."""
 
-    def __init__(self, n):
-        self._Q = np.zeros((n, 1), dtype=complex, order="F")
-        self._P = np.zeros((n, 1), dtype=complex, order="F")
-        self._T = np.zeros((1, 0), dtype=complex, order="F")
+    def __init__(self, n, dtype):
+        self._Q = np.zeros((n, 1), dtype=dtype, order="F")
+        self._P = np.zeros((n, 1), dtype=dtype, order="F")
+        self._T = np.zeros((1, 0), dtype=dtype, order="F")
         self.k = 0
         self.deflation_steps = []    # steps j with q_{j+1} = 0
         self.breakdown_t = None      # measured t_{k+1,k} at breakdown, before reset
@@ -64,6 +74,15 @@ class SoarState:
     @property
     def n(self):
         return self._Q.shape[0]
+
+    @property
+    def dtype(self):
+        return self._Q.dtype
+
+    def make_complex(self):
+        """Store the decomposition in complex128 from now on."""
+        self._Q, self._P, self._T = (X.astype(complex, order="F")
+                                     for X in (self._Q, self._P, self._T))
 
     def reserve(self, k):
         """Grow the buffers to hold a k-step decomposition."""
@@ -115,9 +134,16 @@ _NORM_SAFE_MIN = np.sqrt(np.finfo(float).tiny)
 
 
 def init_state(op, u1, u2):
-    """Start with q_1 = u1/||u1||, p_1 = u2/||u1||, from finite n-vectors."""
-    u1 = np.asarray(u1, dtype=complex)
-    u2 = np.asarray(u2, dtype=complex)
+    """Start with q_1 = u1/||u1||, p_1 = u2/||u1||, from finite n-vectors.
+
+    The state is float64 when the operator's working matrices are real
+    (``op.real_work``) and neither u1 nor u2 has a nonzero imaginary part,
+    complex otherwise."""
+    u1, u2 = np.asarray(u1), np.asarray(u2)
+    real = op.real_work is not None and not (u1.imag.any() or u2.imag.any())
+    dtype = float if real else complex
+    u1 = np.asarray(u1.real if real else u1, dtype=dtype)
+    u2 = np.asarray(u2.real if real else u2, dtype=dtype)
     for name, u in (("u1", u1), ("u2", u2)):
         if u.shape != (op.n,):
             raise ValueError("start vector %s has shape %s, need length n=%d"
@@ -134,7 +160,7 @@ def init_state(op, u1, u2):
             parts1, parts2 = (np.ascontiguousarray(u).view(float)
                               for u in (u1, u2))
             scale = np.abs(parts1).max()
-            u1, u2 = (parts1 / scale).view(complex), (parts2 / scale).view(complex)
+            u1, u2 = (parts1 / scale).view(dtype), (parts2 / scale).view(dtype)
             nrm = np.linalg.norm(u1)
         if nrm == 0.0:
             raise ZeroStartError("u1 must be nonzero")
@@ -144,7 +170,7 @@ def init_state(op, u1, u2):
     if not np.isfinite(p1_norm):
         raise ValueError("start vector u2 is too large for u1: p_1 = "
                          "u2/||u1|| or its norm overflows")
-    state = SoarState(op.n)
+    state = SoarState(op.n, dtype)
     state.Q[:, 0] = u1 / nrm
     state.P[:, 0] = p1
     return state

@@ -171,8 +171,9 @@ class OperatorPair:
     def real_work(self):
         """The working matrices as float64 CSC matrices, or None if one of
         them has a nonzero imaginary part (a complex problem or sigma).
-        ``extraction.project`` projects a real basis with them in real
-        arithmetic; they are built once per operator."""
+        ``apply_ab`` and ``extraction.project`` take them for a real
+        decomposition (``msoar.init_state``); their data are views of the
+        complex matrices' real parts, built once per operator."""
         work = (self.work_M, self.work_C, self.work_K)
         if any(X.data.imag.any() for X in work):
             return None
@@ -364,7 +365,15 @@ def build_operator(problem, mode="direct", sigma=None):
 
 
 def apply_ab(op, q, p):
-    """r = A q + B p through one solve with the cached factorization."""
+    """r = A q + B p through one solve with the cached factorization.
+
+    Float64 q and p on an operator with ``real_work`` give a float64 r:
+    the products take the real working matrices, and the complex
+    factorization of a real matrix solves a real right-hand side with an
+    imaginary part of exact zeros, which is dropped."""
+    if q.dtype == float and p.dtype == float and op.real_work is not None:
+        _, C, K = op.real_work
+        return -op.lu.solve(C @ q + K @ p).real
     rhs = op.work_C @ q + op.work_K @ p
     return -op.lu.solve(rhs)
 

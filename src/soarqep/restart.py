@@ -132,6 +132,12 @@ def contract(state, shifts, m, overwrite=False):
     it.  The retained columns are formed ``kernels.row_blocks`` at a time
     through a column-major temporary (an ``@`` without ``out`` returns
     row-major and rounds differently), over the rows they are read from.
+
+    A float64 state stays float64, and the retained columns are float64
+    products, while the sweeps' V and T_plus have no nonzero imaginary part
+    (``kernels.hessenberg_shifted_qr`` chases conjugate pairs and real
+    shifts in real arithmetic); otherwise the state turns complex here
+    (``SoarState.make_complex``), the one place it does.
     """
     if state.breakdown:
         raise RuntimeError("cannot restart past breakdown")
@@ -144,8 +150,13 @@ def contract(state, shifts, m, overwrite=False):
     if p == 0:
         return state, RestartReport(deflations_repaired=0)
 
-    Q, P, T_hat = state.Q, state.P, state.T_hat
     V, T_plus = hessenberg_shifted_qr(state.T, mu)
+    if state.dtype == float:
+        if V.imag.any() or T_plus.imag.any():
+            state.make_complex()
+        else:
+            V, T_plus = V.real, T_plus.real
+    Q, P, T_hat = state.Q, state.P, state.T_hat
     zero_cols = [j for j in state.deflation_steps if j <= k - 1]
     keep = [i for i in range(k) if i not in zero_cols]
     U, R = qr_unit_diagonal(V[keep, :])
@@ -157,7 +168,8 @@ def contract(state, shifts, m, overwrite=False):
 
     state.k = m
     blocks = row_blocks(state.n)
-    tmp = np.empty((blocks[0].stop - blocks[0].start) * (m + 1), dtype=complex)
+    tmp = np.empty((blocks[0].stop - blocks[0].start) * (m + 1),
+                   dtype=state.dtype)
     for rows in blocks:
         out = tmp[:(rows.stop - rows.start) * (m + 1)].reshape(
             (-1, m + 1), order="F")

@@ -95,6 +95,20 @@ def arpack_nearest_eigenvalues(M, C, K, sigma, count):
     return sigma + 1.0 / nu
 
 
+def complex_start(op, u1, u2):
+    """The start ``init_state`` makes of well-scaled u1 and u2, computed and
+    stored in complex128 as for a complex problem or shift: for a real
+    problem's runs recorded in that arithmetic."""
+    from soarqep.msoar import SoarState
+
+    u1, u2 = (np.asarray(u, dtype=complex) for u in (u1, u2))
+    nrm = np.linalg.norm(u1)
+    state = SoarState(op.n, complex)
+    state.Q[:, 0] = u1 / nrm
+    state.P[:, 0] = u2 / nrm
+    return state
+
+
 def stacked_residual(op, state):
     """Frobenius norm of H [Q_k; P_k] - [Q_{k+1}; P_{k+1}] T_hat."""
     from soarqep.oracles import build_h

@@ -50,6 +50,33 @@ class TestOrthogonalize:
         _, r, rn = orthogonalize_with_refinement(v, basis)
         assert np.linalg.norm(basis.conj().T @ r) < 1e-14 * max(rn, 1.0) + 1e-15
 
+    def test_dtype_follows_inputs(self, rng):
+        # float64 when v and the basis are real; either complex makes the
+        # whole call complex
+        basis, _ = np.linalg.qr(rng.standard_normal((20, 4)))
+        v = rng.standard_normal(20)
+        for b, w, dtype in ((basis, v, float), (basis.astype(complex), v,
+                                                complex),
+                            (basis, v.astype(complex), complex)):
+            c, r, rn = orthogonalize_with_refinement(w, b)
+            assert c.dtype == r.dtype == dtype
+            assert np.linalg.norm(basis @ c + r - v) < 1e-13
+            assert np.linalg.norm(basis.T @ r) < 1e-13
+
+
+class TestMatmulComplex:
+    def test_equals_the_complex_product(self, rng):
+        # a float64 A takes one real product of G's interleaved parts; a
+        # complex A is the plain product
+        for dtype in (float, complex):
+            A = _random(rng, (12, 5), dtype)
+            for shape in ((5,), (5, 3)):
+                G = _random(rng, shape, complex)
+                got = kernels.matmul_complex(A, G)
+                assert got.shape == (12,) + shape[1:] and got.dtype == complex
+                assert np.allclose(got, A.astype(complex) @ G, rtol=1e-14,
+                                   atol=1e-14)
+
 
 class TestConjugateGroups:
     A = 0.5 + 2.0j
@@ -828,6 +855,13 @@ class TestQrUnitDiagonal:
         V = rng.standard_normal((4, 3))   # 4 rows cannot fit in 3 columns
         with pytest.raises(RankDeficiencyError):
             qr_unit_diagonal(V)
+
+    def test_dtype_follows_input(self, rng):
+        V = rng.standard_normal((3, 5))
+        for X, dtype in ((V, float), (V.astype(complex), complex)):
+            U, R = qr_unit_diagonal(X)
+            assert U.dtype == R.dtype == dtype
+            assert np.linalg.norm(U @ R - V) < 1e-12
 
 
 class TestRowBlocks:

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import (breakdown_starts, decomposition_tolerance,
-                      deflation_at_step1, random_qep, rank_deficient_qep,
-                      stacked_residual)
+from conftest import (breakdown_starts, complex_start,
+                      decomposition_tolerance, deflation_at_step1, random_qep,
+                      rank_deficient_qep, stacked_residual)
 from soarqep.msoar import (BREAKDOWN, CONTINUE, DEFLATION, ZeroStartError,
                            extraction_basis, init_state, msoar_step,
                            run_msoar)
@@ -48,6 +48,41 @@ class TestInit:
         with pytest.raises(ValueError, match=r"start vector u2 has shape "
                            r"\(5,\), need length n=10"):
             init_state(op, np.ones(10), np.ones(5))
+
+    def test_storage_dtype_follows_operator_and_starts(self, rng):
+        # float64 for real working matrices and starts with no nonzero
+        # imaginary part, whatever their dtype; a complex start or shift
+        # keeps complex storage
+        prob = random_qep(rng, 8)
+        u = rng.standard_normal(8)
+        w = u + 1j * rng.standard_normal(8)
+        real_si, complex_si = (dict(mode="shift-invert", sigma=s)
+                               for s in (0.3, 0.3 + 0.2j))
+        cases = [({}, u, u, float), ({}, u.astype(complex), u, float),
+                 ({}, w, u, complex), ({}, u, w, complex),
+                 (real_si, u, u, float), (complex_si, u, u, complex)]
+        for kw, u1, u2, dtype in cases:
+            op = build_operator(prob, **kw)
+            st = run_msoar(init_state(op, u1, u2), op, 4, 1e-12)
+            assert st.dtype == dtype
+            assert all(X.dtype == dtype for X in (st.Q, st.P, st.T_hat))
+        # a complex-typed start with a zero imaginary part is the real one
+        op = build_operator(prob)
+        a, b = (run_msoar(init_state(op, x, u), op, 4, 1e-12)
+                for x in (u, u.astype(complex)))
+        assert np.array_equal(a.Q, b.Q) and np.array_equal(a.T_hat, b.T_hat)
+
+    def test_real_storage_matches_complex(self, rng):
+        # the float64 recurrence is the complex one on real data, to rounding
+        n = 30
+        op = build_operator(random_qep(rng, n))
+        u1, u2 = rng.standard_normal(n), rng.standard_normal(n)
+        real = run_msoar(init_state(op, u1, u2), op, 10, 1e-12)
+        cplx = run_msoar(complex_start(op, u1, u2), op, 10, 1e-12)
+        for X, Y in ((real.Q, cplx.Q), (real.P, cplx.P),
+                     (real.T_hat, cplx.T_hat)):
+            assert X.dtype == float and Y.dtype == complex
+            assert np.linalg.norm(X - Y) <= 1e-12 * np.linalg.norm(Y)
 
 
 class TestSteps:

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from conftest import random_qep
 from soarqep import operator
 from soarqep.operator import (FactorizationError, QepProblem, _csr_arrays,
                               _one_norm, apply_ab, build_operator,
@@ -480,6 +481,22 @@ class TestApply:
         z = np.zeros(n)
         assert np.allclose(apply_ab(op, q, z), -C @ q, atol=1e-12)
         assert np.allclose(apply_ab(op, z, q), -K @ q, atol=1e-12)
+
+
+    def test_real_vectors_apply_in_float64(self, rng):
+        # on real working matrices float64 q and p give a float64 r, the
+        # real part of the complex application bit for bit; a complex shift
+        # applies in complex arithmetic
+        prob = random_qep(rng, 8)
+        q, p = rng.standard_normal(8), rng.standard_normal(8)
+        for kw in ({}, dict(mode="shift-invert", sigma=0.3)):
+            op = build_operator(prob, **kw)
+            r = apply_ab(op, q, p)
+            want = apply_ab(op, q.astype(complex), p.astype(complex))
+            assert r.dtype == float and not want.imag.any()
+            assert np.array_equal(r, want.real)
+        op = build_operator(prob, mode="shift-invert", sigma=0.3 + 0.2j)
+        assert apply_ab(op, q, p).dtype == complex
 
 
 class TestRecover:

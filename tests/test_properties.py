@@ -12,8 +12,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from conftest import (decomposition_tolerance, deflation_at_step1, random_qep,
-                      rank_deficient_qep, stacked_residual)
+from conftest import (complex_start, decomposition_tolerance,
+                      deflation_at_step1, random_qep, rank_deficient_qep,
+                      stacked_residual)
 from soarqep.msoar import init_state, run_msoar
 from soarqep.operator import build_operator
 from soarqep.restart import ShiftSet, contract
@@ -69,10 +70,14 @@ def test_expand_contract_sequences_keep_decomposition(kind, n, seed, data):
 def _replay(n, seed, plan):
     """Run a fixed expand/contract plan on ``rank_deficient_qep``, checking
     like the property test; ``plan`` holds (k, shifts) pairs and the last
-    pair has no shifts."""
+    pair has no shifts.  The decomposition is complex throughout
+    (``complex_start``), the arithmetic these replays were recorded in:
+    their states are rank deficient with ||P|| near 1e15, and stored in
+    float64 the first one rounds differently enough that its shift no
+    longer meets a zero eigenvalue of T."""
     prob, u1, u2, tol = _start("rank_deficient", n, np.random.default_rng(seed))
     op = build_operator(prob)
-    state = init_state(op, u1, u2)
+    state = complex_start(op, u1, u2)
     for k, mu in plan:
         run_msoar(state, op, k, tol)
         _check(op, state, decomposition_tolerance(state))

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import (decomposition_tolerance, deflation_at_step1, random_qep,
-                      rank_deficient_qep, stacked_residual)
+from conftest import (complex_start, decomposition_tolerance,
+                      deflation_at_step1, random_qep, rank_deficient_qep,
+                      stacked_residual)
 from soarqep import kernels
 from soarqep.extraction import extract_refined, extract_ritz, project
 from soarqep.msoar import init_state, run_msoar
@@ -103,6 +104,46 @@ class TestContract:
         assert stacked_residual(op, got) <= decomposition_tolerance(got, 1e-9)
 
 
+class TestStorage:
+    def test_real_until_the_first_complex_sweep(self, rng):
+        # real shifts and conjugate pairs sweep in real arithmetic and keep
+        # the float64 state; a lone complex shift turns it complex, the
+        # contraction's copy, not its input
+        prob = random_qep(rng, 20)
+        op, st = _state(rng, prob, 10)
+        assert st.dtype == float
+        real_mu = [0.3, 1.0 + 2.0j, 1.0 - 2.0j]
+        new, _ = contract(st, ShiftSet(shifts=real_mu, provenance="exact"), 7)
+        assert new.dtype == float
+        assert stacked_residual(op, new) <= decomposition_tolerance(new, 1e-9)
+        run_msoar(new, op, 10, 1e-12)
+        assert new.dtype == float
+        promoted, _ = contract(new, ShiftSet(shifts=[0.5j], provenance="exact"),
+                               9)
+        assert promoted.dtype == complex and new.dtype == float
+        assert all(X.dtype == complex
+                   for X in (promoted.Q, promoted.P, promoted.T_hat))
+        assert (stacked_residual(op, promoted)
+                <= decomposition_tolerance(promoted, 1e-9))
+        run_msoar(promoted, op, 10, 1e-12)
+        assert promoted.dtype == complex
+        assert stacked_residual(op, promoted) <= decomposition_tolerance(promoted)
+
+    def test_real_contraction_matches_complex(self, rng):
+        # the float64 contraction is the complex one on real data, to rounding
+        n = 24
+        op = build_operator(random_qep(rng, n))
+        u1, u2 = rng.standard_normal(n), rng.standard_normal(n)
+        mu = ShiftSet(shifts=[-0.4, 0.5 + 1.5j, 0.5 - 1.5j], provenance="exact")
+        real, _ = contract(run_msoar(init_state(op, u1, u2), op, 9, 1e-12), mu, 6)
+        cplx, _ = contract(run_msoar(complex_start(op, u1, u2), op, 9, 1e-12),
+                           mu, 6)
+        for X, Y in ((real.Q, cplx.Q), (real.P, cplx.P),
+                     (real.T_hat, cplx.T_hat)):
+            assert X.dtype == float and Y.dtype == complex
+            assert np.linalg.norm(X - Y) <= 1e-10 * np.linalg.norm(Y)
+
+
 class TestFilter:
     def test_single_zero_shift_is_h_application(self, rng):
         prob = random_qep(rng, 16)
@@ -180,14 +221,21 @@ class TestRepair:
         carried = len(new.deflation_steps)
         assert rep.deflations_repaired + carried >= len(in_window)
 
-    def test_carried_deflation_passes_orthogonality_check(self):
-        # deflations at steps 3..5 with k = 6; one survives the contraction
-        # to m = 5, so a zero column sits among the retained ones
+    @staticmethod
+    def _carried_deflation_state(start):
+        """The state of the tests below: ``rank_deficient_qep`` at n = 12,
+        seed 0, 6 steps, from ``start`` (``init_state`` or ``complex_start``)."""
         rng = np.random.default_rng(0)
         prob = rank_deficient_qep(rng, 12, rank=int(rng.integers(1, 3)))
         op = build_operator(prob)
-        st = run_msoar(init_state(op, rng.standard_normal(12),
-                                  rng.standard_normal(12)), op, 6, 1e-10)
+        u1, u2 = rng.standard_normal(12), rng.standard_normal(12)
+        return op, run_msoar(start(op, u1, u2), op, 6, 1e-10)
+
+    def test_carried_deflation_passes_orthogonality_check(self):
+        # deflations at steps 3..5 with k = 6; one survives the contraction
+        # to m = 5, so a zero column sits among the retained ones.  The
+        # state is complex, the arithmetic this was recorded in
+        op, st = self._carried_deflation_state(complex_start)
         assert st.deflation_steps == [3, 4, 5]
         new, rep = contract(st, ShiftSet(shifts=[0.0], provenance="exact"), 5)
         assert new.deflation_steps == [3, 4]
@@ -196,20 +244,31 @@ class TestRepair:
         assert np.linalg.norm(new.Q[:, :5].conj().T @ new.Q[:, 5]) < 1e-10
         assert stacked_residual(op, new) <= decomposition_tolerance(new, 1e-9)
 
+    def test_carried_deflation_from_real_start(self):
+        # the same state stored in float64, contracted with the shift 0.5,
+        # away from T's eigenvalues: the state stays float64 and the
+        # contracted residual small (1.7e-10)
+        op, st = self._carried_deflation_state(init_state)
+        assert st.dtype == float and st.deflation_steps == [3, 4, 5]
+        new, rep = contract(st, ShiftSet(shifts=[0.5], provenance="exact"), 5)
+        assert new.dtype == float
+        assert new.deflation_steps == [3, 4]
+        assert rep.deflations_repaired == 1
+        assert np.all(new.Q[:, [3, 4]] == 0.0)
+        assert np.linalg.norm(new.Q[:, :5].T @ new.Q[:, 5]) < 1e-10
+        assert stacked_residual(op, new) <= decomposition_tolerance(new, 1e-9)
+        assert stacked_residual(op, new) <= 1e-8
+
     @pytest.mark.xfail(strict=True, reason="FOUND in CHANGES.md: the shift "
                        "0.0 lies within 4.4e-15 of an eigenvalue of T, and "
                        "the contraction takes the stacked residual from "
                        "9.85e-10 to 58.7; the test above passes only because "
                        "decomposition_tolerance grows with ||P|| (2.4e15)")
     def test_carried_deflation_keeps_small_residual(self):
-        # the state of the test above: step 6 divides by t_next = 5.06e-9,
-        # 2.0e-10 relative, so ||p_7|| = 2.4e15; with the shift 0.5 the
-        # contracted residual is 1.8e-10
-        rng = np.random.default_rng(0)
-        prob = rank_deficient_qep(rng, 12, rank=int(rng.integers(1, 3)))
-        op = build_operator(prob)
-        st = run_msoar(init_state(op, rng.standard_normal(12),
-                                  rng.standard_normal(12)), op, 6, 1e-10)
+        # the state of the orthogonality test: step 6 divides by t_next =
+        # 5.06e-9, 2.0e-10 relative, so ||p_7|| = 2.4e15; with the shift 0.5
+        # the contracted residual is 1.8e-10
+        op, st = self._carried_deflation_state(complex_start)
         assert stacked_residual(op, st) <= 1e-8
         new, _ = contract(st, ShiftSet(shifts=[0.0], provenance="exact"), 5)
         assert stacked_residual(op, new) <= 1e-6

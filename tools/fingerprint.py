@@ -6,20 +6,22 @@ Solves each benchmark workload of ``perfbench/harness.py`` at the given
 seeds (the start vector the benchmark uses) and the two tight-ctol cases of
 ``tests/test_driver.py`` (mass-spring n=500, shift-invert, ctol 1e-15). For
 each it prints the cycle count, the number of cycles projected in real
-arithmetic (``real_cycles=r/c``, read off ``ProjectedQep.real``), the
-final max residual and a sha1 of the residual history, the delivered
-eigenvalues, their relative residuals and their eigenvectors.  The next
+arithmetic (``real_cycles=r/c``, read off ``ProjectedQep.real``) and of
+cycles whose decomposition was stored in float64 when it was projected
+(``stored_real=r/c``, read off ``SoarState.dtype``), the final max
+residual and a sha1 of the residual history, the delivered eigenvalues,
+their relative residuals and their eigenvectors.  The next
 line runs the command line of acceptance criterion 11
 (``tests/test_acceptance.py``) through ``soarqep.cli.run_cli`` with
 ``--format csv`` and ``--format json`` and prints the exit codes and a
 sha1 of each output's bytes.  The next twelve lines solve an underdamped
 chain, ``gen_mass_spring(200, tau=1.0)`` in shift-invert mode at
 sigma = -1.0 and -1.5 with m=6, k=20 and 40 restarts, with both variants
-at seeds 0-2, and print the cycle count, the breakdown (restart, step) or
-None, the final max residual and a sha1 of the residual history: its T is
-badly scaled against its subdiagonal, so a change to the restart layer
-shows there first.  The next five lines build the shift-invert operator
-of ms5k, string1000, the tight-ctol problem and the chain at both shifts
+at seeds 0-2, and print the cycle count, ``stored_real=r/c``, the
+breakdown (restart, step) or None, the final max residual and a sha1 of
+the residual history: its T is badly scaled against its subdiagonal, so a
+change to the restart layer shows there first.  The next five lines build
+the shift-invert operator of ms5k, string1000, the tight-ctol problem and the chain at both shifts
 and print a sha1 of the data, indices and indptr bytes of M_hat and of
 C_hat, so the working matrices are compared directly.  The last five
 lines print a sha1 of the dtypes and bytes of the data, indices and
@@ -37,7 +39,8 @@ the same output exactly when they compute bitwise the same results, so a
 change meant to leave the arithmetic alone is checked by diffing the
 output of both: run it once with ``--src`` pointing at the other
 checkout's ``src``, which must have ``ProjectedQep.real`` (for an older
-checkout, run its own copy of this script).
+checkout, run its own copy of this script); a checkout whose state has no
+``dtype`` stores complex, and counts no stored-real cycle.
 
 BLAS is pinned to one thread before numpy is first imported, as in
 ``perfbench/run.py``; a different thread count may round differently.
@@ -78,14 +81,16 @@ def _sha1(values, dtype):
 
 
 def solve_counting_real(soarqep, problem, config):
-    """(report, number of real cycles) of one solve: each projection the
-    driver makes passes through a wrapper that notes ``proj.real``."""
+    """(report, number of real cycles, number of stored-real cycles) of one
+    solve: each projection the driver makes passes through a wrapper that
+    notes ``proj.real`` and whether the state it projects is float64."""
     driver = importlib.import_module("soarqep.driver")
-    project, real = driver.project, []
+    project, real, stored = driver.project, [], []
 
     def counting_project(state, op):
         proj = project(state, op)
         real.append(proj.real)
+        stored.append(getattr(state, "dtype", complex) == float)
         return proj
 
     driver.project = counting_project
@@ -93,16 +98,17 @@ def solve_counting_real(soarqep, problem, config):
         report = soarqep.solve(problem, config)
     finally:
         driver.project = project
-    return report, sum(real)
+    return report, sum(real), sum(stored)
 
 
-def fingerprint(name, report, real_cycles):
+def fingerprint(name, report, real_cycles, stored_real):
     pairs = report.converged
     x = np.concatenate([p.x for p in pairs]) if pairs else []
     cycles = len(report.residual_history)
-    return ("%s cycles=%d real_cycles=%d/%d final=%.3e history=%s lam=%s "
-            "rel_residual=%s x=%s"
-            % (name, cycles, real_cycles, cycles, report.residual_history[-1],
+    return ("%s cycles=%d real_cycles=%d/%d stored_real=%d/%d final=%.3e "
+            "history=%s lam=%s rel_residual=%s x=%s"
+            % (name, cycles, real_cycles, cycles, stored_real, cycles,
+               report.residual_history[-1],
                _sha1(report.residual_history, float),
                _sha1([p.lam for p in pairs], complex),
                _sha1([p.rel_residual for p in pairs], float),
@@ -135,10 +141,12 @@ def chain_fingerprints(soarqep):
                 # every restart drops a numerically dependent wanted vector
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    report = soarqep.solve(problem, config)
-                yield ("chain sigma=%s %s seed=%d cycles=%d breakdown=%s "
-                       "final=%.3e history=%s"
-                       % (sigma, variant, seed, len(report.residual_history),
+                    report, _, stored = solve_counting_real(soarqep, problem,
+                                                            config)
+                cycles = len(report.residual_history)
+                yield ("chain sigma=%s %s seed=%d cycles=%d stored_real=%d/%d "
+                       "breakdown=%s final=%.3e history=%s"
+                       % (sigma, variant, seed, cycles, stored, cycles,
                           report.breakdown, report.residual_history[-1],
                           _sha1(report.residual_history, float)))
 
@@ -230,8 +238,8 @@ def main(argv=None):
     args = ap.parse_args(argv)
     soarqep = harness.load_soarqep(os.path.abspath(args.src))
     for name, problem, config in cases(soarqep, args.seeds):
-        report, real_cycles = solve_counting_real(soarqep, problem, config)
-        print(fingerprint(name, report, real_cycles), flush=True)
+        print(fingerprint(name, *solve_counting_real(soarqep, problem,
+                                                     config)), flush=True)
     print(cli_fingerprint(importlib.import_module("soarqep.cli").run_cli))
     for line in chain_fingerprints(soarqep):
         print(line, flush=True)
