@@ -59,7 +59,9 @@ def orthogonalize_with_refinement(v, basis):
     v = basis @ coefficients + residual.  Re-orthogonalizes whenever the
     residual norm drops below 1/sqrt(2) of the pre-pass norm (the classical
     twice-is-enough rule), up to three passes.  Works in float64 when v and
-    ``basis`` are both real, in complex arithmetic otherwise.
+    ``basis`` are both real, in complex arithmetic otherwise.  The residual
+    is the call's one copy of v, from which each pass subtracts
+    ``basis @ c`` in place; v and ``basis`` are not written.
     """
     v, basis = np.asarray(v), np.asarray(basis)
     dtype = np.result_type(v, basis, float)
@@ -72,7 +74,7 @@ def orthogonalize_with_refinement(v, basis):
     for _ in range(3):
         # conjugating the vector, not the basis, avoids an n-by-j copy
         c = (r.conj() @ basis).conj()
-        r = r - basis @ c
+        r -= basis @ c
         coeffs += c
         rn = float(np.linalg.norm(r))
         if rn >= prev_norm / np.sqrt(2.0) or rn == 0.0:
@@ -441,9 +443,10 @@ def gram_blocks(A, R=None):
     (LAPACK gets a copy otherwise), and the blocks returned are views of the
     triangle it wrote.  So [W1 W2 W3] is factored one row block at a time
     into one triangle, and is never needed whole.  Folding sixteen row
-    blocks of 313 rows of a 5000-by-123 array into a zeroed triangle took
-    24.4 ms, five blocks of 1024 rows 23.0 ms and one zgeqrt of it 26.9 ms
-    (medians of 40 alternating runs, one thread of a 2-core VM).
+    blocks of 313 rows of a complex 5000-by-123 array into a zeroed
+    triangle takes 20.9 ms in reflector blocks of 16 columns, and one
+    zgeqrt of it 25.5 ms in blocks of 32 (medians of 15, one thread of a
+    2-core VM).
 
     The one-block QR is LAPACK zgeqrt, not zgeqrf (``scipy.linalg.qr``):
     zgeqrf's level-2 panel streams all n rows once per column, while zgeqrt
@@ -455,15 +458,26 @@ def gram_blocks(A, R=None):
     n, k = A.shape[0], A.shape[1] // 3
     geqrt, tpqrt = ((zgeqrt, ztpqrt) if np.iscomplexobj(A)
                     else (dgeqrt, dtpqrt))
-    # columns per reflector block: folding sixteen complex row blocks of
-    # 313 x 123 into a zeroed triangle took 20.5, 23.7 and 31.9 ms at 16,
-    # 32 and 64 (medians of 25 runs, one thread of a 2-core VM); 32 is
-    # kept, as any other value changes ms5k's rounding
     if R is None:
+        # columns per reflector block of the one-block QR: one zgeqrt of a
+        # 5000 x 123 array took 26.0, 25.5 and 28.2 ms at 16, 32 and 64
+        # (medians of 15, one thread of a 2-core VM), so 32, the width
+        # string300's and string1000's rounding rests on, is kept
         A, _, _ = geqrt(min(32, *A.shape), A, overwrite_a=1)
         R = np.triu(A[:min(n, 3 * k)])
     else:
-        R, _, _, _ = tpqrt(0, min(32, 3 * k), R, A, overwrite_a=1,
+        # columns per reflector block of a fold, in ms to fold the row
+        # blocks of an n x 123 array into a zeroed triangle (medians of 15,
+        # one thread of a 2-core VM):
+        #
+        #   n, dtype (blocks)          16     32     64
+        #   5000 complex (16 x 313)   20.9   24.3   32.6
+        #   5000 float64 (16 x 313)    7.4    9.7   15.0
+        #   20000 complex (16 x 1250) 79.7   90.1  119.0
+        #   3000 complex (12 x 256)   12.6   14.4   19.4
+        #
+        # 12 came within 0.5 ms of 16 and 8 within 3 ms
+        R, _, _, _ = tpqrt(0, min(16, 3 * k), R, A, overwrite_a=1,
                            overwrite_b=1)
     return R[:, :k], R[:, k:2 * k], R[:, 2 * k:]
 

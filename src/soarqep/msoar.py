@@ -197,7 +197,10 @@ def _membership_residual(vec, state):
 
 
 def msoar_step(state, op, tol):
-    """One MSOAR step; classifies the outcome and mutates the state."""
+    """One MSOAR step; classifies the outcome and mutates the state.
+
+    A continuing step divides r and s by t_{k+1,k} straight into the new
+    columns of Q and P, with no quotient temporaries."""
     if state.breakdown:
         raise RuntimeError("cannot step past breakdown")
     j = state.k + 1
@@ -212,8 +215,8 @@ def msoar_step(state, op, tol):
 
     if t_next / op.work_norm_sum > tol:
         state.T_hat[j, j - 1] = t_next
-        state.Q[:, j] = r / t_next
-        state.P[:, j] = s / t_next
+        np.divide(r, t_next, out=state.Q[:, j])
+        np.divide(s, t_next, out=state.P[:, j])
         return StepOutcome(kind=CONTINUE)
 
     # premature stop: numerical deflation or breakdown, decided by whether s

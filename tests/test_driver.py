@@ -581,9 +581,10 @@ def _peak_blocks(n, k, restarts):
 class TestMemory:
     def test_restart_cycle_holds_one_working_set(self):
         # Besides the O(n) operator data, a cycle holds the Q and P buffers
-        # and one row block of the projection: 2.64 blocks of n x (k+2)
+        # and one row block of the projection: 2.63 blocks of n x (k+2)
         # complex at n = 3000, whose twelve row blocks of 256 rows are a
-        # twelfth of n each.  Slicing the working matrices and copying
+        # twelfth of n each (2.65 with 32-column reflector blocks in the
+        # Gram fold).  Slicing the working matrices and copying
         # basis-row chunks for each block took it to 2.80, blocks of 1024
         # rows to 4.10, and the whole n x 3ktilde QR array to 5.75.
         blocks, restarts = _peak_blocks(3000, 40, 2)
@@ -592,7 +593,8 @@ class TestMemory:
 
     def test_ms5k_size_holds_q_and_p_and_one_row_block(self):
         # n = 5000, the size of the ms5k benchmark workload: sixteen row
-        # blocks of 313 rows, and a peak of 2.46 blocks, where slices and
+        # blocks of 313 rows, and a peak of 2.45 blocks (2.47 with
+        # 32-column reflector blocks in the Gram fold), where slices and
         # basis-row chunks took it to 2.58 and five blocks of 1024 rows to
         # 3.38
         blocks, restarts = _peak_blocks(5000, 40, 2)

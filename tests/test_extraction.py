@@ -203,11 +203,12 @@ class TestProject:
     def test_streamed_block_holds_no_basis_copy(self, rng):
         # Past what it is entered with, a streamed projection holds its
         # block buffer, the 3ktilde x 3ktilde triangle and O(ktilde^2) more:
-        # the triple, one block's share of it and tpqrt's workspace, 8.9
-        # ktilde^2 entries at n = 3000, ktilde = 41 (18.5 with the sliced
-        # products' basis-row chunks and product temporaries), complex for
-        # a complex basis and float64 for a float64 one (measured 17.9 and
-        # 18.1 ktilde^2 entries past the buffer).  The float64 basis is read
+        # the triple, one block's share of it and tpqrt's T factor and
+        # workspace, 7.3 ktilde^2 entries at n = 3000, ktilde = 41 (8.9
+        # with 32-column reflector blocks, 18.5 with the sliced products'
+        # basis-row chunks and product temporaries), complex for a complex
+        # basis and float64 for a float64 one (measured 16.3 and 17.2
+        # ktilde^2 entries past the buffer).  The float64 basis is read
         # in place: no copy of its rows or columns (a float64 copy of the
         # block's basis rows and of one column took 25.9).  u2 = u1 makes
         # Q_tilde a view of Q, not a copy.

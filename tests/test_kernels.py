@@ -5,7 +5,7 @@ import warnings
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.linalg.lapack import zlartg, zrot
+from scipy.linalg.lapack import dgeqrt, zgeqrt, zlartg, zrot
 
 from soarqep import kernels
 from soarqep.kernels import (ROW_BLOCK_MIN, ROW_BLOCKS_MAX,
@@ -62,6 +62,39 @@ class TestOrthogonalize:
             assert c.dtype == r.dtype == dtype
             assert np.linalg.norm(basis @ c + r - v) < 1e-13
             assert np.linalg.norm(basis.T @ r) < 1e-13
+
+    def test_in_place_residual_matches_out_of_place(self, rng):
+        # r -= basis @ c on the call's own copy of v: the bits of
+        # r = r - basis @ c, with v and the basis left as they were
+        def out_of_place(v, basis):
+            coeffs = np.zeros(basis.shape[1], dtype=basis.dtype)
+            r = v.copy()
+            prev_norm = float(np.linalg.norm(r))
+            for _ in range(3):
+                c = (r.conj() @ basis).conj()
+                r = r - basis @ c
+                coeffs += c
+                rn = float(np.linalg.norm(r))
+                if rn >= prev_norm / np.sqrt(2.0) or rn == 0.0:
+                    break
+                prev_norm = rn
+            return coeffs, r, rn
+
+        for dtype in (complex, float):
+            basis, _ = np.linalg.qr(_random(rng, (50, 8), dtype))
+            basis = np.asfortranarray(basis)
+            # a generic v, and one nearly inside the span, which refines
+            for v in (_random(rng, 50, dtype),
+                      basis @ _random(rng, 8, dtype)
+                      + 1e-10 * _random(rng, 50, dtype)):
+                v_bytes, basis_bytes = v.tobytes(), basis.tobytes()
+                c, r, rn = orthogonalize_with_refinement(v, basis)
+                assert v.tobytes() == v_bytes
+                assert basis.tobytes() == basis_bytes
+                want = out_of_place(v, basis)
+                assert c.tobytes() == want[0].tobytes()
+                assert r.tobytes() == want[1].tobytes()
+                assert rn == want[2]
 
 
 class TestMatmulComplex:
@@ -765,9 +798,11 @@ class TestRefinedVector:
     def test_gram_blocks_fold_sixteen_blocks_in_place(self, rng):
         # 16 row blocks of 125 rows, as the projection streams them at
         # n = 2000: each tpqrt, the first included, overwrites the caller's
-        # triangle.  What a fold allocates is tpqrt's 32-row T factor and
-        # workspace, 64 / 3k = 0.52 of the triangle at 3k = 123; a new
-        # zero-padded triangle and an hstack per fold took 3.0.
+        # triangle.  What a fold allocates is tpqrt's T factor and
+        # workspace, 16 rows each for reflector blocks of 16 columns,
+        # 32 / 3k = 0.26 of the triangle at 3k = 123 (measured 0.266
+        # complex, 0.269 float64); blocks of 32 columns held 0.53, a new
+        # zero-padded triangle and an hstack per fold 3.0.
         n, k, rows = 2000, 41, 125
         for dtype in (complex, float):
             A = np.hstack([_random(rng, (n, k), dtype) for _ in range(3)])
@@ -783,13 +818,27 @@ class TestRefinedVector:
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
-            assert peak <= 0.75 * triangle.nbytes
+            assert peak <= 0.3 * triangle.nbytes
             assert all(Ri.base is triangle for Ri in R)
             T = np.hstack(R)
             assert not np.any(np.tril(T, -1))
             G = A.conj().T @ A
             assert (np.linalg.norm(T.conj().T @ T - G)
                     <= 1e-13 * np.linalg.norm(G))
+
+    # n >= 3k and n < 3k
+    @pytest.mark.parametrize("n, k", [(400, 41), (100, 41)])
+    def test_gram_blocks_one_block_is_geqrt_at_width_32(self, rng, n, k):
+        # the one-block path's bits: LAPACK geqrt in reflector blocks of 32
+        # columns, then the triangle of min(n, 3k) rows, as np.triu gives it
+        for dtype, geqrt in ((complex, zgeqrt), (float, dgeqrt)):
+            A = np.asfortranarray(
+                np.hstack([_random(rng, (n, k), dtype) for _ in range(3)]))
+            want, _, _ = geqrt(32, A.copy(order="F"))
+            want = np.triu(want[:min(n, 3 * k)])
+            R = np.hstack(gram_blocks(A))
+            assert R.dtype == dtype and R.shape == want.shape
+            assert R.tobytes() == want.tobytes()
 
     def test_gram_blocks_first_fold_into_one_square_triangle(self, rng):
         # three row blocks of 300 rows: the first goes through tpqrt from a

@@ -27,14 +27,17 @@ C_hat, so the working matrices are compared directly.  The last five
 lines print a sha1 of the dtypes and bytes of the data, indices and
 indptr of M, C and K of each workload's problem, of
 ``gen_string_damping(2000)`` and of ``gen_string_damping(7, epsilon=0.0)``
-(an empty C), so the generators are compared directly.  The last two
-lines project ``gen_mass_spring(3000)`` with a full first column in C,
-whose shifted M and C are not symmetric, in shift-invert mode at
-sigma = 0.3+0.2i and 0.3 (complex and real arithmetic) onto the basis of
-40 steps from ``perfbench``'s seed-1 start vector, in streamed row
-blocks, and print a sha1 of the projected M_k, C_k, K_k and the Gram R:
-every workload streams only symmetric working matrices, so this compares
-the route through CSR copies.  Two checkouts give
+(an empty C), so the generators are compared directly.  The last three
+lines each project in streamed row blocks onto the basis of 40 steps from
+``perfbench``'s seed-1 start vector, and print a sha1 of the projected
+M_k, C_k, K_k and the Gram R.  The first two project
+``gen_mass_spring(3000)`` with a full first column in C, whose shifted M
+and C are not symmetric, in shift-invert mode at sigma = 0.3+0.2i and 0.3
+(complex and real arithmetic): every workload streams only symmetric
+working matrices, so this compares the route through CSR copies.  The
+third projects ms5k's problem at its sigma = -13+0.4i, 16 row blocks of
+313 rows, whose symmetric working matrices are read through their own CSC
+arrays: the Gram fold of every ms5k cycle.  Two checkouts give
 the same output exactly when they compute bitwise the same results, so a
 change meant to leave the arithmetic alone is checked by diffing the
 output of both: run it once with ``--src`` pointing at the other
@@ -195,11 +198,22 @@ def problem_fingerprints(soarqep):
             for label, X in zip("MCK", (problem.M, problem.C, problem.K))))
 
 
-def streamed_fingerprints(soarqep):
-    """One line per streamed projection of a triple that is not symmetric:
-    a sha1 of the projected M_k, C_k, K_k and the Gram R."""
+def _projection_line(name, op, u1):
+    """A sha1 of the projected M_k, C_k, K_k and the Gram R of the basis of
+    40 steps from (u1, u1)."""
     msoar = importlib.import_module("soarqep.msoar")
     project = importlib.import_module("soarqep.extraction").project
+    state = msoar.run_msoar(msoar.init_state(op, u1, u1), op, 40, 1e-12)
+    proj = project(state, op)
+    return "%s real=%s %s" % (name, proj.real, " ".join(
+        "%s=%s" % (label, _sha1(X, X.dtype)) for label, X in (
+            ("M_k", proj.M_k), ("C_k", proj.C_k), ("K_k", proj.K_k),
+            ("R", np.hstack(proj.blocks)))))
+
+
+def streamed_fingerprints(soarqep):
+    """One line per streamed projection: of a triple that is not symmetric,
+    at each of STREAMED_SIGMAS, then of ms5k's."""
     base = soarqep.gen_mass_spring(STREAMED_N)
     C = base.C.tolil()
     C[:, 0] = 1.0
@@ -207,13 +221,14 @@ def streamed_fingerprints(soarqep):
     u1 = harness.start_vector(1, STREAMED_N)
     for sigma in STREAMED_SIGMAS:
         op = soarqep.build_operator(problem, mode="shift-invert", sigma=sigma)
-        state = msoar.run_msoar(msoar.init_state(op, u1, u1), op, 40, 1e-12)
-        proj = project(state, op)
-        yield "streamed arrow n=%d sigma=%s real=%s %s" % (
-            STREAMED_N, sigma, proj.real, " ".join(
-                "%s=%s" % (label, _sha1(X, X.dtype)) for label, X in (
-                    ("M_k", proj.M_k), ("C_k", proj.C_k), ("K_k", proj.K_k),
-                    ("R", np.hstack(proj.blocks)))))
+        yield _projection_line("streamed arrow n=%d sigma=%s"
+                               % (STREAMED_N, sigma), op, u1)
+    wl, = (wl for wl in harness.WORKLOADS if wl.name == "ms5k-si-irsoar")
+    problem = harness.generate(soarqep, wl)
+    sigma = wl.config["sigma"]
+    op = soarqep.build_operator(problem, mode="shift-invert", sigma=sigma)
+    yield _projection_line("streamed ms5k n=%d sigma=%s" % (problem.n, sigma),
+                           op, harness.start_vector(1, problem.n))
 
 
 def cli_fingerprint(run_cli):
