@@ -8,7 +8,9 @@ LAPACK geqrt where the projection does not stream
 out (one block up to n = 1024, 1/16 of n from n = 4096 on), which the
 projection forms in its one buffer from the working matrices' CSR rows,
 read in place, each folded by LAPACK tpqrt into the one triangle the
-projection holds (see ``gram_blocks``).  The rest works at
+projection holds (see ``gram_blocks``): of [W1 W2 W3], or of the 2k + 4
+columns of the MSOAR relation from which the projection derives its
+blocks.  The rest works at
 orders <= ~200 (shifted QR by LAPACK rotations, each applied once; the
 projected QEP by standard eig on the monic companion when M_k is well
 conditioned and by QZ otherwise, returned as an eigenvalue array and one
@@ -420,7 +422,11 @@ def gram_blocks(A, R=None):
     Householder QR A = Z [R1 R2 R3] returns the column blocks (R1, R2, R3)
     of the triangle R, so R_i^* R_j = W_i^* W_j and
     ||(a W1 + b W2 + c W3) x|| = ||(a R1 + b R2 + c R3) x|| for any a, b, c, x.
-    R1 is zero below row k and R2 below row 2k.  A complex ``A`` goes
+    R1 is zero below row k and R2 below row 2k.  A fold (below) takes the
+    row blocks of an array of any width as well: ``extraction.project`` folds
+    the 2k + 4 columns of the MSOAR relation, reads their triangle from
+    ``R`` and derives its blocks from it, so the thirds returned then are
+    not used.  A complex ``A`` goes
     through LAPACK zgeqrt and ztpqrt, any other through dgeqrt and dtpqrt,
     as float64 (a real projection: 3.1 against 10.8 ms for one 300-by-423
     QR, one thread of a 2-core VM); R has that dtype.  A column-major
@@ -434,8 +440,9 @@ def gram_blocks(A, R=None):
     1.760e-11 to 1.833e-11, and folding the one block from zeros to
     1.724e-11.
 
-    With ``R``, the caller's column-major 3k-by-3k triangle of the rows
-    above ``A`` (zeros before the first row block), R becomes the triangle
+    With ``R``, the caller's column-major square triangle, as wide as
+    ``A``, of the rows above ``A`` (zeros before the first row block),
+    R becomes the triangle
     of those rows and ``A`` stacked: the triangle and ``A`` go through
     LAPACK tpqrt, the triangular-pentagonal QR that tall-skinny QR is built
     on (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34
@@ -445,8 +452,9 @@ def gram_blocks(A, R=None):
     into one triangle, and is never needed whole.  Folding sixteen row
     blocks of 313 rows of a complex 5000-by-123 array into a zeroed
     triangle takes 20.9 ms in reflector blocks of 16 columns, and one
-    zgeqrt of it 25.5 ms in blocks of 32 (medians of 15, one thread of a
-    2-core VM).
+    zgeqrt of it 25.5 ms in blocks of 32; the 84 columns that ms5k's
+    projection folds through the MSOAR relation take 11.5 ms (medians of
+    15, one thread of a 2-core VM).
 
     The one-block QR is LAPACK zgeqrt, not zgeqrf (``scipy.linalg.qr``):
     zgeqrf's level-2 panel streams all n rows once per column, while zgeqrt
@@ -477,7 +485,7 @@ def gram_blocks(A, R=None):
         #   3000 complex (12 x 256)   12.6   14.4   19.4
         #
         # 12 came within 0.5 ms of 16 and 8 within 3 ms
-        R, _, _, _ = tpqrt(0, min(16, 3 * k), R, A, overwrite_a=1,
+        R, _, _, _ = tpqrt(0, min(16, A.shape[1]), R, A, overwrite_a=1,
                            overwrite_b=1)
     return R[:, :k], R[:, k:2 * k], R[:, 2 * k:]
 

@@ -1,18 +1,23 @@
 import gc
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg as spla
+from scipy.sparse._sparsetools import csr_matvec
 
 from conftest import breakdown_starts, complex_start, random_qep
-from soarqep import extraction, kernels
+from soarqep import driver, extraction, kernels
+from soarqep.driver import SolverConfig, solve
 from soarqep.extraction import (_project_blocks, extract_refined,
                                 extract_ritz, project, residual_bound)
 from soarqep.kernels import gram_blocks
 from soarqep.msoar import extraction_basis, init_state, run_msoar
 from soarqep.operator import QepProblem, build_operator
 from soarqep.problems import gen_mass_spring, gen_string_damping
+from soarqep.restart import contract, select_shifts
 
 
 def _run(rng, prob, k, mode="direct", sigma=None, u1=None, u2=None,
@@ -33,13 +38,26 @@ def _arrow(n):
     return QepProblem.from_matrices(prob.M, C, prob.K)
 
 
-def _sliced_projection(Qt, op, real, chunk_entries):
+def _deflating_starts(op, rng):
+    """Starts with A u1 + B u2 = 0.5 u1 for the operator's monic pair, so
+    step 1 deflates: X3 u2 = -(0.5 X1 + X2) u1.  A decomposition with a
+    zero Q column is refused by ``extraction._relation_holds``."""
+    u1 = rng.standard_normal(op.n)
+    rhs = -(0.5 * (op.work_M @ u1) + op.work_C @ u1)
+    u2 = spla.spsolve(op.work_K.tocsc(), rhs)
+    return u1, (u2.real if op.real_work is not None else u2)
+
+
+def _sliced_projection(Qt, op, real, chunk_entries, state=None):
     """(M_k, C_k, K_k, R) by the streamed formula that slices the working
     matrices, the reference the CSR kernel is held to bit for bit: each row
     block's products are one slice of each matrix, over the block's rows
     and the span of columns they touch, times row-major copies of at most
-    ``chunk_entries`` entries of those basis rows; the triple and the fold
-    are ``project``'s."""
+    ``chunk_entries`` entries of those rows of the basis (and of P); the
+    triple and the fold are ``project``'s.  With the ``state`` of Qt, the
+    products are those of ``project``'s relation path, Y = [X1 Q_tilde,
+    X3 P_{k+1}, X2 Q_tilde[:, k:], X3 Q_tilde[:, k:]], and the triple and R
+    are derived from them as ``project`` derives them."""
     n, kt = Qt.shape
     work = op.real_work if real else (op.work_M, op.work_C, op.work_K)
     lo, hi = np.full(n, n), np.full(n, -1)
@@ -48,26 +66,40 @@ def _sliced_projection(Qt, op, real, chunk_entries):
             rows = X.indices[X.indptr[j]:X.indptr[j + 1]]
             if rows.size:
                 lo[j], hi[j] = min(lo[j], rows.min()), max(hi[j], rows.max())
+    if state is None:
+        plan = [(0, Qt), (1, Qt), (2, Qt)]
+    else:
+        k = state.k
+        plan = [(0, Qt), (2, state.P), (1, Qt[:, k:]), (2, Qt[:, k:])]
+    width = sum(V.shape[1] for _, V in plan)
+    parts = ([(i * kt, (i + 1) * kt) for i in range(3)] if state is None
+             else [(0, width)])
     dtype = float if real else complex
-    triangle = np.zeros((3 * kt, 3 * kt), dtype=dtype, order="F")
-    triple = [0, 0, 0]
+    triangle = np.zeros((width, width), dtype=dtype, order="F")
+    triple = [0] * len(parts)
     for rows in kernels.row_blocks(n):
         touched = np.flatnonzero((lo < rows.stop) & (hi >= rows.start))
         cols = slice(touched[0], touched[-1] + 1)
-        W = np.empty((rows.stop - rows.start, 3 * kt), dtype=dtype, order="F")
+        W = np.empty((rows.stop - rows.start, width), dtype=dtype, order="F")
         mats = [X[rows, cols] for X in work]
-        width = max(1, chunk_entries // (cols.stop - cols.start))
-        for j in range(0, kt, width):
-            chunk = Qt[cols, j:j + width]
-            Q_chunk = np.ascontiguousarray(chunk.real if real else chunk)
-            for i, X in enumerate(mats):
-                W[:, i * kt + j:i * kt + min(j + width, kt)] = X @ Q_chunk
+        chunk = max(1, chunk_entries // (cols.stop - cols.start))
+        at = 0
+        for i, V in plan:
+            for j in range(0, V.shape[1], chunk):
+                part = V[cols, j:j + chunk]
+                V_chunk = np.ascontiguousarray(part.real if real else part)
+                W[:, at:at + V_chunk.shape[1]] = mats[i] @ V_chunk
+                at += V_chunk.shape[1]
         Q_rows = np.asfortranarray(Qt[rows].real) if real else Qt[rows]
-        for i in range(3):
-            blk = W[:, i * kt:(i + 1) * kt]
-            Xk = np.conj(Q_rows.T @ np.conj(blk))
+        for i, (a, b) in enumerate(parts):
+            Xk = np.conj(Q_rows.T @ np.conj(W[:, a:b]))
             triple[i] = Xk if rows.start == 0 else triple[i] + Xk
-        R = gram_blocks(W, triangle)
+        gram_blocks(W, triangle)
+    if state is None:
+        R = (triangle[:, :kt], triangle[:, kt:2 * kt], triangle[:, 2 * kt:])
+    else:
+        triple = extraction._through_relation(triple[0], state, kt)
+        R = extraction._through_relation(triangle, state, kt)
     return (*triple, np.hstack(R))
 
 
@@ -128,7 +160,9 @@ class TestProject:
         # blocks of 7 rows, the last one shorter; the first block has fewer
         # rows than [W1 W2 W3] has columns.  A full first column of C makes
         # the shifted M and C unsymmetric, so they stream from CSR copies.
-        # A real shift streams the same blocks in real arithmetic.
+        # A real shift streams the same blocks in real arithmetic.  Step 1
+        # deflates, so the projection forms [W1 W2 W3] itself, not the
+        # columns of the MSOAR relation (TestRelation).
         monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 7)
         n = 47
         prob = _arrow(n) if problem == "arrow" else gen_mass_spring(n)
@@ -137,13 +171,18 @@ class TestProject:
             return np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
 
         for sigma in (0.3 + 0.2j, 0.3):
-            op, st = _run(rng, prob, 8, mode="shift-invert", sigma=sigma)
+            op = build_operator(prob, mode="shift-invert", sigma=sigma)
+            u1, u2 = _deflating_starts(op, rng)
+            op, st = _run(rng, prob, 8, mode="shift-invert", sigma=sigma,
+                          u1=u1, u2=u2)
+            assert st.deflation_steps == [1]
             kt = extraction_basis(st).shape[1]
             blocks = _project_blocks(op, kt, sigma.imag == 0.0)
             assert blocks == kernels.row_blocks(n)
             assert len(blocks) == 7
             proj = project(st, op)
             assert proj.real == (sigma.imag == 0.0)
+            assert not proj.relation
             Qt = proj.Q_tilde
             W = [X @ Qt for X in (op.work_M, op.work_C, op.work_K)]
             for Xk, Wi in zip((proj.M_k, proj.C_k, proj.K_k), W):
@@ -162,6 +201,9 @@ class TestProject:
         # their transposes bit for bit and stream from their own CSC arrays;
         # the arrow's shifted M and C are copied to CSR once per operator,
         # its K_hat = M is not.  A real shift streams in real arithmetic.
+        # The decomposition holds to rounding, so the products are those of
+        # the MSOAR relation, with P's columns read in place as Q_tilde's;
+        # TestRelation holds the direct products to the same oracle.
         monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 7)
         n = 47
         prob = _arrow(n) if problem == "arrow" else gen_mass_spring(n)
@@ -195,7 +237,8 @@ class TestProject:
                 assert np.array_equal(indptr, Y.indptr)
                 assert np.array_equal(indices, Y.indices)
                 assert data.tobytes() == Y.data.tobytes()
-            want = _sliced_projection(got.Q_tilde, op, real, 40)
+            assert got.relation
+            want = _sliced_projection(got.Q_tilde, op, real, 40, st)
             for g, w in zip((got.M_k, got.C_k, got.K_k,
                              np.hstack(got.blocks)), want):
                 assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
@@ -211,7 +254,10 @@ class TestProject:
         # ktilde^2 entries past the buffer).  The float64 basis is read
         # in place: no copy of its rows or columns (a float64 copy of the
         # block's basis rows and of one column took 25.9).  u2 = u1 makes
-        # Q_tilde a view of Q, not a copy.
+        # Q_tilde a view of Q, not a copy.  The complex run goes through
+        # the MSOAR relation, whose buffer and triangle have 2k + 4 = 84
+        # columns, not 123: measured 0.80 MB against 0.94 MB forming
+        # [W1 W2 W3]; the probe refuses the real one at sigma = -13.
         n = 3000
         prob = gen_mass_spring(n)
         u1 = rng.standard_normal(n)
@@ -235,17 +281,27 @@ class TestProject:
             del proj
 
     def test_gram_triangle_layout(self, rng, monkeypatch):
-        # a streamed projection folds every row block into one zeroed
-        # column-major 3ktilde x 3ktilde triangle, which R1, R2 and R3 view;
-        # one block keeps geqrt's row-major triangle of min(n, 3ktilde)
-        # rows (20 rows when n = 20 < 3ktilde)
+        # a streamed projection of [W1 W2 W3] folds every row block into
+        # one zeroed column-major 3ktilde x 3ktilde triangle, which R1, R2
+        # and R3 view; one block keeps geqrt's row-major triangle of
+        # min(n, 3ktilde) rows (20 rows when n = 20 < 3ktilde).  The
+        # streamed runs deflate at step 1, so they do not go through the
+        # MSOAR relation (TestRelation has its layout)
         for n, streamed in ((47, False), (20, False), (47, True)):
             if streamed:
                 monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 7)
             for sigma in (0.3 + 0.2j, 0.3):
-                op, st = _run(rng, gen_mass_spring(n), 8,
-                              mode="shift-invert", sigma=sigma)
+                prob = gen_mass_spring(n)
+                starts = {}
+                if streamed:
+                    op = build_operator(prob, mode="shift-invert",
+                                        sigma=sigma)
+                    starts = dict(zip(("u1", "u2"),
+                                      _deflating_starts(op, rng)))
+                op, st = _run(rng, prob, 8, mode="shift-invert", sigma=sigma,
+                              **starts)
                 proj = project(st, op)
+                assert not proj.relation
                 kt = proj.ktilde
                 R = proj.blocks
                 dtype = float if proj.real else complex
@@ -362,6 +418,190 @@ class TestProject:
         proj = project(st, op)
         for A in (proj.M_k, proj.C_k, proj.K_k):
             assert np.linalg.norm(A - A.conj().T) < 1e-12 * np.linalg.norm(A)
+
+
+class TestRelation:
+    """A streamed projection of a decomposition that holds to rounding goes
+    through the MSOAR relation: n = 47 in blocks of 7 rows."""
+
+    @pytest.fixture(autouse=True)
+    def blocks_of_seven(self, monkeypatch):
+        monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 7)
+
+    @staticmethod
+    def direct(monkeypatch, state, op):
+        """``project`` with the relation refused: [W1 W2 W3] formed."""
+        with monkeypatch.context() as m:
+            m.setattr(extraction, "_relation_holds", lambda state, op: False)
+            return project(state, op)
+
+    @pytest.mark.parametrize("problem", ["arrow", "mass-spring"])
+    @pytest.mark.parametrize("sigma", [0.3 + 0.2j, 0.3])
+    def test_blocks_match_direct_products(self, rng, problem, sigma):
+        # complex and real arithmetic; R_i^* R_j = W_i^* W_j and the triple
+        # to the bounds of the direct streamed path
+        n = 47
+        prob = _arrow(n) if problem == "arrow" else gen_mass_spring(n)
+        op, st = _run(rng, prob, 8, mode="shift-invert", sigma=sigma)
+        proj = project(st, op)
+        assert proj.relation and proj.real == (sigma.imag == 0.0)
+
+        def close(a, b):
+            return np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
+
+        Qt = proj.Q_tilde
+        W = [X @ Qt for X in (op.work_M, op.work_C, op.work_K)]
+        for Xk, Wi in zip((proj.M_k, proj.C_k, proj.K_k), W):
+            assert Xk.dtype == proj.M_k.dtype
+            assert close(Xk, Qt.conj().T @ Wi)
+        R, A = np.hstack(proj.blocks), np.hstack(W)
+        assert close(R.conj().T @ R, A.conj().T @ A)
+
+    @pytest.mark.parametrize("sigma", [-13 + 0.4j, -13.0, 0.3 + 0.2j])
+    def test_residuals_match_direct_path(self, rng, monkeypatch, sigma):
+        # every finite Ritz residual and every wanted refined sigma_min,
+        # paired by nearest Ritz value, within 1e-12 relative or 100 units
+        # of rounding of the residual's terms, |theta|^2 ||R1|| +
+        # |theta| ||R2|| + ||R3||, whichever is larger: a residual near
+        # that floor differs by up to 11 units between the two paths (4.3
+        # relative at sigma = -13), each formed from its own rounding
+        op = build_operator(gen_mass_spring(47), mode="shift-invert",
+                            sigma=sigma)
+        st = run_msoar(init_state(op, rng.standard_normal(47),
+                                  rng.standard_normal(47)), op, 10, 1e-12)
+        got = project(st, op)
+        want = self.direct(monkeypatch, st, op)
+        assert got.relation and not want.relation
+        ritz = [extract_refined(proj, op, extract_ritz(proj, op, 3))
+                for proj in (got, want)]
+        thetas = np.array([p.theta for p in ritz[1].pairs])
+        norms = [np.linalg.norm(R, 2) for R in want.blocks]
+        eps = np.finfo(float).eps
+
+        def partner(entry):
+            return int(np.argmin(np.abs(thetas - entry.theta)))
+
+        def floor(theta):
+            t = abs(theta)
+            return 100 * eps * (t * t * norms[0] + t * norms[1] + norms[2])
+
+        finite = [p for p in ritz[0].pairs if p.finite]
+        assert len(finite) == sum(p.finite for p in ritz[1].pairs)
+        for p in finite:
+            q = ritz[1].pairs[partner(p)]
+            assert abs(p.theta - q.theta) <= 1e-12 * abs(q.theta)
+            bound = max(1e-12 * q.rel_residual,
+                        extraction._relative(op, q.theta, floor(q.theta))[1])
+            assert abs(p.rel_residual - q.rel_residual) <= bound
+        for i in ritz[0].selection:
+            j = partner(ritz[0].pairs[i])
+            assert j in ritz[1].selection
+            a, b = ritz[0].refined[i].sigma_min, ritz[1].refined[j].sigma_min
+            assert abs(a - b) <= max(1e-12 * b, floor(thetas[j]))
+
+    def test_triangle_has_2k_plus_4_columns(self, rng, monkeypatch):
+        # u2 = u1 adds no p1 column: ktilde = k + 1, and Y = [X1 Q_tilde,
+        # X3 P_{k+1}, X2 q_{k+1}, X3 q_{k+1}] has 2k + 4 columns, each a
+        # CSR kernel call per row block; a p1 column makes it 2k + 7
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return csr_matvec(*args)
+
+        n, k = 47, 8
+        u1 = rng.standard_normal(n)
+        for u2, kt, width in ((u1, k + 1, 2 * k + 4),
+                              (rng.standard_normal(n), k + 2, 2 * k + 7)):
+            op, st = _run(rng, gen_mass_spring(n), k, mode="shift-invert",
+                          sigma=-13 + 0.4j, u1=u1, u2=u2)
+            with monkeypatch.context() as m:
+                m.setattr(extraction, "csr_matvec", counting)
+                calls.clear()
+                proj = project(st, op)
+            assert proj.relation and proj.ktilde == kt
+            triangle = proj.blocks[0].base
+            assert triangle.shape == (width, width)
+            assert triangle.flags.f_contiguous
+            assert not np.any(np.tril(triangle, -1))
+            assert all(Ri.shape == (width, kt) for Ri in proj.blocks)
+            assert len(calls) == len(kernels.row_blocks(n)) * width
+
+    def _restarted_chain(self, rng):
+        """The underdamped chain at sigma = -1 after one restart: P has
+        grown to about 1e9, with no deflation and no breakdown."""
+        u1 = rng.standard_normal(47)
+        op, st = _run(rng, gen_mass_spring(47, tau=1.0), 12,
+                      mode="shift-invert", sigma=-1.0, u1=u1, u2=u1)
+        proj = project(st, op)
+        ritz = extract_refined(proj, op, extract_ritz(proj, op, 3))
+        with warnings.catch_warnings():
+            # the chain's wanted vectors are numerically dependent
+            warnings.simplefilter("ignore", RuntimeWarning)
+            shifts = select_shifts(proj, ritz.wanted(), 6)
+        st, _ = contract(st, shifts, 12 - len(shifts.shifts), overwrite=True)
+        st = run_msoar(st, op, 12, 1e-12)
+        assert not st.deflation_steps and not st.breakdown
+        assert np.linalg.norm(st.P) > 1e6
+        return op, st
+
+    @pytest.mark.parametrize("case", ["deflation", "breakdown", "P growth"])
+    def test_refused_states_take_the_direct_path(self, rng, case):
+        # bit for bit the streamed products of [W1 W2 W3]
+        prob = gen_mass_spring(47)
+        if case == "deflation":
+            op = build_operator(prob, mode="shift-invert", sigma=0.3 + 0.2j)
+            u1, u2 = _deflating_starts(op, rng)
+            op, st = _run(rng, prob, 8, mode="shift-invert",
+                          sigma=0.3 + 0.2j, u1=u1, u2=u2)
+            assert st.deflation_steps
+        elif case == "breakdown":
+            # [lam v; v] for three eigenpairs of the chain: v_j =
+            # sin(j pi i/48) with T v_j = mu_j v_j, and lam the root of
+            # lam^2 + 10 mu_j lam + 5 mu_j = 0 of larger magnitude
+            i, u1, u2 = np.arange(1, 48), 0.0, 0.0
+            for j in (1, 10, 30):
+                v = np.sin(j * np.pi * i / 48)
+                mu = 3 - 2 * np.cos(j * np.pi / 48)
+                u1 = u1 - 0.5 * (10 * mu + np.sqrt(100 * mu ** 2 - 20 * mu)) * v
+                u2 = u2 + v
+            op, st = _run(rng, prob, 8, u1=u1, u2=u2)
+            assert st.breakdown and not st.deflation_steps
+        else:
+            op, st = self._restarted_chain(rng)
+        assert not extraction._relation_holds(st, op)
+        got = project(st, op)
+        assert not got.relation
+        assert len(_project_blocks(op, got.ktilde, got.real)) == 7
+        want = _sliced_projection(got.Q_tilde, op, got.real, 40)
+        for g, w in zip((got.M_k, got.C_k, got.K_k, np.hstack(got.blocks)),
+                        want):
+            assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+    def test_solve_reports_true_residuals(self):
+        # every cycle goes through the relation; the delivered residuals
+        # (about 2.4e-7) are those of M, C and K
+        prob = gen_mass_spring(47)
+        relation = []
+
+        def noting(state, op):
+            proj = project(state, op)
+            relation.append(proj.relation)
+            return proj
+
+        config = SolverConfig(m=2, k=6, mode="shift-invert", sigma=-20 + 1j,
+                              variant="irsoar", ctol=1e-6, seed=0)
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(driver, "project", noting)
+            report = solve(prob, config)
+        assert report.all_converged and len(report.converged) == 2
+        assert relation and all(relation)
+        M, C, K = prob.M, prob.C, prob.K
+        for pair in report.converged:
+            lam, x = pair.lam, pair.x
+            true = (np.linalg.norm(lam ** 2 * (M @ x) + lam * (C @ x) + K @ x)
+                    / np.linalg.norm(x) / prob.norm_sum)
+            assert abs(pair.rel_residual - true) <= 1e-6 * true
 
 
 class TestRitz:

@@ -6,10 +6,12 @@ Solves each benchmark workload of ``perfbench/harness.py`` at the given
 seeds (the start vector the benchmark uses) and the two tight-ctol cases of
 ``tests/test_driver.py`` (mass-spring n=500, shift-invert, ctol 1e-15). For
 each it prints the cycle count, the number of cycles projected in real
-arithmetic (``real_cycles=r/c``, read off ``ProjectedQep.real``) and of
+arithmetic (``real_cycles=r/c``, read off ``ProjectedQep.real``), of
 cycles whose decomposition was stored in float64 when it was projected
-(``stored_real=r/c``, read off ``SoarState.dtype``), the final max
-residual and a sha1 of the residual history, the delivered eigenvalues,
+(``stored_real=r/c``, read off ``SoarState.dtype``) and of cycles
+projected through the MSOAR relation (``relation_cycles=r/c``, read off
+``ProjectedQep.relation``; only a streamed projection, n > 1024, can
+be), the final max residual and a sha1 of the residual history, the delivered eigenvalues,
 their relative residuals and their eigenvectors.  The next
 line runs the command line of acceptance criterion 11
 (``tests/test_acceptance.py``) through ``soarqep.cli.run_cli`` with
@@ -17,8 +19,8 @@ line runs the command line of acceptance criterion 11
 sha1 of each output's bytes.  The next twelve lines solve an underdamped
 chain, ``gen_mass_spring(200, tau=1.0)`` in shift-invert mode at
 sigma = -1.0 and -1.5 with m=6, k=20 and 40 restarts, with both variants
-at seeds 0-2, and print the cycle count, ``stored_real=r/c``, the
-breakdown (restart, step) or None, the final max residual and a sha1 of
+at seeds 0-2, and print the cycle count, ``stored_real=r/c``,
+``relation_cycles=r/c``, the breakdown (restart, step) or None, the final max residual and a sha1 of
 the residual history: its T is badly scaled against its subdiagonal, so a
 change to the restart layer shows there first.  The next five lines build
 the shift-invert operator of ms5k, string1000, the tight-ctol problem and the chain at both shifts
@@ -43,7 +45,8 @@ change meant to leave the arithmetic alone is checked by diffing the
 output of both: run it once with ``--src`` pointing at the other
 checkout's ``src``, which must have ``ProjectedQep.real`` (for an older
 checkout, run its own copy of this script); a checkout whose state has no
-``dtype`` stores complex, and counts no stored-real cycle.
+``dtype`` stores complex, and counts no stored-real cycle, and one whose
+``ProjectedQep`` has no ``relation`` counts no relation cycle.
 
 BLAS is pinned to one thread before numpy is first imported, as in
 ``perfbench/run.py``; a different thread count may round differently.
@@ -84,16 +87,18 @@ def _sha1(values, dtype):
 
 
 def solve_counting_real(soarqep, problem, config):
-    """(report, number of real cycles, number of stored-real cycles) of one
-    solve: each projection the driver makes passes through a wrapper that
-    notes ``proj.real`` and whether the state it projects is float64."""
+    """(report, number of real cycles, number of stored-real cycles, number
+    of relation cycles) of one solve: each projection the driver makes
+    passes through a wrapper that notes ``proj.real``, whether the state it
+    projects is float64 and ``proj.relation``."""
     driver = importlib.import_module("soarqep.driver")
-    project, real, stored = driver.project, [], []
+    project, real, stored, relation = driver.project, [], [], []
 
     def counting_project(state, op):
         proj = project(state, op)
         real.append(proj.real)
         stored.append(getattr(state, "dtype", complex) == float)
+        relation.append(getattr(proj, "relation", False))
         return proj
 
     driver.project = counting_project
@@ -101,17 +106,18 @@ def solve_counting_real(soarqep, problem, config):
         report = soarqep.solve(problem, config)
     finally:
         driver.project = project
-    return report, sum(real), sum(stored)
+    return report, sum(real), sum(stored), sum(relation)
 
 
-def fingerprint(name, report, real_cycles, stored_real):
+def fingerprint(name, report, real_cycles, stored_real, relation_cycles):
     pairs = report.converged
     x = np.concatenate([p.x for p in pairs]) if pairs else []
     cycles = len(report.residual_history)
-    return ("%s cycles=%d real_cycles=%d/%d stored_real=%d/%d final=%.3e "
+    return ("%s cycles=%d real_cycles=%d/%d stored_real=%d/%d "
+            "relation_cycles=%d/%d final=%.3e "
             "history=%s lam=%s rel_residual=%s x=%s"
             % (name, cycles, real_cycles, cycles, stored_real, cycles,
-               report.residual_history[-1],
+               relation_cycles, cycles, report.residual_history[-1],
                _sha1(report.residual_history, float),
                _sha1([p.lam for p in pairs], complex),
                _sha1([p.rel_residual for p in pairs], float),
@@ -144,13 +150,15 @@ def chain_fingerprints(soarqep):
                 # every restart drops a numerically dependent wanted vector
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    report, _, stored = solve_counting_real(soarqep, problem,
-                                                            config)
+                    report, _, stored, relation = solve_counting_real(
+                        soarqep, problem, config)
                 cycles = len(report.residual_history)
                 yield ("chain sigma=%s %s seed=%d cycles=%d stored_real=%d/%d "
-                       "breakdown=%s final=%.3e history=%s"
+                       "relation_cycles=%d/%d breakdown=%s final=%.3e "
+                       "history=%s"
                        % (sigma, variant, seed, cycles, stored, cycles,
-                          report.breakdown, report.residual_history[-1],
+                          relation, cycles, report.breakdown,
+                          report.residual_history[-1],
                           _sha1(report.residual_history, float)))
 
 
