@@ -103,7 +103,8 @@ def format_json(args, config, report, n):
         "config": cfg,
         "history": [{"restart": r, "max_rel_residual": res, "deflations": d}
                     for r, res, d in _history(report)],
-        "pairs": [{"lam": _jsonable_complex(c.lam), "rel_residual": c.rel_residual}
+        "pairs": [{"lam": _jsonable_complex(c.lam), "rel_residual": c.rel_residual,
+                   "residual": c.residual, "backward_error": c.backward_error}
                   for c in report.converged],
         "restarts_used": report.restarts_used,
         "converged_count": len(report.converged),

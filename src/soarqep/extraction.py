@@ -5,15 +5,14 @@ triple in shift-invert mode); relative residuals are always reported for the
 original problem, recovered through the operator when needed.  Every
 residual norm and refined vector of a cycle goes through three blocks
 (R1, R2, R3) with R_i^* R_j = W_i^* W_j, so none of them costs n-length
-work: the column blocks of the R factor of one thin QR of [W1 W2 W3], or,
-for a streamed projection of a decomposition that holds to rounding, blocks
-derived through the MSOAR relation from the R factor of 2k + 4 formed
-columns in place of 3ktilde (``project``).  The float64
-basis of a real decomposition (a real problem in direct mode or at a real
-shift from a real start, for as long as its restarts keep it real) projects
-in float64: [W1 W2 W3], the projected triple and R, with one residual per
-conjugate pair of Ritz values.  The Ritz values, primitive vectors and
-delivered eigenvectors are complex.
+work: the column blocks of the Gram triangle of [W1 W2 W3], or blocks
+derived through the MSOAR relation from the triangle of 2k + 4 formed
+columns in place of 3ktilde, where the decomposition holds to rounding
+(``project``).  The float64 basis of a real decomposition (a real problem
+in direct mode or at a real shift from a real start, for as long as its
+restarts keep it real) projects in float64: [W1 W2 W3], the projected
+triple and R, with one residual per conjugate pair of Ritz values.  The
+Ritz values, primitive vectors and delivered eigenvectors are complex.
 """
 
 from dataclasses import dataclass, field, replace
@@ -35,14 +34,13 @@ class ProjectedQep:
     With the working matrices W1 = M Q_tilde, W2 = C Q_tilde and
     W3 = K Q_tilde, it keeps the triple M_k = Q_tilde^* W1, C_k, K_k and
     blocks (R1, R2, R3) with [W1 W2 W3] = Z [R1 R2 R3] for a Z with
-    orthonormal columns, so R_i^* R_j = W_i^* W_j, all accumulated over
-    row blocks by ``project``, float64 for a real projection and complex
-    otherwise.  The R_i are the column blocks of the triangle of a thin QR
-    of [W1 W2 W3], or, where ``relation`` is set, (2k + 4) x ktilde blocks
-    derived from the triangle of the MSOAR relation's columns (``project``).
-    The W_i are not kept, so a later cycle cannot reuse them;
-    ``W1``..``W3`` recompute them from the operator's working matrices on
-    demand, and the solver never asks for them.
+    orthonormal columns, so R_i^* R_j = W_i^* W_j, float64 for a real
+    projection and complex otherwise.  The R_i are the column blocks of
+    the Gram triangle of [W1 W2 W3], or, where ``relation`` is set, blocks
+    with the rows of the triangle of the MSOAR relation's columns
+    (``project``).  The W_i are not kept; ``W1``..``W3`` recompute them
+    from the operator's working matrices on demand, and the solver never
+    asks for them.
     """
     Q_tilde: np.ndarray   # n x ktilde orthonormal basis, often a view of Q
     M_k: np.ndarray
@@ -83,6 +81,7 @@ class RitzEntry:
     rel_residual: float
     finite: bool = True
     sigma_min: float = None   # residual norm of g, set on refined entries
+    residual: float = None    # ||(theta^2 W1 + theta W2 + W3) g||, if finite
 
 
 @dataclass
@@ -110,9 +109,17 @@ PROJECT_CHUNK_ENTRIES = 2 ** 15
 # an ulp, so S is split only where its size matters
 RITZ_GROUP_ENTRIES = 2 ** 14
 
-# a streamed projection goes through the MSOAR relation when both of its
-# block rows hold to this many units of rounding (``_relation_holds``)
+# a projection goes through the MSOAR relation when both of its block rows
+# hold to this many units of rounding (``_relation_holds``)
 RELATION_TOL = 1e3
+
+# ... and, given the run's ctol, to this fraction of ctol: the residuals
+# derived through the relation differ from those of the direct products by
+# about the probe's reading, so a residual at ctol reads within about 1% of
+# the direct one.  At ctol 1e-10 the bound stays RELATION_TOL eps; at the
+# tight-ctol tests' 1e-15 it is 1e-17, below eps, and the relation is
+# always refused there, where the probe reads 31 to 40 eps (upper row)
+RELATION_CTOL_FRACTION = 1e-2
 
 
 def _project_blocks(op, kt, real):
@@ -138,34 +145,31 @@ def _project_blocks(op, kt, real):
     return blocks if held * (itemsize + 4) < spared else [slice(0, n)]
 
 
-def _relation_holds(state, op):
-    """Whether the MSOAR decomposition holds to rounding in both block rows,
-    read off one fixed probe direction g = ones(k)/sqrt(k):
+def _relation_holds(state, op, tol):
+    """Whether the MSOAR decomposition holds to ``tol`` (relative) in both
+    block rows, read off one fixed probe direction g = ones(k)/sqrt(k):
 
-        upper  ||X1 Q_{k+1} T_hat g + X2 Q_k g + X3 P_k g||
-                   <= RELATION_TOL eps ||X2 Q_k g||
-        lower  ||Q_k g - P_{k+1} T_hat g|| <= RELATION_TOL eps ||Q_k g||
+        upper  ||X1 Q_{k+1} T_hat g + X2 Q_k g + X3 P_k g|| <= tol ||X2 Q_k g||
+        lower  ||Q_k g - P_{k+1} T_hat g||                  <= tol ||Q_k g||
 
-    (three sparse products and four products with an n x k matrix), so
-    X2 Q_k and X3 Q_k derived from the two rows (``project``) are within
-    RELATION_TOL units of rounding of the products formed directly,
-    relative to their own scale.  A decomposition with a zero Q column
-    (deflation or breakdown) is refused outright.
+    so X2 Q_k and X3 Q_k derived from the two rows (``project``) are within
+    ``tol`` of the products formed directly, relative to their own scale.
+    A decomposition with a zero Q column (deflation or breakdown) is
+    refused outright.
 
-    The upper row is the recurrence's shift-invert solve, whose residual
-    is of the order of its backward error, eps ||X1|| ||Q_{k+1} T_hat g||.
-    That scale is not used: at a real shift next to an eigenvalue
-    (``gen_mass_spring(3000)`` at sigma = -13) it reads 0.5 eps where this
-    test reads 1150 eps, and the residuals derived through the relation
-    were then 5e-18 to 6e-17 while those of the delivered vectors,
-    recomputed from M, C and K, were 8e-16 to 1.3e-15; this test refuses
-    that decomposition, and the direct products report 3.5e-16 to 1.0e-15.
+    The upper row is not measured against the shift-invert solve's
+    backward error, eps ||X1|| ||Q_{k+1} T_hat g||: next to an eigenvalue
+    (``gen_mass_spring(3000)`` at sigma = -13) that scale read 0.5 eps
+    where this one reads 1150 eps, and the residuals derived through the
+    relation read 5e-18 to 6e-17 against 8e-16 to 1.3e-15 from M, C and K.
 
-    ms5k's 49 cycles at seed 1 read at most 183 eps (upper) and 23 eps
-    (lower); refused are the underdamped chain (lower reads 0.02 to 6 at
-    n = 200, sigma = -1, as P grows) and ``gen_mass_spring(3000)`` at
-    sigma = 0.3 (lower 1.0 to 4.5; 1e-4 to 0.02 with a full first column
-    of C).
+    Readings, in units of eps (upper, lower), against RELATION_TOL eps:
+    ms5k's 49 cycles at seed 1 at most 183 and 23; string1000's first
+    cycles 127 to 320 and 22 to 46 at seeds 1-3 and 11-20, its later ones
+    up to 775 and 136, all accepted but seed 2's second cycle at 1018.
+    Refused: string300 (8e7 and 5e9 in cycle 1, as P grows), the
+    underdamped chain (lower 0.02 to 6 relative at n = 200, sigma = -1),
+    ``gen_mass_spring(3000)`` at sigma = 0.3 (lower 1.0 to 4.5).
     """
     k = state.k
     if state.breakdown or state.deflation_steps:
@@ -182,113 +186,78 @@ def _relation_holds(state, op):
     upper += X3 @ (P[:, :k] @ g)
     lower = Qg
     lower -= P @ Tg
-    tol = RELATION_TOL * np.finfo(float).eps
     return bool(np.linalg.norm(upper) <= tol * scales[0]
                 and np.linalg.norm(lower) <= tol * scales[1])
 
 
-def project(state, op):
-    """Project the working QEP onto the finalized basis.
+def project(state, op, ctol=None):
+    """Project the working QEP onto the finalized basis Q_tilde.
 
-    The rows of [W1 W2 W3] = [X1 Q_tilde, X2 Q_tilde, X3 Q_tilde] are
-    formed a block of rows at a time in one reused column-major buffer;
-    each block adds its share to the triple and is folded into the Gram
-    triangle by ``kernels.gram_blocks`` before the next one is formed.  The
-    blocks are ``kernels.row_blocks`` where that holds less memory
-    (``_project_blocks``), and then the n x 3ktilde array is never held:
-    the working set is the basis, one block of rows (at most 1/16 of n
-    from n = 4096 on) and the zeroed column-major triangle allocated here,
-    into which every block, the first included, is folded in place.  With
-    n at most 4 ROW_BLOCK_MIN = 1024, or working matrices whose rows are
-    too full to stream, there is one block of all n rows and the arithmetic
-    of the unblocked formula: R is its row-major min(n, 3ktilde)-row
-    triangle, R1, R2 and R3 its column blocks.
+    Forms the columns of one plan, a list of (working matrix, basis
+    columns), a block of rows at a time in one reused column-major buffer;
+    each block adds its share of Q_tilde^* times those columns to the
+    triple and is folded into the Gram triangle by ``kernels.gram_blocks``
+    before the next one is formed.
 
-    Through the relation.  A streamed projection of a decomposition that
-    holds to rounding (``_relation_holds``), whose Q_tilde therefore starts
-    with Q_{k+1}, forms the 2k + 4 (ktilde = k + 1) or 2k + 7 (ktilde =
-    k + 2) columns
+    - The direct plan is [W1 W2 W3] = [X1 Q_tilde, X2 Q_tilde, X3 Q_tilde];
+      R1, R2 and R3 are the thirds of its triangle.
+    - Where the decomposition holds to min(RELATION_TOL eps,
+      RELATION_CTOL_FRACTION ctol) (``_relation_holds``; RELATION_TOL eps
+      without ``ctol``), the plan is the 2k + 4 (ktilde = k + 1) or 2k + 7
+      (ktilde = k + 2) columns Y = [X1 Q_tilde, X3 P_{k+1},
+      X2 Q_tilde[:, k:], X3 Q_tilde[:, k:]], and R1, R2, R3 and the triple
+      are derived from those of Y through X2 Q_k = -X1 Q_{k+1} T_hat -
+      X3 P_k and X3 Q_k = X3 P_{k+1} T_hat (``_through_relation``).
+      ``ProjectedQep.relation`` tells which plan ran.  The derived blocks
+      carry the decomposition's rounding, not that of products formed from
+      Q_tilde, so a residual near the rounding floor can read lower through
+      them than the delivered vector's (``ConvergedPair.residual`` is
+      recomputed from M, C and K).
 
-        Y = [X1 Q_tilde, X3 P_{k+1}, X2 Q_tilde[:, k:], X3 Q_tilde[:, k:]]
+    The blocks are ``kernels.row_blocks`` where that holds less memory
+    (``_project_blocks``); then the n-row array is never held, and each
+    column X_i v of a block is written into the zeroed buffer by scipy's
+    CSR matrix-vector kernel, reading the block's range of the CSR arrays
+    of ``OperatorPair.work_csr`` in place, entry for entry the sums of the
+    one-block product.  Otherwise there is one block of all n rows, formed
+    by the whole matrices times row-major copies of at most
+    PROJECT_CHUNK_ENTRIES basis entries (CSC-by-dense products run 2-5x
+    faster on row-major operands), and R is the row-major triangle of
+    ``gram_blocks`` without a fold.  A block's share of Q_tilde^* W is
+    conj(Q_tilde[rows]^T conj(W[rows])), with the block conjugated in place
+    and back: in one block that is Q_tilde^* W bit for bit.
 
-    instead of 3ktilde, and folds them into one triangle R_Y; its two block
-    rows give the rest, X2 Q_k = -X1 Q_{k+1} T_hat - X3 P_k and X3 Q_k =
-    X3 P_{k+1} T_hat, so with R_P = R_Y[:, X3 P_{k+1}]
-
-        R1 = R_Y[:, X1 Q_tilde]
-        R2 = [-R1[:, :k+1] T_hat - R_P[:, :k], R_Y[:, X2 Q_tilde[:, k:]]]
-        R3 = [R_P T_hat, R_Y[:, X3 Q_tilde[:, k:]]]
-
-    and the triple from Q_tilde^* Y the same way.  Then R_i^* R_j =
-    W_i^* W_j still holds, to the rounding of the decomposition; R1 is a
-    view of R_Y, R2 and R3 are new arrays with R_Y's rows.  On ms5k
-    (ktilde = 41) that is 84 columns in place of 123, and its first
-    cycle's projection (seed 1) took 21.6 ms against 33.2 ms, the probe
-    0.9 ms of it, and the fold of its 16 row blocks 11.5 ms against 20.7
-    (medians of 20 and 15, one thread of a 2-core VM).  Any other streamed
-    projection forms [W1 W2 W3] itself, and R1, R2 and R3 are views of its
-    3ktilde x 3ktilde triangle; ``ProjectedQep.relation`` tells which.
-    The derived blocks carry the decomposition's rounding, not that of
-    products formed from Q_tilde: a residual near the rounding floor reads
-    lower through them (n = 47, blocks of 7 rows, sigma = -13 + 0.4i: a
-    delivered pair at 2.0e-17 whose residual from M, C and K is 1.0e-15,
-    where [W1 W2 W3] gives 6.9e-16), while ms5k's delivered residuals,
-    about 1e-11, match those from M, C and K to 3e-6 relative.
-
-    A streamed block's column of X_i v, v a column of Q_tilde or P, is
-    written into the zeroed buffer by scipy's own CSR matrix-vector kernel,
-    reading the block's range of the CSR arrays of ``OperatorPair.work_csr``
-    in place (for a matrix equal to its transpose, its own CSC arrays): no
-    slice of the matrices, copy of the basis rows or product temporary.
-    Each entry is summed over the same columns in the same order as in the
-    one-block product.  The views of the basis columns are made once per
-    projection and those of the buffer's columns once per block, and the
-    kernel runs matrix by matrix on the block's one slice of that matrix's
-    ``indptr``: on ms5k's first cycle (16 blocks, ktilde = 41) the 1968
-    kernel calls of [W1 W2 W3] took 4.8 ms of that projection's 32.7,
-    5.8 ms with both views made per call (one thread of a 2-core VM), and
-    the relation makes 1344.  The one block of all n rows takes the whole
-    matrices times row-major copies of at most PROJECT_CHUNK_ENTRIES basis
-    entries, each shared by the three products: CSC-by-dense products run
-    2-5x faster on row-major operands.
-    A block's share of Q_tilde^* W_i is conj(Q_tilde[rows]^T conj(W_i[rows])),
-    with the block conjugated in place and back: no conjugated copy of the
-    basis rows, and in one block it matched Q_tilde^* W_i bit for bit at
-    one and two OpenBLAS threads.
-
-    A float64 Q_tilde, the basis of a float64 decomposition (which
-    ``msoar.init_state`` starts only on an operator with ``real_work``),
-    makes the buffer float64, and the products take the real working
-    matrices and the basis itself; the triple and R are then float64
-    (``ProjectedQep.real``).  A complex Q_tilde projects in complex
-    arithmetic, whatever its imaginary part.
+    A float64 Q_tilde, the basis of a float64 decomposition, projects with
+    the real working matrices, and the triple and R are float64
+    (``ProjectedQep.real``); any other projects in complex arithmetic.
     """
     Qt = extraction_basis(state)
     n, kt = Qt.shape
     real = Qt.dtype == float
     blocks = _project_blocks(op, kt, real)
     streamed = len(blocks) > 1
-    relation = streamed and _relation_holds(state, op)
+    tol = RELATION_TOL * np.finfo(float).eps
+    if ctol is not None:
+        tol = min(tol, RELATION_CTOL_FRACTION * ctol)
+    relation = _relation_holds(state, op, tol)
+    # (index of the working matrix, basis, first column)
+    if relation:
+        k = state.k
+        plan = [(0, Qt, 0), (2, state.P, 0), (1, Qt, k), (2, Qt, k)]
+    else:
+        plan = [(0, Qt, 0), (1, Qt, 0), (2, Qt, 0)]
+    width = sum(B.shape[1] - j for _, B, j in plan)
     if streamed:
         # an operator's first streamed projection builds these, before the
         # buffer is allocated
-        csr = op.real_work_csr if real else op.work_csr
-        # views of the basis columns, which are contiguous in the
-        # column-major Q_tilde and P, and the matrix each column is
-        # multiplied by, in the buffer's column order
-        cols = [np.ascontiguousarray(q) for q in Qt.T]
-        if relation:
-            k = state.k
-            plan = [(0, cols), (2, [np.ascontiguousarray(p)
-                                    for p in state.P.T]),
-                    (1, cols[k:]), (2, cols[k:])]
-        else:
-            plan = [(0, cols), (1, cols), (2, cols)]
-        width = sum(len(v) for _, v in plan)
+        work = op.real_work_csr if real else op.work_csr
+        # views of the basis columns, contiguous in the column-major
+        # Q_tilde and P, made once per basis
+        views = {id(B): [np.ascontiguousarray(v) for v in B.T]
+                 for _, B, _ in plan}
     else:
         work = op.real_work if real else (op.work_M, op.work_C, op.work_K)
         chunk = max(1, PROJECT_CHUNK_ENTRIES // n)
-        width = 3 * kt
     dtype = float if real else complex
     buf = np.empty(blocks[0].stop * width, dtype=dtype)
     triangle = (np.zeros((width, width), dtype=dtype, order="F")
@@ -304,18 +273,20 @@ def project(state, op):
         if streamed:
             W[:] = 0
             out = iter(W.T)
-            for i, vecs in plan:
-                indptr, indices, data = csr[i]
+            for i, B, j in plan:
+                indptr, indices, data = work[i]
                 indptr = indptr[rows.start:rows.stop + 1]
-                for q, w in zip(vecs, out):
-                    csr_matvec(b, n, indptr, indices, data, q, w)
+                for v, w in zip(views[id(B)][j:], out):
+                    csr_matvec(b, n, indptr, indices, data, v, w)
         else:
-            for j in range(0, kt, chunk):
-                Q_chunk = np.ascontiguousarray(Qt[:, j:j + chunk])
-                for i, X in enumerate(work):
-                    W[:, i * kt + j:i * kt + min(j + chunk, kt)] = X @ Q_chunk
+            at = 0
+            for i, B, j in plan:
+                for c in range(j, B.shape[1], chunk):
+                    B_chunk = np.ascontiguousarray(B[:, c:c + chunk])
+                    W[:, at:at + B_chunk.shape[1]] = work[i] @ B_chunk
+                    at += B_chunk.shape[1]
             # the last chunk is freed before the block's triple and fold
-            Q_chunk = None
+            B_chunk = None
         Q_rows = Qt[rows]
         for i, (lo, hi) in enumerate(parts):
             blk = W[:, lo:hi]
@@ -330,7 +301,9 @@ def project(state, op):
         R = kernels.gram_blocks(W, triangle)
     if relation:
         triple = _through_relation(triple[0], state, kt)
-        R = _through_relation(triangle, state, kt)
+        R = _through_relation(R, state, kt)
+    else:
+        R = R[:, :kt], R[:, kt:2 * kt], R[:, 2 * kt:]
     return ProjectedQep(Qt, *triple, blocks=R, op=op, relation=relation)
 
 
@@ -408,7 +381,7 @@ def extract_ritz(proj, op, m):
         lam, rel = (_relative(op, th, norms[i]) if i in norms
                     else (complex(np.inf), float(np.inf)))
         pairs.append(RitzEntry(theta=th, g=G[:, i], lam=lam, rel_residual=rel,
-                               finite=i in norms))
+                               finite=i in norms, residual=norms.get(i)))
     order = sorted(norms, key=lambda i: (-abs(pairs[i].theta),
                                          pairs[i].theta.real, pairs[i].theta.imag))
     return RitzSet(pairs=pairs, selection=order[:m])
@@ -416,9 +389,13 @@ def extract_ritz(proj, op, m):
 
 def extract_refined(proj, op, ritz):
     """Fill refined vectors for the selected Ritz values, each by inverse
-    iteration started at its Ritz vector, so its residual is no larger than
-    the Ritz vector's up to rounding; a refined entry is the Ritz entry with
-    g, sigma_min (the exact residual norm of g) and rel_residual replaced.
+    iteration started at its Ritz vector; a refined entry is the Ritz entry
+    with g, sigma_min (the residual norm of g), residual and rel_residual
+    replaced.  Its residual never reads above the Ritz vector's: where the
+    refined vector's does, at the rounding floor, where ||S g|| through R_S
+    and through the blocks round differently, the entry keeps the Ritz
+    vector and its residual, with sigma_min set to that residual, so it
+    still counts as refined.
 
     On a real projection one call serves each conjugate pair of
     ``kernels.conjugate_groups``: the partner takes the conjugate vector and
@@ -434,9 +411,11 @@ def extract_refined(proj, op, ritz):
         z, smin = kernels.refined_vector(first.theta, *proj.blocks, first.g)
         for j, g in zip(group, (z, z.conj())):
             entry = ritz.pairs[sel[j]]
-            ritz.refined[sel[j]] = replace(
-                entry, g=g, sigma_min=smin,
-                rel_residual=_relative(op, entry.theta, smin)[1])
+            ritz.refined[sel[j]] = (
+                replace(entry, sigma_min=entry.residual)
+                if smin > entry.residual else
+                replace(entry, g=g, sigma_min=smin, residual=smin,
+                        rel_residual=_relative(op, entry.theta, smin)[1]))
     return ritz
 
 

@@ -8,9 +8,7 @@ LAPACK geqrt where the projection does not stream
 out (one block up to n = 1024, 1/16 of n from n = 4096 on), which the
 projection forms in its one buffer from the working matrices' CSR rows,
 read in place, each folded by LAPACK tpqrt into the one triangle the
-projection holds (see ``gram_blocks``): of [W1 W2 W3], or of the 2k + 4
-columns of the MSOAR relation from which the projection derives its
-blocks.  The rest works at
+projection holds (see ``gram_blocks``).  The rest works at
 orders <= ~200 (shifted QR by LAPACK rotations, each applied once; the
 projected QEP by standard eig on the monic companion when M_k is well
 conditioned and by QZ otherwise, returned as an eigenvalue array and one
@@ -416,54 +414,33 @@ def row_blocks(n):
 
 
 def gram_blocks(A, R=None):
-    """The Gram blocks W_i^* W_j in factored form, one QR per subspace.
+    """The triangle R of a Householder QR A = Z R, so R^* R = A^* A.
 
-    ``A`` is [W1 W2 W3], an n-by-3k array, or a row block of it.  A
-    Householder QR A = Z [R1 R2 R3] returns the column blocks (R1, R2, R3)
-    of the triangle R, so R_i^* R_j = W_i^* W_j and
-    ||(a W1 + b W2 + c W3) x|| = ||(a R1 + b R2 + c R3) x|| for any a, b, c, x.
-    R1 is zero below row k and R2 below row 2k.  A fold (below) takes the
-    row blocks of an array of any width as well: ``extraction.project`` folds
-    the 2k + 4 columns of the MSOAR relation, reads their triangle from
-    ``R`` and derives its blocks from it, so the thirds returned then are
-    not used.  A complex ``A`` goes
-    through LAPACK zgeqrt and ztpqrt, any other through dgeqrt and dtpqrt,
-    as float64 (a real projection: 3.1 against 10.8 ms for one 300-by-423
-    QR, one thread of a 2-core VM); R has that dtype.  A column-major
-    complex128 or float64 ``A`` is factored in place and left holding the
-    reflectors; any other is copied first.
+    ``A`` is the n-by-w array of the columns a projection forms, or a row
+    block of it; for any column blocks A_i of A and the same column blocks
+    R_i of R, R_i^* R_j = A_i^* A_j, so ||sum_i A_i x_i|| = ||sum_i R_i x_i||
+    at no n-length cost.  A complex ``A`` goes through LAPACK zgeqrt and
+    ztpqrt, any other through dgeqrt and dtpqrt, as float64; R has that
+    dtype.  A column-major complex128 or float64 ``A`` is factored in place
+    and left holding the reflectors; any other is copied first.
 
-    Without ``R``, R is the min(n, 3k)-by-3k triangle of ``A`` alone, as
-    ``np.triu`` gives it.  The one-block projection's arithmetic depends on
-    those min(n, 3k) rows: on string300 (300 rows, 3k = 423), zero-padding R
-    to 3k rows moved the seed-1 final residual (one BLAS thread) from
-    1.760e-11 to 1.833e-11, and folding the one block from zeros to
-    1.724e-11.
+    Without ``R``, R is the row-major min(n, w)-by-w triangle of ``A``
+    alone, as ``np.triu`` gives it, from geqrt in reflector blocks of 32
+    columns: the one-block projection's bits rest on both (zero-padding R
+    to w rows, or folding the one block from zeros, moved string300's
+    seed-1 final).  geqrt factors each panel recursively with level-3
+    updates (Elmroth & Gustavson, IBM J. Res. Dev. 44 (2000)), where
+    zgeqrf's level-2 panel streams all n rows once per column.
 
-    With ``R``, the caller's column-major square triangle, as wide as
-    ``A``, of the rows above ``A`` (zeros before the first row block),
-    R becomes the triangle
-    of those rows and ``A`` stacked: the triangle and ``A`` go through
-    LAPACK tpqrt, the triangular-pentagonal QR that tall-skinny QR is built
-    on (Demmel, Grigori, Hoemmen & Langou, SIAM J. Sci. Comput. 34
-    (2012)), which overwrites ``R`` in place if it has the result's dtype
-    (LAPACK gets a copy otherwise), and the blocks returned are views of the
-    triangle it wrote.  So [W1 W2 W3] is factored one row block at a time
-    into one triangle, and is never needed whole.  Folding sixteen row
-    blocks of 313 rows of a complex 5000-by-123 array into a zeroed
-    triangle takes 20.9 ms in reflector blocks of 16 columns, and one
-    zgeqrt of it 25.5 ms in blocks of 32; the 84 columns that ms5k's
-    projection folds through the MSOAR relation take 11.5 ms (medians of
-    15, one thread of a 2-core VM).
-
-    The one-block QR is LAPACK zgeqrt, not zgeqrf (``scipy.linalg.qr``):
-    zgeqrf's level-2 panel streams all n rows once per column, while zgeqrt
-    factors each panel recursively with level-3 updates (Elmroth &
-    Gustavson, IBM J. Res. Dev. 44 (2000)) and yields the same triangle up
-    to rounding.  On a 5000-by-123 block, one thread of a 2-core VM, it
-    takes 36 ms against 67-77 ms; at 20000-by-123, 153 against 540 ms.
+    With ``R``, the caller's column-major w-by-w triangle of the rows above
+    ``A`` (zeros before the first row block), R becomes the triangle of
+    those rows and ``A`` stacked, by LAPACK tpqrt, the triangular-pentagonal
+    QR that tall-skinny QR is built on (Demmel, Grigori, Hoemmen & Langou,
+    SIAM J. Sci. Comput. 34 (2012)), in reflector blocks of 16 columns.  It
+    overwrites ``R`` in place if it has the result's dtype (LAPACK gets a
+    copy otherwise), so the row blocks fold into one triangle and A is
+    never needed whole.
     """
-    n, k = A.shape[0], A.shape[1] // 3
     geqrt, tpqrt = ((zgeqrt, ztpqrt) if np.iscomplexobj(A)
                     else (dgeqrt, dtpqrt))
     if R is None:
@@ -472,22 +449,21 @@ def gram_blocks(A, R=None):
         # (medians of 15, one thread of a 2-core VM), so 32, the width
         # string300's and string1000's rounding rests on, is kept
         A, _, _ = geqrt(min(32, *A.shape), A, overwrite_a=1)
-        R = np.triu(A[:min(n, 3 * k)])
-    else:
-        # columns per reflector block of a fold, in ms to fold the row
-        # blocks of an n x 123 array into a zeroed triangle (medians of 15,
-        # one thread of a 2-core VM):
-        #
-        #   n, dtype (blocks)          16     32     64
-        #   5000 complex (16 x 313)   20.9   24.3   32.6
-        #   5000 float64 (16 x 313)    7.4    9.7   15.0
-        #   20000 complex (16 x 1250) 79.7   90.1  119.0
-        #   3000 complex (12 x 256)   12.6   14.4   19.4
-        #
-        # 12 came within 0.5 ms of 16 and 8 within 3 ms
-        R, _, _, _ = tpqrt(0, min(16, A.shape[1]), R, A, overwrite_a=1,
-                           overwrite_b=1)
-    return R[:, :k], R[:, k:2 * k], R[:, 2 * k:]
+        return np.triu(A[:min(A.shape)])
+    # columns per reflector block of a fold, in ms to fold the row blocks
+    # of an n x 123 array into a zeroed triangle (medians of 15, one thread
+    # of a 2-core VM):
+    #
+    #   n, dtype (blocks)          16     32     64
+    #   5000 complex (16 x 313)   20.9   24.3   32.6
+    #   5000 float64 (16 x 313)    7.4    9.7   15.0
+    #   20000 complex (16 x 1250) 79.7   90.1  119.0
+    #   3000 complex (12 x 256)   12.6   14.4   19.4
+    #
+    # 12 came within 0.5 ms of 16 and 8 within 3 ms
+    R, _, _, _ = tpqrt(0, min(16, A.shape[1]), R, A, overwrite_a=1,
+                       overwrite_b=1)
+    return R
 
 
 # entries of S that refined_vector forms per group of columns (64 KiB complex)
@@ -521,8 +497,9 @@ def refined_vector(theta, R1, R2, R3, start):
     of the same triangle instead.
 
     Returns (z, sigma_min) with sigma_min = ||R_S z|| = ||S z||, the exact
-    residual of the delivered vector.  With the blocks of ``gram_blocks``
-    this is the refined vector of the tall W_i at no n-length cost.
+    residual of the delivered vector.  With the column blocks of the
+    triangle of ``gram_blocks`` this is the refined vector of the tall W_i
+    at no n-length cost.
 
     S is formed in one column-major complex buffer, REFINED_GROUP_ENTRIES
     entries at a time by the same per-entry expression, and LAPACK zgeqrf

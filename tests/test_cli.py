@@ -105,7 +105,10 @@ class TestRuns:
         assert doc["config"]["sigma"] == {"re": -13.0, "im": 0.4}
         assert len(doc["pairs"]) == 4
         for p in doc["pairs"]:
-            assert set(p) == {"lam", "rel_residual"}
+            assert set(p) == {"lam", "rel_residual", "residual",
+                              "backward_error"}
+            assert p["residual"] <= doc["config"]["ctol"]
+            assert 0.0 <= p["backward_error"] < 1e-10
         assert len(doc["history"]) == doc["restarts_used"] + 1
 
     def test_out_file(self, capsys, tmp_path):

@@ -437,9 +437,9 @@ class TestRealProblems:
         # complex start is complex throughout
         project, stored = driver.project, []
 
-        def recording_project(state, op):
+        def recording_project(state, op, ctol):
             stored.append(state.dtype.name)
-            return project(state, op)
+            return project(state, op, ctol)
 
         monkeypatch.setattr(driver, "project", recording_project)
         prob = gen_string_damping(150)
@@ -705,6 +705,27 @@ class TestBreakdown:
         finite = lams[np.isfinite(lams)]
         for c in rep.converged:
             assert min(abs(c.lam - finite)) < 1e-8 * max(1.0, abs(c.lam))
+
+    def test_breakdown_pairs_checked_against_problem(self, rng):
+        # every delivered pair, wanted or not, carries its residual and
+        # backward error from M, C and K
+        prob = random_qep(rng, 8)
+        u1, u2 = breakdown_starts(prob, 4)
+        rep = solve(prob, SolverConfig(m=2, k=8, ctol=1e-10, tol=1e-10,
+                                       u1=u1, u2=u2))
+        assert rep.breakdown and rep.converged
+        M, C, K = (X.toarray() for X in (prob.M, prob.C, prob.K))
+        eps = np.finfo(float).eps
+        for c in rep.converged:
+            norm = np.linalg.norm((c.lam ** 2 * M + c.lam * C + K) @ c.x)
+            t = abs(c.lam)
+            # the two products agree to a few units of the rounding floor
+            scale = t * t * prob.norms1[0] + t * prob.norms1[1] + prob.norms1[2]
+            assert c.residual == pytest.approx(
+                norm / prob.norm_sum, rel=1e-8,
+                abs=10 * eps * scale / prob.norm_sum)
+            assert c.backward_error == pytest.approx(norm / scale, rel=1e-8,
+                                                     abs=10 * eps)
 
 
 class TestNonConvergence:

@@ -103,6 +103,22 @@ def _sliced_projection(Qt, op, real, chunk_entries, state=None):
     return (*triple, np.hstack(R))
 
 
+def _relation_cycles(config, n):
+    """(report, ``proj.relation`` of each cycle) of a solve of
+    ``gen_mass_spring(n)``."""
+    relation = []
+
+    def noting(state, op, ctol):
+        proj = project(state, op, ctol)
+        relation.append(proj.relation)
+        return proj
+
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(driver, "project", noting)
+        report = solve(gen_mass_spring(n), config)
+    return report, relation
+
+
 class TestProject:
     def test_projection_matches_direct(self, rng):
         prob = random_qep(rng, 25)
@@ -137,14 +153,16 @@ class TestProject:
 
     def test_chunked_projection_matches_unchunked_formula(self, rng,
                                                           monkeypatch):
-        # u2 = u1 adds no p1 column, so ktilde = k + 1 = 9, formed in
-        # chunks of 4, 4 and 1 columns
+        # step 1 deflates, so ktilde = k + 1 = 9 and the projection forms
+        # [W1 W2 W3] itself, each in chunks of 4, 4 and 1 columns
         monkeypatch.setattr(extraction, "PROJECT_CHUNK_ENTRIES", 4 * 40 + 3)
         prob = random_qep(rng, 40, complex_data=True)
-        u1 = rng.standard_normal(40)
+        op = build_operator(prob, mode="shift-invert", sigma=0.3 + 0.2j)
+        u1, u2 = _deflating_starts(op, rng)
         op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j,
-                      u1=u1, u2=u1)
+                      u1=u1, u2=u2)
         proj = project(st, op)
+        assert not proj.relation
         Qt = proj.Q_tilde
         assert Qt.shape[1] == 9
         W = [X @ np.ascontiguousarray(Qt)
@@ -152,7 +170,7 @@ class TestProject:
         for Xk, Wi in zip((proj.M_k, proj.C_k, proj.K_k), W):
             assert np.array_equal(Xk, np.conj(Qt.T @ np.conj(Wi)))
         want = gram_blocks(np.asfortranarray(np.hstack(W)))
-        assert all(np.array_equal(g, w) for g, w in zip(proj.blocks, want))
+        assert np.array_equal(np.hstack(proj.blocks), want)
 
     @pytest.mark.parametrize("problem", ["arrow", "tridiagonal"])
     def test_row_blocks_match_unblocked_formula(self, rng, monkeypatch,
@@ -284,22 +302,18 @@ class TestProject:
         # a streamed projection of [W1 W2 W3] folds every row block into
         # one zeroed column-major 3ktilde x 3ktilde triangle, which R1, R2
         # and R3 view; one block keeps geqrt's row-major triangle of
-        # min(n, 3ktilde) rows (20 rows when n = 20 < 3ktilde).  The
-        # streamed runs deflate at step 1, so they do not go through the
-        # MSOAR relation (TestRelation has its layout)
+        # min(n, 3ktilde) rows (20 rows when n = 20 < 3ktilde).  The runs
+        # deflate at step 1, so they do not go through the MSOAR relation
+        # (TestRelation has its layout)
         for n, streamed in ((47, False), (20, False), (47, True)):
             if streamed:
                 monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 7)
             for sigma in (0.3 + 0.2j, 0.3):
                 prob = gen_mass_spring(n)
-                starts = {}
-                if streamed:
-                    op = build_operator(prob, mode="shift-invert",
-                                        sigma=sigma)
-                    starts = dict(zip(("u1", "u2"),
-                                      _deflating_starts(op, rng)))
+                op = build_operator(prob, mode="shift-invert", sigma=sigma)
+                u1, u2 = _deflating_starts(op, rng)
                 op, st = _run(rng, prob, 8, mode="shift-invert", sigma=sigma,
-                              **starts)
+                              u1=u1, u2=u2)
                 proj = project(st, op)
                 assert not proj.relation
                 kt = proj.ktilde
@@ -432,19 +446,22 @@ class TestRelation:
     def direct(monkeypatch, state, op):
         """``project`` with the relation refused: [W1 W2 W3] formed."""
         with monkeypatch.context() as m:
-            m.setattr(extraction, "_relation_holds", lambda state, op: False)
+            m.setattr(extraction, "_relation_holds",
+                      lambda state, op, tol: False)
             return project(state, op)
 
-    @pytest.mark.parametrize("problem", ["arrow", "mass-spring"])
-    @pytest.mark.parametrize("sigma", [0.3 + 0.2j, 0.3])
-    def test_blocks_match_direct_products(self, rng, problem, sigma):
-        # complex and real arithmetic; R_i^* R_j = W_i^* W_j and the triple
-        # to the bounds of the direct streamed path
+    @staticmethod
+    def check_direct_products(rng, problem, sigma, nblocks):
+        # R_i^* R_j = W_i^* W_j and the triple to the bounds of the direct
+        # path, in complex and real arithmetic
         n = 47
         prob = _arrow(n) if problem == "arrow" else gen_mass_spring(n)
         op, st = _run(rng, prob, 8, mode="shift-invert", sigma=sigma)
+        real = sigma.imag == 0.0
+        kt = extraction_basis(st).shape[1]
+        assert len(_project_blocks(op, kt, real)) == nblocks
         proj = project(st, op)
-        assert proj.relation and proj.real == (sigma.imag == 0.0)
+        assert proj.relation and proj.real == real
 
         def close(a, b):
             return np.linalg.norm(a - b) <= 1e-13 * np.linalg.norm(b)
@@ -456,6 +473,20 @@ class TestRelation:
             assert close(Xk, Qt.conj().T @ Wi)
         R, A = np.hstack(proj.blocks), np.hstack(W)
         assert close(R.conj().T @ R, A.conj().T @ A)
+
+    @pytest.mark.parametrize("problem", ["arrow", "mass-spring"])
+    @pytest.mark.parametrize("sigma", [0.3 + 0.2j, 0.3])
+    def test_blocks_match_direct_products(self, rng, problem, sigma):
+        # in blocks of 7 rows
+        self.check_direct_products(rng, problem, sigma, 7)
+
+    @pytest.mark.parametrize("problem", ["arrow", "mass-spring"])
+    @pytest.mark.parametrize("sigma", [0.3 + 0.2j, 0.3])
+    def test_one_block_matches_direct_products(self, rng, monkeypatch,
+                                               problem, sigma):
+        # the whole of n = 47 in one block
+        monkeypatch.setattr(kernels, "ROW_BLOCK_MIN", 47)
+        self.check_direct_products(rng, problem, sigma, 1)
 
     @pytest.mark.parametrize("sigma", [-13 + 0.4j, -13.0, 0.3 + 0.2j])
     def test_residuals_match_direct_path(self, rng, monkeypatch, sigma):
@@ -527,7 +558,8 @@ class TestRelation:
             assert all(Ri.shape == (width, kt) for Ri in proj.blocks)
             assert len(calls) == len(kernels.row_blocks(n)) * width
 
-    def _restarted_chain(self, rng):
+    @staticmethod
+    def _restarted_chain(rng):
         """The underdamped chain at sigma = -1 after one restart: P has
         grown to about 1e9, with no deflation and no breakdown."""
         u1 = rng.standard_normal(47)
@@ -569,7 +601,9 @@ class TestRelation:
             assert st.breakdown and not st.deflation_steps
         else:
             op, st = self._restarted_chain(rng)
-        assert not extraction._relation_holds(st, op)
+        eps = np.finfo(float).eps
+        assert not extraction._relation_holds(st, op,
+                                              extraction.RELATION_TOL * eps)
         got = project(st, op)
         assert not got.relation
         assert len(_project_blocks(op, got.ktilde, got.real)) == 7
@@ -582,18 +616,9 @@ class TestRelation:
         # every cycle goes through the relation; the delivered residuals
         # (about 2.4e-7) are those of M, C and K
         prob = gen_mass_spring(47)
-        relation = []
-
-        def noting(state, op):
-            proj = project(state, op)
-            relation.append(proj.relation)
-            return proj
-
         config = SolverConfig(m=2, k=6, mode="shift-invert", sigma=-20 + 1j,
                               variant="irsoar", ctol=1e-6, seed=0)
-        with pytest.MonkeyPatch.context() as m:
-            m.setattr(driver, "project", noting)
-            report = solve(prob, config)
+        report, relation = _relation_cycles(config, 47)
         assert report.all_converged and len(report.converged) == 2
         assert relation and all(relation)
         M, C, K = prob.M, prob.C, prob.K
@@ -602,6 +627,120 @@ class TestRelation:
             true = (np.linalg.norm(lam ** 2 * (M @ x) + lam * (C @ x) + K @ x)
                     / np.linalg.norm(x) / prob.norm_sum)
             assert abs(pair.rel_residual - true) <= 1e-6 * true
+
+    @pytest.mark.parametrize("ctol, through", [(1e-10, True), (1e-15, False)])
+    def test_gate_tightens_with_ctol(self, ctol, through):
+        # the streamed case whose floor-level residual read 2.0e-17 through
+        # the relation against 1.0e-15 from M, C and K: at ctol 1e-10 the
+        # bound stays RELATION_TOL eps and every cycle takes the relation;
+        # at 1e-15 it is 1e-17, below eps, and none does.  The delivered
+        # pairs' residuals from M, C and K are reported either way
+        config = SolverConfig(m=3, k=12, mode="shift-invert",
+                              sigma=-13 + 0.4j, variant="irsoar", ctol=ctol,
+                              max_restarts=3, seed=0)
+        report, relation = _relation_cycles(config, 47)
+        assert relation and all(r == through for r in relation)
+        prob = gen_mass_spring(47)
+        for pair in report.converged:
+            lam, x = pair.lam, pair.x
+            true = np.linalg.norm(lam ** 2 * (prob.M @ x) + lam * (prob.C @ x)
+                                  + prob.K @ x) / prob.norm_sum
+            assert pair.residual == pytest.approx(true, rel=1e-6)
+
+
+class TestOneBlockRelation:
+    """A one-block projection (n <= 1024) of a decomposition that holds to
+    rounding goes through the MSOAR relation as a streamed one does."""
+
+    @pytest.mark.parametrize("n, k", [(47, 8), (20, 10)])
+    def test_triangle_has_min_n_2k_plus_4_rows(self, rng, monkeypatch, n, k):
+        # u2 = u1: Y has 2k + 4 columns, formed in chunks of 4 columns, and
+        # its triangle is geqrt's row-major one of min(n, 2k + 4) rows
+        # (20 rows when n = 20 < 2k + 4 = 24), which R1 views
+        monkeypatch.setattr(extraction, "PROJECT_CHUNK_ENTRIES", 4 * n)
+        u1 = rng.standard_normal(n)
+        op, st = _run(rng, gen_mass_spring(n), k, mode="shift-invert",
+                      sigma=-13 + 0.4j, u1=u1, u2=u1)
+        proj = project(st, op)
+        assert proj.relation and proj.ktilde == k + 1
+        rows = min(n, 2 * k + 4)
+        triangle = proj.blocks[0].base
+        assert triangle.shape == (rows, 2 * k + 4)
+        assert triangle.flags.c_contiguous
+        assert not np.any(np.tril(triangle, -1))
+        assert all(Ri.shape == (rows, k + 1) for Ri in proj.blocks)
+        Qt = proj.Q_tilde
+        Y = np.hstack([op.work_M @ Qt, op.work_K @ st.P,
+                       op.work_C @ Qt[:, k:], op.work_K @ Qt[:, k:]])
+        G = Y.conj().T @ Y
+        assert (np.linalg.norm(triangle.conj().T @ triangle - G)
+                <= 1e-13 * np.linalg.norm(G))
+
+    @pytest.mark.parametrize("case", ["deflation", "P growth", "ctol"])
+    def test_refused_states_give_the_direct_bytes(self, rng, monkeypatch,
+                                                  case):
+        prob = gen_mass_spring(47)
+        ctol = None
+        if case == "deflation":
+            op = build_operator(prob, mode="shift-invert", sigma=0.3 + 0.2j)
+            u1, u2 = _deflating_starts(op, rng)
+            op, st = _run(rng, prob, 8, mode="shift-invert",
+                          sigma=0.3 + 0.2j, u1=u1, u2=u2)
+        elif case == "P growth":
+            op, st = TestRelation._restarted_chain(rng)
+        else:
+            op, st = _run(rng, prob, 8, mode="shift-invert", sigma=0.3 + 0.2j)
+            assert project(st, op).relation
+            ctol = 1e-15
+        got = project(st, op, ctol)
+        assert not got.relation
+        want = TestRelation.direct(monkeypatch, st, op)
+        for name in ("M_k", "C_k", "K_k"):
+            assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+        assert np.hstack(got.blocks).tobytes() == np.hstack(want.blocks).tobytes()
+
+    def test_tight_ctol_never_takes_the_relation(self, monkeypatch):
+        # mass-spring n = 500 at ctol 1e-15 projects in one block; the
+        # probe would accept its decompositions at RELATION_TOL eps, and
+        # the gate at 1e-2 ctol refuses every one of them
+        probe, readings = extraction._relation_holds, []
+
+        def noting(state, op, tol):
+            readings.append(probe(state, op, extraction.RELATION_TOL
+                                  * np.finfo(float).eps))
+            return probe(state, op, tol)
+
+        monkeypatch.setattr(extraction, "_relation_holds", noting)
+        config = SolverConfig(m=6, k=40, p=15, mode="shift-invert",
+                              sigma=-13 + 0.4j, variant="imsoar", ctol=1e-15,
+                              max_restarts=15)
+        _, relation = _relation_cycles(config, 500)
+        assert relation and not any(relation)
+        assert any(readings)
+
+    def test_solve_reports_residuals_within_ctol(self):
+        # a one-block solve with every cycle through the relation: each
+        # delivered pair's residual from M, C and K is within ctol and
+        # equals a recomputation; its backward error is
+        # Tisseur's with the 1-norms as weights
+        config = SolverConfig(m=4, k=16, mode="shift-invert",
+                              sigma=-13 + 0.4j, variant="imsoar", ctol=1e-10,
+                              seed=1)
+        report, relation = _relation_cycles(config, 300)
+        assert report.all_converged and len(report.converged) == 4
+        assert relation and all(relation)
+        prob = gen_mass_spring(300)
+        nM, nC, nK = prob.norms1
+        for pair in report.converged:
+            lam, x = pair.lam, pair.x
+            norm = np.linalg.norm(lam ** 2 * (prob.M @ x) + lam * (prob.C @ x)
+                                  + prob.K @ x)
+            assert pair.residual <= config.ctol
+            assert pair.residual == pytest.approx(norm / prob.norm_sum,
+                                                  rel=1e-10)
+            t = abs(lam)
+            assert pair.backward_error == pytest.approx(
+                norm / (t * t * nM + t * nC + nK), rel=1e-10)
 
 
 class TestRitz:
@@ -799,6 +938,29 @@ class TestRefined:
                 assert np.array_equal(refined.g, g)
                 assert refined.sigma_min == smin
                 assert refined.rel_residual <= entry.rel_residual
+
+    @pytest.mark.parametrize("real", [True, False], ids=["real", "complex"])
+    def test_refined_residual_above_ritz_keeps_ritz_vector(
+            self, rng, monkeypatch, real):
+        # a refined vector whose residual reads above its start's, as two
+        # evaluations of ||S g|| at the rounding floor can, is not taken:
+        # the entry keeps the Ritz vector and residual, with sigma_min set
+        # to that residual, so the shifts are still refined ones
+        prob = random_qep(rng, 30)
+        kw = {} if real else dict(mode="shift-invert", sigma=0.3 + 0.2j)
+        op, st = _run(rng, prob, 12, **kw)
+        proj = project(st, op)
+        assert proj.real == real
+        monkeypatch.setattr(kernels, "refined_vector",
+                            lambda theta, R1, R2, R3, start:
+                            (np.roll(start, 1), np.inf))
+        ritz = extract_refined(proj, op, extract_ritz(proj, op, 4))
+        for i in ritz.selection:
+            entry, refined = ritz.pairs[i], ritz.refined[i]
+            assert refined.g is entry.g
+            assert refined.rel_residual == entry.rel_residual
+            assert refined.sigma_min == entry.residual is not None
+        assert select_shifts(proj, ritz.wanted(), 4).provenance == "refined"
 
     def test_full_space_refined_is_global_minimum(self, rng):
         # k tilde = n: the refined vector minimizes over the whole space

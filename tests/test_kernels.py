@@ -396,12 +396,18 @@ def _eig_reference(M_k, C_k, K_k, vectors=True):
     return theta, G
 
 
+def _thirds(W1, W2, W3):
+    """(R1, R2, R3), the column blocks of the Gram triangle of
+    [W1 W2 W3]."""
+    return np.hsplit(gram_blocks(np.hstack((W1, W2, W3))), 3)
+
+
 def _from_one_block_qr(T, A):
     """Relative distance of the folded triangle T from the one-block QR
     triangle of the full-rank A with at least as many rows as columns, up to
     the signs of its rows: a full-rank triangle is unique up to those, and
     the diagonal of either QR is real."""
-    one = np.hstack(gram_blocks(np.asfortranarray(A)))
+    one = gram_blocks(np.asfortranarray(A))
     signs = np.sign(np.diagonal(T).real * np.diagonal(one).real)
     return np.linalg.norm(T - signs[:, None] * one) / np.linalg.norm(one)
 
@@ -662,7 +668,7 @@ class TestRefinedVector:
     def test_bitwise_as_dense_qr(self, rng, monkeypatch, n, k):
         for dtype in (float, complex):
             A = np.hstack([_random(rng, (n, k), dtype) for _ in range(3)])
-            R = gram_blocks(np.asfortranarray(A))
+            R = np.hsplit(gram_blocks(np.asfortranarray(A)), 3)
             for theta in (0.3 + 0.2j, -1.5, 2.0 - 0.7j):
                 g = _unit(rng, k)
                 want = _dense_refined(theta, *R, g)
@@ -692,7 +698,8 @@ class TestRefinedVector:
         # S was alive took 1.71, forming S whole and a full-height triangle
         # 3.27.
         n, k = 300, 141
-        R = gram_blocks(np.asfortranarray(rng.standard_normal((n, 3 * k))))
+        R = np.hsplit(gram_blocks(np.asfortranarray(
+            rng.standard_normal((n, 3 * k)))), 3)
         g = _unit(rng, k)
         S_bytes = n * k * 16
         assert _peak(lambda: refined_vector(0.3 + 0.4j, *R, g)) <= 1.5 * S_bytes
@@ -717,7 +724,7 @@ class TestRefinedVector:
         if start == "largest":
             # the dominant right singular vector, nudged off it
             g = scipy.linalg.svd(S)[2][0].conj() + 1e-3 * g
-        R = gram_blocks(np.hstack((W1, W2, W3)))
+        R = _thirds(W1, W2, W3)
         z, smin = refined_vector(theta, *R, g)
         assert svd_calls == []      # inverse iteration alone got there
         assert np.linalg.norm(S @ z) <= np.linalg.norm(S @ g) / np.linalg.norm(g)
@@ -727,7 +734,7 @@ class TestRefinedVector:
     def test_sigma_min_is_residual_of_returned_vector(self, rng, svals):
         theta = 2.0 + 0.5j
         W1, W2, W3, _ = _refined_problem(rng, 60, theta, svals)
-        z, smin = refined_vector(theta, *gram_blocks(np.hstack((W1, W2, W3))),
+        z, smin = refined_vector(theta, *_thirds(W1, W2, W3),
                                  _unit(rng, len(svals)))
         S = theta ** 2 * W1 + theta * W2 + W3
         assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-14)
@@ -739,7 +746,7 @@ class TestRefinedVector:
         W3[:, 2] = 0.0          # S = W3 at theta = 0: R_S[2, 2] == 0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, smin = refined_vector(0.0, *gram_blocks(np.hstack((W1, W2, W3))),
+            z, smin = refined_vector(0.0, *_thirds(W1, W2, W3),
                                      _unit(rng, k))
         assert smin <= 1e-14 * np.linalg.norm(W3)
         assert np.linalg.norm(z) == pytest.approx(1.0, rel=1e-14)
@@ -748,7 +755,7 @@ class TestRefinedVector:
     def test_close_smallest_pair_falls_back_to_svd(self, rng, svd_calls):
         theta = 0.3 - 0.2j
         W1, W2, W3, S = _refined_problem(rng, 20, theta, CLOSE)
-        z, smin = refined_vector(theta, *gram_blocks(np.hstack((W1, W2, W3))),
+        z, smin = refined_vector(theta, *_thirds(W1, W2, W3),
                                  _unit(rng, len(CLOSE)))
         assert svd_calls == [(len(CLOSE), len(CLOSE))]
         assert smin == pytest.approx(CLOSE[0], rel=1e-8)
@@ -760,10 +767,11 @@ class TestRefinedVector:
         for dtype in (complex, float):
             W = [_random(rng, (n, k), dtype) for _ in range(3)]
             A = np.asfortranarray(np.hstack(W))
-            R = gram_blocks(A)
+            T = gram_blocks(A)
             # factored in place (zgeqrt or dgeqrt): A now holds the
             # triangle above its reflectors
-            assert np.array_equal(np.triu(A[:min(n, 3 * k)]), np.hstack(R))
+            assert np.array_equal(np.triu(A[:min(n, 3 * k)]), T)
+            R = np.hsplit(T, 3)
             for Ri in R:
                 assert Ri.shape == (min(n, 3 * k), k) and Ri.dtype == dtype
             # the rows of R1 from k on and of R2 from 2k on are exact zeros
@@ -783,11 +791,9 @@ class TestRefinedVector:
             A = np.hstack([_random(rng, (n, k), dtype) for _ in range(3)])
             triangle = np.zeros((3 * k, 3 * k), dtype=dtype, order="F")
             for r in range(0, n, rows):
-                R = gram_blocks(np.asfortranarray(A[r:r + rows]), triangle)
-            for Ri in R:
-                assert Ri.shape == (3 * k, k) and Ri.dtype == dtype
-                assert Ri.base is triangle
-            T = np.hstack(R)
+                T = gram_blocks(np.asfortranarray(A[r:r + rows]), triangle)
+            assert T is triangle
+            assert T.shape == (3 * k, 3 * k) and T.dtype == dtype
             assert not np.any(np.tril(T, -1))
             G = A.conj().T @ A
             assert (np.linalg.norm(T.conj().T @ T - G)
@@ -814,13 +820,12 @@ class TestRefinedVector:
             tracemalloc.start()
             try:
                 for block in blocks:
-                    R = gram_blocks(block, triangle)
+                    T = gram_blocks(block, triangle)
                 peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert peak <= 0.3 * triangle.nbytes
-            assert all(Ri.base is triangle for Ri in R)
-            T = np.hstack(R)
+            assert T is triangle
             assert not np.any(np.tril(T, -1))
             G = A.conj().T @ A
             assert (np.linalg.norm(T.conj().T @ T - G)
@@ -836,7 +841,7 @@ class TestRefinedVector:
                 np.hstack([_random(rng, (n, k), dtype) for _ in range(3)]))
             want, _, _ = geqrt(32, A.copy(order="F"))
             want = np.triu(want[:min(n, 3 * k)])
-            R = np.hstack(gram_blocks(A))
+            R = gram_blocks(A)
             assert R.dtype == dtype and R.shape == want.shape
             assert R.tobytes() == want.tobytes()
 
@@ -862,9 +867,9 @@ class TestRefinedVector:
 
             peak = _peak(fold)
             triangle, R = out
-            assert all(Ri.base is triangle for Ri in R)
+            assert R is triangle
             assert peak <= 1.6 * triangle.nbytes
-            assert _from_one_block_qr(np.hstack(R), A) <= 1e-13
+            assert _from_one_block_qr(R, A) <= 1e-13
 
     def test_degenerate_gap_matches_svd(self):
         # the two smallest singular values of S = W3 coincide
@@ -873,7 +878,7 @@ class TestRefinedVector:
         W3 = np.vstack([np.eye(2), np.zeros((2, 2))])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            z, smin = refined_vector(0.0, *gram_blocks(np.hstack((W1, W2, W3))),
+            z, smin = refined_vector(0.0, *_thirds(W1, W2, W3),
                                      np.array([0.6, 0.8j]))
         assert smin == pytest.approx(np.linalg.svd(W3, compute_uv=False)[-1],
                                      rel=1e-14)

@@ -317,7 +317,8 @@ class TestSelectShifts:
         op = build_operator(QepProblem.from_matrices(M_k, C_k, K_k))
         proj = ProjectedQep(Q_tilde=np.eye(2, dtype=complex),
                             M_k=M_k, C_k=C_k, K_k=K_k,
-                            blocks=gram_blocks(np.hstack((M_k, C_k, K_k))),
+                            blocks=np.hsplit(
+                                gram_blocks(np.hstack((M_k, C_k, K_k))), 3),
                             op=op)
         e = RitzEntry(theta=0.0, g=np.array([1.0, 0.0], dtype=complex),
                       lam=0.0, rel_residual=0.0, finite=True)

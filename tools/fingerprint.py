@@ -10,9 +10,10 @@ arithmetic (``real_cycles=r/c``, read off ``ProjectedQep.real``), of
 cycles whose decomposition was stored in float64 when it was projected
 (``stored_real=r/c``, read off ``SoarState.dtype``) and of cycles
 projected through the MSOAR relation (``relation_cycles=r/c``, read off
-``ProjectedQep.relation``; only a streamed projection, n > 1024, can
-be), the final max residual and a sha1 of the residual history, the delivered eigenvalues,
-their relative residuals and their eigenvectors.  The next
+``ProjectedQep.relation``; the driver's ``ctol`` is forwarded, as it
+tightens the relation's gate), the final max residual and a sha1 of the
+residual history, the delivered eigenvalues, their relative residuals and
+their eigenvectors.  The next
 line runs the command line of acceptance criterion 11
 (``tests/test_acceptance.py``) through ``soarqep.cli.run_cli`` with
 ``--format csv`` and ``--format json`` and prints the exit codes and a
@@ -94,8 +95,8 @@ def solve_counting_real(soarqep, problem, config):
     driver = importlib.import_module("soarqep.driver")
     project, real, stored, relation = driver.project, [], [], []
 
-    def counting_project(state, op):
-        proj = project(state, op)
+    def counting_project(state, op, *ctol):
+        proj = project(state, op, *ctol)
         real.append(proj.real)
         stored.append(getattr(state, "dtype", complex) == float)
         relation.append(getattr(proj, "relation", False))
