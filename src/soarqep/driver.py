@@ -8,6 +8,7 @@ the delivered pairs and the shift selection: imsoar converges on Ritz data
 with exact shifts, irsoar on refined data with refined shifts.  If not done,
 pick up to p shifts from the complement QEP and contract by as many steps
 as there are shifts; a short shift set keeps a larger subspace, as in ARPACK.
+Each cycle leaves a ``CycleRecord`` in ``SolverReport.cycles``.
 """
 
 from dataclasses import dataclass, field
@@ -88,6 +89,24 @@ class ConvergedPair:
 
 
 @dataclass
+class CycleRecord:
+    """What one cycle of ``solve`` computed, in Python scalars only, so a
+    report holds nothing n-length.  The residuals are of the m wanted
+    entries, in selection order: ``residuals`` those the verdict reads
+    (refined where ``extract_refined`` made one), ``ritz_residuals`` the
+    Ritz pairs'.  The last three fields are of the contraction that ends
+    the cycle, and keep their defaults on the last cycle, which has none."""
+    stored_real: bool              # the decomposition was float64
+    real: bool                     # ProjectedQep.real
+    relation: bool                 # ProjectedQep.relation
+    residuals: list
+    ritz_residuals: list
+    shifts: list = field(default_factory=list)   # as applied, complex
+    retained: int = None           # steps kept by the contraction
+    deflations_repaired: int = 0   # RestartReport.deflations_repaired
+
+
+@dataclass
 class SolverReport:
     converged: list
     residual_history: list         # per-cycle max wanted relative residual
@@ -95,6 +114,7 @@ class SolverReport:
     breakdown: tuple = None        # (restart index, step) or None
     bound_diagnostics: list = field(default_factory=list)
     all_converged: bool = False
+    cycles: list = field(default_factory=list)   # one CycleRecord per cycle
 
     @property
     def restarts_used(self):
@@ -187,7 +207,14 @@ def solve(problem, config):
             extract_refined(proj, op, ritz)
 
         wanted = ritz.wanted()
-        max_res = max((float(e.rel_residual) for e in wanted), default=float("inf"))
+        record = CycleRecord(
+            stored_real=state.dtype == float, real=proj.real,
+            relation=proj.relation,
+            residuals=[float(e.rel_residual) for e in wanted],
+            ritz_residuals=[float(ritz.pairs[i].rel_residual)
+                            for i in ritz.selection])
+        report.cycles.append(record)
+        max_res = max(record.residuals, default=float("inf"))
         done = max_res <= config.ctol
         report.residual_history.append(max_res)
         report.deflation_history.append(len(state.deflation_steps))
@@ -211,8 +238,11 @@ def solve(problem, config):
         # the projection's basis is a view of Q, which the contraction
         # overwrites in place; nothing n-length of the cycle outlives it
         del proj, ritz, wanted
-        state, _ = _scale_checked(contract, state, shift_set,
-                                  config.k - len(shift_set.shifts), overwrite=True)
+        record.shifts = [complex(mu) for mu in shift_set.shifts]
+        record.retained = config.k - len(shift_set.shifts)
+        state, restart = _scale_checked(contract, state, shift_set,
+                                        record.retained, overwrite=True)
+        record.deflations_repaired = restart.deflations_repaired
     # with the decomposition freed, so the check adds nothing to the peak
     del state, proj, ritz, wanted
     _check_against_problem(report.converged, problem)

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import arpack_nearest_eigenvalues, breakdown_starts, random_qep
+from conftest import (arpack_nearest_eigenvalues, breakdown_starts,
+                      deflation_at_step1, random_qep)
 from soarqep import driver, kernels
 from soarqep.driver import SolverConfig, solve
 from soarqep.extraction import residual_bound
@@ -209,23 +210,18 @@ class TestShiftInvert:
 
     def test_short_shift_set_keeps_larger_subspace(self, rng, monkeypatch):
         # two shifts fewer than p: the contraction keeps two more steps
-        select_shifts, contract = driver.select_shifts, driver.contract
-        retained = []
+        select_shifts = driver.select_shifts
 
         def short_set(*args, **kwargs):
             out = select_shifts(*args, **kwargs)
             return dataclasses.replace(out, shifts=out.shifts[:-2])
 
-        def recording(state, shifts, m, **kwargs):
-            retained.append(m)
-            return contract(state, shifts, m, **kwargs)
-
         monkeypatch.setattr(driver, "select_shifts", short_set)
-        monkeypatch.setattr(driver, "contract", recording)
         cfg = SolverConfig(m=4, k=16, mode="shift-invert", sigma=0.3 + 0.2j,
                            ctol=1e-10, max_restarts=30, seed=7)
         rep = solve(random_qep(rng, 40), cfg)
         assert rep.all_converged
+        retained = [c.retained for c in rep.cycles[:-1]]
         assert retained and all(m == cfg.retained + 2 for m in retained)
 
     def test_m_equals_k_minus_one(self, rng):
@@ -235,6 +231,14 @@ class TestShiftInvert:
         rep = solve(prob, cfg)   # p = 1: restarting still makes progress
         assert rep.restarts_used <= 60
         assert len(rep.residual_history) == rep.restarts_used + 1
+
+
+def _assert_refined_not_worse(report, m):
+    """Every cycle's record holds m wanted residuals, none above its Ritz
+    pair's."""
+    for c in report.cycles:
+        assert len(c.residuals) == len(c.ritz_residuals) == m
+        assert all(r <= q for r, q in zip(c.residuals, c.ritz_residuals))
 
 
 class TestVariants:
@@ -289,26 +293,14 @@ class TestVariants:
             assert ca.lam == cb.lam
             assert np.array_equal(ca.x, cb.x)
 
-    def test_irsoar_converges_at_tight_ctol(self, monkeypatch):
+    def test_irsoar_converges_at_tight_ctol(self):
         # the cross-product refined route stalled here near 1e-13
-        original = driver.extract_refined
-        cycles = []
-
-        def recording(proj, op, ritz):
-            out = original(proj, op, ritz)
-            cycles.append([(out.refined[i], out.pairs[i]) for i in out.selection])
-            return out
-
-        monkeypatch.setattr(driver, "extract_refined", recording)
         cfg = SolverConfig(m=6, k=40, p=15, mode="shift-invert",
                            sigma=-13 + 0.4j, variant="irsoar", ctol=1e-15,
                            max_restarts=15)
         rep = solve(gen_mass_spring(500), cfg)
         assert rep.all_converged
-        assert len(cycles) == rep.restarts_used + 1
-        for wanted in cycles:
-            for refined, ritz in wanted:
-                assert refined.rel_residual <= ritz.rel_residual
+        _assert_refined_not_worse(rep, cfg.m)
 
     def test_imsoar_converges_at_tight_ctol(self):
         cfg = SolverConfig(m=6, k=40, p=15, mode="shift-invert",
@@ -317,24 +309,11 @@ class TestVariants:
         assert solve(gen_mass_spring(500), cfg).all_converged
 
     @pytest.mark.parametrize("ctol", [1e-10, 1e-13])
-    def test_irsoar_refined_not_worse_at_large_ktilde(self, monkeypatch, ctol):
+    def test_irsoar_refined_not_worse_at_large_ktilde(self, ctol):
         # direct mode at ktilde = 121, where the refined triangles are large
-        original = driver.extract_refined
-        cycles = []
-
-        def recording(proj, op, ritz):
-            out = original(proj, op, ritz)
-            cycles.append([(out.refined[i], out.pairs[i]) for i in out.selection])
-            return out
-
-        monkeypatch.setattr(driver, "extract_refined", recording)
         cfg = SolverConfig(m=10, k=120, p=60, mode="direct", variant="irsoar",
                            ctol=ctol)
-        rep = solve(gen_string_damping(150), cfg)
-        assert len(cycles) == rep.restarts_used + 1
-        for wanted in cycles:
-            for refined, ritz in wanted:
-                assert refined.rel_residual <= ritz.rel_residual
+        _assert_refined_not_worse(solve(gen_string_damping(150), cfg), cfg.m)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_tight_ctol_verdicts_at_blas_thread_count(self, threads):
@@ -360,98 +339,51 @@ class TestRealProblems:
     shifts is one real double-shift sweep, so only a complex complement (a
     wanted set that splits a pair) makes it complex."""
 
-    def _recorded_solve(self, monkeypatch, prob, cfg):
-        """Solve, and check in every cycle that no refined residual exceeds
-        its Ritz residual, and the delivered lambda against the dense
-        oracle; returns the report and, per cycle, the dtype of the
-        companion that extract_ritz hands to its eigensolver
-        (scipy.linalg.eig, or LAPACK dgeev for a real monic companion),
-        which is also the dtype of that cycle's projected triple and R
-        blocks."""
-        eig, dgeev, ritz, refined = (scipy.linalg.eig, kernels.dgeev,
-                                     driver.extract_ritz,
-                                     driver.extract_refined)
-        seen, dtypes, projected, cycles = [], [], [], []
-
-        def recording_eig(a, b=None, **kwargs):
-            seen.append(a.dtype.name)
-            return eig(a, b, **kwargs)
-
-        def recording_dgeev(a, **kwargs):
-            seen.append(a.dtype.name)
-            return dgeev(a, **kwargs)
-
-        def recording_ritz(proj, op, m):
-            seen.clear()
-            out = ritz(proj, op, m)
-            dtypes.extend(seen)
-            projected.append({X.dtype.name for X in (proj.M_k, proj.C_k,
-                                                     proj.K_k, *proj.blocks)})
-            return out
-
-        def recording_refined(proj, op, r):
-            out = refined(proj, op, r)
-            cycles.append([(out.refined[i], out.pairs[i]) for i in out.selection])
-            return out
-
-        monkeypatch.setattr(scipy.linalg, "eig", recording_eig)
-        monkeypatch.setattr(kernels, "dgeev", recording_dgeev)
-        monkeypatch.setattr(driver, "extract_ritz", recording_ritz)
-        monkeypatch.setattr(driver, "extract_refined", recording_refined)
+    def _checked_solve(self, prob, cfg):
+        """Solve, and check that no refined residual exceeds its Ritz
+        residual in any cycle, and the delivered lambda against the dense
+        oracle."""
         rep = solve(prob, cfg)
-        assert len(dtypes) == len(cycles) == rep.restarts_used + 1
-        assert projected == [{d} for d in dtypes]
-        for wanted in cycles:
-            for ref, entry in wanted:
-                assert ref.rel_residual <= entry.rel_residual
+        _assert_refined_not_worse(rep, cfg.m)
         want, _ = dense_qep_spectrum(prob.M.toarray(), prob.C.toarray(),
                                      prob.K.toarray())
         assert rep.all_converged and len(rep.converged) == cfg.m
         for pair in rep.converged:
             assert np.min(np.abs(want - pair.lam)) <= 1e-8 * abs(pair.lam)
-        return rep, dtypes
+        return rep
 
-    def test_direct_string_real_every_cycle(self, monkeypatch):
+    def test_direct_string_real_every_cycle(self):
         # the shifts are complex, but conjugate-closed, so Q stays real
         cfg = SolverConfig(m=10, k=40, mode="direct", variant="irsoar",
                            ctol=1e-10, seed=3)
-        rep, dtypes = self._recorded_solve(monkeypatch, gen_string_damping(150),
-                                           cfg)
+        rep = self._checked_solve(gen_string_damping(150), cfg)
         assert rep.restarts_used >= 1
-        assert dtypes == ["float64"] * (rep.restarts_used + 1)
+        assert [c.real for c in rep.cycles] == [True] * (rep.restarts_used + 1)
 
-    def test_direct_string_split_wanted_pair_goes_complex(self, monkeypatch):
+    def test_direct_string_split_wanted_pair_goes_complex(self):
         # m = 9 wants one member of a conjugate pair: the complement and the
         # shifts are complex, and so is every cycle after the first
         cfg = SolverConfig(m=9, k=40, mode="direct", variant="irsoar",
                            ctol=1e-10, seed=3)
-        rep, dtypes = self._recorded_solve(monkeypatch, gen_string_damping(150),
-                                           cfg)
+        rep = self._checked_solve(gen_string_damping(150), cfg)
         assert rep.restarts_used >= 1
-        assert dtypes == ["float64"] + ["complex128"] * rep.restarts_used
+        assert ([c.real for c in rep.cycles]
+                == [True] + [False] * rep.restarts_used)
 
-    def test_decomposition_stored_real_until_complex_restart(self,
-                                                              monkeypatch):
+    def test_decomposition_stored_real_until_complex_restart(self):
         # the decomposition each cycle projects is float64 while the
         # restarts are real, and complex from the first complex one on; a
         # complex start is complex throughout
-        project, stored = driver.project, []
-
-        def recording_project(state, op, ctol):
-            stored.append(state.dtype.name)
-            return project(state, op, ctol)
-
-        monkeypatch.setattr(driver, "project", recording_project)
         prob = gen_string_damping(150)
         u1 = np.random.default_rng(3).random(150)
-        for m, u, want in ((10, u1, "float64"), (9, u1, "complex128"),
-                           (10, u1 * (1.0 + 1.0j), "complex128")):
-            stored.clear()
+        for m, u, want in ((10, u1, True), (9, u1, False),
+                           (10, u1 * (1.0 + 1.0j), False)):
             rep = solve(prob, SolverConfig(m=m, k=40, mode="direct",
                                            variant="irsoar", ctol=1e-10, u1=u))
             assert rep.all_converged and rep.restarts_used >= 1
-            first = "complex128" if u.dtype == complex else "float64"
-            assert stored == [first] + [want] * rep.restarts_used
+            first = u.dtype != complex
+            assert ([c.stored_real for c in rep.cycles]
+                    == [first] + [want] * rep.restarts_used)
 
     @pytest.mark.parametrize("variant", ["irsoar", "imsoar"])
     def test_small_odd_p_completes_split_pairs(self, variant):
@@ -467,17 +399,17 @@ class TestRealProblems:
         for pair in rep.converged:
             assert np.min(np.abs(want - pair.lam)) <= 1e-8 * abs(pair.lam)
 
-    def test_real_shift_on_real_spectrum_stays_real(self, monkeypatch):
+    def test_real_shift_on_real_spectrum_stays_real(self):
         # the chain is overdamped, (x*Cx)^2 > 4 (x*Mx)(x*Kx) for all x != 0,
         # and so is its shift-inverted triple at a real shift and every
         # projection of it onto a real basis: all Ritz values and shifts are
         # real, and the basis stays real through every contraction
         cfg = SolverConfig(m=6, k=16, p=6, mode="shift-invert", sigma=-13.0,
                            variant="irsoar", ctol=1e-10, seed=1)
-        rep, dtypes = self._recorded_solve(monkeypatch, gen_mass_spring(200),
-                                           cfg)
+        rep = self._checked_solve(gen_mass_spring(200), cfg)
         assert rep.restarts_used >= 1
-        assert dtypes == ["float64"] * (rep.restarts_used + 1)
+        assert [c.real for c in rep.cycles] == [True] * (rep.restarts_used + 1)
+        assert all(mu.imag == 0.0 for c in rep.cycles for mu in c.shifts)
 
 
 @pytest.fixture(scope="class")
@@ -680,6 +612,9 @@ class TestBreakdown:
         rep = solve(prob, cfg)
         assert rep.breakdown is not None
         assert rep.breakdown[0] == 0      # first cycle
+        (record,) = rep.cycles
+        assert max(record.residuals) == rep.residual_history[0]
+        assert record.shifts == [] and record.retained is None
         assert len(rep.converged) >= 6    # all invariant-subspace pairs
         for c in rep.converged:
             assert c.from_breakdown
@@ -748,3 +683,32 @@ class TestNonConvergence:
         rep = solve(prob, cfg)
         assert len(rep.residual_history) == rep.restarts_used + 1
         assert len(rep.deflation_history) == rep.restarts_used + 1
+        # one record per row, of Python scalars only, so nothing n-length
+        # outlives the solve; a restarted cycle keeps k minus its shifts
+        assert len(rep.cycles) == rep.restarts_used + 1 >= 2
+        for c, res in zip(rep.cycles, rep.residual_history):
+            assert float.hex(max(c.residuals)) == float.hex(res)
+            assert c.residuals == c.ritz_residuals      # imsoar
+            for value in dataclasses.astuple(c):
+                items = value if type(value) is list else [value]
+                assert all(type(v) in (bool, int, float, complex, type(None))
+                           for v in items)
+        assert all(c.retained + len(c.shifts) == cfg.k for c in rep.cycles[:-1])
+        assert rep.cycles[-1].shifts == [] and rep.cycles[-1].retained is None
+
+
+
+class TestCycleRecords:
+    @pytest.mark.parametrize("seed", range(20260830, 20260835))
+    def test_repaired_deflation_reported(self, seed):
+        # the step-1 deflation of cycle 0 is repaired by its contraction,
+        # which RestartReport counts; no later cycle deflates
+        prob, u1, u2 = deflation_at_step1(np.random.default_rng(seed), 24)
+        cfg = SolverConfig(m=3, k=9, p=4, ctol=1e-10, tol=1e-10,
+                           max_restarts=20, u1=u1, u2=u2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rep = solve(prob, cfg)
+        assert rep.restarts_used >= 1
+        assert ([c.deflations_repaired for c in rep.cycles]
+                == [1] + [0] * rep.restarts_used)

@@ -9,7 +9,7 @@ import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 
 from conftest import breakdown_starts, complex_start, random_qep
-from soarqep import driver, extraction, kernels
+from soarqep import extraction, kernels
 from soarqep.driver import SolverConfig, solve
 from soarqep.extraction import (_project_blocks, extract_refined,
                                 extract_ritz, project, residual_bound)
@@ -104,19 +104,10 @@ def _sliced_projection(Qt, op, real, chunk_entries, state=None):
 
 
 def _relation_cycles(config, n):
-    """(report, ``proj.relation`` of each cycle) of a solve of
+    """(report, ``relation`` of each cycle) of a solve of
     ``gen_mass_spring(n)``."""
-    relation = []
-
-    def noting(state, op, ctol):
-        proj = project(state, op, ctol)
-        relation.append(proj.relation)
-        return proj
-
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(driver, "project", noting)
-        report = solve(gen_mass_spring(n), config)
-    return report, relation
+    report = solve(gen_mass_spring(n), config)
+    return report, [c.relation for c in report.cycles]
 
 
 class TestProject:

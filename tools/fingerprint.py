@@ -6,29 +6,27 @@ Solves each benchmark workload of ``perfbench/harness.py`` at the given
 seeds (the start vector the benchmark uses) and the two tight-ctol cases of
 ``tests/test_driver.py`` (mass-spring n=500, shift-invert, ctol 1e-15). For
 each it prints the cycle count, the number of cycles projected in real
-arithmetic (``real_cycles=r/c``, read off ``ProjectedQep.real``), of
-cycles whose decomposition was stored in float64 when it was projected
-(``stored_real=r/c``, read off ``SoarState.dtype``) and of cycles
-projected through the MSOAR relation (``relation_cycles=r/c``, read off
-``ProjectedQep.relation``; the driver's ``ctol`` is forwarded, as it
-tightens the relation's gate), the final max residual and a sha1 of the
-residual history, the delivered eigenvalues, their relative residuals and
-their eigenvectors.  The next
-line runs the command line of acceptance criterion 11
-(``tests/test_acceptance.py``) through ``soarqep.cli.run_cli`` with
-``--format csv`` and ``--format json`` and prints the exit codes and a
-sha1 of each output's bytes.  The next twelve lines solve an underdamped
-chain, ``gen_mass_spring(200, tau=1.0)`` in shift-invert mode at
-sigma = -1.0 and -1.5 with m=6, k=20 and 40 restarts, with both variants
-at seeds 0-2, and print the cycle count, ``stored_real=r/c``,
-``relation_cycles=r/c``, the breakdown (restart, step) or None, the final max residual and a sha1 of
-the residual history: its T is badly scaled against its subdiagonal, so a
+arithmetic (``real_cycles=r/c``), of cycles whose decomposition was
+stored in float64 when it was projected (``stored_real=r/c``) and of
+cycles projected through the MSOAR relation (``relation_cycles=r/c``),
+all three read off the report's ``cycles`` records, the final max
+residual and a sha1 of the residual history, the delivered eigenvalues,
+their relative residuals and their eigenvectors.  The next line runs the
+command line of acceptance criterion 11 (``tests/test_acceptance.py``)
+through ``soarqep.cli.run_cli`` with ``--format csv`` and ``--format
+json`` and prints the exit codes and a sha1 of each output's bytes.  The
+next twelve lines solve an underdamped chain, ``gen_mass_spring(200,
+tau=1.0)`` in shift-invert mode at sigma = -1.0 and -1.5 with m=6, k=20
+and 40 restarts, with both variants at seeds 0-2, and print the cycle
+count, ``stored_real=r/c``, ``relation_cycles=r/c``, the breakdown
+(restart, step) or None, the final max residual and a sha1 of the
+residual history: its T is badly scaled against its subdiagonal, so a
 change to the restart layer shows there first.  The next five lines build
-the shift-invert operator of ms5k, string1000, the tight-ctol problem and the chain at both shifts
-and print a sha1 of the data, indices and indptr bytes of M_hat and of
-C_hat, so the working matrices are compared directly.  The last five
-lines print a sha1 of the dtypes and bytes of the data, indices and
-indptr of M, C and K of each workload's problem, of
+the shift-invert operator of ms5k, string1000, the tight-ctol problem and
+the chain at both shifts and print a sha1 of the data, indices and indptr
+bytes of M_hat and of C_hat, so the working matrices are compared
+directly.  The next five lines print a sha1 of the dtypes and bytes of the
+data, indices and indptr of M, C and K of each workload's problem, of
 ``gen_string_damping(2000)`` and of ``gen_string_damping(7, epsilon=0.0)``
 (an empty C), so the generators are compared directly.  The last three
 lines each project in streamed row blocks onto the basis of 40 steps from
@@ -40,14 +38,12 @@ and C are not symmetric, in shift-invert mode at sigma = 0.3+0.2i and 0.3
 working matrices, so this compares the route through CSR copies.  The
 third projects ms5k's problem at its sigma = -13+0.4i, 16 row blocks of
 313 rows, whose symmetric working matrices are read through their own CSC
-arrays: the Gram fold of every ms5k cycle.  Two checkouts give
-the same output exactly when they compute bitwise the same results, so a
-change meant to leave the arithmetic alone is checked by diffing the
-output of both: run it once with ``--src`` pointing at the other
-checkout's ``src``, which must have ``ProjectedQep.real`` (for an older
-checkout, run its own copy of this script); a checkout whose state has no
-``dtype`` stores complex, and counts no stored-real cycle, and one whose
-``ProjectedQep`` has no ``relation`` counts no relation cycle.
+arrays: the Gram fold of every ms5k cycle.  Two checkouts give the same
+output exactly when they compute bitwise the same results, so a change
+meant to leave the arithmetic alone is checked by diffing the output of
+both: run it once with ``--src`` pointing at the other checkout's
+``src``, which must have ``SolverReport.cycles``.  A checkout without the
+records is fingerprinted with its own copy of this script.
 
 BLAS is pinned to one thread before numpy is first imported, as in
 ``perfbench/run.py``; a different thread count may round differently.
@@ -87,38 +83,20 @@ def _sha1(values, dtype):
     return hashlib.sha1(np.asarray(values, dtype=dtype).tobytes()).hexdigest()
 
 
-def solve_counting_real(soarqep, problem, config):
-    """(report, number of real cycles, number of stored-real cycles, number
-    of relation cycles) of one solve: each projection the driver makes
-    passes through a wrapper that notes ``proj.real``, whether the state it
-    projects is float64 and ``proj.relation``."""
-    driver = importlib.import_module("soarqep.driver")
-    project, real, stored, relation = driver.project, [], [], []
-
-    def counting_project(state, op, *ctol):
-        proj = project(state, op, *ctol)
-        real.append(proj.real)
-        stored.append(getattr(state, "dtype", complex) == float)
-        relation.append(getattr(proj, "relation", False))
-        return proj
-
-    driver.project = counting_project
-    try:
-        report = soarqep.solve(problem, config)
-    finally:
-        driver.project = project
-    return report, sum(real), sum(stored), sum(relation)
+def _counted(report, name):
+    """``r/c``: the cycles whose record has ``name`` set, of all."""
+    return "%d/%d" % (sum(getattr(c, name) for c in report.cycles),
+                      len(report.cycles))
 
 
-def fingerprint(name, report, real_cycles, stored_real, relation_cycles):
+def fingerprint(name, report):
     pairs = report.converged
     x = np.concatenate([p.x for p in pairs]) if pairs else []
-    cycles = len(report.residual_history)
-    return ("%s cycles=%d real_cycles=%d/%d stored_real=%d/%d "
-            "relation_cycles=%d/%d final=%.3e "
-            "history=%s lam=%s rel_residual=%s x=%s"
-            % (name, cycles, real_cycles, cycles, stored_real, cycles,
-               relation_cycles, cycles, report.residual_history[-1],
+    return ("%s cycles=%d real_cycles=%s stored_real=%s relation_cycles=%s "
+            "final=%.3e history=%s lam=%s rel_residual=%s x=%s"
+            % (name, len(report.residual_history), _counted(report, "real"),
+               _counted(report, "stored_real"), _counted(report, "relation"),
+               report.residual_history[-1],
                _sha1(report.residual_history, float),
                _sha1([p.lam for p in pairs], complex),
                _sha1([p.rel_residual for p in pairs], float),
@@ -151,14 +129,13 @@ def chain_fingerprints(soarqep):
                 # every restart drops a numerically dependent wanted vector
                 with warnings.catch_warnings():
                     warnings.simplefilter("ignore", RuntimeWarning)
-                    report, _, stored, relation = solve_counting_real(
-                        soarqep, problem, config)
-                cycles = len(report.residual_history)
-                yield ("chain sigma=%s %s seed=%d cycles=%d stored_real=%d/%d "
-                       "relation_cycles=%d/%d breakdown=%s final=%.3e "
+                    report = soarqep.solve(problem, config)
+                yield ("chain sigma=%s %s seed=%d cycles=%d stored_real=%s "
+                       "relation_cycles=%s breakdown=%s final=%.3e "
                        "history=%s"
-                       % (sigma, variant, seed, cycles, stored, cycles,
-                          relation, cycles, report.breakdown,
+                       % (sigma, variant, seed, len(report.residual_history),
+                          _counted(report, "stored_real"),
+                          _counted(report, "relation"), report.breakdown,
                           report.residual_history[-1],
                           _sha1(report.residual_history, float)))
 
@@ -262,8 +239,7 @@ def main(argv=None):
     args = ap.parse_args(argv)
     soarqep = harness.load_soarqep(os.path.abspath(args.src))
     for name, problem, config in cases(soarqep, args.seeds):
-        print(fingerprint(name, *solve_counting_real(soarqep, problem,
-                                                     config)), flush=True)
+        print(fingerprint(name, soarqep.solve(problem, config)), flush=True)
     print(cli_fingerprint(importlib.import_module("soarqep.cli").run_cli))
     for line in chain_fingerprints(soarqep):
         print(line, flush=True)
