@@ -15,7 +15,8 @@ from .problems import gen_mass_spring, gen_string_damping, load_matrix_market
 
 
 class UsageError(ValueError):
-    pass
+    """A bad command line or configuration; ``run_cli`` prints it and
+    returns 1."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -33,6 +34,8 @@ def parse_sigma(text):
 
 
 def build_parser():
+    """The argument parser of the ``soarqep`` command; a parse error raises
+    UsageError instead of exiting."""
     p = _Parser(prog="soarqep",
                 description="Restarted second-order Arnoldi QEP solver")
     p.add_argument("problem", choices=["mass-spring", "string-damping",
@@ -79,6 +82,9 @@ def _history(report):
 
 
 def format_csv(report):
+    """The report's convergence history as CSV text: the header
+    ``restart,max_rel_residual,deflations`` and one row per cycle, the
+    residual in 17 significant digits."""
     lines = ["restart,max_rel_residual,deflations"]
     for r, res, d in _history(report):
         lines.append("%d,%.17g,%d" % (r, res, d))
@@ -93,6 +99,10 @@ def _jsonable_complex(z):
 
 
 def format_json(args, config, report, n):
+    """The run as indented JSON text with sorted keys: the configuration,
+    the per-cycle history, the delivered pairs (lam as {"re", "im"},
+    rel_residual, residual, backward_error), restarts_used,
+    converged_count, all_converged and breakdown."""
     cfg = {"problem": args.problem, "n": n, "m": config.m,
            "k": config.k, "p": config.num_shifts, "variant": config.variant,
            "mode": config.mode,
@@ -115,6 +125,10 @@ def format_json(args, config, report, n):
 
 
 def run_cli(argv=None):
+    """Run the command line on ``argv`` (default ``sys.argv[1:]``): solve,
+    write the CSV or JSON output to ``--out`` or stdout and a summary to
+    stderr.  Returns the exit code: 0 when every wanted pair converged, 2
+    on partial results, 1 on a usage or solver error."""
     try:
         args = build_parser().parse_args(argv)
         sigma = parse_sigma(args.sigma) if args.sigma is not None else None
@@ -157,6 +171,7 @@ def run_cli(argv=None):
 
 
 def main():
+    """Console entry point: exit with ``run_cli``'s code."""
     sys.exit(run_cli())
 
 

@@ -95,7 +95,9 @@ class CycleRecord:
     entries, in selection order: ``residuals`` those the verdict reads
     (refined where ``extract_refined`` made one), ``ritz_residuals`` the
     Ritz pairs'.  The last three fields are of the contraction that ends
-    the cycle, and keep their defaults on the last cycle, which has none."""
+    the cycle, and keep their defaults on the last cycle, which has none.
+    ``stored_real`` always equals ``real``, as ``project`` takes its
+    arithmetic from the dtype of the state's basis."""
     stored_real: bool              # the decomposition was float64
     real: bool                     # ProjectedQep.real
     relation: bool                 # ProjectedQep.relation
@@ -108,13 +110,30 @@ class CycleRecord:
 
 @dataclass
 class SolverReport:
+    """What ``solve`` returns.
+
+    ``converged`` holds the delivered ConvergedPair objects.  Each history
+    has one entry per cycle: ``residual_history[i] ==
+    max(cycles[i].residuals, default=inf)``, the largest relative residual
+    of cycle i's wanted entries, and ``deflation_history[i]`` is the
+    number of deflation steps in its decomposition; ``restarts_used`` is
+    the number of cycles less one.  ``breakdown`` is None, or the (cycle,
+    step) at which the recurrence broke down, which ends the run and
+    delivers every pair of that cycle that passes ctol, wanted or not.
+    ``bound_diagnostics`` is then one dict per Petrov pair of T_k, with
+    keys "theta", "bound" (the a-posteriori residual bound of
+    ``extraction.residual_bound``) and "rel_bound" (that bound over the
+    working matrices' 1-norm sum), and is empty otherwise.
+    ``all_converged`` is whether every wanted residual of the last cycle
+    passed ctol.  ``cycles`` holds one CycleRecord per cycle.
+    """
     converged: list
-    residual_history: list         # per-cycle max wanted relative residual
-    deflation_history: list        # per-cycle deflation count
-    breakdown: tuple = None        # (restart index, step) or None
+    residual_history: list
+    deflation_history: list
+    breakdown: tuple = None
     bound_diagnostics: list = field(default_factory=list)
     all_converged: bool = False
-    cycles: list = field(default_factory=list)   # one CycleRecord per cycle
+    cycles: list = field(default_factory=list)
 
     @property
     def restarts_used(self):

@@ -1,18 +1,12 @@
 """Rayleigh-Ritz and refined extraction from an MSOAR subspace.
 
-Projection works on the QEP the recurrence iterated on (the shift-inverted
-triple in shift-invert mode); relative residuals are always reported for the
-original problem, recovered through the operator when needed.  Every
-residual norm and refined vector of a cycle goes through three blocks
-(R1, R2, R3) with R_i^* R_j = W_i^* W_j, so none of them costs n-length
-work: the column blocks of the Gram triangle of [W1 W2 W3], or blocks
-derived through the MSOAR relation from the triangle of 2k + 4 formed
-columns in place of 3ktilde, where the decomposition holds to rounding
-(``project``).  The float64 basis of a real decomposition (a real problem
-in direct mode or at a real shift from a real start, for as long as its
-restarts keep it real) projects in float64: [W1 W2 W3], the projected
-triple and R, with one residual per conjugate pair of Ritz values.  The
-Ritz values, primitive vectors and delivered eigenvectors are complex.
+``project`` projects the QEP the recurrence iterated on (the shift-inverted
+triple in shift-invert mode) onto the finalized basis.  ``extract_ritz``
+and ``extract_refined`` take every residual norm and refined vector of a
+cycle through the projection's R blocks, at no n-length cost, and report
+relative residuals of the original problem.  A float64 basis projects in
+float64; the Ritz values, primitive vectors and delivered eigenvectors are
+complex128.
 """
 
 from dataclasses import dataclass, field, replace
@@ -24,7 +18,9 @@ from . import kernels
 from .msoar import extraction_basis
 from .operator import recover_eigen
 
-HUGE_RITZ = 1e12   # |theta| above this is treated as infinite
+# |theta| above this is treated as infinite: QZ can return an infinite
+# eigenvalue of a singular M_k as a huge finite one
+HUGE_RITZ = 1e12
 
 
 @dataclass
@@ -75,20 +71,34 @@ class ProjectedQep:
 
 @dataclass
 class RitzEntry:
-    theta: complex        # eigenvalue of the projected (working) QEP
-    g: np.ndarray         # unit primitive vector, length ktilde
-    lam: complex          # eigenvalue of the original problem
+    """One eigenpair of the projected QEP.
+
+    ``theta``, an eigenvalue of the projected working QEP, and its unit
+    complex128 primitive vector ``g`` (length ktilde) are in working
+    coordinates; ``lam`` and ``rel_residual`` are of the original problem.
+    ``residual`` is ||(theta^2 W1 + theta W2 + W3) g||.  An entry with
+    ``finite`` False (a huge or infinite theta, or a zero one in
+    shift-invert mode) has an infinite ``lam`` and ``rel_residual`` and a
+    ``residual`` of None.  ``sigma_min`` is None on a Ritz entry and
+    equals ``residual`` on a refined one (``extract_refined``)."""
+    theta: complex
+    g: np.ndarray
+    lam: complex
     rel_residual: float
     finite: bool = True
-    sigma_min: float = None   # residual norm of g, set on refined entries
-    residual: float = None    # ||(theta^2 W1 + theta W2 + W3) g||, if finite
+    sigma_min: float = None
+    residual: float = None
 
 
 @dataclass
 class RitzSet:
-    pairs: list                    # RitzEntry, all 2*ktilde of them
-    selection: list                # indices of the m wanted pairs
-    refined: dict = field(default_factory=dict)  # index -> refined RitzEntry
+    """The Ritz entries of one projection: ``pairs`` holds all 2 ktilde in
+    the order of ``kernels.solve_projected_qep``'s theta, ``selection`` the
+    indices of at most m wanted finite ones, largest |theta| first, and
+    ``refined`` the entries ``extract_refined`` made, by index."""
+    pairs: list
+    selection: list
+    refined: dict = field(default_factory=dict)
 
     def wanted(self):
         """The m wanted entries: refined where extract_refined made one,
@@ -96,43 +106,41 @@ class RitzSet:
         return [self.refined.get(i, self.pairs[i]) for i in self.selection]
 
 
-# basis entries per row-major copy in a one-block ``project``: a 512 KiB
-# chunk, 32 columns at n=1000 and 109 at n=300 (wider chunks mean fewer
-# passes over the matrix)
+# basis entries per row-major copy in a one-block ``project`` (512 KiB):
+# CSC-by-dense products run faster on row-major operands, and a bounded
+# chunk adds little to the block where a copy of the whole basis would not
 PROJECT_CHUNK_ENTRIES = 2 ** 15
 
 # entries of S per group of columns whose Ritz residuals ``_residual_norms``
-# takes at once (256 KiB complex): ms5k's S (123 x 82) and string1000's
-# (63 x 42) are one group, string300's (300 x 141) three of 54 columns.
-# One group is the one-array product bit for bit; OpenBLAS can round a
-# group's product differently from the same columns of the whole one, by
-# an ulp, so S is split only where its size matters
+# takes at once (256 KiB complex), which bounds its temporaries; OpenBLAS
+# can round a group's product differently from the same columns of one
+# whole product, by an ulp, so an S this small stays one group
 RITZ_GROUP_ENTRIES = 2 ** 14
 
 # a projection goes through the MSOAR relation when both of its block rows
-# hold to this many units of rounding (``_relation_holds``)
+# hold to this many units of rounding (``_relation_holds``): where the
+# decomposition holds to rounding the probe reads hundreds of eps, and
+# orders of magnitude more once P has grown
 RELATION_TOL = 1e3
 
 # ... and, given the run's ctol, to this fraction of ctol: the residuals
 # derived through the relation differ from those of the direct products by
 # about the probe's reading, so a residual at ctol reads within about 1% of
-# the direct one.  At ctol 1e-10 the bound stays RELATION_TOL eps; at the
-# tight-ctol tests' 1e-15 it is 1e-17, below eps, and the relation is
-# always refused there, where the probe reads 31 to 40 eps (upper row)
+# the direct one
 RELATION_CTOL_FRACTION = 1e-2
 
 
 def _project_blocks(op, kt, real):
-    """The row blocks ``project`` streams: ``kernels.row_blocks(n)`` if, for
-    every block, the three working matrices' entries in the block's own
-    rows (``OperatorPair.work_row_entries``) take fewer bytes, a value and
-    an int32 index each, than the rows of the n x 3ktilde array that
-    streaming does not hold; else one block of all n rows.  Values are
-    counted in the projection's dtype, float64 for a ``real`` one.  Each
-    column pass over a block reads those entries: a banded matrix has a few
-    per row and streams, one with rows about half full, such as the damping
-    matrix of ``gen_string_damping``, has about b x n/2 in a block of b
-    rows and does not.
+    """The row blocks ``project`` forms, as a list of slices:
+    ``kernels.row_blocks(n)`` if, for every block, the three working
+    matrices' entries in the block's own rows
+    (``OperatorPair.work_row_entries``) take fewer bytes, a value in the
+    projection's dtype (float64 for a ``real`` one) and an int32 index
+    each, than the rows of the n x 3ktilde array that streaming does not
+    hold; else one block of all n rows.  Each column pass over a block
+    reads those entries, so a banded matrix streams and one with rows about
+    half full, such as the damping matrix of ``gen_string_damping``, does
+    not.
     """
     n = op.n
     blocks = kernels.row_blocks(n)
@@ -154,22 +162,14 @@ def _relation_holds(state, op, tol):
 
     so X2 Q_k and X3 Q_k derived from the two rows (``project``) are within
     ``tol`` of the products formed directly, relative to their own scale.
-    A decomposition with a zero Q column (deflation or breakdown) is
-    refused outright.
-
-    The upper row is not measured against the shift-invert solve's
-    backward error, eps ||X1|| ||Q_{k+1} T_hat g||: next to an eigenvalue
-    (``gen_mass_spring(3000)`` at sigma = -13) that scale read 0.5 eps
-    where this one reads 1150 eps, and the residuals derived through the
-    relation read 5e-18 to 6e-17 against 8e-16 to 1.3e-15 from M, C and K.
-
-    Readings, in units of eps (upper, lower), against RELATION_TOL eps:
-    ms5k's 49 cycles at seed 1 at most 183 and 23; string1000's first
-    cycles 127 to 320 and 22 to 46 at seeds 1-3 and 11-20, its later ones
-    up to 775 and 136, all accepted but seed 2's second cycle at 1018.
-    Refused: string300 (8e7 and 5e9 in cycle 1, as P grows), the
-    underdamped chain (lower 0.02 to 6 relative at n = 200, sigma = -1),
-    ``gen_mass_spring(3000)`` at sigma = 0.3 (lower 1.0 to 4.5).
+    The upper row is measured against that scale, not against the
+    shift-invert solve's backward error, eps ||X1|| ||Q_{k+1} T_hat g||:
+    next to an eigenvalue the latter accepts states whose derived
+    residuals read far below those recomputed from M, C and K.  A
+    decomposition
+    with a zero Q column (deflation or breakdown) is refused outright.
+    Reads the state and the operator, writes neither, and holds a few
+    n-vectors.
     """
     k = state.k
     if state.breakdown or state.deflation_steps:
@@ -193,6 +193,14 @@ def _relation_holds(state, op, tol):
 def project(state, op, ctol=None):
     """Project the working QEP onto the finalized basis Q_tilde.
 
+    Takes the cycle's SoarState and OperatorPair, and the run's ctol or
+    None.  Returns a ProjectedQep of Q_tilde = ``extraction_basis(state)``
+    (n x ktilde): float64 triple and R blocks for a float64 Q_tilde, which
+    projects with the real working matrices, complex128 for any other
+    (``ProjectedQep.real``).  Writes neither the state nor the operator,
+    except that an operator's first streamed projection builds its CSR
+    arrays (``OperatorPair.work_csr``), before the buffer is allocated.
+
     Forms the columns of one plan, a list of (working matrix, basis
     columns), a block of rows at a time in one reused column-major buffer;
     each block adds its share of Q_tilde^* times those columns to the
@@ -215,21 +223,17 @@ def project(state, op, ctol=None):
       recomputed from M, C and K).
 
     The blocks are ``kernels.row_blocks`` where that holds less memory
-    (``_project_blocks``); then the n-row array is never held, and each
-    column X_i v of a block is written into the zeroed buffer by scipy's
-    CSR matrix-vector kernel, reading the block's range of the CSR arrays
-    of ``OperatorPair.work_csr`` in place, entry for entry the sums of the
-    one-block product.  Otherwise there is one block of all n rows, formed
-    by the whole matrices times row-major copies of at most
-    PROJECT_CHUNK_ENTRIES basis entries (CSC-by-dense products run 2-5x
-    faster on row-major operands), and R is the row-major triangle of
-    ``gram_blocks`` without a fold.  A block's share of Q_tilde^* W is
-    conj(Q_tilde[rows]^T conj(W[rows])), with the block conjugated in place
-    and back: in one block that is Q_tilde^* W bit for bit.
-
-    A float64 Q_tilde, the basis of a float64 decomposition, projects with
-    the real working matrices, and the triple and R are float64
-    (``ProjectedQep.real``); any other projects in complex arithmetic.
+    (``_project_blocks``).  Then each column X_i v of a block is written
+    into the zeroed buffer by scipy's CSR matrix-vector kernel, reading the
+    block's range of the CSR arrays in place, entry for entry the sums of
+    the one-block product, and the call holds the buffer of one block, the
+    plan-wide triangle and the triple, never the n-row array.  Otherwise
+    there is one block of all n rows, formed by the whole matrices times
+    row-major copies of at most PROJECT_CHUNK_ENTRIES basis entries, and R
+    is the row-major triangle of ``gram_blocks`` without a fold.  A block's
+    share of Q_tilde^* W is conj(Q_tilde[rows]^T conj(W[rows])), with the
+    block conjugated in place and back: in one block that is Q_tilde^* W
+    bit for bit.
     """
     Qt = extraction_basis(state)
     n, kt = Qt.shape
@@ -351,17 +355,20 @@ def _residual_norms(blocks, theta, G, cols):
 def extract_ritz(proj, op, m):
     """All Ritz pairs of the projected QEP plus the m wanted ones.
 
-    Wanted means largest |theta| in working coordinates: largest magnitude in
-    direct mode, nearest the target in shift-invert mode.  Huge or infinite
-    Ritz values, and in shift-invert mode zero ones (lam = infinity), are
-    excluded from selection and carry an infinite residual.
+    Takes a ProjectedQep, its OperatorPair and m.  Returns a new RitzSet
+    with no refined entries.  Wanted means largest |theta| in working
+    coordinates: largest magnitude in direct mode, nearest the target in
+    shift-invert mode.  Theta above HUGE_RITZ or infinite, and in
+    shift-invert mode below 1e-300 (lam = infinity), is not finite: it is
+    never selected and carries an infinite residual.
 
-    The residual ||(theta^2 W1 + theta W2 + W3) g|| of each live pair is
+    The residual ||(theta^2 W1 + theta W2 + W3) g|| of each finite pair is
     taken through the R blocks (``_residual_norms``), a bounded group of
     columns at a time, so besides theta and G the call holds one group's
-    temporaries, not arrays of the size of R times G.  On a real
-    projection one column serves each conjugate pair: the partner's S is
-    the conjugate bit for bit, with the same norm.
+    temporaries.  On a real projection one column serves each conjugate
+    pair: the partner's S is the conjugate bit for bit, with the same norm.
+    Raises ``kernels.SingularPencilError`` if the projected QEP's
+    eigensolver fails.
     """
     theta, G = kernels.solve_projected_qep(proj.M_k, proj.C_k, proj.K_k)
     mag = np.abs(theta)
@@ -388,20 +395,24 @@ def extract_ritz(proj, op, m):
 
 
 def extract_refined(proj, op, ritz):
-    """Fill refined vectors for the selected Ritz values, each by inverse
-    iteration started at its Ritz vector; a refined entry is the Ritz entry
-    with g, sigma_min (the residual norm of g), residual and rel_residual
-    replaced.  Its residual never reads above the Ritz vector's: where the
-    refined vector's does, at the rounding floor, where ||S g|| through R_S
-    and through the blocks round differently, the entry keeps the Ritz
-    vector and its residual, with sigma_min set to that residual, so it
-    still counts as refined.
+    """Fill ``ritz.refined`` in place for every selected index and return
+    ``ritz``; ``ritz.pairs`` is not changed.
+
+    Each refined vector comes from ``kernels.refined_vector``, started at
+    the Ritz vector; a refined entry is the Ritz entry with g, sigma_min
+    (the residual norm of g), residual and rel_residual replaced.  Its
+    residual never reads above the Ritz vector's: where the refined
+    vector's does, at the rounding floor, where ||S g|| through R_S and
+    through the blocks round differently, the entry keeps the Ritz vector
+    and its residual, with sigma_min set to that residual, so it still
+    counts as refined.
 
     On a real projection one call serves each conjugate pair of
     ``kernels.conjugate_groups``: the partner takes the conjugate vector and
     the same sigma_min, which is what ``kernels.refined_vector`` would
     return for it bit for bit, as complex arithmetic is symmetric under
-    conjugation.
+    conjugation.  The call holds what one ``kernels.refined_vector`` call
+    holds, on top of the refined entries.
     """
     sel = ritz.selection
     groups = (kernels.conjugate_groups([ritz.pairs[i].theta for i in sel])[0]
@@ -421,8 +432,11 @@ def extract_refined(proj, op, ritz):
 
 def residual_bound(state, theta, s, norm_M):
     """A-posteriori residual bound c_k t_{k+1,k} |e_k^* s| for each Petrov
-    pair (theta, s) of T_k, with the exact ||P_k s|| in the coefficient: one
-    bound per column of ``s``, or a float for a 1-D ``s``."""
+    pair (theta, s) of T_k, with the exact ||P_k s|| in the coefficient.
+    Takes the state, the Petrov values, their k-length vectors ``s`` (one
+    per column) and ||M||_1 of the working triple; returns one float64
+    bound per column of ``s``, or a float for a 1-D ``s``, and writes
+    nothing."""
     k = state.k
     s = np.asarray(s, dtype=complex)
     t_sub = state.breakdown_t if state.breakdown else abs(state.T_hat[k, k - 1])

@@ -1,30 +1,11 @@
-"""Small dense linear-algebra kernels shared by the solver layers.
+"""Dense linear-algebra kernels shared by the solver layers.
 
-All routines work on plain ndarrays and do not care where the data came
-from.  ``orthogonalize_with_refinement`` and ``gram_blocks`` touch
-n-length data, ``gram_blocks`` a block of rows at a time: all n rows by
-LAPACK geqrt where the projection does not stream
-(``extraction.project``), else blocks of the sizes ``row_blocks`` hands
-out (one block up to n = 1024, 1/16 of n from n = 4096 on), which the
-projection forms in its one buffer from the working matrices' CSR rows,
-read in place, each folded by LAPACK tpqrt into the one triangle the
-projection holds (see ``gram_blocks``).  The rest works at
-orders <= ~200 (shifted QR by LAPACK rotations, each applied once; the
-projected QEP by standard eig on the monic companion when M_k is well
-conditioned and by QZ otherwise, returned as an eigenvalue array and one
-matrix of unit eigenvectors; refined vectors by QR, then inverse
-iteration from the Ritz vector on its triangle).  Real data stay real:
-``orthogonalize_with_refinement``, ``qr_unit_diagonal`` and
-``gram_blocks`` follow their inputs' dtype, so a float64 basis is
-orthogonalized in float64, ``matmul_complex`` multiplies a float64 matrix
-into complex vectors without a complex copy of it,
-``solve_projected_qep`` keeps a triple with no nonzero imaginary part in
-float64, up to its complex theta and G, and ``hessenberg_shifted_qr``
-applies conjugate shift pairs to a real T in real arithmetic.  The rest
-is complex: T's other sweeps, which turn a float64 decomposition complex
-(``restart.contract``), and the refined vector's S.  The k-order routines work
-in place on column-major arrays LAPACK can overwrite, so a call holds
-few copies of its order-k data (each function says which).
+Every routine takes plain ndarrays and says what it returns, what it
+overwrites and what it holds.  ``orthogonalize_with_refinement`` and
+``gram_blocks`` touch n-length data; the rest work at the order k of the
+projected problem, in place on column-major arrays where LAPACK allows.
+A routine that follows its inputs' dtype keeps float64 inputs in float64
+arithmetic; the others work in complex128.
 """
 
 import warnings
@@ -52,16 +33,18 @@ class SingularPencilError(RuntimeError):
 def orthogonalize_with_refinement(v, basis):
     """Orthogonalize v against the columns of ``basis`` with iterative refinement.
 
-    ``basis`` is an n-by-j matrix whose nonzero columns are orthonormal
-    (zero columns are tolerated and simply pick up zero coefficients).
+    Takes a length-n vector v and an n-by-j ``basis`` whose nonzero columns
+    are orthonormal (zero columns pick up zero coefficients).  Returns
+    (coefficients, residual, residual_norm): a length-j vector, a length-n
+    vector and a float, with v = basis @ coefficients + residual.  All are
+    float64 when v and ``basis`` are both real, complex128 otherwise; an
+    input of another dtype is converted to that one first, by a copy.
 
-    Returns (coefficients, residual, residual_norm) with
-    v = basis @ coefficients + residual.  Re-orthogonalizes whenever the
-    residual norm drops below 1/sqrt(2) of the pre-pass norm (the classical
-    twice-is-enough rule), up to three passes.  Works in float64 when v and
-    ``basis`` are both real, in complex arithmetic otherwise.  The residual
-    is the call's one copy of v, from which each pass subtracts
-    ``basis @ c`` in place; v and ``basis`` are not written.
+    Passes repeat while a pass lowers the residual norm below 1/sqrt(2) of
+    the norm before it (the twice-is-enough rule), three at most.  v and
+    ``basis`` are not written: the residual is the call's one copy of v,
+    from which each pass subtracts ``basis @ c`` in place, and the call
+    holds it and one n-length temporary at a time.
     """
     v, basis = np.asarray(v), np.asarray(basis)
     dtype = np.result_type(v, basis, float)
@@ -84,9 +67,10 @@ def orthogonalize_with_refinement(v, basis):
 
 
 def matmul_complex(A, G):
-    """A @ G for a complex G, 1-D or 2-D.  A float64 A multiplies G's real
-    and imaginary parts, interleaved in a row-major copy, in one real
-    product; ``A @ G`` would multiply a complex copy of A."""
+    """A @ G for a complex128 G, 1-D or 2-D, as a new complex128 array of
+    shape A.shape[:1] + G.shape[1:].  A float64 A multiplies G's real and
+    imaginary parts, interleaved in a row-major copy of G, in one real
+    product, without the complex copy of A that ``A @ G`` makes."""
     if np.iscomplexobj(A):
         return A @ G
     parts = np.ascontiguousarray(G).reshape(G.shape[0], -1).view(float)
@@ -96,23 +80,25 @@ def matmul_complex(A, G):
 def hessenberg_shifted_qr(T, shifts):
     """Run one shifted-QR sweep per shift on a Hessenberg matrix.
 
-    Returns (V, T_plus) with T_plus = V^* T V Hessenberg and
-    psi(T) = V @ R for upper-triangular R, psi(mu) = prod(mu - mu_j).
-    V is unitary with at most len(shifts) nonzero subdiagonals.
+    Takes a k-by-k upper Hessenberg T, which is not written, and fewer than
+    k shifts.  Returns (V, T_plus), new column-major complex128 k-by-k
+    arrays: V is unitary with at most len(shifts) nonzero subdiagonals,
+    T_plus = V^* T V is Hessenberg, and psi(T) = V R for an upper
+    triangular R, where psi(mu) = prod(mu - mu_j).  The call holds V,
+    T_plus and, while conjugate pairs are applied, a 2k-by-k float64 copy
+    of both.
 
-    A real shift, or any shift on a complex T or in a set that
-    ``conjugate_groups`` does not close, gets an explicit sweep in complex
-    arithmetic: T - mu I is reduced to R with LAPACK rotations (zlartg,
-    zrot), which are then applied to R from the right; right rotation i
-    meets columns that are zero below row i+1, so it stops there and T_plus
-    is exactly Hessenberg.  On a T with no nonzero imaginary part, each
-    conjugate pair of a closed set is one real implicit double-shift
-    (Francis) sweep of real rotations (dlartg, drot), as ARPACK's real
-    driver does, so V and T_plus keep exact-zero imaginary parts.  A T
-    whose smallest nonzero subdiagonal is at most DOUBLE_SHIFT_MIN_SUBDIAG
-    of its largest entry takes the complex sweeps throughout: relative to
-    such a T the chase starts from entries that are rounding noise, and is
-    forward unstable (Parlett & Le, SIAM J. Matrix Anal. Appl. 14 (1993)).
+    On a T with no nonzero imaginary part whose smallest nonzero
+    subdiagonal entry exceeds DOUBLE_SHIFT_MIN_SUBDIAG of its largest
+    entry, and shifts that ``conjugate_groups`` closes, V and T_plus have
+    imaginary parts of exact zeros: each conjugate pair is one real
+    implicit double-shift (Francis) sweep (dlartg, drot), as in ARPACK's
+    real driver, and each real shift an explicit sweep of real data.  Any
+    other T or shift set takes explicit sweeps in complex arithmetic
+    (zlartg, zrot) throughout.
+
+    Raises ValueError if T is not square or the shifts are not fewer than
+    its order, and QRSweepError if a sweep leaves a non-finite entry.
     """
     Tp = np.array(T, dtype=complex, order="F")
     k = Tp.shape[0]
@@ -146,9 +132,10 @@ def hessenberg_shifted_qr(T, shifts):
 
 
 # smallest nonzero |t_{i+1,i}| / max|t_ij| at which hessenberg_shifted_qr
-# still chases conjugate shift pairs in real arithmetic: an underdamped
-# chain's T reaches 1e-17 and loses the restart filter in the chase (V e1
-# left at |cos| = 0.04 from psi(T) e1), where string300's T stays above 7e-11
+# still chases conjugate shift pairs in real arithmetic: below it the chase
+# starts from entries that are rounding noise and is forward unstable
+# (Parlett & Le, SIAM J. Matrix Anal. Appl. 14 (1993)), as on an
+# underdamped chain's T at 1e-17, where string300's T stays above 7e-11
 DOUBLE_SHIFT_MIN_SUBDIAG = 1e-15
 
 
@@ -186,7 +173,11 @@ def conjugate_groups(values):
 
 def _shifted_sweep(Tp, V, mu):
     """One explicit shifted-QR sweep with shift mu on the complex
-    column-major Tp, accumulated into V, both in place."""
+    column-major Tp, accumulated into V, both in place.
+
+    T - mu I is reduced to R by left rotations, which are then applied to
+    R from the right; right rotation i meets columns that are zero below
+    row i+1, so it stops there and Tp stays exactly Hessenberg."""
     k = Tp.shape[0]
     # zrot works in place on these flat column-major views, (r, c) at r + c*k;
     # positional arguments, as keywords cost more than the rotation itself
@@ -257,7 +248,10 @@ def _double_shift_sweep(TV, mu):
             drot(tv, tv, c2, s2, n, o, 1, o + n, 1, 1, 1)
 
 
-# cond(M_k) up to which solve_projected_qep uses the monic companion
+# cond(M_k) up to which solve_projected_qep takes the monic companion: its
+# backward error reaches the QEP amplified by about cond(M_k) (Tisseur &
+# Meerbergen, SIAM Rev. 43 (2001)), and at 10 the tight-ctol runs still
+# converge where a bound of 100 stalls them
 MONIC_COND_MAX = 10.0
 
 
@@ -270,45 +264,35 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
         [  I     0 ]           [ 0   I]
 
     When cond(M_k) <= MONIC_COND_MAX, M_k^{-1} is applied to the top block
-    row and the standard eigensolver (LAPACK zgeev) runs on the monic
-    companion [-M_k^{-1} C_k  -M_k^{-1} K_k; I  0], several times cheaper
-    than QZ (zggev) at order 280.  Its backward error maps back to the QEP
-    amplified by about cond(M_k) (Tisseur & Meerbergen, SIAM Rev. 43
-    (2001)), so the threshold is kept low: at 10, imsoar on mass-spring
-    n=500, sigma=-13+0.4i still reaches ctol=1e-15 (9.4e-16, a call at
-    cond 6.0 goes monic); at 100 a call at cond 79 goes monic and the run
-    stalls at 1.2e-15.  Above the threshold the pencil goes to QZ, which
-    also delivers the infinite eigenvalues of a singular M_k.  The direct
-    string-damping problems (M = pi/2 I) always have cond 1.
+    row and the standard eigensolver (LAPACK geev) runs on the monic
+    companion [-M_k^{-1} C_k  -M_k^{-1} K_k; I  0]; otherwise QZ (ggev)
+    runs on the pencil, which also delivers the infinite eigenvalues of a
+    singular M_k.  A triple with no nonzero imaginary part is solved in
+    float64 (dgeev, dggev), any other in complex arithmetic.
 
-    A triple with no nonzero imaginary part is taken in float64, never
-    promoted, and so are the companion and the QZ pencil's B, so it goes to
-    dgeev or dggev at a fraction of the complex cost (the ARPACK users'
-    guide's real driver does the same); any other triple is complex
-    throughout.  A real triple's complex eigenpairs then come in adjacent
-    pairs, as LAPACK lists them, the member with positive imaginary part
-    first: the two members' theta and g are conjugates bit for bit (for QZ
-    the second member is set to the conjugate of the first, as dggev gives
-    them different betas).
-
-    The companion is built column-major, so LAPACK overwrites it in place.
-    The real monic companion goes to dgeev directly, with the workspace
-    that ``scipy.linalg.eig`` queries, so theta and G are what that call
-    gives bit for bit; G is assembled from the needed half of dgeev's real
-    eigenvector matrix after the companion is freed, without the 2k-by-2k
-    complex eigenvector matrix scipy would build.  What the call holds at
-    most is then the companion, that real matrix and dgeev's workspace, or
-    that matrix and G; QZ, and a complex triple, still go through
-    ``scipy.linalg.eig`` and its 2k-by-2k eigenvector matrix.
-
-    Returns (theta, G), complex whatever the path: theta holds the 2k
-    eigenvalues, inf where infinite, and column j of the column-major
-    k-by-2k matrix G is the unit eigenvector g of theta[j], taken from the
-    first k components of z when |theta[j]| >= 1 (or theta[j] is infinite)
-    and from the last k otherwise.  Neither half
-    is ever zero: z_top = theta z_bot at finite theta, z_bot = 0 at
+    Returns (theta, G).  theta is a complex128 array of the 2k
+    eigenvalues, inf where infinite.  G is a column-major complex128
+    k-by-2k array whose column j is the unit eigenvector g of theta[j],
+    taken from the first k components of z when |theta[j]| >= 1 (or
+    theta[j] is infinite) and from the last k otherwise; neither half is
+    zero, as z_top = theta z_bot at finite theta and z_bot = 0 at
     infinite.  With ``vectors=False`` only eigenvalues are computed and G
-    is None.
+    is None.  For a real triple the complex eigenpairs come in adjacent
+    pairs, as LAPACK lists them, the member with positive imaginary part
+    first, and the two members' theta and g are conjugates bit for bit.
+
+    The triple is not written.  The 2k-by-2k companion is built
+    column-major and overwritten by LAPACK.  The real monic path calls
+    dgeev itself, with the workspace ``scipy.linalg.eig`` queries, so its
+    results are that call's bit for bit, and builds G from the needed half
+    of dgeev's real eigenvector matrix after the companion is freed: it
+    holds at most the companion, that matrix and dgeev's workspace, or that
+    matrix and G.  The QZ and complex paths go through ``scipy.linalg.eig``
+    and also hold its 2k-by-2k complex eigenvector matrix.
+
+    Warns (RuntimeWarning) when QZ gets an M_k with cond above 1e14 or not
+    finite.  Raises ValueError if the companion has a non-finite entry and
+    SingularPencilError if the eigensolver does not converge.
     """
     triple = [np.asarray(X) for X in (M_k, C_k, K_k)]
     real = not any(np.iscomplexobj(X) and X.imag.any() for X in triple)
@@ -393,13 +377,12 @@ def _real_eig(A, vectors):
 
 
 # rows per block of the n-length passes that stream by rows (projection,
-# contraction): any n up to 4 ROW_BLOCK_MIN is one block, so its arithmetic
-# is the unblocked formula's; past that, blocks of at least ROW_BLOCK_MIN
-# rows, since each costs a fixed overhead (in the projection, 3 ktilde
-# sparse kernel calls and a fold whatever its size), and at most
-# ROW_BLOCKS_MAX of them, so those overheads are bounded and a block is
-# 1/16 of n from n = 4096 on
+# contraction): n up to 4 ROW_BLOCK_MIN is one block, so its arithmetic is
+# the unblocked formula's, and a block past that has at least ROW_BLOCK_MIN
+# rows, as each block costs a fixed overhead (in the projection, a sparse
+# kernel call per formed column and one fold)
 ROW_BLOCK_MIN = 256
+# the most blocks a pass is cut into, which bounds those overheads
 ROW_BLOCKS_MAX = 16
 
 
@@ -416,64 +399,56 @@ def row_blocks(n):
 def gram_blocks(A, R=None):
     """The triangle R of a Householder QR A = Z R, so R^* R = A^* A.
 
-    ``A`` is the n-by-w array of the columns a projection forms, or a row
-    block of it; for any column blocks A_i of A and the same column blocks
-    R_i of R, R_i^* R_j = A_i^* A_j, so ||sum_i A_i x_i|| = ||sum_i R_i x_i||
-    at no n-length cost.  A complex ``A`` goes through LAPACK zgeqrt and
-    ztpqrt, any other through dgeqrt and dtpqrt, as float64; R has that
-    dtype.  A column-major complex128 or float64 ``A`` is factored in place
-    and left holding the reflectors; any other is copied first.
+    ``A`` is an n-by-w array, or a row block of one.  For any column blocks
+    A_i of A and the same column blocks R_i of R, R_i^* R_j = A_i^* A_j, so
+    ||sum_i A_i x_i|| = ||sum_i R_i x_i|| at no n-length cost.  A complex
+    ``A`` goes through LAPACK zgeqrt and ztpqrt in complex128, any other
+    through dgeqrt and dtpqrt in float64, and R has that dtype.  A
+    column-major ``A`` of that dtype is overwritten with the reflectors;
+    any other is copied first.
 
-    Without ``R``, R is the row-major min(n, w)-by-w triangle of ``A``
-    alone, as ``np.triu`` gives it, from geqrt in reflector blocks of 32
-    columns: the one-block projection's bits rest on both (zero-padding R
-    to w rows, or folding the one block from zeros, moved string300's
-    seed-1 final).  geqrt factors each panel recursively with level-3
-    updates (Elmroth & Gustavson, IBM J. Res. Dev. 44 (2000)), where
-    zgeqrf's level-2 panel streams all n rows once per column.
+    Without ``R``: returns a new row-major min(n, w)-by-w upper triangle,
+    ``np.triu`` of geqrt's result, in reflector blocks of 32 columns.
+    geqrt factors each panel recursively with level-3 updates (Elmroth &
+    Gustavson, IBM J. Res. Dev. 44 (2000)), where zgeqrf's level-2 panel
+    streams all n rows once per column.
 
     With ``R``, the caller's column-major w-by-w triangle of the rows above
-    ``A`` (zeros before the first row block), R becomes the triangle of
-    those rows and ``A`` stacked, by LAPACK tpqrt, the triangular-pentagonal
-    QR that tall-skinny QR is built on (Demmel, Grigori, Hoemmen & Langou,
-    SIAM J. Sci. Comput. 34 (2012)), in reflector blocks of 16 columns.  It
-    overwrites ``R`` in place if it has the result's dtype (LAPACK gets a
-    copy otherwise), so the row blocks fold into one triangle and A is
-    never needed whole.
+    ``A`` (zeros before the first row block): returns the triangle of those
+    rows and ``A`` stacked, by tpqrt, the triangular-pentagonal QR that
+    tall-skinny QR is built on (Demmel, Grigori, Hoemmen & Langou, SIAM J.
+    Sci. Comput. 34 (2012)), in reflector blocks of 16 columns.  The
+    result is ``R`` itself, overwritten, when ``R`` has its dtype (LAPACK
+    works on a copy otherwise), so row blocks fold into one triangle and
+    no n-row array is needed.  Besides ``A`` and ``R`` the fold holds
+    tpqrt's T factor and workspace, a reflector block's width in rows.
     """
     geqrt, tpqrt = ((zgeqrt, ztpqrt) if np.iscomplexobj(A)
                     else (dgeqrt, dtpqrt))
     if R is None:
-        # columns per reflector block of the one-block QR: one zgeqrt of a
-        # 5000 x 123 array took 26.0, 25.5 and 28.2 ms at 16, 32 and 64
-        # (medians of 15, one thread of a 2-core VM), so 32, the width
-        # string300's and string1000's rounding rests on, is kept
+        # one block keeps geqrt's row-major triangle and this width because
+        # the one-block projection's rounding rests on both: zero-padding R
+        # to w rows, or folding the block into a zeroed triangle, rounds
+        # differently
         A, _, _ = geqrt(min(32, *A.shape), A, overwrite_a=1)
         return np.triu(A[:min(A.shape)])
-    # columns per reflector block of a fold, in ms to fold the row blocks
-    # of an n x 123 array into a zeroed triangle (medians of 15, one thread
-    # of a 2-core VM):
-    #
-    #   n, dtype (blocks)          16     32     64
-    #   5000 complex (16 x 313)   20.9   24.3   32.6
-    #   5000 float64 (16 x 313)    7.4    9.7   15.0
-    #   20000 complex (16 x 1250) 79.7   90.1  119.0
-    #   3000 complex (12 x 256)   12.6   14.4   19.4
-    #
-    # 12 came within 0.5 ms of 16 and 8 within 3 ms
+    # 16 columns per reflector block, the fastest fold width of 8 to 64
+    # (README, Performance)
     R, _, _, _ = tpqrt(0, min(16, A.shape[1]), R, A, overwrite_a=1,
                        overwrite_b=1)
     return R
 
 
-# entries of S that refined_vector forms per group of columns (64 KiB complex)
+# entries of S that refined_vector forms per group of columns, so a group's
+# temporaries stay at 64 KiB complex
 REFINED_GROUP_ENTRIES = 2 ** 12
-# row bands in which refined_vector copies its triangle out of S: S and the
-# bands hold S plus 0.56 of the triangle at most, where S and the triangle
-# held both
+# row bands in which refined_vector copies its triangle out of S, so that S
+# and the bands hold S plus about half the triangle at most
 REFINED_TRIANGLE_BANDS = 8
 
-# inverse-iteration steps refined_vector takes before it falls back to the SVD
+# inverse-iteration steps refined_vector takes before it falls back to the
+# SVD: each step is two k-order triangular solves, so the steps cost less
+# than the SVD of the k-by-k triangle, which resolves any gap
 REFINED_MAX_STEPS = 8
 # a step that lowers ||R_S z|| by at most this much, relative, ends the iteration
 REFINED_RTOL = 1e-12
@@ -485,29 +460,30 @@ REFINED_TINY_PIVOT = np.finfo(float).eps
 def refined_vector(theta, R1, R2, R3, start):
     """Minimizer z of ||(theta^2 R1 + theta R2 + R3) z|| over unit z.
 
-    S = theta^2 R1 + theta R2 + R3 is reduced to the k-by-k triangle R_S of
-    its QR, and z is the smallest right singular vector of R_S, found by
-    inverse iteration on R_S^* R_S from ``start`` (the Ritz vector, in
+    Takes a complex theta, three m-by-k blocks R1, R2, R3 (m >= k; float64
+    or complex128) and a length-k ``start``, none of which is written.
+    Returns (z, sigma_min): z a unit complex128 length-k vector and
+    sigma_min = ||R_S z|| = ||S z||, the exact residual of z, never above
+    that of ``start`` normalized.  With the column blocks of the triangle
+    of ``gram_blocks`` this is the refined vector of the tall W_i at no
+    n-length cost.
+
+    S = theta^2 R1 + theta R2 + R3 is reduced to the k-by-k triangle R_S
+    of its QR, and z is the smallest right singular vector of R_S, found
+    by inverse iteration on R_S^* R_S from ``start`` (the Ritz vector, in
     practice): z <- normalize(R_S^{-1} R_S^{-*} z), two triangular solves
-    per step.  A step is kept only if ||R_S z|| does not increase, so the
-    result is never worse than ``start``; iteration stops once a step lowers
-    it by at most REFINED_RTOL relative.  If REFINED_MAX_STEPS steps do not
-    get there (a small gap between the two smallest singular values), or
-    R_S has a zero or relatively tiny diagonal entry, z comes from the SVD
-    of the same triangle instead.
+    per step.  A step is kept only if ||R_S z|| does not increase, and the
+    iteration stops once a step lowers it by at most REFINED_RTOL
+    relative.  After REFINED_MAX_STEPS steps, or when R_S has a diagonal
+    entry at most REFINED_TINY_PIVOT of its largest, z comes from the SVD
+    of R_S instead.
 
-    Returns (z, sigma_min) with sigma_min = ||R_S z|| = ||S z||, the exact
-    residual of the delivered vector.  With the column blocks of the
-    triangle of ``gram_blocks`` this is the refined vector of the tall W_i
-    at no n-length cost.
-
-    S is formed in one column-major complex buffer, REFINED_GROUP_ENTRIES
-    entries at a time by the same per-entry expression, and LAPACK zgeqrf
-    overwrites it, as ``scipy.linalg.qr`` would call it; the k-by-k
-    triangle R_S is copied out in REFINED_TRIANGLE_BANDS row bands and
-    built once S is freed.  So the call holds one array of S's size and
-    about half of R_S, not the four arrays of S's size that forming S whole
-    and a full-height triangle took.
+    S is formed in one column-major complex128 m-by-k buffer,
+    REFINED_GROUP_ENTRIES entries at a time, and LAPACK zgeqrf overwrites
+    it, as ``scipy.linalg.qr`` would call it; R_S is copied out in
+    REFINED_TRIANGLE_BANDS row bands and built once S is freed.  So the
+    call holds at most S and about half of R_S.  Raises
+    numpy.linalg.LinAlgError if the SVD does not converge.
     """
     t = complex(theta)
     S = np.empty(R1.shape, dtype=complex, order="F")
@@ -551,11 +527,14 @@ def refined_vector(theta, R1, R2, R3, start):
 def qr_unit_diagonal(V_hat):
     """QR-like factorization V_hat = U R tolerating dependent columns.
 
-    V_hat is (k-j)-by-k with independent rows.  Columns that fall inside the
-    span of the previous ones (relative residual at most 1e-12) yield a zero
-    column of U and a forced unit diagonal in R; the remaining columns of U
-    are orthonormal.  U and R are float64 for a real V_hat, complex
-    otherwise.
+    Takes an m-by-k V_hat (m = k - j) with independent rows, which is not
+    written.  Returns (U, R), new m-by-k and k-by-k arrays, float64 for a
+    real V_hat and complex128 otherwise.  A column whose residual against
+    the previous ones is at most 1e-12 of its norm counts as dependent,
+    as rounding leaves such a residual where it is dependent in exact
+    arithmetic: it yields a zero column of U and a unit diagonal entry of
+    R.  The other columns of U are orthonormal.  Raises
+    RankDeficiencyError if fewer than m columns are independent.
     """
     V_hat = np.asarray(V_hat)
     V_hat = V_hat.astype(np.result_type(V_hat, float), copy=False)

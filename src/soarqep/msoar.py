@@ -44,6 +44,8 @@ BREAKDOWN = "breakdown"
 
 @dataclass
 class StepOutcome:
+    """What one ``msoar_step`` did: ``kind`` is CONTINUE, DEFLATION or
+    BREAKDOWN."""
     kind: str
 
 

@@ -3,12 +3,7 @@
 The solver never forms A = -M^{-1}C or B = -M^{-1}K explicitly; it keeps a
 sparse LU factorization of M (direct mode) or of the shift-inverted
 M_hat = sigma^2 M + sigma C + K and applies the pair through one solve per
-step.
-
-In shift-invert mode M_hat and C_hat = C + 2 sigma M are assembled on C's
-own sparsity pattern whenever M's and K's entries lie on it, as they do
-for every generator: both reference C's index arrays and hold only their
-own data, entry for entry what scipy's sparse sums would compute.
+step (``build_operator``, ``apply_ab``).
 """
 
 from dataclasses import dataclass, field
@@ -32,8 +27,8 @@ class FactorizationError(RuntimeError):
 
 
 # stored entries whose absolute values ``_one_norm`` holds at a time, unless
-# one column has more: 512 KiB of float64, where all of string1000's shifted
-# damping matrix (500k entries) took 3.8 MiB and set the solve's peak
+# one column has more: 512 KiB of float64, so the 1-norm of a matrix with
+# many stored entries adds a bounded transient to the peak
 ONE_NORM_GROUP_ENTRIES = 2 ** 16
 
 
@@ -66,8 +61,9 @@ def _one_norm(A):
 class QepProblem:
     """The triple (M, C, K) of an n-by-n quadratic eigenvalue problem as
     complex CSC matrices, converted from any dense or sparse triple, which
-    must be square of one size with finite entries; ``norms1`` holds their
-    1-norms.  ``from_matrices(M, C, K)`` is the same call.
+    must be square of one size with finite entries (ValueError otherwise);
+    ``norms1`` holds their 1-norms.  ``from_matrices(M, C, K)`` is the same
+    call.
 
     Index arrays are stored as int32 whenever n and nnz fit, the dtype
     scipy picks for new matrices.  scipy's sums of int64 inputs choose
@@ -136,8 +132,8 @@ def _checked_splu(A, what, norm1):
 
 
 # stored entries whose row indices ``OperatorPair.work_row_entries`` counts
-# at a time: np.bincount takes them as 8-byte integers, which for all of
-# string2000's shifted damping matrix (2M entries) would be 15 MiB
+# at a time: np.bincount takes them as 8-byte integers, so counting all of
+# a matrix's entries at once would add 8 bytes per stored entry to the peak
 ROW_COUNT_GROUP_ENTRIES = 2 ** 16
 
 
@@ -145,10 +141,13 @@ ROW_COUNT_GROUP_ENTRIES = 2 ** 16
 class OperatorPair:
     """Matrix-free A q + B p (direct) or its shift-inverted analogue.
 
-    ``work_M``, ``work_C``, ``work_K`` are the matrices of the QEP the
-    Arnoldi recurrence actually iterates on: (M, C, K) in direct mode,
-    (M_hat, C_hat, K_hat) in shift-invert mode.  ``sigma`` is None in
-    direct mode, so it alone tells the two modes apart.
+    ``work_M``, ``work_C``, ``work_K`` are the complex CSC matrices of the
+    QEP the Arnoldi recurrence actually iterates on: (M, C, K) in direct
+    mode, (M_hat, C_hat, K_hat) in shift-invert mode, with their 1-norms in
+    ``work_norms1``; ``lu`` is scipy's SuperLU factorization of ``work_M``.
+    ``sigma`` is None in direct mode, so it alone tells the two modes
+    apart.  Built by ``build_operator``; the cached properties below are
+    built once per operator, on first use.
     """
 
     problem: QepProblem
@@ -333,8 +332,13 @@ def build_operator(problem, mode="direct", sigma=None):
     diagonal on ``gen_mass_spring(200, tau=1.0)`` at sigma = -1.5, gets
     its own compacted index arrays instead.  A non-canonical C, or an M or
     K with an entry off C's pattern, takes scipy's sparse sums; both routes
-    give the same matrices bit for bit.  Direct mode refuses a sigma;
-    shift-invert mode needs one with a finite square.
+    give the same matrices bit for bit.  The problem's matrices are not
+    written.  Returns the OperatorPair.
+
+    Raises ValueError for an unknown mode, a sigma in direct mode, or a
+    missing sigma or one without a finite square in shift-invert mode, and
+    FactorizationError when the factorized matrix is numerically singular
+    (``_checked_splu``).
     """
     if mode == "direct":
         if sigma is not None:
@@ -367,10 +371,12 @@ def build_operator(problem, mode="direct", sigma=None):
 def apply_ab(op, q, p):
     """r = A q + B p through one solve with the cached factorization.
 
-    Float64 q and p on an operator with ``real_work`` give a float64 r:
-    the products take the real working matrices, and the complex
-    factorization of a real matrix solves a real right-hand side with an
-    imaginary part of exact zeros, which is dropped."""
+    Takes length-n q and p, which are not written, and returns a new
+    length-n r.  Float64 q and p on an operator with ``real_work`` give a
+    float64 r: the products take the real working matrices, and the
+    complex factorization of a real matrix solves a real right-hand side
+    with an imaginary part of exact zeros, which is dropped.  Any other
+    gives a complex128 r."""
     if q.dtype == float and p.dtype == float and op.real_work is not None:
         _, C, K = op.real_work
         return -op.lu.solve(C @ q + K @ p).real
@@ -383,7 +389,9 @@ def recover_eigen(op, rho, residual_norm_hat):
 
     Given rho with residual norm ||Q_hat(rho) y|| for unit y, the original
     eigenvalue is 1/rho + sigma and its residual norm is the hatted one
-    divided by |rho|^2.  In direct mode this is the identity.
+    divided by |rho|^2.  In direct mode this is the identity.  Returns
+    (lam, residual_norm) as a Python complex and float; raises
+    ZeroDivisionError in shift-invert mode if |rho| < 1e-300.
     """
     if op.sigma is None:
         return complex(rho), float(residual_norm_hat)

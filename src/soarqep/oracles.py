@@ -21,7 +21,9 @@ class SizeGuardError(ValueError):
 
 @dataclass
 class DenseLinearization:
-    H: np.ndarray   # 2n x 2n, [A B; I 0] with exact lower blocks
+    """The explicit complex 2n-by-2n linearization H = [A B; I 0] of an
+    operator, with exact lower blocks, as ``build_h`` builds it."""
+    H: np.ndarray
 
 
 def build_h(op, max_dim=1000):

@@ -25,13 +25,20 @@ class RepairError(RuntimeError):
 
 @dataclass
 class ShiftSet:
+    """The shifts ``select_shifts`` chose, as complex numbers in order of
+    increasing magnitude; ``provenance``, "refined" or "exact", the data
+    they come from; ``candidates``, every eigenvalue of the complement QEP
+    of magnitude at most ``HUGE_RITZ``, in the eigensolver's order."""
     shifts: list
-    provenance: str            # "exact" | "refined"
+    provenance: str
     candidates: list = field(default_factory=list)
 
 
 @dataclass
 class RestartReport:
+    """What ``contract`` reports: ``deflations_repaired``, the zero columns
+    of Q (deflation steps) the contraction cured, not counting those it
+    carries forward."""
     deflations_repaired: int
 
 
@@ -57,10 +64,9 @@ def select_shifts(proj, wanted, p):
     (``proj.real``) whose wanted set is closed under conjugation, so the
     complement, the QEP projected onto it and its candidates are real;
     otherwise of the g themselves, in complex arithmetic.  U_perp is the
-    first p columns of this (ktilde - m)-dimensional complement (70 of 121
-    on string300, 8 of 15 on string1000).  The QEP projected onto U_perp
-    yields 2p candidates for unwanted eigenvalues; only its eigenvalues are
-    computed, no eigenvectors.  Direct mode (``proj.op.sigma`` None) keeps
+    first p columns of this (ktilde - m)-dimensional complement.  The QEP
+    projected onto U_perp yields 2p candidates for unwanted eigenvalues;
+    only its eigenvalues are computed, no eigenvectors.  Direct mode (``proj.op.sigma`` None) keeps
     the p farthest (max-min distance) from the wanted Ritz values, or of
     largest magnitude if none is wanted; shift-invert mode the p of
     smallest magnitude, farthest from the target.

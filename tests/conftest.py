@@ -10,6 +10,9 @@ suite; ``thorough`` draws 500 random examples per test, e.g.
 ``pytest --hypothesis-profile=thorough --hypothesis-seed=N tests/test_properties.py``.
 """
 
+import gc
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -26,6 +29,18 @@ settings.register_profile("default", max_examples=30, derandomize=True,
                           deadline=None, database=None)
 settings.register_profile("thorough", max_examples=500, derandomize=False,
                           deadline=None, database=None)
+
+
+def peak(f):
+    """(f(), the tracemalloc peak of the call in bytes), with garbage
+    collected first so that the peak is the call's own."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        value = f()
+        return value, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def random_qep(rng, n, complex_data=False):

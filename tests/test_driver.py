@@ -1,15 +1,14 @@
 import dataclasses
-import gc
 import os
 import subprocess
 import sys
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg
 
+import conftest
 from conftest import (arpack_nearest_eigenvalues, breakdown_starts,
                       deflation_at_step1, random_qep)
 from soarqep import driver, kernels
@@ -373,7 +372,8 @@ class TestRealProblems:
     def test_decomposition_stored_real_until_complex_restart(self):
         # the decomposition each cycle projects is float64 while the
         # restarts are real, and complex from the first complex one on; a
-        # complex start is complex throughout
+        # complex start is complex throughout.  The projection takes its
+        # arithmetic from the basis's dtype, so ``real`` follows suit.
         prob = gen_string_damping(150)
         u1 = np.random.default_rng(3).random(150)
         for m, u, want in ((10, u1, True), (9, u1, False),
@@ -384,6 +384,8 @@ class TestRealProblems:
             first = u.dtype != complex
             assert ([c.stored_real for c in rep.cycles]
                     == [first] + [want] * rep.restarts_used)
+            assert ([c.real for c in rep.cycles]
+                    == [c.stored_real for c in rep.cycles])
 
     @pytest.mark.parametrize("variant", ["irsoar", "imsoar"])
     def test_small_odd_p_completes_split_pairs(self, variant):
@@ -500,13 +502,7 @@ def _peak_blocks(n, k, restarts):
                        variant="irsoar", ctol=1e-10, tol=1e-8,
                        max_restarts=restarts)
     prob = gen_mass_spring(n)
-    gc.collect()
-    tracemalloc.start()
-    try:
-        rep = solve(prob, cfg)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    rep, peak = conftest.peak(lambda: solve(prob, cfg))
     return peak / (n * (k + 2) * 16), rep.restarts_used
 
 
@@ -553,13 +549,7 @@ class TestMemory:
                            sigma=0.6 + 0.8j, variant="imsoar", ctol=1e-10,
                            max_restarts=1)
         prob = gen_string_damping(600)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            rep = solve(prob, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rep, peak = conftest.peak(lambda: solve(prob, cfg))
         assert rep.restarts_used == 1
         assert peak <= 2.6 * prob.C.data.nbytes
 
@@ -575,13 +565,7 @@ class TestMemory:
         cfg = SolverConfig(m=20, k=140, p=70, mode="direct", variant="irsoar",
                            ctol=1e-10, max_restarts=1)
         prob = gen_string_damping(300)
-        gc.collect()
-        tracemalloc.start()
-        try:
-            rep = solve(prob, cfg)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        rep, peak = conftest.peak(lambda: solve(prob, cfg))
         assert rep.restarts_used == 1 and len(rep.converged) == 20
         assert peak <= 6.4 * (2 * 141) ** 2 * 8
 

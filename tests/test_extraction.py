@@ -1,5 +1,3 @@
-import gc
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -8,6 +6,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 from scipy.sparse._sparsetools import csr_matvec
 
+import conftest
 from conftest import breakdown_starts, complex_start, random_qep
 from soarqep import extraction, kernels
 from soarqep.driver import SolverConfig, solve
@@ -276,13 +275,7 @@ class TestProject:
                           u1=u1, u2=u1)
             # the operator's row counts and CSR arrays, built once
             project(st, op)
-            gc.collect()
-            tracemalloc.start()
-            try:
-                proj = project(st, op)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            proj, peak = conftest.peak(lambda: project(st, op))
             kt = proj.ktilde
             assert kt == 41 and proj.real == (sigma.imag == 0.0)
             item = 8 if proj.real else 16
@@ -337,13 +330,7 @@ class TestProject:
         kt = want.ktilde
         assert len(kernels.row_blocks(n)) == 13
         assert _project_blocks(op, kt, False) == [slice(0, n)]
-        gc.collect()
-        tracemalloc.start()
-        try:
-            got = project(st, op)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = conftest.peak(lambda: project(st, op))
         assert peak <= 2.5 * n * 3 * kt * 16
         for name in ("M_k", "C_k", "K_k"):
             assert np.array_equal(getattr(got, name), getattr(want, name))
@@ -366,13 +353,7 @@ class TestProject:
             if not real:
                 u1 = u1 + 1j * rng.standard_normal(n)
             op, st = _run(rng, gen_mass_spring(n), 100, u1=u1)
-            gc.collect()
-            tracemalloc.start()
-            try:
-                proj = project(st, op)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            proj, peak = conftest.peak(lambda: project(st, op))
             assert proj.ktilde > 100 and proj.real == real
             assert peak <= bound * n * 3 * proj.ktilde * 16
             del proj

@@ -1,5 +1,3 @@
-import gc
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,6 +5,7 @@ import pytest
 import scipy.linalg
 from scipy.linalg.lapack import dgeqrt, zgeqrt, zlartg, zrot
 
+import conftest
 from soarqep import kernels
 from soarqep.kernels import (ROW_BLOCK_MIN, ROW_BLOCKS_MAX,
                              RankDeficiencyError, conjugate_groups,
@@ -412,17 +411,6 @@ def _from_one_block_qr(T, A):
     return np.linalg.norm(T - signs[:, None] * one) / np.linalg.norm(one)
 
 
-def _peak(f):
-    """tracemalloc peak, in bytes, of the call f()."""
-    gc.collect()
-    tracemalloc.start()
-    try:
-        f()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 # one condition number on each side of the monic-companion threshold
 CONDITIONS = [kernels.MONIC_COND_MAX / 5, kernels.MONIC_COND_MAX * 100]
 # (cond, real) for each condition, with a complex and with a real triple
@@ -573,8 +561,10 @@ class TestProjectedQep:
         M, C, K = (X.real for X in _triple_with_mass_condition(rng, k, 2.0,
                                                                 True))
         companion = (2 * k) ** 2 * 8
-        assert _peak(lambda: solve_projected_qep(M, C, K)) <= 2.6 * companion
-        assert (_peak(lambda: solve_projected_qep(M, C, K, vectors=False))
+        assert (conftest.peak(lambda: solve_projected_qep(M, C, K))[1]
+                <= 2.6 * companion)
+        assert (conftest.peak(lambda: solve_projected_qep(M, C, K,
+                                                          vectors=False))[1]
                 <= 1.7 * companion)
 
     @pytest.mark.parametrize("cond, real", TRIPLES)
@@ -702,7 +692,8 @@ class TestRefinedVector:
             rng.standard_normal((n, 3 * k)))), 3)
         g = _unit(rng, k)
         S_bytes = n * k * 16
-        assert _peak(lambda: refined_vector(0.3 + 0.4j, *R, g)) <= 1.5 * S_bytes
+        assert (conftest.peak(lambda: refined_vector(0.3 + 0.4j, *R, g))[1]
+                <= 1.5 * S_bytes)
 
     def test_matches_direct_svd(self, rng):
         n, k = 25, 6
@@ -816,14 +807,13 @@ class TestRefinedVector:
                       for r in range(0, n, rows)]
             assert len(blocks) == 16
             triangle = np.zeros((3 * k, 3 * k), dtype=dtype, order="F")
-            gc.collect()
-            tracemalloc.start()
-            try:
+
+            def fold():
                 for block in blocks:
                     T = gram_blocks(block, triangle)
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+                return T
+
+            T, peak = conftest.peak(fold)
             assert peak <= 0.3 * triangle.nbytes
             assert T is triangle
             assert not np.any(np.tril(T, -1))
@@ -857,16 +847,14 @@ class TestRefinedVector:
             A = np.hstack([_random(rng, (n, k), dtype) for _ in range(3)])
             blocks = [np.asfortranarray(A[r:r + rows])
                       for r in range(0, n, rows)]
-            out = []
 
             def fold():
                 triangle = np.zeros((3 * k, 3 * k), dtype=dtype, order="F")
                 for block in blocks:
                     R = gram_blocks(block, triangle)
-                out.extend((triangle, R))
+                return triangle, R
 
-            peak = _peak(fold)
-            triangle, R = out
+            (triangle, R), peak = conftest.peak(fold)
             assert R is triangle
             assert peak <= 1.6 * triangle.nbytes
             assert _from_one_block_qr(R, A) <= 1e-13

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+import conftest
 from conftest import random_qep
 from soarqep import operator
 from soarqep.operator import (FactorizationError, QepProblem, _csr_arrays,
@@ -60,13 +61,7 @@ class TestProblem:
         # 2.9 MB, one group of whole columns 2**16 entries of float64
         A = sp.csc_matrix(np.exp(1j * np.arange(360000.0)).reshape(600, 600))
         want = float(abs(A).sum(axis=0).max())
-        gc.collect()
-        tracemalloc.start()
-        try:
-            got = _one_norm(A)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        got, peak = conftest.peak(lambda: _one_norm(A))
         assert got == want
         assert peak <= 1.25 * 8 * operator.ONE_NORM_GROUP_ENTRIES
 

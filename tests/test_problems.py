@@ -1,10 +1,8 @@
-import gc
-import tracemalloc
-
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+import conftest
 from soarqep.operator import QepProblem
 from soarqep.problems import (MatrixMarketError, gen_mass_spring,
                               gen_string_damping, load_matrix_market,
@@ -77,13 +75,7 @@ class TestStringDamping:
     def test_generation_holds_no_dense_square(self):
         # C's entries are computed straight into its CSC arrays: one dense
         # n-by-n float64 array alone would be 0.8 times C's stored bytes
-        gc.collect()
-        tracemalloc.start()
-        try:
-            C = gen_string_damping(1500).C
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        C, peak = conftest.peak(lambda: gen_string_damping(1500).C)
         stored = C.data.nbytes + C.indices.nbytes + C.indptr.nbytes
         assert peak <= 1.5 * stored
 

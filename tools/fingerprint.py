@@ -2,56 +2,16 @@
 
     python3 tools/fingerprint.py [--src DIR] [--seeds 1 2]
 
-Solves each benchmark workload of ``perfbench/harness.py`` at the given
-seeds (the start vector the benchmark uses) and the two tight-ctol cases of
-``tests/test_driver.py`` (mass-spring n=500, shift-invert, ctol 1e-15). For
-each it prints the cycle count, the number of cycles projected in real
-arithmetic (``real_cycles=r/c``), of cycles whose decomposition was
-stored in float64 when it was projected (``stored_real=r/c``) and of
-cycles projected through the MSOAR relation (``relation_cycles=r/c``),
-all three read off the report's ``cycles`` records, the final max
-residual and a sha1 of the residual history, the delivered eigenvalues,
-their relative residuals and their eigenvectors.  The next line runs the
-command line of acceptance criterion 11 (``tests/test_acceptance.py``)
-through ``soarqep.cli.run_cli`` with ``--format csv`` and ``--format
-json`` and prints the exit codes and a sha1 of each output's bytes.  The
-next twelve lines solve an underdamped chain, ``gen_mass_spring(200,
-tau=1.0)`` in shift-invert mode at sigma = -1.0 and -1.5 with m=6, k=20
-and 40 restarts, with both variants at seeds 0-2, and print the cycle
-count, ``stored_real=r/c``, ``relation_cycles=r/c``, the breakdown
-(restart, step) or None, the final max residual and a sha1 of the
-residual history: its T is badly scaled against its subdiagonal, so a
-change to the restart layer shows there first.  The next five lines build
-the shift-invert operator of ms5k, string1000, the tight-ctol problem and
-the chain at both shifts and print a sha1 of the data, indices and indptr
-bytes of M_hat and of C_hat, so the working matrices are compared
-directly.  The next five lines print a sha1 of the dtypes and bytes of the
-data, indices and indptr of M, C and K of each workload's problem, of
-``gen_string_damping(2000)`` and of ``gen_string_damping(7, epsilon=0.0)``
-(an empty C), so the generators are compared directly.  The last three
-lines each project in streamed row blocks onto the basis of 40 steps from
-``perfbench``'s seed-1 start vector, and print a sha1 of the projected
-M_k, C_k, K_k and the Gram R.  The first two project
-``gen_mass_spring(3000)`` with a full first column in C, whose shifted M
-and C are not symmetric, in shift-invert mode at sigma = 0.3+0.2i and 0.3
-(complex and real arithmetic): every workload streams only symmetric
-working matrices, so this compares the route through CSR copies.  The
-third projects ms5k's problem at its sigma = -13+0.4i, 16 row blocks of
-313 rows, whose symmetric working matrices are read through their own CSC
-arrays: the Gram fold of every ms5k cycle.  Two checkouts give the same
-output exactly when they compute bitwise the same results, so a change
-meant to leave the arithmetic alone is checked by diffing the output of
-both: run it once with ``--src`` pointing at the other checkout's
-``src``, which must have ``SolverReport.cycles``.  A checkout without the
-records is fingerprinted with its own copy of this script.
-
-BLAS is pinned to one thread before numpy is first imported, as in
-``perfbench/run.py``; a different thread count may round differently.
+Two checkouts print the same lines exactly when they compute bitwise the
+same results; README.md ("Testing") says what each line holds and how to
+diff two checkouts.
 """
 
 import os
 import sys
 
+# one BLAS thread, pinned before numpy is first imported, as in
+# perfbench/run.py: another thread count may round differently
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 
