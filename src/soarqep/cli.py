@@ -101,7 +101,7 @@ def _jsonable_complex(z):
 def format_json(args, config, report, n):
     """The run as indented JSON text with sorted keys: the configuration,
     the per-cycle history, the delivered pairs (lam as {"re", "im"},
-    rel_residual, residual, backward_error), restarts_used,
+    rel_residual, residual, backward_error, floor), restarts_used,
     converged_count, all_converged and breakdown."""
     cfg = {"problem": args.problem, "n": n, "m": config.m,
            "k": config.k, "p": config.num_shifts, "variant": config.variant,
@@ -114,7 +114,8 @@ def format_json(args, config, report, n):
         "history": [{"restart": r, "max_rel_residual": res, "deflations": d}
                     for r, res, d in _history(report)],
         "pairs": [{"lam": _jsonable_complex(c.lam), "rel_residual": c.rel_residual,
-                   "residual": c.residual, "backward_error": c.backward_error}
+                   "residual": c.residual, "backward_error": c.backward_error,
+                   "floor": c.floor}
                   for c in report.converged],
         "restarts_used": report.restarts_used,
         "converged_count": len(report.converged),
@@ -127,7 +128,8 @@ def format_json(args, config, report, n):
 def run_cli(argv=None):
     """Run the command line on ``argv`` (default ``sys.argv[1:]``): solve,
     write the CSV or JSON output to ``--out`` or stdout and a summary to
-    stderr.  Returns the exit code: 0 when every wanted pair converged, 2
+    stderr, with one line more where ctol is below the largest
+    ``ConvergedPair.floor`` of the delivered pairs.  Returns the exit code: 0 when every wanted pair converged, 2
     on partial results, 1 on a usage or solver error."""
     try:
         args = build_parser().parse_args(argv)
@@ -161,6 +163,11 @@ def run_cli(argv=None):
         if report.breakdown:
             print("breakdown at restart %d, step %d: no new direction above "
                   "the drop tolerance" % report.breakdown, file=sys.stderr)
+        floor = max((c.floor for c in report.converged), default=0.0)
+        if config.ctol < floor:
+            print("ctol %.3e is below the rounding floor %.3e of a delivered "
+                  "pair: residuals that small are not resolved"
+                  % (config.ctol, floor), file=sys.stderr)
         return 0 if report.all_converged else 2
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

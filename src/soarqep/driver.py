@@ -79,13 +79,16 @@ class ConvergedPair:
     ``norm_sum`` for the unit x, recomputed from the problem, and
     ``backward_error`` Tisseur's normwise backward error
     ||(lam^2 M + lam C + K) x|| / (|lam|^2 ||M|| + |lam| ||C|| + ||K||)
-    (Linear Algebra Appl. 309 (2000)), with the 1-norms as the weights."""
+    (Linear Algebra Appl. 309 (2000)), with the 1-norms as the weights.
+    ``floor`` is eps (|lam|^2 ||M|| + |lam| ||C|| + ||K||) / ``norm_sum``,
+    about the least ``residual`` that rounding lets the pair show."""
     lam: complex
     x: np.ndarray
     rel_residual: float
     from_breakdown: bool = False
     residual: float = None
     backward_error: float = None
+    floor: float = None
 
 
 @dataclass
@@ -101,6 +104,7 @@ class CycleRecord:
     stored_real: bool              # the decomposition was float64
     real: bool                     # ProjectedQep.real
     relation: bool                 # ProjectedQep.relation
+    wanted_only: bool              # RitzSet.wanted_only
     residuals: list
     ritz_residuals: list
     shifts: list = field(default_factory=list)   # as applied, complex
@@ -168,8 +172,9 @@ def _deliver(proj, entries, ctol, from_breakdown=False):
 
 
 def _check_against_problem(pairs, problem):
-    """Fill each pair's ``residual`` and ``backward_error`` from M, C and
-    K, one product per matrix for all the pairs' vectors at once."""
+    """Fill each pair's ``residual``, ``backward_error`` and ``floor`` from
+    M, C and K, one product per matrix for all the pairs' vectors at
+    once."""
     if not pairs:
         return
     X = np.stack([p.x for p in pairs], axis=1)
@@ -188,6 +193,7 @@ def _check_against_problem(pairs, problem):
                               (mag * mag * nM + mag * nC + nK).tolist()):
         p.residual = norm / problem.norm_sum
         p.backward_error = norm / scale
+        p.floor = np.finfo(float).eps * scale / problem.norm_sum
 
 
 def _breakdown_diagnostics(state, op):
@@ -228,7 +234,7 @@ def solve(problem, config):
         wanted = ritz.wanted()
         record = CycleRecord(
             stored_real=state.dtype == float, real=proj.real,
-            relation=proj.relation,
+            relation=proj.relation, wanted_only=ritz.wanted_only,
             residuals=[float(e.rel_residual) for e in wanted],
             ritz_residuals=[float(ritz.pairs[i].rel_residual)
                             for i in ritz.selection])

@@ -4,11 +4,13 @@
 triple in shift-invert mode) onto the finalized basis.  ``extract_ritz``
 and ``extract_refined`` take every residual norm and refined vector of a
 cycle through the projection's R blocks, at no n-length cost, and report
-relative residuals of the original problem.  A float64 basis projects in
-float64; the Ritz values, primitive vectors and delivered eigenvectors are
-complex128.
+relative residuals of the original problem; where the projection went
+through the MSOAR relation, ``extract_ritz`` builds only the wanted Ritz
+vectors.  A float64 basis projects in float64; the Ritz values, primitive
+vectors and delivered eigenvectors are complex128.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,10 +97,19 @@ class RitzSet:
     """The Ritz entries of one projection: ``pairs`` holds all 2 ktilde in
     the order of ``kernels.solve_projected_qep``'s theta, ``selection`` the
     indices of at most m wanted finite ones, largest |theta| first, and
-    ``refined`` the entries ``extract_refined`` made, by index."""
-    pairs: list
+    ``refined`` the entries ``extract_refined`` made, by index.
+
+    ``wanted_only`` tells which path ``extract_ritz`` took.  False: all
+    vectors, and ``pairs`` is a list of every entry.  True: the projection
+    went through the MSOAR relation and only the selected entries, with
+    their conjugate partners on a real projection, were built, by inverse
+    iteration; ``pairs`` is a read-only sequence that builds any other
+    entry on its first access, the same way, and returns that same object
+    on every later one.  The solver reads the selected entries only."""
+    pairs: Sequence
     selection: list
     refined: dict = field(default_factory=dict)
+    wanted_only: bool = False
 
     def wanted(self):
         """The m wanted entries: refined where extract_refined made one,
@@ -116,6 +127,18 @@ PROJECT_CHUNK_ENTRIES = 2 ** 15
 # can round a group's product differently from the same columns of one
 # whole product, by an ulp, so an S this small stays one group
 RITZ_GROUP_ENTRIES = 2 ** 14
+
+# a wanted g of a wanted-only extraction is accepted where
+# ||P_k(theta) g|| <= NULL_VECTOR_TOL eps ||P_k(theta)||_1: inverse
+# iteration reaches at most tens of units of that on every benchmark
+# workload, so a thousand leaves room and still refuses a theta that is
+# not an eigenvalue
+NULL_VECTOR_TOL = 1e3
+
+# two wanted theta closer than this, relative to the larger, are not
+# distinct to rounding: a defective double eigenvalue splits by about
+# sqrt(eps), and inverse iteration would give both one vector
+WANTED_MIN_GAP = np.sqrt(np.finfo(float).eps)
 
 # a projection goes through the MSOAR relation when both of its block rows
 # hold to this many units of rounding (``_relation_holds``): where the
@@ -352,6 +375,115 @@ def _residual_norms(blocks, theta, G, cols):
     return norms
 
 
+def _live_groups(proj, op, theta):
+    """(live, groups): the indices of the finite theta, ascending, and
+    groups of positions in ``live``, conjugate partners together on a real
+    projection (``kernels.conjugate_groups``), each alone otherwise.
+    Theta above HUGE_RITZ or infinite, and in shift-invert mode below
+    1e-300 (lam = infinity), is not finite."""
+    mag = np.abs(theta)
+    ok = mag <= HUGE_RITZ
+    if op.sigma is not None:
+        ok &= mag >= 1e-300
+    live = np.flatnonzero(ok)
+    groups = (kernels.conjugate_groups(theta[live])[0] if proj.real
+              else [(j,) for j in range(live.size)])
+    return live, groups
+
+
+def _select(theta, indices, m):
+    """The m wanted of ``indices`` into ``theta``, a list of Python
+    complex: by (-|theta|, Re theta, Im theta), ties in the order given."""
+    return sorted(indices, key=lambda i: (-abs(theta[i]), theta[i].real,
+                                          theta[i].imag))[:m]
+
+
+def _entry(op, theta, g, norm):
+    """The RitzEntry of theta and g, with the residual ``norm`` or, for a
+    theta that is not finite, None."""
+    lam, rel = (_relative(op, theta, norm) if norm is not None
+                else (complex(np.inf), float(np.inf)))
+    return RitzEntry(theta=theta, g=g, lam=lam, rel_residual=rel,
+                     finite=norm is not None, residual=norm)
+
+
+def _group_entries(proj, op, theta, groups, check):
+    """The entries of ``groups``, lists of indices of finite theta with
+    conjugate partners together on a real projection, by index: one g by
+    ``kernels.null_vector`` and one residual by ``_residual_norms`` per
+    group, the partner's g conjugated.  With ``check``, None if a g's
+    ||P_k(theta) g|| exceeds NULL_VECTOR_TOL eps ||P_k(theta)||_1."""
+    G = np.empty((proj.M_k.shape[0], len(groups)), dtype=complex, order="F")
+    bound = NULL_VECTOR_TOL * np.finfo(float).eps
+    for j, group in enumerate(groups):
+        G[:, j], res, scale = kernels.null_vector(
+            proj.M_k, proj.C_k, proj.K_k, theta[group[0]])
+        if check and res > bound * scale:
+            return None
+    norms = _residual_norms(proj.blocks, theta[[group[0] for group in groups]],
+                            G, list(range(len(groups))))
+    return {i: _entry(op, theta[i].item(), g, norm)
+            for j, (group, norm) in enumerate(zip(groups, norms))
+            for i, g in zip(group, (G[:, j], G[:, j].conj()))}
+
+
+class _PairsOnAccess(Sequence):
+    """All Ritz entries of a wanted-only extraction, in theta order: those
+    ``_wanted_only`` built, and any other made on its first access, with
+    its conjugate group, by ``_group_entries`` (a theta that is not finite
+    alone, its g by ``kernels.null_vector``), and returned as that same
+    object on every later access."""
+
+    def __init__(self, proj, op, theta, groups, built):
+        self._proj, self._op, self._theta = proj, op, theta
+        self._group = {i: group for group in groups for i in group}
+        self._built = built
+
+    def __len__(self):
+        return len(self._theta)
+
+    def __getitem__(self, i):
+        i = range(len(self))[i]
+        if i not in self._built:
+            if i in self._group:
+                self._built.update(_group_entries(
+                    self._proj, self._op, self._theta, [self._group[i]],
+                    check=False))
+            else:
+                theta = self._theta[i]
+                g = kernels.null_vector(self._proj.M_k, self._proj.C_k,
+                                        self._proj.K_k, theta)[0]
+                self._built[i] = _entry(self._op, theta.item(), g, None)
+        return self._built[i]
+
+
+def _wanted_only(proj, op, m):
+    """The RitzSet of ``extract_ritz`` with only the wanted entries built,
+    or None where it falls back to all vectors (``extract_ritz``)."""
+    theta, _ = kernels.solve_projected_qep(proj.M_k, proj.C_k, proj.K_k,
+                                           vectors=False)
+    live, groups = _live_groups(proj, op, theta)
+    live = live.tolist()
+    selection = _select(theta.tolist(), live, m)
+    wanted = theta[selection]
+    for a, t in enumerate(wanted):
+        rest = wanted[a + 1:]
+        if np.any(np.abs(rest - t)
+                  <= WANTED_MIN_GAP * np.maximum(np.abs(rest), abs(t))):
+            return None
+    # the groups as lists of indices into theta: tuples built from
+    # generators would leave free-list blocks behind every cycle, which
+    # count in a tracemalloc peak
+    groups = [[live[j] for j in group] for group in groups]
+    chosen = set(selection)
+    built = _group_entries(proj, op, theta, [
+        group for group in groups if not chosen.isdisjoint(group)], check=True)
+    if built is None:
+        return None
+    return RitzSet(pairs=_PairsOnAccess(proj, op, theta, groups, built),
+                   selection=selection, wanted_only=True)
+
+
 def extract_ritz(proj, op, m):
     """All Ritz pairs of the projected QEP plus the m wanted ones.
 
@@ -362,36 +494,40 @@ def extract_ritz(proj, op, m):
     shift-invert mode below 1e-300 (lam = infinity), is not finite: it is
     never selected and carries an infinite residual.
 
-    The residual ||(theta^2 W1 + theta W2 + W3) g|| of each finite pair is
-    taken through the R blocks (``_residual_norms``), a bounded group of
-    columns at a time, so besides theta and G the call holds one group's
-    temporaries.  On a real projection one column serves each conjugate
-    pair: the partner's S is the conjugate bit for bit, with the same norm.
-    Raises ``kernels.SingularPencilError`` if the projected QEP's
-    eigensolver fails.
+    Where ``proj.relation`` is set, the extraction is wanted-only
+    (``RitzSet.wanted_only``): ``kernels.solve_projected_qep`` gives the
+    eigenvalues alone, and the unit g of each wanted theta, and of its
+    whole conjugate group on a real projection, comes from
+    ``kernels.null_vector``; only those entries' residuals are taken.
+    ``pairs`` builds any other entry on its first access, the same way.
+    Such a cycle falls back to all vectors when two wanted theta are
+    within WANTED_MIN_GAP of each other, relatively, or when a wanted g's
+    ||P_k(theta) g|| exceeds NULL_VECTOR_TOL eps ||P_k(theta)||_1.
+
+    Otherwise every eigenvector comes from ``kernels.solve_projected_qep``
+    and the residual ||(theta^2 W1 + theta W2 + W3) g|| of each finite
+    pair is taken through the R blocks (``_residual_norms``), a bounded
+    group of columns at a time, so besides theta and G the call holds one
+    group's temporaries.  On a real projection one column serves each
+    conjugate pair: the partner's S is the conjugate bit for bit, with the
+    same norm.  Raises ``kernels.SingularPencilError`` if the projected
+    QEP's eigensolver fails.
     """
+    if proj.relation:
+        ritz = _wanted_only(proj, op, m)
+        if ritz is not None:
+            return ritz
     theta, G = kernels.solve_projected_qep(proj.M_k, proj.C_k, proj.K_k)
-    mag = np.abs(theta)
-    ok = mag <= HUGE_RITZ
-    if op.sigma is not None:
-        ok &= mag >= 1e-300
-    live = np.flatnonzero(ok)
-    groups = (kernels.conjugate_groups(theta[live])[0] if proj.real
-              else [(j,) for j in range(live.size)])
+    live, groups = _live_groups(proj, op, theta)
     first = live[[group[0] for group in groups]]
     norms = {}
     for group, norm in zip(groups, _residual_norms(proj.blocks, theta, G,
                                                    first)):
         norms.update((int(live[j]), norm) for j in group)
-    pairs = []
-    for i, th in enumerate(theta.tolist()):
-        lam, rel = (_relative(op, th, norms[i]) if i in norms
-                    else (complex(np.inf), float(np.inf)))
-        pairs.append(RitzEntry(theta=th, g=G[:, i], lam=lam, rel_residual=rel,
-                               finite=i in norms, residual=norms.get(i)))
-    order = sorted(norms, key=lambda i: (-abs(pairs[i].theta),
-                                         pairs[i].theta.real, pairs[i].theta.imag))
-    return RitzSet(pairs=pairs, selection=order[:m])
+    theta = theta.tolist()
+    pairs = [_entry(op, th, G[:, i], norms.get(i))
+             for i, th in enumerate(theta)]
+    return RitzSet(pairs=pairs, selection=_select(theta, norms, m))
 
 
 def extract_refined(proj, op, ritz):

@@ -14,7 +14,8 @@ import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import drot
 from scipy.linalg.lapack import (dgeev, dgeev_lwork, dgeqrt, dlartg, dtpqrt,
-                                 zgeqrf, zgeqrt, zlartg, zrot, ztpqrt)
+                                 zgeqrf, zgeqrt, zgetrf, zgetrs, zlartg, zrot,
+                                 ztpqrt, ztrtrs)
 
 
 class QRSweepError(RuntimeError):
@@ -360,6 +361,53 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
         # one 1-D norm per column: norm(G, axis=0) rounds differently
         g /= np.linalg.norm(g)
     return theta, G
+
+
+# solves of the inverse iteration in ``null_vector``, the first of them
+# with U alone; it stops earlier once ||P(theta) g|| stops falling
+NULL_VECTOR_MAX_STEPS = 4
+
+
+def null_vector(M_k, C_k, K_k, theta):
+    """The unit g that P(theta) = theta^2 M_k + theta C_k + K_k maps
+    nearest to zero, for an eigenvalue theta of the k-by-k QEP: at an
+    infinite theta, P is M_k.
+
+    Takes the triple (float64 or complex128, not written) and a complex
+    theta.  Returns (g, residual, scale): g a unit complex128 vector of
+    length k, residual = ||P(theta) g|| and scale = ||P(theta)||_1.
+
+    Inverse iteration on the LU of P(theta) (LAPACK zgetrf), as LAPACK's
+    zlaein runs it: a pivot of U below eps scale is raised to eps scale,
+    the first iterate solves U y = ones(k), a fixed start, and each next
+    solves P y = g.  An iterate is kept only while its residual falls, for
+    at most NULL_VECTOR_MAX_STEPS solves, so g is the iterate of least
+    residual.  The call holds P and its LU.
+    """
+    eps = np.finfo(float).eps
+    if np.isfinite(theta):
+        P = M_k * (theta * theta)
+        P += theta * C_k
+        P += K_k
+    else:
+        P = np.array(M_k, dtype=complex)
+    k = P.shape[0]
+    scale = float(np.abs(P).sum(axis=0).max())
+    lu, piv, _ = zgetrf(P)
+    d = np.arange(k)
+    tiny = d[np.abs(lu[d, d]) < eps * scale]
+    lu[tiny, tiny] = max(eps * scale, np.finfo(float).tiny)
+    y = ztrtrs(lu, np.ones(k, dtype=complex))[0]
+    g = y / np.linalg.norm(y)
+    res = float(np.linalg.norm(P @ g))
+    for _ in range(NULL_VECTOR_MAX_STEPS - 1):
+        y = zgetrs(lu, piv, g)[0]
+        y /= np.linalg.norm(y)
+        r = float(np.linalg.norm(P @ y))
+        if not r < res:
+            break
+        g, res = y, r
+    return g, res, scale
 
 
 def _real_eig(A, vectors):

@@ -106,10 +106,26 @@ class TestRuns:
         assert len(doc["pairs"]) == 4
         for p in doc["pairs"]:
             assert set(p) == {"lam", "rel_residual", "residual",
-                              "backward_error"}
+                              "backward_error", "floor"}
             assert p["residual"] <= doc["config"]["ctol"]
             assert 0.0 <= p["backward_error"] < 1e-10
         assert len(doc["history"]) == doc["restarts_used"] + 1
+
+    TIGHT = ["mass-spring", "-n", "500", "--sigma=-13+0.4i", "--num-eigs",
+             "6", "--dim", "40", "--shifts", "15", "--max-restarts", "15",
+             "--format", "json"]
+
+    @pytest.mark.parametrize("ctol", ["1e-15", "1e-10"])
+    def test_ctol_below_floor_reported(self, capsys, ctol):
+        # the delivered pairs' floors read 2.4-2.5e-15: ctol 1e-15 is below
+        # them and the summary says so; at 1e-10 it does not
+        code, out, err = _run(capsys, self.TIGHT + ["--ctol", ctol])
+        assert code == 0
+        floors = [p["floor"] for p in json.loads(out)["pairs"]]
+        assert floors and all(2.3e-15 <= f <= 2.6e-15 for f in floors)
+        below = "below the rounding floor" in err
+        assert below == (ctol == "1e-15")
+        assert len(err.strip().splitlines()) == 1 + below
 
     def test_out_file(self, capsys, tmp_path):
         dest = tmp_path / "hist.csv"

@@ -11,7 +11,7 @@ import scipy.linalg
 import conftest
 from conftest import (arpack_nearest_eigenvalues, breakdown_starts,
                       deflation_at_step1, random_qep)
-from soarqep import driver, kernels
+from soarqep import driver, extraction, kernels
 from soarqep.driver import SolverConfig, solve
 from soarqep.extraction import residual_bound
 from soarqep.operator import QepProblem
@@ -305,7 +305,10 @@ class TestVariants:
         cfg = SolverConfig(m=6, k=40, p=15, mode="shift-invert",
                            sigma=-13 + 0.4j, variant="imsoar", ctol=1e-15,
                            max_restarts=15)
-        assert solve(gen_mass_spring(500), cfg).all_converged
+        rep = solve(gen_mass_spring(500), cfg)
+        assert rep.all_converged
+        # ctol sits below every delivered pair's rounding floor
+        assert all(2.3e-15 <= c.floor <= 2.6e-15 for c in rep.converged)
 
     @pytest.mark.parametrize("ctol", [1e-10, 1e-13])
     def test_irsoar_refined_not_worse_at_large_ktilde(self, ctol):
@@ -645,6 +648,7 @@ class TestBreakdown:
                 abs=10 * eps * scale / prob.norm_sum)
             assert c.backward_error == pytest.approx(norm / scale, rel=1e-8,
                                                      abs=10 * eps)
+            assert c.floor == eps * scale / prob.norm_sum
 
 
 class TestNonConvergence:
@@ -683,6 +687,21 @@ class TestNonConvergence:
 
 
 class TestCycleRecords:
+    def test_wanted_only_recorded(self, monkeypatch):
+        # every cycle projects through the relation and builds only the
+        # wanted vectors.  With the residual check forced to fail, every
+        # cycle takes all vectors, and its record says so
+        prob = gen_mass_spring(300)
+        cfg = SolverConfig(m=4, k=16, mode="shift-invert", sigma=-13 + 0.4j,
+                           ctol=1e-10, seed=1)
+        rep = solve(prob, cfg)
+        assert all(c.relation and c.wanted_only for c in rep.cycles)
+        assert all(type(c.wanted_only) is bool for c in rep.cycles)
+        monkeypatch.setattr(extraction, "NULL_VECTOR_TOL", 0.0)
+        forced = solve(prob, cfg)
+        assert any(c.relation for c in forced.cycles)
+        assert not any(c.wanted_only for c in forced.cycles)
+
     @pytest.mark.parametrize("seed", range(20260830, 20260835))
     def test_repaired_deflation_reported(self, seed):
         # the step-1 deflation of cycle 0 is repaired by its contraction,

@@ -831,6 +831,175 @@ class TestRitz:
                                     rel=1e-10)
 
 
+def _all_vectors(proj, op):
+    """(theta, G, residuals) of every pair as the all-vectors extraction
+    takes them: every eigenvector from ``solve_projected_qep`` and the
+    residual of each finite pair through ``_residual_norms``, one column
+    per conjugate pair on a real projection, by index."""
+    theta, G = kernels.solve_projected_qep(proj.M_k, proj.C_k, proj.K_k)
+    mag = np.abs(theta)
+    ok = mag <= extraction.HUGE_RITZ
+    if op.sigma is not None:
+        ok &= mag >= 1e-300
+    live = np.flatnonzero(ok)
+    groups = (kernels.conjugate_groups(theta[live])[0] if proj.real
+              else [(j,) for j in range(live.size)])
+    first = live[[group[0] for group in groups]]
+    norms = {}
+    for group, norm in zip(groups, extraction._residual_norms(
+            proj.blocks, theta, G, first)):
+        norms.update((int(live[j]), norm) for j in group)
+    return theta, G, norms
+
+
+def _key(theta):
+    return -abs(theta), theta.real, theta.imag
+
+
+def _wanted_only_case(case):
+    """(op, state) of a decomposition that holds to rounding, so its
+    projection is extracted wanted-only: a complex start in direct mode,
+    the underdamped chain at a real shift, whose wanted theta come in
+    conjugate pairs, or a mass-spring at a real shift whose M_k goes to
+    QZ (cond above MONIC_COND_MAX)."""
+    rng = np.random.default_rng(0)
+    if case == "complex":
+        u1 = rng.standard_normal(47) + 1j * rng.standard_normal(47)
+        return _run(rng, gen_mass_spring(47), 6, u1=u1, u2=u1)
+    if case == "qz":
+        return _run(rng, gen_mass_spring(47), 8, mode="shift-invert",
+                    sigma=-13.0)
+    u1 = rng.standard_normal(47)
+    return _run(rng, gen_mass_spring(47, tau=1.0), 6, mode="shift-invert",
+                sigma=-2.0, u1=u1, u2=u1)
+
+
+class TestWantedOnly:
+    """A projection through the MSOAR relation builds only the wanted Ritz
+    vectors (``extract_ritz``); any other projection is the all-vectors
+    extraction bit for bit."""
+
+    @staticmethod
+    def refused(case):
+        """(proj, op) of a projection that takes all vectors."""
+        rng = np.random.default_rng(0)
+        if case == "tight-ctol":
+            # mass-spring n = 500 at ctol 1e-15: the relation is refused
+            u1 = rng.random(500)
+            op, st = _run(rng, gen_mass_spring(500), 40, mode="shift-invert",
+                          sigma=-13 + 0.4j, u1=u1, u2=u1)
+            proj = project(st, op, 1e-15)
+        else:
+            # a real direct string whose P has grown: refused
+            u1 = rng.random(100)
+            op, st = _run(rng, gen_string_damping(100), 30, u1=u1, u2=u1)
+            proj = project(st, op, 1e-10)
+        return proj, op
+
+    @pytest.mark.parametrize("case", ["tight-ctol", "string-direct"])
+    def test_all_vectors_bit_for_bit(self, case):
+        proj, op = self.refused(case)
+        assert not proj.relation
+        ritz = extract_ritz(proj, op, 6)
+        assert not ritz.wanted_only and isinstance(ritz.pairs, list)
+        theta, G, norms = _all_vectors(proj, op)
+        assert len(ritz.pairs) == theta.size
+        for i, e in enumerate(ritz.pairs):
+            assert complex(e.theta) == theta[i]
+            assert e.g.tobytes() == G[:, i].tobytes()
+            assert e.residual == norms.get(i)
+
+    @pytest.mark.parametrize("case", ["complex", "real", "qz"])
+    def test_wanted_entries_match_all_vectors(self, case):
+        # each wanted theta to 1e-12 relative, each g a null vector of
+        # P_k(theta) to NULL_VECTOR_TOL eps ||P_k(theta)||_1 and each
+        # residual to 1e-8 relative of the all-vectors extraction's
+        op, st = _wanted_only_case(case)
+        proj = project(st, op, 1e-10)
+        assert proj.relation and proj.real == (case != "complex")
+        assert ((np.linalg.cond(proj.M_k) > kernels.MONIC_COND_MAX)
+                == (case == "qz"))
+        ritz = extract_ritz(proj, op, 5)
+        assert ritz.wanted_only
+        theta, _, norms = _all_vectors(proj, op)
+        want = sorted(norms, key=lambda i: _key(complex(theta[i])))[:5]
+        eps = np.finfo(float).eps
+        for i, j in zip(ritz.selection, want):
+            e = ritz.pairs[i]
+            assert abs(e.theta - theta[j]) <= 1e-12 * abs(theta[j])
+            P = e.theta ** 2 * proj.M_k + e.theta * proj.C_k + proj.K_k
+            assert np.linalg.norm(e.g) == pytest.approx(1.0, abs=1e-14)
+            assert (np.linalg.norm(P @ e.g)
+                    <= extraction.NULL_VECTOR_TOL * eps
+                    * np.abs(P).sum(axis=0).max())
+            assert e.residual == pytest.approx(norms[j], rel=1e-8)
+
+    def test_conjugate_partners_share_residuals(self):
+        # m = 5 leaves out the partner of the fifth wanted theta; it is
+        # built with its group, with the conjugate g and the same residual
+        op, st = _wanted_only_case("real")
+        proj = project(st, op, 1e-10)
+        ritz = extract_ritz(proj, op, 5)
+        assert ritz.wanted_only
+        theta = np.array([ritz.pairs[i].theta for i in range(len(ritz.pairs))])
+        left_out = 0
+        for group in kernels.conjugate_groups(theta)[0]:
+            if len(group) == 1 or not set(group) & set(ritz.selection):
+                continue
+            a, b = (ritz.pairs[i] for i in group)
+            assert b.residual == a.residual and b.g.tobytes() == a.g.conj().tobytes()
+            left_out += not set(group) <= set(ritz.selection)
+        assert left_out == 1
+
+    def test_other_pairs_built_on_access(self):
+        op, st = _wanted_only_case("complex")
+        proj = project(st, op, 1e-10)
+        ritz = extract_ritz(proj, op, 2)
+        assert ritz.wanted_only and len(ritz.pairs) == 2 * proj.ktilde
+        theta, _, norms = _all_vectors(proj, op)
+        i = next(i for i in range(len(ritz.pairs)) if i not in ritz.selection)
+        e = ritz.pairs[i]
+        assert ritz.pairs[i] is e and ritz.pairs[i - len(ritz.pairs)] is e
+        assert np.linalg.norm(e.g) == pytest.approx(1.0, abs=1e-14)
+        j = int(np.argmin(np.abs(theta - e.theta)))
+        assert e.residual == pytest.approx(norms[j], rel=1e-8)
+        assert sum(p.finite for p in ritz.pairs) == len(norms)
+
+    @staticmethod
+    def double_wanted():
+        """(proj, op): a synthetic real projected triple through the
+        relation, with the largest |theta| a double eigenvalue, -2 (and 2)
+        with two independent vectors; the blocks are the triple itself,
+        the R of W_i = X_i for Q_tilde = I."""
+        M = np.eye(4)
+        C = np.zeros((4, 4))
+        K = -np.diag([4.0, 4.0, 1.0, 0.25])
+        op = build_operator(QepProblem.from_matrices(M, C, K))
+        proj = extraction.ProjectedQep(np.eye(4), M, C, K, blocks=(M, C, K),
+                                       op=op, relation=True)
+        return proj, op
+
+    @pytest.mark.parametrize("case", ["double", "residual"])
+    def test_fallback_is_all_vectors(self, monkeypatch, case):
+        # a double wanted theta, or a wanted g whose residual check fails,
+        # sends a relation projection to the all-vectors path, bit for bit
+        if case == "double":
+            proj, op = self.double_wanted()
+            m = 2
+        else:
+            monkeypatch.setattr(extraction, "NULL_VECTOR_TOL", 0.0)
+            op, st = _wanted_only_case("real")
+            proj, m = project(st, op, 1e-10), 5
+        assert proj.relation
+        ritz = extract_ritz(proj, op, m)
+        assert not ritz.wanted_only
+        theta, G, norms = _all_vectors(proj, op)
+        for i, e in enumerate(ritz.pairs):
+            assert complex(e.theta) == theta[i]
+            assert e.g.tobytes() == G[:, i].tobytes()
+            assert e.residual == norms.get(i)
+
+
 class TestRefined:
     def test_refined_never_worse(self, rng):
         for trial in range(6):

@@ -53,9 +53,11 @@ def fingerprint(name, report):
     pairs = report.converged
     x = np.concatenate([p.x for p in pairs]) if pairs else []
     return ("%s cycles=%d real_cycles=%s stored_real=%s relation_cycles=%s "
-            "final=%.3e history=%s lam=%s rel_residual=%s x=%s"
+            "wanted_only_cycles=%s final=%.3e history=%s lam=%s "
+            "rel_residual=%s x=%s"
             % (name, len(report.residual_history), _counted(report, "real"),
                _counted(report, "stored_real"), _counted(report, "relation"),
+               _counted(report, "wanted_only"),
                report.residual_history[-1],
                _sha1(report.residual_history, float),
                _sha1([p.lam for p in pairs], complex),
