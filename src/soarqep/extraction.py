@@ -4,13 +4,13 @@
 triple in shift-invert mode) onto the finalized basis.  ``extract_ritz``
 and ``extract_refined`` take every residual norm and refined vector of a
 cycle through the projection's R blocks, at no n-length cost, and report
-relative residuals of the original problem; where the projection went
-through the MSOAR relation, ``extract_ritz`` builds only the wanted Ritz
-vectors.  A float64 basis projects in float64; the Ritz values, primitive
-vectors and delivered eigenvectors are complex128.
+relative residuals of the original problem.  Where the run's ctol is at
+least NULL_VECTOR_TOL eps and the recurrence did not break down
+(``ProjectedQep.wanted_only``), ``extract_ritz`` builds only the wanted
+Ritz vectors.  A float64 basis projects in float64; the Ritz values,
+primitive vectors and delivered eigenvectors are complex128.
 """
 
-from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -38,7 +38,9 @@ class ProjectedQep:
     with the rows of the triangle of the MSOAR relation's columns
     (``project``).  The W_i are not kept; ``W1``..``W3`` recompute them
     from the operator's working matrices on demand, and the solver never
-    asks for them.
+    asks for them.  ``relation`` decides only which columns ``project``
+    formed; ``wanted_only`` tells ``extract_ritz`` to build only the wanted
+    Ritz vectors.
     """
     Q_tilde: np.ndarray   # n x ktilde orthonormal basis, often a view of Q
     M_k: np.ndarray
@@ -47,6 +49,7 @@ class ProjectedQep:
     blocks: tuple         # (R1, R2, R3), R_i^* R_j = W_i^* W_j
     op: object = field(repr=False)
     relation: bool = False   # formed through the MSOAR relation
+    wanted_only: bool = False  # extract_ritz builds the wanted vectors only
 
     @property
     def ktilde(self):
@@ -100,13 +103,12 @@ class RitzSet:
     ``refined`` the entries ``extract_refined`` made, by index.
 
     ``wanted_only`` tells which path ``extract_ritz`` took.  False: all
-    vectors, and ``pairs`` is a list of every entry.  True: the projection
-    went through the MSOAR relation and only the selected entries, with
-    their conjugate partners on a real projection, were built, by inverse
-    iteration; ``pairs`` is a read-only sequence that builds any other
-    entry on its first access, the same way, and returns that same object
-    on every later one.  The solver reads the selected entries only."""
-    pairs: Sequence
+    vectors, and ``pairs`` holds every entry.  True: only the selected
+    entries, with their conjugate partners on a real projection, were
+    built, by inverse iteration, and every other entry of ``pairs`` is
+    None.  The solver reads the selected entries only, except after a
+    breakdown, which ``project`` never extracts wanted-only."""
+    pairs: list
     selection: list
     refined: dict = field(default_factory=dict)
     wanted_only: bool = False
@@ -132,7 +134,9 @@ RITZ_GROUP_ENTRIES = 2 ** 14
 # ||P_k(theta) g|| <= NULL_VECTOR_TOL eps ||P_k(theta)||_1: inverse
 # iteration reaches at most tens of units of that on every benchmark
 # workload, so a thousand leaves room and still refuses a theta that is
-# not an eigenvalue
+# not an eigenvalue.  A ctol below NULL_VECTOR_TOL eps could tell the
+# inverse-iteration g from the eigensolver's, so such a run takes all
+# vectors (``project``)
 NULL_VECTOR_TOL = 1e3
 
 # two wanted theta closer than this, relative to the larger, are not
@@ -245,6 +249,10 @@ def project(state, op, ctol=None):
       them than the delivered vector's (``ConvergedPair.residual`` is
       recomputed from M, C and K).
 
+    ``ProjectedQep.wanted_only`` is set where a ``ctol`` is given, ctol >=
+    NULL_VECTOR_TOL eps and the state has not broken down (a breakdown
+    delivers every pair of its cycle), whichever plan ran.
+
     The blocks are ``kernels.row_blocks`` where that holds less memory
     (``_project_blocks``).  Then each column X_i v of a block is written
     into the zeroed buffer by scipy's CSR matrix-vector kernel, reading the
@@ -267,6 +275,8 @@ def project(state, op, ctol=None):
     if ctol is not None:
         tol = min(tol, RELATION_CTOL_FRACTION * ctol)
     relation = _relation_holds(state, op, tol)
+    wanted_only = bool(ctol is not None and not state.breakdown
+                       and ctol >= NULL_VECTOR_TOL * np.finfo(float).eps)
     # (index of the working matrix, basis, first column)
     if relation:
         k = state.k
@@ -331,7 +341,8 @@ def project(state, op, ctol=None):
         R = _through_relation(R, state, kt)
     else:
         R = R[:, :kt], R[:, kt:2 * kt], R[:, 2 * kt:]
-    return ProjectedQep(Qt, *triple, blocks=R, op=op, relation=relation)
+    return ProjectedQep(Qt, *triple, blocks=R, op=op, relation=relation,
+                        wanted_only=wanted_only)
 
 
 def _through_relation(Y, state, kt):
@@ -407,54 +418,24 @@ def _entry(op, theta, g, norm):
                      finite=norm is not None, residual=norm)
 
 
-def _group_entries(proj, op, theta, groups, check):
+def _group_entries(proj, op, theta, groups):
     """The entries of ``groups``, lists of indices of finite theta with
     conjugate partners together on a real projection, by index: one g by
     ``kernels.null_vector`` and one residual by ``_residual_norms`` per
-    group, the partner's g conjugated.  With ``check``, None if a g's
-    ||P_k(theta) g|| exceeds NULL_VECTOR_TOL eps ||P_k(theta)||_1."""
+    group, the partner's g conjugated.  None if a g's ||P_k(theta) g||
+    exceeds NULL_VECTOR_TOL eps ||P_k(theta)||_1 or is not finite."""
     G = np.empty((proj.M_k.shape[0], len(groups)), dtype=complex, order="F")
     bound = NULL_VECTOR_TOL * np.finfo(float).eps
     for j, group in enumerate(groups):
         G[:, j], res, scale = kernels.null_vector(
             proj.M_k, proj.C_k, proj.K_k, theta[group[0]])
-        if check and res > bound * scale:
+        if not res <= bound * scale:
             return None
     norms = _residual_norms(proj.blocks, theta[[group[0] for group in groups]],
                             G, list(range(len(groups))))
     return {i: _entry(op, theta[i].item(), g, norm)
             for j, (group, norm) in enumerate(zip(groups, norms))
             for i, g in zip(group, (G[:, j], G[:, j].conj()))}
-
-
-class _PairsOnAccess(Sequence):
-    """All Ritz entries of a wanted-only extraction, in theta order: those
-    ``_wanted_only`` built, and any other made on its first access, with
-    its conjugate group, by ``_group_entries`` (a theta that is not finite
-    alone, its g by ``kernels.null_vector``), and returned as that same
-    object on every later access."""
-
-    def __init__(self, proj, op, theta, groups, built):
-        self._proj, self._op, self._theta = proj, op, theta
-        self._group = {i: group for group in groups for i in group}
-        self._built = built
-
-    def __len__(self):
-        return len(self._theta)
-
-    def __getitem__(self, i):
-        i = range(len(self))[i]
-        if i not in self._built:
-            if i in self._group:
-                self._built.update(_group_entries(
-                    self._proj, self._op, self._theta, [self._group[i]],
-                    check=False))
-            else:
-                theta = self._theta[i]
-                g = kernels.null_vector(self._proj.M_k, self._proj.C_k,
-                                        self._proj.K_k, theta)[0]
-                self._built[i] = _entry(self._op, theta.item(), g, None)
-        return self._built[i]
 
 
 def _wanted_only(proj, op, m):
@@ -477,15 +458,15 @@ def _wanted_only(proj, op, m):
     groups = [[live[j] for j in group] for group in groups]
     chosen = set(selection)
     built = _group_entries(proj, op, theta, [
-        group for group in groups if not chosen.isdisjoint(group)], check=True)
+        group for group in groups if not chosen.isdisjoint(group)])
     if built is None:
         return None
-    return RitzSet(pairs=_PairsOnAccess(proj, op, theta, groups, built),
+    return RitzSet(pairs=[built.get(i) for i in range(theta.size)],
                    selection=selection, wanted_only=True)
 
 
 def extract_ritz(proj, op, m):
-    """All Ritz pairs of the projected QEP plus the m wanted ones.
+    """The Ritz pairs of the projected QEP plus the m wanted ones.
 
     Takes a ProjectedQep, its OperatorPair and m.  Returns a new RitzSet
     with no refined entries.  Wanted means largest |theta| in working
@@ -494,15 +475,16 @@ def extract_ritz(proj, op, m):
     shift-invert mode below 1e-300 (lam = infinity), is not finite: it is
     never selected and carries an infinite residual.
 
-    Where ``proj.relation`` is set, the extraction is wanted-only
-    (``RitzSet.wanted_only``): ``kernels.solve_projected_qep`` gives the
-    eigenvalues alone, and the unit g of each wanted theta, and of its
-    whole conjugate group on a real projection, comes from
-    ``kernels.null_vector``; only those entries' residuals are taken.
-    ``pairs`` builds any other entry on its first access, the same way.
-    Such a cycle falls back to all vectors when two wanted theta are
-    within WANTED_MIN_GAP of each other, relatively, or when a wanted g's
-    ||P_k(theta) g|| exceeds NULL_VECTOR_TOL eps ||P_k(theta)||_1.
+    Where ``proj.wanted_only`` is set (``project``), the extraction is
+    wanted-only (``RitzSet.wanted_only``): ``kernels.solve_projected_qep``
+    gives the eigenvalues alone, and the unit g of each wanted theta, and
+    of its whole conjugate group on a real projection, comes from
+    ``kernels.null_vector``; only those entries are built and only their
+    residuals taken, and every other entry of ``pairs`` is None.  Such a
+    cycle falls back to all vectors when two wanted theta are within
+    WANTED_MIN_GAP of each other, relatively, or when a wanted g's
+    ||P_k(theta) g|| exceeds NULL_VECTOR_TOL eps ||P_k(theta)||_1 or is
+    not finite.
 
     Otherwise every eigenvector comes from ``kernels.solve_projected_qep``
     and the residual ||(theta^2 W1 + theta W2 + W3) g|| of each finite
@@ -513,7 +495,7 @@ def extract_ritz(proj, op, m):
     same norm.  Raises ``kernels.SingularPencilError`` if the projected
     QEP's eigensolver fails.
     """
-    if proj.relation:
+    if proj.wanted_only:
         ritz = _wanted_only(proj, op, m)
         if ritz is not None:
             return ritz

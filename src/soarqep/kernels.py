@@ -13,9 +13,9 @@ import warnings
 import numpy as np
 import scipy.linalg
 from scipy.linalg.blas import drot
-from scipy.linalg.lapack import (dgeev, dgeev_lwork, dgeqrt, dlartg, dtpqrt,
-                                 zgeqrf, zgeqrt, zgetrf, zgetrs, zlartg, zrot,
-                                 ztpqrt, ztrtrs)
+from scipy.linalg.lapack import (dgeev, dgeev_lwork, dggev, dgeqrt, dlartg,
+                                 dtpqrt, zgeqrf, zgeqrt, zgetrf, zgetrs, zggev,
+                                 zlartg, zrot, ztpqrt, ztrtrs)
 
 
 class QRSweepError(RuntimeError):
@@ -288,8 +288,12 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
     results are that call's bit for bit, and builds G from the needed half
     of dgeev's real eigenvector matrix after the companion is freed: it
     holds at most the companion, that matrix and dgeev's workspace, or that
-    matrix and G.  The QZ and complex paths go through ``scipy.linalg.eig``
-    and also hold its 2k-by-2k complex eigenvector matrix.
+    matrix and G.  Without ``vectors`` the QZ path calls ggev itself
+    (``_qz_eigvals``), with an eigenvalue-only workspace query, so its
+    eigenvalues are ``scipy.linalg.eig``'s bit for bit and it holds the
+    pencil and ggev's workspace.  The QZ path with vectors and the complex
+    monic path go through ``scipy.linalg.eig`` and also hold its 2k-by-2k
+    complex eigenvector matrix.
 
     Warns (RuntimeWarning) when QZ gets an M_k with cond above 1e14 or not
     finite.  Raises ValueError if the companion has a non-finite entry and
@@ -324,6 +328,8 @@ def solve_projected_qep(M_k, C_k, K_k, vectors=True):
     try:
         if real and B is None:
             w, vr = _real_eig(A, vectors)
+        elif B is not None and not vectors:
+            w, vr = _qz_eigvals(A, B), None
         else:
             out = scipy.linalg.eig(A, B, right=vectors, overwrite_a=True,
                                    overwrite_b=True)
@@ -370,8 +376,7 @@ NULL_VECTOR_MAX_STEPS = 4
 
 def null_vector(M_k, C_k, K_k, theta):
     """The unit g that P(theta) = theta^2 M_k + theta C_k + K_k maps
-    nearest to zero, for an eigenvalue theta of the k-by-k QEP: at an
-    infinite theta, P is M_k.
+    nearest to zero, for a finite eigenvalue theta of the k-by-k QEP.
 
     Takes the triple (float64 or complex128, not written) and a complex
     theta.  Returns (g, residual, scale): g a unit complex128 vector of
@@ -382,31 +387,37 @@ def null_vector(M_k, C_k, K_k, theta):
     the first iterate solves U y = ones(k), a fixed start, and each next
     solves P y = g.  An iterate is kept only while its residual falls, for
     at most NULL_VECTOR_MAX_STEPS solves, so g is the iterate of least
-    residual.  The call holds P and its LU.
+    residual; the iteration stops without a warning at an iterate whose
+    norm or residual is not finite (a P whose entries all lie below about
+    1e-154 can do that too, as the norm sums squares).  If the first does,
+    g is the unit start ones(k)/sqrt(k) and the residual is inf.  The call
+    holds P and its LU.
     """
     eps = np.finfo(float).eps
-    if np.isfinite(theta):
-        P = M_k * (theta * theta)
-        P += theta * C_k
-        P += K_k
-    else:
-        P = np.array(M_k, dtype=complex)
+    P = M_k * (theta * theta)
+    P += theta * C_k
+    P += K_k
     k = P.shape[0]
     scale = float(np.abs(P).sum(axis=0).max())
     lu, piv, _ = zgetrf(P)
     d = np.arange(k)
     tiny = d[np.abs(lu[d, d]) < eps * scale]
     lu[tiny, tiny] = max(eps * scale, np.finfo(float).tiny)
-    y = ztrtrs(lu, np.ones(k, dtype=complex))[0]
-    g = y / np.linalg.norm(y)
-    res = float(np.linalg.norm(P @ g))
-    for _ in range(NULL_VECTOR_MAX_STEPS - 1):
-        y = zgetrs(lu, piv, g)[0]
-        y /= np.linalg.norm(y)
-        r = float(np.linalg.norm(P @ y))
-        if not r < res:
-            break
-        g, res = y, r
+    g = np.full(k, 1.0 / np.sqrt(k), dtype=complex)
+    res = np.inf
+    # np.linalg.norm sums squares, which overflow above about 1e154
+    with np.errstate(over="ignore"):
+        for step in range(NULL_VECTOR_MAX_STEPS):
+            y = (zgetrs(lu, piv, g)[0] if step
+                 else ztrtrs(lu, np.ones(k, dtype=complex))[0])
+            norm = np.linalg.norm(y)
+            if not 0.0 < norm < np.inf:
+                break
+            y /= norm
+            r = float(np.linalg.norm(P @ y))
+            if not r < res:
+                break
+            g, res = y, r
     return g, res, scale
 
 
@@ -422,6 +433,29 @@ def _real_eig(A, vectors):
     if info:
         raise scipy.linalg.LinAlgError("eig algorithm (geev) did not converge")
     return wr + 1j * wi, vr if vectors else None
+
+
+def _qz_eigvals(A, B):
+    """``scipy.linalg.eig(A, B, right=False, overwrite_a=True,
+    overwrite_b=True)`` on the column-major pencil (A, B), float64 or
+    complex128, by the same ggev call (LAPACK dggev or zggev), but with an
+    eigenvalue-only workspace query: scipy's query asks for both
+    eigenvector arrays and copies A and B.  Returns the complex eigenvalues
+    alpha / beta, inf where beta is zero."""
+    if not (np.isfinite(A).all() and np.isfinite(B).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    ggev = dggev if A.dtype == float else zggev
+    flags = dict(compute_vl=0, compute_vr=0, overwrite_a=1, overwrite_b=1)
+    lwork = int(ggev(A, B, lwork=-1, **flags)[-2][0].real)
+    *alpha, beta, _, _, _, info = ggev(A, B, lwork=lwork, **flags)
+    if info:
+        raise scipy.linalg.LinAlgError("generalized eig algorithm (ggev) did "
+                                       "not converge")
+    alpha = alpha[0] + 1j * alpha[1] if len(alpha) == 2 else alpha[0]
+    w = np.full(beta.shape, np.inf, dtype=complex)
+    finite = beta != 0
+    w[finite] = alpha[finite] / beta[finite]
+    return w
 
 
 # rows per block of the n-length passes that stream by rows (projection,

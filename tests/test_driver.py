@@ -300,6 +300,8 @@ class TestVariants:
         rep = solve(gen_mass_spring(500), cfg)
         assert rep.all_converged
         _assert_refined_not_worse(rep, cfg.m)
+        # ctol sits below NULL_VECTOR_TOL eps: every cycle takes all vectors
+        assert not any(c.wanted_only for c in rep.cycles)
 
     def test_imsoar_converges_at_tight_ctol(self):
         cfg = SolverConfig(m=6, k=40, p=15, mode="shift-invert",
@@ -309,13 +311,19 @@ class TestVariants:
         assert rep.all_converged
         # ctol sits below every delivered pair's rounding floor
         assert all(2.3e-15 <= c.floor <= 2.6e-15 for c in rep.converged)
+        assert not any(c.wanted_only for c in rep.cycles)
 
     @pytest.mark.parametrize("ctol", [1e-10, 1e-13])
     def test_irsoar_refined_not_worse_at_large_ktilde(self, ctol):
         # direct mode at ktilde = 121, where the refined triangles are large
         cfg = SolverConfig(m=10, k=120, p=60, mode="direct", variant="irsoar",
                            ctol=ctol)
-        _assert_refined_not_worse(solve(gen_string_damping(150), cfg), cfg.m)
+        rep = solve(gen_string_damping(150), cfg)
+        _assert_refined_not_worse(rep, cfg.m)
+        # never through the MSOAR relation; wanted-only where ctol is at
+        # least NULL_VECTOR_TOL eps (2.2e-13)
+        assert not any(c.relation for c in rep.cycles)
+        assert all(c.wanted_only == (ctol > 1e-13) for c in rep.cycles)
 
     @pytest.mark.parametrize("threads", [1, 2])
     def test_tight_ctol_verdicts_at_blas_thread_count(self, threads):
@@ -601,6 +609,8 @@ class TestBreakdown:
         assert rep.breakdown[0] == 0      # first cycle
         (record,) = rep.cycles
         assert max(record.residuals) == rep.residual_history[0]
+        # a breakdown delivers every pair, so all are built
+        assert not record.wanted_only
         assert record.shifts == [] and record.retained is None
         assert len(rep.converged) >= 6    # all invariant-subspace pairs
         for c in rep.converged:

@@ -857,12 +857,17 @@ def _key(theta):
 
 
 def _wanted_only_case(case):
-    """(op, state) of a decomposition that holds to rounding, so its
-    projection is extracted wanted-only: a complex start in direct mode,
-    the underdamped chain at a real shift, whose wanted theta come in
-    conjugate pairs, or a mass-spring at a real shift whose M_k goes to
-    QZ (cond above MONIC_COND_MAX)."""
+    """(op, state) of a decomposition whose projection at ctol 1e-10 is
+    extracted wanted-only.  Three hold to rounding, so they also go through
+    the MSOAR relation: a complex start in direct mode, the underdamped
+    chain at a real shift, whose wanted theta come in conjugate pairs, and
+    a mass-spring at a real shift whose M_k goes to QZ (cond above
+    MONIC_COND_MAX).  The fourth, a real direct string whose P has grown,
+    is refused the relation."""
     rng = np.random.default_rng(0)
+    if case == "string-direct":
+        u1 = rng.random(100)
+        return _run(rng, gen_string_damping(100), 30, u1=u1, u2=u1)
     if case == "complex":
         u1 = rng.standard_normal(47) + 1j * rng.standard_normal(47)
         return _run(rng, gen_mass_spring(47), 6, u1=u1, u2=u1)
@@ -875,31 +880,29 @@ def _wanted_only_case(case):
 
 
 class TestWantedOnly:
-    """A projection through the MSOAR relation builds only the wanted Ritz
-    vectors (``extract_ritz``); any other projection is the all-vectors
-    extraction bit for bit."""
+    """A projection at a ctol of at least NULL_VECTOR_TOL eps builds only the
+    wanted Ritz vectors (``extract_ritz``), through the MSOAR relation or
+    not; at a ctol below that, without a ctol or after a breakdown, the
+    extraction is the all-vectors one bit for bit."""
 
     @staticmethod
     def refused(case):
-        """(proj, op) of a projection that takes all vectors."""
+        """(proj, op) of a projection at ctol 1e-15, below NULL_VECTOR_TOL
+        eps, which takes all vectors."""
         rng = np.random.default_rng(0)
         if case == "tight-ctol":
-            # mass-spring n = 500 at ctol 1e-15: the relation is refused
+            # mass-spring n = 500: the relation is refused too
             u1 = rng.random(500)
             op, st = _run(rng, gen_mass_spring(500), 40, mode="shift-invert",
                           sigma=-13 + 0.4j, u1=u1, u2=u1)
-            proj = project(st, op, 1e-15)
         else:
-            # a real direct string whose P has grown: refused
-            u1 = rng.random(100)
-            op, st = _run(rng, gen_string_damping(100), 30, u1=u1, u2=u1)
-            proj = project(st, op, 1e-10)
-        return proj, op
+            op, st = _wanted_only_case(case)
+        return project(st, op, 1e-15), op
 
     @pytest.mark.parametrize("case", ["tight-ctol", "string-direct"])
     def test_all_vectors_bit_for_bit(self, case):
         proj, op = self.refused(case)
-        assert not proj.relation
+        assert not proj.relation and not proj.wanted_only
         ritz = extract_ritz(proj, op, 6)
         assert not ritz.wanted_only and isinstance(ritz.pairs, list)
         theta, G, norms = _all_vectors(proj, op)
@@ -909,14 +912,16 @@ class TestWantedOnly:
             assert e.g.tobytes() == G[:, i].tobytes()
             assert e.residual == norms.get(i)
 
-    @pytest.mark.parametrize("case", ["complex", "real", "qz"])
+    @pytest.mark.parametrize("case", ["complex", "real", "qz",
+                                      "string-direct"])
     def test_wanted_entries_match_all_vectors(self, case):
         # each wanted theta to 1e-12 relative, each g a null vector of
         # P_k(theta) to NULL_VECTOR_TOL eps ||P_k(theta)||_1 and each
         # residual to 1e-8 relative of the all-vectors extraction's
         op, st = _wanted_only_case(case)
         proj = project(st, op, 1e-10)
-        assert proj.relation and proj.real == (case != "complex")
+        assert proj.wanted_only and proj.real == (case != "complex")
+        assert proj.relation == (case != "string-direct")
         assert ((np.linalg.cond(proj.M_k) > kernels.MONIC_COND_MAX)
                 == (case == "qz"))
         ritz = extract_ritz(proj, op, 5)
@@ -941,56 +946,70 @@ class TestWantedOnly:
         proj = project(st, op, 1e-10)
         ritz = extract_ritz(proj, op, 5)
         assert ritz.wanted_only
-        theta = np.array([ritz.pairs[i].theta for i in range(len(ritz.pairs))])
+        theta, _ = kernels.solve_projected_qep(proj.M_k, proj.C_k, proj.K_k,
+                                               vectors=False)
         left_out = 0
         for group in kernels.conjugate_groups(theta)[0]:
             if len(group) == 1 or not set(group) & set(ritz.selection):
                 continue
             a, b = (ritz.pairs[i] for i in group)
+            assert complex(a.theta) == theta[group[0]]
             assert b.residual == a.residual and b.g.tobytes() == a.g.conj().tobytes()
             left_out += not set(group) <= set(ritz.selection)
         assert left_out == 1
 
-    def test_other_pairs_built_on_access(self):
-        op, st = _wanted_only_case("complex")
+    @pytest.mark.parametrize("case", ["complex", "real"])
+    def test_unbuilt_entries_are_none(self, case):
+        # pairs keeps theta's order and length; only the selection, with
+        # its conjugate partners on a real projection, is built
+        op, st = _wanted_only_case(case)
         proj = project(st, op, 1e-10)
-        ritz = extract_ritz(proj, op, 2)
+        ritz = extract_ritz(proj, op, 5)
         assert ritz.wanted_only and len(ritz.pairs) == 2 * proj.ktilde
-        theta, _, norms = _all_vectors(proj, op)
-        i = next(i for i in range(len(ritz.pairs)) if i not in ritz.selection)
-        e = ritz.pairs[i]
-        assert ritz.pairs[i] is e and ritz.pairs[i - len(ritz.pairs)] is e
-        assert np.linalg.norm(e.g) == pytest.approx(1.0, abs=1e-14)
-        j = int(np.argmin(np.abs(theta - e.theta)))
-        assert e.residual == pytest.approx(norms[j], rel=1e-8)
-        assert sum(p.finite for p in ritz.pairs) == len(norms)
+        built = {i for i, e in enumerate(ritz.pairs) if e is not None}
+        assert built >= set(ritz.selection)
+        partners = {i for i in built - set(ritz.selection)
+                    if any(ritz.pairs[i].theta == ritz.pairs[j].theta.conjugate()
+                           for j in ritz.selection)}
+        assert partners == built - set(ritz.selection)
+        assert bool(partners) == (case == "real")
 
     @staticmethod
     def double_wanted():
-        """(proj, op): a synthetic real projected triple through the
-        relation, with the largest |theta| a double eigenvalue, -2 (and 2)
-        with two independent vectors; the blocks are the triple itself,
+        """(proj, op): a synthetic real projected triple marked
+        wanted-only, with the largest |theta| a double eigenvalue, -2 (and
+        2) with two independent vectors; the blocks are the triple itself,
         the R of W_i = X_i for Q_tilde = I."""
         M = np.eye(4)
         C = np.zeros((4, 4))
         K = -np.diag([4.0, 4.0, 1.0, 0.25])
         op = build_operator(QepProblem.from_matrices(M, C, K))
         proj = extraction.ProjectedQep(np.eye(4), M, C, K, blocks=(M, C, K),
-                                       op=op, relation=True)
+                                       op=op, wanted_only=True)
         return proj, op
 
-    @pytest.mark.parametrize("case", ["double", "residual"])
+    @pytest.mark.parametrize("case", ["double", "residual", "non-finite"])
     def test_fallback_is_all_vectors(self, monkeypatch, case):
-        # a double wanted theta, or a wanted g whose residual check fails,
-        # sends a relation projection to the all-vectors path, bit for bit
+        # a double wanted theta, or a wanted g whose residual check fails
+        # or is not finite, sends a wanted-only projection to the
+        # all-vectors path, bit for bit
         if case == "double":
             proj, op = self.double_wanted()
             m = 2
         else:
-            monkeypatch.setattr(extraction, "NULL_VECTOR_TOL", 0.0)
             op, st = _wanted_only_case("real")
             proj, m = project(st, op, 1e-10), 5
-        assert proj.relation
+            if case == "residual":
+                monkeypatch.setattr(extraction, "NULL_VECTOR_TOL", 0.0)
+            else:
+                null_vector = kernels.null_vector
+
+                def overflowed(*args):
+                    g, _, scale = null_vector(*args)
+                    return g, np.nan, scale
+
+                monkeypatch.setattr(kernels, "null_vector", overflowed)
+        assert proj.wanted_only
         ritz = extract_ritz(proj, op, m)
         assert not ritz.wanted_only
         theta, G, norms = _all_vectors(proj, op)

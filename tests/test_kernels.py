@@ -421,8 +421,9 @@ TRIPLES = ([pytest.param(c, False, id=str(c)) for c in CONDITIONS]
 @pytest.fixture
 def pencils(monkeypatch):
     """The dtypes (of A, of B) of every eigensolver call: scipy.linalg.eig,
-    or LAPACK dgeev on a real monic companion; B is None on the monic
-    companion."""
+    LAPACK dgeev on a real monic companion, or LAPACK dggev or zggev on an
+    eigenvalue-only pencil (its workspace query not counted); B is None on
+    the monic companion."""
     eig, dgeev = scipy.linalg.eig, kernels.dgeev
     seen = []
 
@@ -434,8 +435,17 @@ def pencils(monkeypatch):
         seen.append((a.dtype.name, None))
         return dgeev(a, **kwargs)
 
+    def recording_ggev(ggev):
+        def call(a, b, **kwargs):
+            if kwargs.get("lwork") != -1:
+                seen.append((a.dtype.name, b.dtype.name))
+            return ggev(a, b, **kwargs)
+        return call
+
     monkeypatch.setattr(scipy.linalg, "eig", recording)
     monkeypatch.setattr(kernels, "dgeev", recording_dgeev)
+    for name in ("dggev", "zggev"):
+        monkeypatch.setattr(kernels, name, recording_ggev(getattr(kernels, name)))
     return seen
 
 
@@ -450,12 +460,23 @@ class TestProjectedQep:
             n = a.shape[0]
             return np.zeros(n), np.zeros(n), None, np.eye(n), 1
 
+        def unconverged_qz(a, b, **kwargs):
+            # (alphar, alphai, or alpha,) beta, vl, vr, work, info
+            n = a.shape[0]
+            alpha = (np.zeros(n),) * (2 if a.dtype == float else 1)
+            return alpha + (np.ones(n), None, None, np.ones(1), 1)
+
         monkeypatch.setattr(scipy.linalg, "eig", fail)
         monkeypatch.setattr(kernels, "dgeev", unconverged)
-        for M in (np.eye(2), 1j * np.eye(2), np.diag([1.0, 1e-3])):
-            with pytest.raises(kernels.SingularPencilError,
-                               match="companion linearization"):
-                solve_projected_qep(M, np.eye(2), np.eye(2))
+        monkeypatch.setattr(kernels, "dggev", unconverged_qz)
+        monkeypatch.setattr(kernels, "zggev", unconverged_qz)
+        for M in (np.eye(2), 1j * np.eye(2), np.diag([1.0, 1e-3]),
+                  1j * np.diag([1.0, 1e-3])):
+            for vectors in (True, False):
+                with pytest.raises(kernels.SingularPencilError,
+                                   match="companion linearization"):
+                    solve_projected_qep(M, np.eye(2), np.eye(2),
+                                        vectors=vectors)
 
     def test_scalar_roots(self):
         theta, G = solve_projected_qep([[1.0]], [[3.0]], [[2.0]])
@@ -567,6 +588,21 @@ class TestProjectedQep:
                                                           vectors=False))[1]
                 <= 1.7 * companion)
 
+    @pytest.mark.parametrize("k, real", [(41, False), (70, True)])
+    def test_qz_values_only_holds_no_vectors(self, rng, pencils, k, real):
+        # ms5k's order, k = 41, and a real pencil: the eigenvalue-only QZ
+        # call holds the pencil (A, B) and ggev's workspace, 1.26 and 1.19
+        # pencils, with scipy.linalg.eig's values bit for bit; through
+        # scipy, whose workspace query copies A and B and asks for both
+        # eigenvector arrays, it held 3.12 and 3.02
+        M, C, K = _triple_with_mass_condition(rng, k, 1e3, real)
+        pencil = 2 * (2 * k) ** 2 * (8 if real else 16)
+        (theta, _), peak = conftest.peak(lambda: solve_projected_qep(
+            M, C, K, vectors=False))
+        assert pencils == [("float64",) * 2 if real else ("complex128",) * 2]
+        assert peak <= 1.35 * pencil
+        assert theta.tobytes() == _eig_reference(M, C, K, False)[0].tobytes()
+
     @pytest.mark.parametrize("cond, real", TRIPLES)
     def test_values_only_same_spectrum(self, rng, pencils, cond, real):
         M, C, K = _triple_with_mass_condition(rng, 8, cond, real)
@@ -583,6 +619,29 @@ class TestProjectedQep:
             j = int(np.argmin([abs(t - w) for w in rest]))
             ref = rest.pop(j)
             assert abs(t - ref) <= 1e-12 * abs(ref)
+
+
+class TestNullVector:
+    @pytest.mark.parametrize("case", ["zero", "first-overflows", "tiny"])
+    def test_non_finite_iterate_stops_without_warning(self, case):
+        # P(1) = 0: no pivot is raised (eps ||P||_1 = 0), so the second
+        # solve divides by zero, and the first iterate, the start itself,
+        # is kept with its zero residual.  P(1) = 1e-300 [[0, 1], [0, 0]]:
+        # both pivots are raised to the smallest normal number and the
+        # first iterate overflows.  P(1) = 1e-200 I: the first iterate is
+        # 1e200 ones, whose norm overflows.  Either way g is the unit start
+        # and the residual inf, which ``extraction`` refuses
+        Z = np.zeros((2, 2))
+        K = {"zero": Z, "first-overflows": np.array([[0.0, 1e-300],
+                                                     [0.0, 0.0]]),
+             "tiny": 1e-200 * np.eye(2)}[case]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, res, scale = kernels.null_vector(Z, Z, K, 1.0 + 0j)
+        start = np.full(2, 1 / np.sqrt(2), dtype=complex)
+        assert g.tobytes() == start.tobytes()
+        assert (res, scale) == ((0.0, 0.0) if case == "zero"
+                                else (np.inf, float(np.abs(K).max())))
 
 
 def _unit(rng, k):

@@ -93,11 +93,12 @@ def chain_fingerprints(soarqep):
                     warnings.simplefilter("ignore", RuntimeWarning)
                     report = soarqep.solve(problem, config)
                 yield ("chain sigma=%s %s seed=%d cycles=%d stored_real=%s "
-                       "relation_cycles=%s breakdown=%s final=%.3e "
-                       "history=%s"
+                       "relation_cycles=%s wanted_only_cycles=%s "
+                       "breakdown=%s final=%.3e history=%s"
                        % (sigma, variant, seed, len(report.residual_history),
                           _counted(report, "stored_real"),
-                          _counted(report, "relation"), report.breakdown,
+                          _counted(report, "relation"),
+                          _counted(report, "wanted_only"), report.breakdown,
                           report.residual_history[-1],
                           _sha1(report.residual_history, float)))
 
